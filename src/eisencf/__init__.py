@@ -20,7 +20,7 @@ from .exact import (
     in_J,
     parse_field_element,
 )
-from .hexdomain import Membership, floor_J, in_U, in_U_float
+from .hexdomain import floor_J, in_U
 from .cf import (
     ConvergentPair,
     DomainError,
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EisensteinInt", "FieldElement", "ZETA", "ETA", "ETA_BAR", "SQRT_M3",
     "ETAS", "MINUS_ZETA", "ZETA_BAR", "embed", "in_J", "parse_field_element",
-    "Membership", "floor_J", "in_U", "in_U_float",
+    "floor_J", "in_U",
     "ConvergentPair", "DomainError", "Expansion", "SpecialPoint", "ZeroOrbit",
     "convergents", "eval_cf", "expand", "jump_map", "special_digits", "step_T",
     "BoundaryPoint", "CellIndex", "NotInU", "build_catalog", "cell_of",

@@ -2,16 +2,13 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error,
 3 domain error.  With a fixed seed every artifact is byte-identical across
-runs and independent of the worker count.
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +37,6 @@ class RunConfig:
     grid: int = 200
     digits: int = 40
     tol: float = 1e-12
-    threads: int = 1
 
     def validate(self) -> None:
         for name in ("samples", "orbits", "length", "depth", "grid", "digits"):
@@ -48,18 +44,14 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.tol <= 1e-6):
             raise ValueError("tol must lie in (0, 1e-6]")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     for name in ("seed", "samples", "orbits", "length", "depth", "grid",
-                 "digits", "tol", "threads"):
+                 "digits", "tol"):
         if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
-    if os.environ.get("CF_THREADS") and getattr(args, "threads", None) is None:
-        cfg.threads = int(os.environ["CF_THREADS"])
     cfg.validate()
     return cfg
 
@@ -134,15 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [
-                pool.submit(CHECKS[name], cfg.samples, cfg.depth, cfg.seed)
-                for name in names
-            ]
-            reports = [f.result() for f in futures]
-    else:
-        reports = run_checks(names, cfg.samples, cfg.depth, cfg.seed)
+    reports = run_checks(names, cfg.samples, cfg.depth, cfg.seed)
     doc = {
         "schema": 1,
         "seed": cfg.seed,
@@ -227,22 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int)
         if "tol" in names:
             p.add_argument("--tol", type=float)
-        if "threads" in names:
-            p.add_argument("--threads", type=int)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("expand", help="digit expansion of an exact point")
     p.add_argument("--z", required=True, help="point literal, e.g. 3/10+1/7r")
     p.add_argument("--digits", type=int)
-    p.add_argument("--format", choices=["json"], default="json")
-    common(p, "tol")
+    common(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="run structural checks")
     p.add_argument("which", nargs="?", default="all",
                    choices=["inversions", "frs", "dual", "orbit",
                             "monotonic", "special", "all"])
-    common(p, "seed", "samples", "depth", "tol", "threads")
+    common(p, "seed", "samples", "depth")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("levy", help="growth-rate estimates by two routes")

@@ -38,35 +38,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._util import derive_seed
-from .floatpath import SQRT3, hex_margin, t_step
+from ._util import CheckReport, derive_seed
+from .floatpath import SQRT3, U_BOX, hex_margin, t_step
 from .regions import Catalog, Region, build_catalog, classify_cells_complex
-from .verifier import CheckReport, _Timer
 
-U_BOX = (-1.0, 1.0, -SQRT3 / 2, SQRT3 / 2)
-U_AREA = 3.0 * SQRT3 / 2.0
 CELLS = [(k, l) for k in range(1, 7) for l in range(1, 7)]
-
-
-class SkipOrbit(Exception):
-    """The trajectory entered the boundary band; resample it."""
-
-
-@dataclass(frozen=True)
-class NatExtState:
-    z: complex
-    w: complex | None  # None encodes the point at infinity
-
-
-def nat_ext_step(s: NatExtState, tol: float = 1e-12) -> NatExtState:
-    """One step of the natural extension; raises SkipOrbit on the band."""
-    z = np.array([s.z])
-    alpha, z_next, alive = t_step(z, tol)
-    if not alive[0]:
-        raise SkipOrbit(f"band or zero at {s.z}")
-    b = alpha[0]
-    w_next = -b if s.w is None else 1.0 / s.w - b
-    return NatExtState(complex(z_next[0]), complex(w_next))
 
 
 # --------------------------------------------------------------------------
@@ -605,12 +581,6 @@ class DensityEstimator:
         return xs, ys, np.nan_to_num(vals, nan=0.0)
 
 
-def density_h(z: complex, quad_samples: int = 100000, seed: int = 0,
-              tol: float = 1e-12) -> float:
-    est = DensityEstimator(estimate_C0_and_levy_integral(quad_samples, seed, tol))
-    return est.at(z, tol)
-
-
 # --------------------------------------------------------------------------
 # occupation versus quadrature masses
 # --------------------------------------------------------------------------
@@ -638,7 +608,7 @@ def invariance_check(orbits: int = 64, length: int = 20000, seed: int = 0,
 
     PASS when every cell discrepancy is below max(3 * combined stderr, 0.01).
     """
-    with _Timer(CheckReport("invariance")) as rep:
+    with CheckReport("invariance") as rep:
         if quad is None:
             quad = estimate_C0_and_levy_integral(quad_samples, seed, tol)
         batch = simulate_orbits(orbits, length, seed, tol)

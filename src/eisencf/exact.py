@@ -87,7 +87,7 @@ ETAS = {k: eta_k(k) for k in range(1, 7)}
 
 
 def in_J(e: EisensteinInt) -> bool:
-    """Membership in the digit module J = eta * Z[zeta].
+    """Whether e lies in the digit module J = eta * Z[zeta].
 
     eta | (a + b*zeta) iff a = b (mod 3): in Z[zeta]/(eta) = Z/3 one has
     zeta = -1, so a + b*zeta = a - b.  (Cross-checked against the quotient
@@ -215,10 +215,6 @@ ZETA_BAR = FieldElement(1, -1, 2)
 def embed(e: EisensteinInt) -> FieldElement:
     """Exact image of a + b*zeta = (2a + b)/2 + (b/2) sqrt(-3)."""
     return FieldElement(2 * e.a + e.b, e.b, 2)
-
-
-def approx(f: FieldElement) -> complex:
-    return f.approx()
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"

@@ -7,11 +7,12 @@ resample it, never guess a side.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-SQRT3 = math.sqrt(3.0)
+from .exact import SQRT3
+
+# bounding box (xlo, xhi, ylo, yhi) of the hexagon U in real coordinates
+U_BOX = (-1.0, 1.0, -SQRT3 / 2, SQRT3 / 2)
 ETA_C = complex(1.5, SQRT3 / 2.0)
 S3_C = complex(0.0, SQRT3)
 

@@ -16,32 +16,17 @@ and +-1 do not.
 
 from __future__ import annotations
 
-import enum
-from fractions import Fraction
-from typing import NamedTuple
-
 from .exact import EisensteinInt, FieldElement, embed, j_element
-
-
-class Membership(enum.Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 class TilingError(RuntimeError):
     """The 9-candidate search did not find exactly one representative."""
 
 
-class LatticeCoords(NamedTuple):
-    """Coordinates of z in the basis {eta, sqrt(-3)} of J: z = m*eta + n*sqrt(-3)."""
-
-    m: Fraction
-    n: Fraction
-
-
-def in_U(z: FieldElement) -> bool:
-    a, b, c = z.a, z.b, z.c  # x = a/c, y = b/c, c > 0
+def _in_U(a: int, b: int, c: int) -> bool:
+    # z = (a + b*sqrt(-3))/c with c > 0, not necessarily in lowest terms.
+    # The first test is in_U0, written out because floor_J runs this body
+    # nine times per digit.
     if 2 * abs(b) < c and abs(a + b) < c and abs(a - b) < c:
         return True
     if 2 * b == c and 2 * abs(a) < c:
@@ -52,51 +37,19 @@ def in_U(z: FieldElement) -> bool:
     return False
 
 
-def in_U_float(z: complex, tol: float = 1e-12) -> Membership:
-    x = z.real
-    y = z.imag / 1.7320508075688772
-    g = max(abs(y) - 0.5, abs(x + y) - 1.0, abs(x - y) - 1.0)
-    if g > tol:
-        return Membership.OUTSIDE
-    if g >= -tol:
-        return Membership.BOUNDARY
-    return Membership.INSIDE
+def in_U0(z: FieldElement) -> bool:
+    """Whether z lies in the open hexagon U0, the interior of U."""
+    return 2 * abs(z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c
 
 
-def lattice_coords(z: FieldElement) -> LatticeCoords:
-    # z = m*eta + n*sqrt(-3)  with  m = 2x/3, n = y - x/3
-    return LatticeCoords(Fraction(2 * z.a, 3 * z.c), Fraction(3 * z.b - z.a, 3 * z.c))
-
-
-def from_lattice(m: Fraction | int, n: Fraction | int) -> FieldElement:
-    m, n = Fraction(m), Fraction(n)
-    x = Fraction(3, 2) * m
-    y = m / 2 + n
-    return FieldElement.from_xy(x, y)
-
-
-def _round_nearest(p: int, q: int) -> int:
-    # nearest integer to p/q, q > 0; ties go up (any tie rule works here,
-    # the candidate search covers both neighbours)
-    return (2 * p + q) // (2 * q)
+def in_U(z: FieldElement) -> bool:
+    return _in_U(z.a, z.b, z.c)
 
 
 _OFFSETS = (
     (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
 )
-
-
-def _in_U_raw(a: int, b: int, c: int) -> bool:
-    # in_U on an unreduced representation (a + b*sqrt(-3))/c, c > 0
-    if 2 * abs(b) < c and abs(a + b) < c and abs(a - b) < c:
-        return True
-    if 2 * b == c and 2 * abs(a) < c:
-        return True
-    if -c <= 2 * b and b < 0:
-        if a - b == c or a + b == -c:
-            return True
-    return False
 
 
 def _search_anchor(z: FieldElement) -> tuple[int, int]:
@@ -113,7 +66,7 @@ def floor_J(z: FieldElement) -> EisensteinInt:
     for dm, dn in _OFFSETS:
         m, n = m0 + dm, n0 + dn
         # alpha = m*eta + n*sqrt(-3) = ((3m) + (m + 2n) sqrt(-3)) / 2
-        if _in_U_raw(a2 - 3 * m * z.c, b2 - (m + 2 * n) * z.c, c2):
+        if _in_U(a2 - 3 * m * z.c, b2 - (m + 2 * n) * z.c, c2):
             if hit is not None:
                 raise TilingError(
                     f"multiple representatives for {z!r}: {hit}, {(m, n)}")
@@ -132,23 +85,3 @@ def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:
         if in_U(z - embed(alpha := j_element(m0 + dm, n0 + dn)))
     ]
 
-
-def floor_J_float(w: complex, tol: float = 1e-12) -> EisensteinInt | None:
-    """Float rounding to J; None when w falls in the boundary band."""
-    x = w.real
-    y = w.imag / 1.7320508075688772
-    m0 = round(2.0 * x / 3.0)
-    n0 = round(y - x / 3.0)
-    best: EisensteinInt | None = None
-    for dm, dn in _OFFSETS:
-        alpha = j_element(m0 + dm, n0 + dn)
-        r = w - alpha.approx()
-        mem = in_U_float(r, tol)
-        if mem is Membership.BOUNDARY:
-            return None
-        if mem is Membership.INSIDE:
-            best = alpha
-            break
-    if best is None:
-        raise TilingError(f"no float representative found for {w!r}")
-    return best

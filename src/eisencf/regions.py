@@ -22,16 +22,14 @@ property (exactly one cell per interior point), which the test-suite checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .exact import ETAS, EisensteinInt, FieldElement, embed
-
-SQRT3 = math.sqrt(3.0)
+from .exact import ETAS, SQRT3, FieldElement, embed
 
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
 _CLOSED = {"<": "<=", ">": ">=", "<=": "<=", ">=": ">=", "==": "=="}
@@ -127,9 +125,6 @@ class Primitive:
         )
         return Primitive(qq, bx, by, dd, self.rel)
 
-    def closed(self) -> Primitive:
-        return replace(self, rel=_CLOSED[self.rel])
-
     def circle_data(self) -> tuple[Fraction, Fraction, Fraction] | None:
         """(center_x, center_y, r_sq) when the primitive is a genuine circle."""
         if self.qq == 0:
@@ -191,9 +186,6 @@ class Region:
     def contains(self, z: FieldElement, closed: bool = False) -> bool:
         return all(p.holds(z, closed) for p in self.prims)
 
-    def on_boundary(self, z: FieldElement) -> bool:
-        return self.contains(z, closed=True) and not self.contains(z)
-
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(
             name or f"zeta^{times}*{self.name}",
@@ -215,10 +207,6 @@ class Region:
             tuple(p.invert() for p in self.prims),
             includes_infinity=False,
         )
-
-    def closure(self) -> Region:
-        return Region(f"cl({self.name})", tuple(p.closed() for p in self.prims),
-                      self.includes_infinity)
 
     # -- float path -------------------------------------------------------
     def classify_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -295,15 +283,6 @@ class Catalog:
     v_star: dict[tuple[int, int], Region]
     segments: dict[int, Region]
     s_sets: dict[tuple[str, int], Region]
-
-    def all_named(self) -> dict[str, Region]:
-        out = {"U0": self.u0}
-        out.update({r.name: r for r in self.u_cells.values()})
-        out.update({r.name: r for r in self.v_cells.values()})
-        out.update({r.name: r for r in self.v_star.values()})
-        out.update({r.name: r for r in self.segments.values()})
-        out.update({r.name: r for r in self.s_sets.values()})
-        return out
 
 
 @lru_cache(maxsize=1)
@@ -433,18 +412,6 @@ def build_catalog() -> Catalog:
     }
 
     return Catalog(u0, u_cells, v_cells, v_star, segments, s_sets)
-
-
-def invert_primitive(p: Primitive) -> Primitive:
-    return p.invert()
-
-
-def invert_region(r: Region) -> Region:
-    return r.invert()
-
-
-def contains(region: Region, z: FieldElement, closed: bool = False) -> bool:
-    return region.contains(z, closed)
 
 
 def cell_of(z: FieldElement, catalog: Catalog | None = None) -> CellIndex:

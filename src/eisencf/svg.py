@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exact import SQRT3
 from .regions import Catalog, Primitive, Region, build_catalog
-
-SQRT3 = math.sqrt(3.0)
 
 _HEX = [complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
         for k in range(6)]

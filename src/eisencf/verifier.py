@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._util import derive_seed
-
+from ._util import CheckReport, derive_seed
 from .exact import (
     ETAS,
     EisensteinInt,
@@ -27,7 +24,6 @@ from .exact import (
     ZETA,
     ZETA_BAR,
     embed,
-    format_field_element,
     j_element,
 )
 from .cf import (
@@ -41,8 +37,8 @@ from .cf import (
     SPECIAL_PERIOD,
     REJECTED_ZETA_BAR_PERIOD,
 )
-from .hexdomain import in_U
-from .floatpath import SQRT3, digit_matches, t_step
+from .hexdomain import in_U, in_U0
+from .floatpath import SQRT3, U_BOX, digit_matches, hex_margin, t_step
 from .regions import (
     BoundaryPoint,
     Catalog,
@@ -54,55 +50,6 @@ from .regions import (
     half_plane,
     rational_points_on,
 )
-
-U_BOX = (-1.0, 1.0, -SQRT3 / 2, SQRT3 / 2)
-
-
-@dataclass
-class CheckReport:
-    name: str
-    samples: int = 0
-    failures: list = dc_field(default_factory=list)
-    elapsed: float = 0.0
-    info: dict = dc_field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if not self.failures else "FAIL"
-
-    def fail(self, **kw) -> None:
-        if len(self.failures) < 64:
-            self.failures.append(kw)
-        else:
-            self.info["failures_truncated"] = True
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "failures": self.failures,
-            "elapsed_s": round(self.elapsed, 3),
-            "info": self.info,
-        }
-
-
-class _Timer:
-    def __init__(self, report: CheckReport):
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed = time.perf_counter() - self.t0
-        return False
-
-
-def _fe_str(z: FieldElement) -> str:
-    return format_field_element(z)
-
 
 # --------------------------------------------------------------------------
 # exact sampling helpers
@@ -137,7 +84,7 @@ def random_orbit_seed(rng: random.Random, digits10: int) -> FieldElement:
     while True:
         c = rng.randint(10**digits10, 4 * 10**digits10)
         z = FieldElement(rng.randint(-c, c), rng.randint(-c, c), c)
-        if abs(2 * z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c:
+        if in_U0(z):
             return z
 
 
@@ -199,7 +146,7 @@ def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
     points on the source must land exactly on the target.
     """
     rng = random.Random(derive_seed(seed, "inversions"))
-    with _Timer(CheckReport("inversions")) as rep:
+    with CheckReport("inversions") as rep:
         for name, src, tgt in _inversion_families():
             inv = src.invert()
             if (inv.qq, inv.bx, inv.by, inv.dd) != (tgt.qq, tgt.bx, tgt.by, tgt.dd):
@@ -215,7 +162,7 @@ def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
                 w = z.inv()
                 rep.samples += 1
                 if tgt.value_int(w) != 0:
-                    rep.fail(family=name, kind="point", z=_fe_str(z), w=_fe_str(w))
+                    rep.fail(family=name, kind="point", z=str(z), w=str(w))
     return rep
 
 
@@ -325,25 +272,23 @@ def verify_frs(samples: int = 10000, seed: int = 0,
     if grid is None:
         # subcell hit rate is 1.333 * samples / grid^2; keep it above 25
         grid = min(64, max(8, int(math.sqrt(coverage_samples * 1.333 / 25.0))))
-    with _Timer(CheckReport("finite_range_structure")) as rep:
+    with CheckReport("finite_range_structure") as rep:
         claims = _frs_claims(cat)
         rep.info["claims"] = len(claims)
         per_claim = max(1, samples)
         for claim in claims:
             rng = random.Random(derive_seed(seed, "frs:" + claim["name"]))
-            viol = 0
             valid = 0
             tries = 0
             while valid < per_claim and tries < 40 * per_claim:
                 tries += 1
-                w = _u0_quick_sample(rng, cat)
+                w = _u0_quick_sample(rng)
                 z = _chain_preimage(w, claim["chain"])
                 if claim["name"].startswith("full<"):
                     # fullness: every w in U0 must be reachable
                     valid += 1
                     if not _chain_valid(z, claim["chain"]):
-                        viol += 1
-                        rep.fail(claim=claim["name"], w=_fe_str(w))
+                        rep.fail(claim=claim["name"], w=str(w))
                     continue
                 if not _chain_valid(z, claim["chain"]):
                     continue
@@ -351,8 +296,7 @@ def verify_frs(samples: int = 10000, seed: int = 0,
                     continue
                 valid += 1
                 if not claim["target"].contains(w, closed=True):
-                    viol += 1
-                    rep.fail(claim=claim["name"], w=_fe_str(w), z=_fe_str(z))
+                    rep.fail(claim=claim["name"], w=str(w), z=str(z))
             rep.samples += valid
             if valid < per_claim:
                 rep.fail(claim=claim["name"], kind="sampling_starved", valid=valid)
@@ -373,12 +317,12 @@ def verify_frs(samples: int = 10000, seed: int = 0,
     return rep
 
 
-def _u0_quick_sample(rng: random.Random, cat: Catalog) -> FieldElement:
+def _u0_quick_sample(rng: random.Random) -> FieldElement:
     while True:
         a = rng.randint(-_DEN, _DEN)
         b = rng.randint(-_DEN // 2, _DEN // 2)
         z = FieldElement(a, b, _DEN)
-        if abs(2 * z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c:
+        if in_U0(z):
             return z
 
 
@@ -390,23 +334,14 @@ def _coverage_gaps(claim: dict, cat: Catalog, n: int, grid: int, seed: int) -> l
     while pts.size < n:
         m = int((n - pts.size) * 2.2) + 16
         w = (rng.uniform(xlo, xhi, m) + 1j * rng.uniform(ylo, yhi, m)).astype(complex)
-        x, y = w.real, w.imag / SQRT3
-        inside = np.maximum.reduce(
-            [np.abs(y) - 0.5, np.abs(x + y) - 1.0, np.abs(x - y) - 1.0]) < -1e-9
-        pts = np.concatenate([pts, w[inside]])
+        pts = np.concatenate([pts, w[hex_margin(w) < -1e-9]])
     pts = pts[:n]
     # forward-validate the chain on the float path
     chain = claim["chain"]
     z = pts
     for d in reversed(chain):
         z = 1.0 / (d.approx() + z)
-    alive = np.ones(pts.shape, dtype=bool)
-    hexm = np.maximum.reduce([
-        np.abs(z.imag / SQRT3) - 0.5,
-        np.abs(z.real + z.imag / SQRT3) - 1.0,
-        np.abs(z.real - z.imag / SQRT3) - 1.0,
-    ])
-    alive &= hexm < -1e-9
+    alive = hex_margin(z) < -1e-9
     if claim["source"] is not None:
         alive &= claim["source"].classify_complex(z, 1e-9) == 1
     cur = z
@@ -428,9 +363,7 @@ def _coverage_gaps(claim: dict, cat: Catalog, n: int, grid: int, seed: int) -> l
         for dy in (-vstep, vstep):
             zz = (gx + dx) + 1j * (gy + dy)
             corners_in &= target.classify_complex(zz, 1e-9) == 1
-            xe, ye = zz.real, zz.imag / SQRT3
-            corners_in &= np.maximum.reduce(
-                [np.abs(ye) - 0.5, np.abs(xe + ye) - 1.0, np.abs(xe - ye) - 1.0]) < -1e-6
+            corners_in &= hex_margin(zz) < -1e-6
     counts = np.zeros((grid, grid), dtype=np.int64)
     if valid.size:
         ix = np.clip(((valid.real - xlo) / (xhi - xlo) * grid).astype(int), 0, grid - 1)
@@ -484,7 +417,7 @@ def verify_dual_inclusions(samples: int = 1000, seed: int = 0) -> CheckReport:
     """
     cat = build_catalog()
     blocks = dual_inclusion_blocks()
-    with _Timer(CheckReport("dual_inclusions")) as rep:
+    with CheckReport("dual_inclusions") as rep:
         for tgt_k, terms in blocks.items():
             for rot in range(6):
                 rng = random.Random(derive_seed(seed, f"dual:{tgt_k}:{rot}"))
@@ -496,12 +429,12 @@ def verify_dual_inclusions(samples: int = 1000, seed: int = 0) -> CheckReport:
                     for z in pts:
                         if not target.contains(z, closed=True):
                             rep.fail(block=tgt_k, rot=rot, term=str(terms[i]),
-                                     kind="inclusion", z=_fe_str(z))
+                                     kind="inclusion", z=str(z))
                         for j, other in enumerate(regs):
                             if j != i and other.contains(z):
                                 rep.fail(block=tgt_k, rot=rot, kind="overlap",
                                          terms=(str(terms[i]), str(terms[j])),
-                                         z=_fe_str(z))
+                                         z=str(z))
     return rep
 
 
@@ -509,7 +442,7 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
     """Along exact orbits, -q_n/q_{n-1} lies in the closed dual cell of z_n."""
     cat = build_catalog()
     rng = random.Random(derive_seed(seed, "dualorbit"))
-    with _Timer(CheckReport("dual_orbit")) as rep:
+    with CheckReport("dual_orbit") as rep:
         done = 0
         while done < samples:
             z = random_orbit_seed(rng, max(12, depth))
@@ -534,8 +467,8 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
                 ratio = -(embed(convs[n].q) / embed(convs[n].q_prev))
                 rep.samples += 1
                 if not cat.v_star[(kl.k, kl.l)].contains(ratio, closed=True):
-                    rep.fail(z=_fe_str(z), n=n, cell=(kl.k, kl.l),
-                             ratio=_fe_str(ratio))
+                    rep.fail(z=str(z), n=n, cell=(kl.k, kl.l),
+                             ratio=str(ratio))
     return rep
 
 
@@ -602,7 +535,7 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
     on every boundary segment/arc, and preimages of the special vertices."""
     cat = build_catalog()
     rng = random.Random(derive_seed(seed, "monotone"))
-    with _Timer(CheckReport("monotonicity")) as rep:
+    with CheckReport("monotonicity") as rep:
         digits10 = max(20, int(0.65 * depth))
         done = 0
         while done < samples:
@@ -642,7 +575,7 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
     """
     cat = build_catalog()
     rng = random.Random(derive_seed(seed, "special"))
-    with _Timer(CheckReport("special_points")) as rep:
+    with CheckReport("special_points") as rep:
         rep.info["zeta_bar_digits"] = [str(d) for d in SPECIAL_PERIOD[ZETA_BAR]]
         rep.info["zeta_bar_rejected"] = [str(d) for d in REJECTED_ZETA_BAR_PERIOD]
         # (a) exact error law + oracle that the rejected candidate misses
@@ -675,7 +608,7 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                 ratio = -(embed(cs[n].q) / embed(cs[n].q_prev))
                 rep.samples += 1
                 if not cat.s_sets[(tag, n % 4)].contains(ratio):
-                    rep.fail(kind="s_set", point=tag, n=n, ratio=_fe_str(ratio))
+                    rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
         # (c) forced cycles along the boundary segments
         chains = {1: (ETAS[5], 7, ETAS[5], 10),
                   2: (ETAS[3], 9, ETAS[1], 11),
@@ -686,11 +619,11 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                 try:
                     d1, z1 = step_T(z)
                     if d1 != d1e or not cat.segments[arc1].contains(z1):
-                        rep.fail(kind="cycle", frm=f"L{j}", z=_fe_str(z))
+                        rep.fail(kind="cycle", frm=f"L{j}", z=str(z))
                         continue
                     d2, z2 = step_T(z1)
                     if d2 != d2e or not cat.segments[arc2].contains(z2):
-                        rep.fail(kind="cycle2", frm=f"L{j}", z=_fe_str(z1))
+                        rep.fail(kind="cycle2", frm=f"L{j}", z=str(z1))
                 except OrbitSignal:
                     continue
         # closure of the twelve-curve track
@@ -706,7 +639,7 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                         break
                     rep.samples += 1
                     if not any(r.contains(cur) for r in cat.segments.values()):
-                        rep.fail(kind="track_escape", frm=f"L{j}", z=_fe_str(cur))
+                        rep.fail(kind="track_escape", frm=f"L{j}", z=str(cur))
                         break
         # (d) special preimages: ratio lands in cl(Vstar_6_5)
         tgt = cat.v_star[(6, 5)]
@@ -724,7 +657,7 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                 rep.samples += 1
                 if not tgt.contains(ratio, closed=True):
                     rep.fail(kind="preimage_ratio", point=str(point),
-                             digits=[str(d) for d in digs], ratio=_fe_str(ratio))
+                             digits=[str(d) for d in digs], ratio=str(ratio))
     return rep
 
 

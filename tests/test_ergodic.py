@@ -7,18 +7,17 @@ import pytest
 from eisencf.cf import convergents, expand, orbit_with_convergents
 from eisencf.ergodic import (
     DensityEstimator,
-    NatExtState,
-    SkipOrbit,
     estimate_C0_and_levy_integral,
     invariance_check,
     kernel_integral,
     levy_birkhoff,
-    nat_ext_step,
     region_arc_quadrature,
     region_area_flux,
     simulate_orbits,
 )
-from eisencf.exact import FieldElement, embed
+from eisencf.exact import SQRT3, FieldElement, embed
+from eisencf.floatpath import t_step
+from eisencf.hexdomain import in_U0
 from eisencf.regions import build_catalog
 
 CAT = build_catalog()
@@ -28,27 +27,35 @@ def seed_in_u0(rng, digits10=30):
     while True:
         c = rng.randint(10**digits10, 4 * 10**digits10)
         z = FieldElement(rng.randint(-c, c), rng.randint(-c, c), c)
-        if abs(2 * z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c:
+        if in_U0(z):
             return z
 
 
+def exact_start(z0: complex) -> FieldElement:
+    return FieldElement.from_xy(z0.real, z0.imag / SQRT3)
+
+
 class TestNatExtStep:
+    """simulate_orbits against the exact orbits and convergents of its starts."""
+
     def test_from_infinity(self):
-        z = FieldElement(3, 10, 70)
-        s = nat_ext_step(NatExtState(z.approx(), None))
-        e = expand(z, 1)
-        assert abs(s.z - e.points[1].approx()) < 1e-12
-        assert abs(s.w - (-embed(e.digits[0]).approx())) < 1e-12
+        batch = simulate_orbits(8, 1, seed=21)
+        for z0, lw, zk in zip(batch.starts, batch.log_w, batch.points):
+            e = expand(exact_start(z0), 1)
+            assert abs(zk[0] - e.points[1].approx()) < 1e-12
+            assert abs(lw[0] - math.log(abs(embed(e.digits[0]).approx()))) < 1e-12
 
     def test_w_tracks_exact_ratios(self):
-        rng = random.Random(51)
-        z = seed_in_u0(rng, 25)
-        pts, convs = orbit_with_convergents(z, 20)
-        s = NatExtState(z.approx(), None)
-        for n in range(1, min(21, len(pts))):
-            s = nat_ext_step(s)
-            exact = -(embed(convs[n].q) / embed(convs[n].q_prev)).approx()
-            assert abs(s.w - exact) < 1e-9, n
+        batch = simulate_orbits(8, 15, seed=51)
+        for z0, lw, zk in zip(batch.starts, batch.log_w, batch.points):
+            pts, convs = orbit_with_convergents(exact_start(z0), 15)
+            assert len(pts) == 16
+            for n in range(1, 16):
+                exact = -(embed(convs[n].q) / embed(convs[n].q_prev)).approx()
+                assert abs(lw[n - 1] - math.log(abs(exact))) < 1e-9, n
+                # T^n stretches the start's rounding error by about |q_n|^2
+                tol_z = 1e-13 * convs[n].q.norm()
+                assert abs(zk[n - 1] - pts[n].approx()) < tol_z, n
 
     def test_w_recurrence(self):
         rng = random.Random(52)
@@ -63,8 +70,8 @@ class TestNatExtStep:
             assert abs(r - exact) < 1e-9
 
     def test_skip_on_zero(self):
-        with pytest.raises(SkipOrbit):
-            nat_ext_step(NatExtState(0.0 + 0.0j, None))
+        _alpha, _z_next, alive = t_step(np.array([0j, 0.25 + 0.1j]))
+        assert not alive[0] and alive[1]
 
     def test_state_lands_in_matching_cells(self):
         rng = np.random.Generator(np.random.PCG64(5))

@@ -1,0 +1,90 @@
+"""Property-based tests of the exact layer."""
+
+import math
+
+from hypothesis import assume, given, settings, strategies as st
+
+from eisencf.cf import TerminatedAtZero, eval_cf, expand
+from eisencf.exact import F_ONE, F_ZERO, EisensteinInt, FieldElement, embed
+from eisencf.hexdomain import floor_J, floor_J_candidates, in_U
+from eisencf.regions import build_catalog
+
+CAT = build_catalog()
+REGIONS = sorted(
+    [CAT.u0, *CAT.u_cells.values(), *CAT.v_cells.values(), *CAT.v_star.values(),
+     *CAT.segments.values(), *CAT.s_sets.values()],
+    key=lambda r: r.name,
+)
+ZETA_F = FieldElement(1, 1, 2)
+
+exact = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+ints = st.integers(-10**6, 10**6)
+eisenstein = st.builds(EisensteinInt, ints, ints)
+fields = st.builds(FieldElement, ints, ints, ints.filter(bool))
+# small denominators put many points on region boundaries
+near_points = st.builds(FieldElement, st.integers(-60, 60), st.integers(-60, 60),
+                        st.integers(1, 40))
+
+
+@exact
+@given(eisenstein, eisenstein, eisenstein)
+def test_eisenstein_ring_axioms(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == EisensteinInt(0, 0) and x * EisensteinInt(1, 0) == x
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert (x * y).conj() == x.conj() * y.conj()
+    # embed is a ring homomorphism into the field
+    assert embed(x + y) == embed(x) + embed(y)
+    assert embed(x * y) == embed(x) * embed(y)
+
+
+@exact
+@given(fields, fields, fields)
+def test_field_axioms(x, y, z):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - x == F_ZERO and x * F_ONE == x
+    if x:
+        assert x * x.inv() == F_ONE
+        assert (y / x) * x == y
+
+
+@exact
+@given(ints, ints, ints.filter(bool), ints.filter(bool))
+def test_canonical_form(a, b, c, k):
+    z = FieldElement(a, b, c)
+    assert z.c > 0 and math.gcd(z.a, z.b, z.c) == 1
+    # equal values have equal representations
+    assert FieldElement(k * a, k * b, k * c) == z
+    assert hash(FieldElement(k * a, k * b, k * c)) == hash(z)
+
+
+@exact
+@given(fields)
+def test_floor_J_is_the_unique_candidate(z):
+    alpha = floor_J(z)
+    assert floor_J_candidates(z) == [alpha]
+    assert in_U(z - embed(alpha))
+
+
+@settings(exact, max_examples=200)
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000), st.integers(1, 1000))
+def test_terminating_expansion_evaluates_back(a, b, c):
+    w = FieldElement(a, b, c)
+    z = w - embed(floor_J(w))
+    e = expand(z, 256)
+    assume(isinstance(e.terminal, TerminatedAtZero))
+    assert eval_cf(e.digits) == z
+
+
+@settings(exact, max_examples=400)
+@given(st.sampled_from(REGIONS), st.integers(0, 5), near_points, st.booleans())
+def test_region_contains_rotation_equivariant(reg, times, z, closed):
+    rz = z
+    for _ in range(times):
+        rz = ZETA_F * rz
+    assert reg.rotate(times).contains(rz, closed) == reg.contains(z, closed)

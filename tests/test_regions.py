@@ -24,8 +24,6 @@ from eisencf.regions import (
     circle,
     classify_cells_complex,
     half_plane,
-    invert_primitive,
-    invert_region,
     rational_points_on,
 )
 
@@ -187,7 +185,7 @@ class TestDualRelations:
     def test_inverted_dual_cells_in_unit_disk(self):
         rng = random.Random(37)
         for kl, reg in CAT.v_star.items():
-            inv = invert_region(reg)
+            inv = reg.invert()
             hits = 0
             for _ in range(600):
                 z = rand_field(rng, 1000, 900)
@@ -207,8 +205,8 @@ class TestDualRelations:
             if z.is_zero():
                 continue
             for l in (1, 4):
-                lhs = invert_region(CAT.v_star[(3, l)]).rotate(1)
-                rhs = invert_region(CAT.v_star[(2, l)])
+                lhs = CAT.v_star[(3, l)].invert().rotate(1)
+                rhs = CAT.v_star[(2, l)].invert()
                 assert lhs.contains(z) == rhs.contains(z)
 
 
@@ -218,19 +216,19 @@ class TestInversion:
         src = circle(Fraction(2, 3) * e1.x, Fraction(2, 3) * e1.y,
                      Fraction(1, 3), "==")
         tgt = circle(1, -Fraction(1, 3), Fraction(1, 3), "==")  # (2/3) conj(eta)
-        inv = invert_primitive(src)
+        inv = src.invert()
         assert (inv.qq, inv.bx, inv.by, inv.dd) == (tgt.qq, tgt.bx, tgt.by, tgt.dd)
 
     def test_small_circle_to_line(self):
         src = circle(Fraction(1, 2), Fraction(1, 6), Fraction(1, 3), "==")
-        inv = invert_primitive(src)
+        inv = src.invert()
         assert inv.qq == 0
         # y = x - 1 in x + y sqrt(-3) coordinates
         assert (inv.bx, inv.by, inv.dd) in ((-1, 1, 1), (1, -1, -1))
 
     def test_real_line_fixed(self):
         src = half_plane(0, 1, 0, "==")
-        inv = invert_primitive(src)
+        inv = src.invert()
         assert (inv.qq, inv.bx, abs(inv.by), inv.dd) == (0, 0, 1, 0)
 
     def test_involution(self):
@@ -299,7 +297,7 @@ class TestFloatClassification:
     def test_bbox_contains_samples(self):
         rng = random.Random(41)
         for kl in ((1, 1), (6, 4)):
-            reg = invert_region(CAT.v_star[kl])
+            reg = CAT.v_star[kl].invert()
             xlo, xhi, ylo, yhi = reg.bbox_real()
             for _ in range(300):
                 z = rand_field(rng, 1000, 900)

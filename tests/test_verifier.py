@@ -16,10 +16,11 @@ from eisencf.verifier import (
 
 class TestReports:
     def test_verdict_logic(self):
-        rep = CheckReport("x")
-        assert rep.verdict == "PASS"
-        rep.fail(reason="boom")
+        with CheckReport("x") as rep:
+            assert rep.verdict == "PASS"
+            rep.fail(reason="boom")
         assert rep.verdict == "FAIL"
+        assert rep.elapsed > 0
         assert rep.as_dict()["failures"] == [{"reason": "boom"}]
 
     def test_seed_derivation_stable(self):
