@@ -109,7 +109,9 @@ def step_T(z: FieldElement) -> tuple[EisensteinInt, FieldElement]:
     digit = floor_J(w)
     if digit.is_zero() or not in_J(digit):
         raise AssertionError(f"invalid digit {digit} for {z}")
-    z_next = w - embed(digit)
+    # w - embed(digit), with embed(digit) = (2*d.a + d.b + d.b*sqrt(-3))/2
+    z_next = FieldElement(2 * w.a - (2 * digit.a + digit.b) * w.c,
+                          2 * w.b - digit.b * w.c, 2 * w.c)
     return digit, z_next
 
 

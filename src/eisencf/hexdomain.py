@@ -1,9 +1,10 @@
 """The hexagonal fundamental domain U of C/J and the rounding map z -> [z].
 
-U is the hexagon with vertices 1, zeta, -conj(zeta), -1, -zeta, conj(zeta)
-together with a half-open boundary chosen so that the translates alpha + U,
-alpha in J = eta*Z[zeta], tile the plane with exactly one representative per
-coset.  In coordinates z = x + y*sqrt(-3) the convention is
+U is the hexagon with vertices 1, zeta, -conj(zeta), -1, -zeta, conj(zeta):
+the Voronoi cell of 0 in the lattice J = eta*Z[zeta], taken with a half-open
+boundary so that the translates alpha + U, alpha in J, tile the plane with
+exactly one representative per coset.  In coordinates z = x + y*sqrt(-3)
+the convention is
 
     z in U  iff  |y| < 1/2 and |x+y| < 1 and |x-y| < 1           (interior)
              or  y = 1/2  and -1/2 < x < 1/2                     (top edge)
@@ -12,6 +13,12 @@ coset.  In coordinates z = x + y*sqrt(-3) the convention is
 
 so the two vertices -zeta and conj(zeta) belong to U while zeta, -conj(zeta)
 and +-1 do not.
+
+As U is a Voronoi cell, [z] is a nearest point of J.  floor_J rounds z in
+integers to each coset of J (the lattice {x in 3Z, y in Z} and its shift by
+(3/2, 1/2)) and keeps the nearer point, the A2 decoder of Conway and Sloane
+(IEEE Trans. Inf. Theory 28, 1982).  A residual in U certifies the result;
+ties and boundary points fall back to a search of the neighbouring points.
 """
 
 from __future__ import annotations
@@ -20,13 +27,13 @@ from .exact import EisensteinInt, FieldElement, embed, j_element
 
 
 class TilingError(RuntimeError):
-    """The 9-candidate search did not find exactly one representative."""
+    """The neighbour search of floor_J did not find exactly one representative."""
 
 
 def _in_U(a: int, b: int, c: int) -> bool:
     # z = (a + b*sqrt(-3))/c with c > 0, not necessarily in lowest terms.
     # The first test is in_U0, written out because floor_J runs this body
-    # nine times per digit.
+    # once per digit.
     if 2 * abs(b) < c and abs(a + b) < c and abs(a - b) < c:
         return True
     if 2 * b == c and 2 * abs(a) < c:
@@ -58,10 +65,29 @@ def _search_anchor(z: FieldElement) -> tuple[int, int]:
     return (4 * a + 3 * c) // (6 * c), (2 * (3 * b - a) + 3 * c) // (6 * c)
 
 
+def _nearest(a: int, b: int, c: int) -> tuple[int, int, int, int]:
+    """A nearest point m*eta + n*sqrt(-3) of J to z = (a + b*sqrt(-3))/c,
+    c > 0, as (m, n, ra, rb) with z - alpha = (ra + rb*sqrt(-3))/(2c)."""
+    # round to the cosets x = 3p, y = q and x = 3p + 3/2, y = q + 1/2, then
+    # compare the squared distances times 4c^2
+    p1, q1 = (2 * a + 3 * c) // (6 * c), (2 * b + c) // (2 * c)
+    p2, q2 = a // (3 * c), b // c
+    ra1, rb1 = 2 * a - 6 * p1 * c, 2 * b - 2 * q1 * c
+    ra2, rb2 = 2 * a - (6 * p2 + 3) * c, 2 * b - (2 * q2 + 1) * c
+    if ra1 * ra1 + 3 * rb1 * rb1 <= ra2 * ra2 + 3 * rb2 * rb2:
+        return 2 * p1, q1 - p1, ra1, rb1
+    return 2 * p2 + 1, q2 - p2, ra2, rb2
+
+
 def floor_J(z: FieldElement) -> EisensteinInt:
     """The unique alpha in J with z - alpha in U."""
-    m0, n0 = _search_anchor(z)
-    a2, b2, c2 = 2 * z.a, 2 * z.b, 2 * z.c
+    m0, n0, ra, rb = _nearest(z.a, z.b, z.c)
+    c2 = 2 * z.c
+    if _in_U(ra, rb, c2):
+        return j_element(m0, n0)
+    # z - alpha lies on the boundary of U; the representative is alpha or
+    # one of its six neighbours in J
+    a2, b2 = 2 * z.a, 2 * z.b
     hit: tuple[int, int] | None = None
     for dm, dn in _OFFSETS:
         m, n = m0 + dm, n0 + dn
@@ -84,4 +110,3 @@ def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:
         for dm, dn in _OFFSETS
         if in_U(z - embed(alpha := j_element(m0 + dm, n0 + dn)))
     ]
-

@@ -30,21 +30,12 @@ from typing import Iterable
 import numpy as np
 
 from .exact import ETAS, SQRT3, FieldElement, embed
+from .hexdomain import in_U
 
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
-_CLOSED = {"<": "<=", ">": ">=", "<=": "<=", ">=": ">=", "==": "=="}
-
-
-def _sign_ok(s: int, rel: str) -> bool:
-    if rel == "<":
-        return s < 0
-    if rel == "<=":
-        return s <= 0
-    if rel == "==":
-        return s == 0
-    if rel == ">=":
-        return s >= 0
-    return s > 0
+# signs of P(z) each relation admits, as given and on the closure
+_SIGNS = {"<": {-1}, "<=": {-1, 0}, "==": {0}, ">=": {0, 1}, ">": {1}}
+_SIGNS_CLOSED = {**_SIGNS, "<": {-1, 0}, ">": {0, 1}}
 
 
 @dataclass(frozen=True)
@@ -77,10 +68,6 @@ class Primitive:
             + self.by * b * c
             + self.dd * c * c
         )
-
-    def holds(self, z: FieldElement, closed: bool = False) -> bool:
-        rel = _CLOSED[self.rel] if closed else self.rel
-        return _sign_ok(self.value_int(z), rel)
 
     # -- float path -------------------------------------------------------
     def value_float(self, x, y):
@@ -184,7 +171,15 @@ class Region:
     includes_infinity: bool = False
 
     def contains(self, z: FieldElement, closed: bool = False) -> bool:
-        return all(p.holds(z, closed) for p in self.prims)
+        # Primitive.value_int with the terms every primitive shares hoisted
+        a, b, c = z.a, z.b, z.c
+        n, ac, bc, cc = a * a + 3 * b * b, a * c, b * c, c * c
+        signs = _SIGNS_CLOSED if closed else _SIGNS
+        for p in self.prims:
+            v = p.qq * n + p.bx * ac + p.by * bc + p.dd * cc
+            if (v > 0) - (v < 0) not in signs[p.rel]:
+                return False
+        return True
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(
@@ -417,8 +412,6 @@ def build_catalog() -> Catalog:
 def cell_of(z: FieldElement, catalog: Catalog | None = None) -> CellIndex:
     """The unique (k, l) with z in the open cell V_{k,l}."""
     cat = catalog or build_catalog()
-    from .hexdomain import in_U
-
     hits = [kl for kl, reg in cat.v_cells.items() if reg.contains(z)]
     if len(hits) == 1:
         return CellIndex(*hits[0])
@@ -482,6 +475,7 @@ def rational_points_on(prim: Primitive, ts: Iterable[Fraction]) -> list[FieldEle
     return pts
 
 
+@lru_cache(maxsize=64)
 def _rational_base_point(prim: Primitive) -> tuple[Fraction, Fraction]:
     """Some rational point on the circle primitive."""
     data = prim.circle_data()

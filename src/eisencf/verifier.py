@@ -241,7 +241,11 @@ def _frs_claims(cat: Catalog) -> list[dict]:
 def _chain_preimage(w: FieldElement, chain: Sequence[EisensteinInt]) -> FieldElement:
     z = w
     for d in reversed(chain):
-        z = (embed(d) + z).inv()
+        # 1/(embed(d) + z) with embed(d) + z = (a + b*sqrt(-3))/c unreduced
+        a = (2 * d.a + d.b) * z.c + 2 * z.a
+        b = d.b * z.c + 2 * z.b
+        c = 2 * z.c
+        z = FieldElement(c * a, -c * b, a * a + 3 * b * b)
     return z
 
 
@@ -514,9 +518,7 @@ def special_preimage(rng: random.Random, point: FieldElement, depth: int,
         if last.norm() >= 3 and (embed(last) + point).abs_sq() > 1:
             digs.append(last)
             break
-    z = point
-    for d in reversed(digs):
-        z = (embed(d) + z).inv()
+    z = _chain_preimage(point, digs)
     if not in_U(z):
         return None
     e = expand(z, depth + 4)

@@ -12,7 +12,7 @@ from eisencf.exact import (
     j_element,
 )
 from eisencf.floatpath import hex_margin, nearest_digits
-from eisencf.hexdomain import floor_J, floor_J_candidates, in_U, in_U0
+from eisencf.hexdomain import _nearest, floor_J, floor_J_candidates, in_U, in_U0
 
 
 def rand_field(rng, bound=1000):
@@ -93,6 +93,25 @@ class TestTiling:
             cands = floor_J_candidates(z)
             assert len(cands) == 1, str(z)
             assert in_U(z - embed(cands[0]))
+
+    def test_vertices_and_edge_midpoints(self):
+        # the six vertices of U and its edge midpoints are ties of the
+        # nearest-point rounding, translated by elements of J
+        ties = [FieldElement(*v) for v in (
+            (1, 0, 1), (1, 1, 2), (-1, 1, 2), (-1, 0, 1), (-1, -1, 2), (1, -1, 2),
+            (3, 1, 4), (0, 1, 2), (-3, 1, 4), (-3, -1, 4), (0, -1, 2), (3, -1, 4),
+        )]
+        fallbacks = 0
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                for t in ties:
+                    z = t + embed(j_element(m, n))
+                    cands = floor_J_candidates(z)
+                    assert len(cands) == 1 and floor_J(z) == cands[0], str(z)
+                    # the closed-form point fails U: the search decided
+                    m0, n0, _, _ = _nearest(z.a, z.b, z.c)
+                    fallbacks += not in_U(z - embed(j_element(m0, n0)))
+        assert fallbacks > 0
 
     def test_equivariance(self):
         rng = random.Random(14)

@@ -1,13 +1,17 @@
 """Property-based tests of the exact layer."""
 
 import math
+from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from eisencf.cf import TerminatedAtZero, eval_cf, expand
-from eisencf.exact import F_ONE, F_ZERO, EisensteinInt, FieldElement, embed
+from eisencf.cf import TerminatedAtZero, eval_cf, expand, step_T
+from eisencf.exact import (
+    F_ONE, F_ZERO, MINUS_ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
+)
 from eisencf.hexdomain import floor_J, floor_J_candidates, in_U
-from eisencf.regions import build_catalog
+from eisencf.regions import build_catalog, rational_points_on
+from eisencf.verifier import _chain_preimage, _frs_claims
 
 CAT = build_catalog()
 REGIONS = sorted(
@@ -25,6 +29,8 @@ fields = st.builds(FieldElement, ints, ints, ints.filter(bool))
 # small denominators put many points on region boundaries
 near_points = st.builds(FieldElement, st.integers(-60, 60), st.integers(-60, 60),
                         st.integers(1, 40))
+# generic points of U, as residuals w - [w]
+u_points = fields.map(lambda w: w - embed(floor_J(w)))
 
 
 @exact
@@ -63,8 +69,8 @@ def test_canonical_form(a, b, c, k):
     assert hash(FieldElement(k * a, k * b, k * c)) == hash(z)
 
 
-@exact
-@given(fields)
+@settings(exact, max_examples=300)
+@given(st.one_of(fields, near_points))
 def test_floor_J_is_the_unique_candidate(z):
     alpha = floor_J(z)
     assert floor_J_candidates(z) == [alpha]
@@ -88,3 +94,46 @@ def test_region_contains_rotation_equivariant(reg, times, z, closed):
     for _ in range(times):
         rz = ZETA_F * rz
     assert reg.rotate(times).contains(rz, closed) == reg.contains(z, closed)
+
+
+def _sign_holds(v, rel, closed):
+    if closed and rel in ("<", ">"):
+        rel += "="
+    return {"<": v < 0, "<=": v <= 0, "==": v == 0, ">=": v >= 0, ">": v > 0}[rel]
+
+
+@settings(exact, max_examples=60)
+@given(near_points, st.fractions(-20, 20, max_denominator=30))
+@example(FieldElement(0, -1), Fraction(0))  # on the "x <= 0" side of S_minus_zeta_1
+def test_region_contains_matches_primitive_signs(z, t):
+    # open and closed differ only on boundaries, so besides z every region
+    # is also tested at the point with parameter t on each of its primitives
+    for reg in REGIONS:
+        pts = [z]
+        for p in reg.prims:
+            pts += rational_points_on(p, [t])
+        for w in pts:
+            for closed in (False, True):
+                want = all(_sign_holds(p.value_int(w), p.rel, closed)
+                           for p in reg.prims)
+                assert reg.contains(w, closed) == want
+
+
+@exact
+@given(u_points)
+def test_step_T_residual_is_inverse_minus_digit(z):
+    assume(z and z not in (MINUS_ZETA, ZETA_BAR))
+    digit, z_next = step_T(z)
+    assert z_next == z.inv() - embed(digit)
+
+
+FRS_CHAINS = [c["chain"] for c in _frs_claims(CAT)]
+
+
+@exact
+@given(u_points, st.sampled_from(FRS_CHAINS))
+def test_chain_preimage_is_composed_inverse_branches(w, chain):
+    z = w
+    for d in reversed(chain):
+        z = (embed(d) + z).inv()
+    assert _chain_preimage(w, chain) == z
