@@ -10,8 +10,8 @@ All area integrals substitute u = 1/w, which maps each unbounded dual cell
 onto a bounded region of the unit disk and turns the kernel into
 1/|z*u - 1|^4.  The u-integral is then evaluated essentially exactly: the
 kernel is the divergence of the field H(u) = -(v / (2|v|^4)) / z, v = zu - 1,
-so integrating H over the circular-arc boundary of the (inverted) dual cell
-by Gauss quadrature gives
+so integrating H by Gauss quadrature along the exact boundary of the
+(inverted) dual cell, the arcs and segments of `Region.boundary()`, gives
 
     g_cell(z) = integral over (Vstar_cell)^-1 of du / |z*u - 1|^4
 
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._util import CheckReport, derive_seed
+from .exact import FieldElement
 from .floatpath import SQRT3, U_BOX, hex_margin, t_step
 from .regions import Catalog, Region, build_catalog, classify_cells_complex
 
@@ -143,61 +144,24 @@ class ArcQuadrature:
 
 def region_arc_quadrature(reg: Region, max_span: float = math.pi / 12,
                           nodes_per_arc: int = 24) -> ArcQuadrature:
-    """Gauss nodes along the circular-arc boundary of a disk intersection.
+    """Gauss nodes along the pieces of `reg.boundary()`, arcs and segments.
 
-    The region must be an intersection of disk interiors/exteriors (all our
-    inverted dual cells are).  Each constraint circle contributes the angular
-    sectors on which every other constraint holds strictly.
+    Each piece is split into parts of at most `max_span` (radians on an arc,
+    length on a segment) carrying `nodes_per_arc` nodes each.
     """
-    circles = []
-    for p in reg.prims:
-        data = p.circle_data()
-        if data is None or p.qq == 0:
-            raise ValueError(f"not a disk constraint: {p}")
-        cx, cy, r2 = data
-        circles.append((complex(float(cx), float(cy) * SQRT3),
-                        math.sqrt(float(r2)), p.rel in ("<", "<=")))
     gx, gw = np.polynomial.legendre.leggauss(nodes_per_arc)
     all_nodes, all_norms, all_wts = [], [], []
-    for i, (c, r, inside) in enumerate(circles):
-        brk = [0.0]
-        for j, (cj, rj, _) in enumerate(circles):
-            if j == i:
-                continue
-            d = abs(cj - c)
-            if d < 1e-15:
-                continue
-            cosv = (d * d + r * r - rj * rj) / (2 * d * r)
-            if abs(cosv) <= 1.0:
-                phi = math.atan2((cj - c).imag, (cj - c).real)
-                a = math.acos(cosv)
-                brk += [(phi - a) % (2 * math.pi), (phi + a) % (2 * math.pi)]
-        brk = sorted(set(brk))
-        for t1, t2 in zip(brk, brk[1:] + [brk[0] + 2 * math.pi]):
-            if t2 - t1 < 1e-13:
-                continue
-            tm = 0.5 * (t1 + t2)
-            um = c + r * complex(math.cos(tm), math.sin(tm))
-            on_boundary = True
-            for j, (cj, rj, insj) in enumerate(circles):
-                if j == i:
-                    continue
-                dm = abs(um - cj)
-                if (dm < rj) != insj or abs(dm - rj) < 1e-13:
-                    on_boundary = False
-                    break
-            if not on_boundary:
-                continue
-            nsub = max(1, math.ceil((t2 - t1) / max_span))
-            for s in range(nsub):
-                a1 = t1 + (t2 - t1) * s / nsub
-                a2 = t1 + (t2 - t1) * (s + 1) / nsub
-                mid, half = 0.5 * (a1 + a2), 0.5 * (a2 - a1)
-                th = mid + half * gx
-                ray = np.exp(1j * th)
-                all_nodes.append(c + r * ray)
-                all_norms.append(ray if inside else -ray)
-                all_wts.append(gw * half * r)
+    for pc in reg.boundary():
+        t1, t2 = pc.t1, pc.t2
+        nsub = max(1, math.ceil((t2 - t1) / max_span))
+        for s in range(nsub):
+            a1 = t1 + (t2 - t1) * s / nsub
+            a2 = t1 + (t2 - t1) * (s + 1) / nsub
+            mid, half = 0.5 * (a1 + a2), 0.5 * (a2 - a1)
+            th = mid + half * gx
+            all_nodes.append(pc.at(th))
+            all_norms.append(pc.normal(th))
+            all_wts.append(gw * half * (pc.radius or 1.0))
     return ArcQuadrature(np.concatenate(all_nodes), np.concatenate(all_norms),
                          np.concatenate(all_wts))
 
@@ -240,6 +204,8 @@ _VERTICES = np.array([
     complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
     for k in range(6)
 ])
+_VERTICES_EXACT = [FieldElement(1, 0), FieldElement(1, 1, 2), FieldElement(-1, 1, 2),
+                   FieldElement(-1, 0), FieldElement(-1, -1, 2), FieldElement(1, -1, 2)]
 # Cells reach the six unit-circle vertices through corners and parabolic
 # cusps where the flux integral g grows like dist^-1 .. dist^-2; uniform
 # sampling of g has unbounded variance there.  Each (vertex, tangent
@@ -260,56 +226,28 @@ class _CuspComponent:
     tau: complex
 
 
-def _cell_cusp_components(cat: Catalog, kl: tuple[int, int],
-                          tol: float) -> list[_CuspComponent]:
-    """Vertex/tangent pairs along which the cell carries mass near a vertex.
-
-    The kernel integral g grows like dist^-1 .. dist^-2 toward these
-    vertices (the cell and its dual meet the unit circle there), so uniform
-    sampling of g over the cell would have unbounded variance.
-    """
-    from .exact import FieldElement
-
-    verts_exact = [FieldElement(1, 0), FieldElement(1, 1, 2),
-                   FieldElement(-1, 1, 2), FieldElement(-1, 0),
-                   FieldElement(-1, -1, 2), FieldElement(1, -1, 2)]
+def _cell_cusp_components(cat: Catalog, kl: tuple[int, int]) -> list[_CuspComponent]:
+    """Vertex/tangent pairs along which the cell's boundary pieces leave a
+    unit-circle vertex, where g grows like dist^-1 .. dist^-2.  Each tangent
+    is that of the first primitive through the vertex with that direction."""
     reg = cat.v_cells[kl]
+    pieces = reg.boundary()
     comps: list[_CuspComponent] = []
-    for vc, ve in zip(_VERTICES, verts_exact):
-        if not reg.contains(ve, closed=True):
-            continue
-        cands: list[complex] = []
-        for p in reg.prims:
-            if p.value_int(ve) != 0:
-                continue
-            x, y = vc.real, vc.imag / SQRT3
-            gx = 2 * p.qq * x + p.bx
-            gy = (6 * p.qq * y + p.by) / SQRT3
-            gn = math.hypot(gx, gy)
-            if gn < 1e-12:
-                continue
-            tau = complex(-gy / gn, gx / gn)
-            cands += [tau, -tau]
+    for vc, ve in zip(_VERTICES, _VERTICES_EXACT):
+        leaving = [sgn * 1j * pc.gradient(t) for pc in pieces
+                   for sgn, t, end in ((1, pc.t1, pc.start), (-1, pc.t2, pc.end))
+                   if abs(end - vc) < 1e-9]
+        x, y = vc.real, vc.imag / SQRT3
         live: list[complex] = []
-        for tau in cands:
-            if any(abs(tau - t) < 1e-9 for t in live):
+        for p in reg.prims:
+            if not leaving or p.value_int(ve) != 0:
                 continue
-            hit = False
-            for s in (1e-4, 3e-3, 3e-2):
-                base = vc + s * tau
-                for c in (0.0, 0.2, 0.5, 1.0, 2.0, -0.2, -0.5, -1.0, -2.0,
-                          0.3 / s, -0.3 / s):
-                    t = c * s * s
-                    if abs(t) > _IMP_T0:
-                        continue
-                    zp = base + 1j * tau * t
-                    if reg.classify_complex(np.array([zp]), tol)[0] == 1:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                live.append(tau)
+            g = complex(2 * p.qq * x + p.bx, (6 * p.qq * y + p.by) / SQRT3)
+            tau = complex(-g.imag / abs(g), g.real / abs(g))
+            for t in (tau, -tau):
+                if (any(abs(t - e) < 1e-6 for e in leaving)
+                        and all(abs(t - u) >= 1e-9 for u in live)):
+                    live.append(t)
         comps += [_CuspComponent(vc, tau) for tau in live]
     return comps
 
@@ -349,7 +287,7 @@ def _quadrature_cell(cat: Catalog, kl: tuple[int, int], n: int,
     u_reg = cat.v_star[kl].invert()
     arcs = region_arc_quadrature(u_reg)
     box = v.bbox_real(default=U_BOX)
-    comps = _cell_cusp_components(cat, kl, tol)
+    comps = _cell_cusp_components(cat, kl)
 
     def masked_g(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
         g = np.zeros(z.shape)

@@ -112,10 +112,8 @@ class Primitive:
         )
         return Primitive(qq, bx, by, dd, self.rel)
 
-    def circle_data(self) -> tuple[Fraction, Fraction, Fraction] | None:
-        """(center_x, center_y, r_sq) when the primitive is a genuine circle."""
-        if self.qq == 0:
-            return None
+    def circle_data(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(center_x, center_y, r_sq) of a circle primitive (qq != 0)."""
         cx = Fraction(-self.bx, 2 * self.qq)
         cy = Fraction(-self.by, 6 * self.qq)
         r_sq = cx * cx + 3 * cy * cy - Fraction(self.dd, self.qq)
@@ -154,6 +152,91 @@ HEX_OPEN = (
     half_plane(1, -1, 1, "<"),
     half_plane(1, -1, -1, ">"),
 )
+
+
+@dataclass(frozen=True)
+class Piece:
+    """An arc or a segment of a region's boundary, on the curve of `prim`.
+
+    An arc is z(t) = base + radius*e^(it), t an angle; a segment (radius 0) is
+    z(t) = base + t*i*grad, t a length along the line with unit normal grad.
+    """
+
+    prim: Primitive
+    t1: float
+    t2: float
+    base: complex
+    radius: float
+    grad: complex
+
+    def at(self, t):
+        return self.base + (self.radius * np.exp(1j * t) if self.radius else t * 1j * self.grad)
+
+    def gradient(self, t):
+        """Unit gradient of P at z(t); i times it is the tangent along t."""
+        return np.exp(1j * t) if self.radius else np.full(np.shape(t), self.grad)[()]
+
+    def normal(self, t):
+        """Unit normal at z(t) pointing out of the region."""
+        g = self.gradient(t)
+        return -g if self.prim.rel in (">", ">=") else g
+
+    @property
+    def start(self) -> complex:
+        return complex(self.at(self.t1))
+
+    @property
+    def end(self) -> complex:
+        return complex(self.at(self.t2))
+
+
+# a cut within this relative distance of a tangency is taken as the tangency;
+# a piece is kept when its midpoint clears the other constraints by _PIECE_EPS
+# on the side _SIDE names ("==" admits no piece of another curve)
+_TANGENT_SNAP, _PIECE_EPS = 1e-12, 1e-13
+_SIDE = {"<": -1, "<=": -1, "==": 0, ">=": 1, ">": 1}
+
+
+def _curve(p: Primitive) -> tuple[complex, float, complex]:
+    """(center, radius, 0) of a circle; (a point, 0, unit normal) of a line."""
+    if p.qq:
+        cx, cy, r_sq = p.circle_data()
+        return complex(float(cx), float(cy) * SQRT3), math.sqrt(float(r_sq)), 0j
+    g = complex(p.bx, p.by / SQRT3)            # P = <z, g> + dd
+    return -p.dd * g / abs(g) ** 2, 0.0, g / abs(g)
+
+
+def _dot(u: complex, v: complex) -> float:
+    return u.real * v.real + u.imag * v.imag
+
+
+def _meet(cosv: float) -> float | None:
+    """acos(cosv), snapped to 0 or pi at a tangency; None when the curves miss."""
+    if abs(abs(cosv) - 1.0) <= _TANGENT_SNAP:
+        return 0.0 if cosv > 0 else math.pi
+    return math.acos(cosv) if abs(cosv) <= 1.0 else None
+
+
+def _cuts(ci: tuple[complex, float, complex], cj: tuple[complex, float, complex]) -> list[float]:
+    """Parameters on curve ci (angles or lengths) where curve cj meets it."""
+    (c, r, g), (c2, r2, g2) = ci, cj
+    if r and r2:
+        dist = abs(c2 - c)
+        if dist < 1e-15:
+            return []
+        cosv = (dist * dist + r * r - r2 * r2) / (2 * dist * r)
+        phi = math.atan2((c2 - c).imag, (c2 - c).real)
+    elif r:
+        cosv, phi = -_dot(c - c2, g2) / r, math.atan2(g2.imag, g2.real)
+    elif r2:
+        # the chord of circle cj about the foot of its center on line ci
+        a, foot = _meet(_dot(c2 - c, g) / r2), _dot(c2 - c, 1j * g)
+        return [] if a is None else [foot - r2 * math.sin(a), foot + r2 * math.sin(a)]
+    else:
+        slope = _dot(1j * g, g2)
+        return [] if abs(slope) < 1e-15 else [-_dot(c - c2, g2) / slope]
+    a = _meet(cosv)
+    return [] if a is None else [(phi - a) % (2 * math.pi), (phi + a) % (2 * math.pi)]
 
 
 class BoundaryPoint(Exception):
@@ -234,18 +317,49 @@ class Region:
         xlo, xhi, ylo, yhi = default
         for p in self.prims:
             if p.qq != 0 and p.rel in ("<", "<=", "=="):
-                data = p.circle_data()
-                if data is None:
-                    continue
-                cx, cy, r_sq = data
-                if p.qq < 0:
-                    continue
+                cx, cy, r_sq = p.circle_data()
                 r = math.sqrt(float(r_sq))
                 xlo = max(xlo, float(cx) - r)
                 xhi = min(xhi, float(cx) + r)
                 ylo = max(ylo, float(cy) * SQRT3 - r)
                 yhi = min(yhi, float(cy) * SQRT3 + r)
         return xlo, xhi, ylo, yhi
+
+    def boundary(self) -> list[Piece]:
+        """The arcs and segments that bound the region, in primitive order.
+
+        Each constraint curve is cut where the others meet it, and a piece is
+        kept when every other constraint holds at its midpoint.  A region with
+        an "==" constraint is a trace of that curve, which alone is cut.
+        Raises ValueError when a kept piece is unbounded.
+        """
+        curves = [_curve(p) for p in self.prims]
+        carriers = [i for i, p in enumerate(self.prims) if p.rel == "=="]
+        pieces: list[Piece] = []
+        for i in carriers or range(len(curves)):
+            c, r, g = curves[i]
+            cuts = [t for j, cj in enumerate(curves) if j != i for t in _cuts(curves[i], cj)]
+            if r:
+                brk = sorted(set([0.0] + cuts))
+                spans = zip(brk, brk[1:] + [brk[0] + 2 * math.pi])
+            else:
+                brk = sorted(set(cuts)) or [0.0]
+                spans = zip([-math.inf] + brk, brk + [math.inf])
+            for t1, t2 in spans:
+                if t2 - t1 < _PIECE_EPS:
+                    continue
+                tm = 0.5 * (t1 + t2)
+                if r:
+                    zm = c + r * complex(math.cos(tm), math.sin(tm))
+                else:  # on a ray, any point of it will do
+                    tm = t2 - 1.0 if tm == -math.inf else t1 + 1.0 if tm == math.inf else tm
+                    zm = c + tm * 1j * g
+                if all(_SIDE[self.prims[j].rel] * (abs(zm - c2) - r2 if r2 else _dot(zm - c2, g2))
+                       >= _PIECE_EPS for j, (c2, r2, g2) in enumerate(curves) if j != i):
+                    if math.isinf(t2 - t1):
+                        raise ValueError(f"{self.name} has an unbounded boundary")
+                    pieces.append(Piece(self.prims[i], t1, t2, c, r, g))
+        return pieces
 
 
 @dataclass(frozen=True)
@@ -478,9 +592,7 @@ def rational_points_on(prim: Primitive, ts: Iterable[Fraction]) -> list[FieldEle
 @lru_cache(maxsize=64)
 def _rational_base_point(prim: Primitive) -> tuple[Fraction, Fraction]:
     """Some rational point on the circle primitive."""
-    data = prim.circle_data()
-    assert data is not None
-    cx, cy, r_sq = data
+    cx, cy, r_sq = prim.circle_data()
     # try intersections with horizontal rational lines y = cy + u
     for num in range(0, 200):
         for den in (1, 2, 3, 4, 6, 12):

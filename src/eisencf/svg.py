@@ -1,5 +1,11 @@
 """SVG emission of catalogue regions (qualitative figures).
 
+Every region is drawn as one exact <path> of arc (A) and line (L) commands,
+chained end to end from the pieces of `Region.boundary()`.  A region is first
+clipped to a box with rational sides just outside the canvas, so unbounded
+dual cells get a finite outline, and `fill-rule="evenodd"` makes the hole of a
+clipped exterior come out right.
+
 Coordinates are the complex plane with y up; every float is written with 12
 significant digits so repeated runs emit identical bytes.
 """
@@ -7,19 +13,26 @@ significant digits so repeated runs emit identical bytes.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+from .regions import Catalog, Piece, Region, build_catalog, circle, half_plane
 
-from .exact import SQRT3
-from .regions import Catalog, Primitive, Region, build_catalog
+# fills of the V_{k,l} cells by k
+_CELL_FILLS = ["#d2e6f6", "#e6f2d2", "#f6efd2", "#f6dfd2", "#ead2f6", "#d2f6ee"]
 
-_HEX = [complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
-        for k in range(6)]
+
+def _disk(cx, cy, r_sq) -> Region:
+    """|z - (cx + cy*sqrt(-3))|^2 < r_sq."""
+    return Region("disk", (circle(cx, cy, r_sq, "<"),))
 
 
 def _f(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _pt(z: complex) -> str:
+    return f"{_f(z.real)},{_f(-z.imag)}"
 
 
 class SvgCanvas:
@@ -27,34 +40,22 @@ class SvgCanvas:
         self.half = half
         self.parts: list[str] = []
 
-    def line(self, a: complex, b: complex, width=0.008, color="#444444"):
-        self.parts.append(
-            f'<line x1="{_f(a.real)}" y1="{_f(-a.imag)}" x2="{_f(b.real)}" '
-            f'y2="{_f(-b.imag)}" stroke="{color}" stroke-width="{_f(width)}"/>'
-        )
-
-    def circle(self, c: complex, r: float, width=0.006, color="#777777"):
-        self.parts.append(
-            f'<circle cx="{_f(c.real)}" cy="{_f(-c.imag)}" r="{_f(r)}" '
-            f'fill="none" stroke="{color}" stroke-width="{_f(width)}"/>'
-        )
-
-    def dot(self, c: complex, r=0.02, color="#000000"):
-        self.parts.append(
-            f'<circle cx="{_f(c.real)}" cy="{_f(-c.imag)}" r="{_f(r)}" '
-            f'fill="{color}"/>'
-        )
-
-    def rect(self, x: float, y: float, w: float, h: float, color="#c8d8f0"):
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(-y - h)}" width="{_f(w)}" '
-            f'height="{_f(h)}" fill="{color}"/>'
-        )
-
     def text(self, c: complex, s: str, size=0.09, color="#202020"):
         self.parts.append(
             f'<text x="{_f(c.real)}" y="{_f(-c.imag)}" font-size="{_f(size)}" '
             f'font-family="monospace" fill="{color}">{s}</text>'
+        )
+
+    def region(self, reg: Region, fill="none", color="#334455", width=0.006):
+        """The region clipped to a box just outside the canvas, as one path."""
+        # |x| < m and |y| < m in z = x + y*sqrt(-3) contain the canvas
+        m = Fraction(math.floor(10 * self.half) + 1, 10)
+        box = (half_plane(1, 0, m, "<"), half_plane(1, 0, -m, ">"),
+               half_plane(0, 1, m, "<"), half_plane(0, 1, -m, ">"))
+        pieces = Region(reg.name, reg.prims + box).boundary()
+        self.parts.append(
+            f'<path d="{_path_data(pieces)}" fill="{fill}" fill-rule="evenodd" '
+            f'stroke="{color}" stroke-width="{_f(width)}"/>'
         )
 
     def save(self, path: Path):
@@ -70,62 +71,32 @@ class SvgCanvas:
         Path(path).write_text(head + "\n".join(self.parts) + "\n</svg>\n")
 
 
-def draw_primitive(cv: SvgCanvas, p: Primitive, **kw) -> None:
-    """Outline of a primitive: full circle, or line clipped to the canvas."""
-    data = p.circle_data()
-    if data is not None and p.qq != 0:
-        cx, cy, r_sq = data
-        cv.circle(complex(float(cx), float(cy) * SQRT3), math.sqrt(float(r_sq)), **kw)
-        return
-    # line bx*x + by*y + dd = 0 in x + y*sqrt(-3) coordinates
-    a, b, c = p.bx, p.by / SQRT3, p.dd  # a*Re + b*Im + c = 0 in real coords
-    h = cv.half
-    pts = []
-    for X in (-h, h):
-        if abs(b) > 1e-15:
-            Y = -(a * X + c) / b
-            if abs(Y) <= h + 1e-9:
-                pts.append(complex(X, Y))
-    for Y in (-h, h):
-        if abs(a) > 1e-15:
-            X = -(b * Y + c) / a
-            if abs(X) <= h + 1e-9:
-                pts.append(complex(X, Y))
-    uniq: list[complex] = []
-    for z in pts:
-        if all(abs(z - u) > 1e-9 for u in uniq):
-            uniq.append(z)
-    if len(uniq) >= 2:
-        cv.line(uniq[0], uniq[1], **kw)
-
-
-def shade_region(cv: SvgCanvas, reg: Region, grid: int = 56,
-                 color="#c8d8f0", box: float | None = None) -> None:
-    half = box if box is not None else cv.half
-    step = 2 * half / grid
-    xs = -half + step * (np.arange(grid) + 0.5)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    inside = reg.classify_complex(gx + 1j * gy, 1e-9) == 1
-    for i, j in np.argwhere(inside):
-        cv.rect(float(gx[i, j]) - step / 2, float(gy[i, j]) - step / 2,
-                step, step, color)
-
-
-def _hex_outline(cv: SvgCanvas) -> None:
-    for i in range(6):
-        cv.line(_HEX[i], _HEX[(i + 1) % 6], width=0.004, color="#999999")
-
-
-def render_region(reg: Region, path: Path, half: float = 1.35,
-                  grid: int = 56) -> Path:
-    """One catalogue region: shaded membership plus its bounding curves."""
-    cv = SvgCanvas(half=half)
-    _hex_outline(cv)
-    shade_region(cv, reg, grid=grid, box=half)
-    for prim in reg.prims:
-        draw_primitive(cv, prim, color="#334455", width=0.006)
-    cv.save(Path(path))
-    return Path(path)
+def _path_data(pieces: list[Piece]) -> str:
+    """Chain the pieces end to end: one subpath per chain, Z on closed loops."""
+    rest, out, cur, first = list(pieces), [], None, None
+    while rest:
+        k = next((k for k, pc in enumerate(rest) if cur is not None
+                  and min(abs(pc.start - cur), abs(pc.end - cur)) < 1e-9), None)
+        if k is None:
+            k, cur = 0, rest[0].start
+            first = cur
+            out.append(f"M{_pt(cur)}")
+        pc = rest.pop(k)
+        back = abs(pc.start - cur) >= 1e-9
+        t_end = pc.t1 if back else pc.t2
+        if pc.radius:
+            # arcs above pi go through their midpoint; increasing t is
+            # counter-clockwise, which is sweep-flag 0 once y points down
+            ts = [0.5 * (pc.t1 + pc.t2)] * (pc.t2 - pc.t1 > math.pi) + [t_end]
+            r = _f(pc.radius)
+            out += [f"A{r},{r} 0 0 {int(back)} {_pt(pc.at(t))}" for t in ts]
+        else:
+            out.append(f"L{_pt(pc.at(t_end))}")
+        cur = complex(pc.at(t_end))
+        if abs(cur - first) < 1e-9:
+            out.append("Z")
+            cur = None
+    return " ".join(out)
 
 
 def render_figures(outdir: Path, catalog: Catalog | None = None) -> list[Path]:
@@ -136,74 +107,52 @@ def render_figures(outdir: Path, catalog: Catalog | None = None) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     out: list[Path] = []
 
-    # the half-open hexagon: thick kept edges, dots on the two kept vertices
+    def save(cv: SvgCanvas, name: str) -> None:
+        cv.save(outdir / name)
+        out.append(outdir / name)
+
+    def hexagon(cv: SvgCanvas) -> None:
+        cv.region(cat.u0, color="#999999", width=0.004)
+
+    # the half-open hexagon: thick kept edges (segments L1-L3), dots on the
+    # two kept vertices
     cv = SvgCanvas()
-    cv.circle(0, 1.0, width=0.003, color="#cccccc")
-    _hex_outline(cv)
-    kept = [( _HEX[5], _HEX[0]), (_HEX[2], _HEX[1]), (_HEX[3], _HEX[4])]
-    for a, b in kept:
-        cv.line(a, b, width=0.014, color="#111111")
-    cv.dot(_HEX[4])  # -zeta
-    cv.dot(_HEX[5])  # conj(zeta)
+    cv.region(_disk(0, 0, 1), color="#cccccc", width=0.003)
+    hexagon(cv)
+    for j in (1, 2, 3):
+        cv.region(cat.segments[j], color="#111111", width=0.014)
+    for x in (-1, 1):  # -zeta and conj(zeta)
+        cv.region(_disk(Fraction(x, 2), -Fraction(1, 2), Fraction(1, 2500)), fill="#000000")
     cv.text(complex(0.02, -0.08), "0")
-    p = outdir / "fig_domain.svg"
-    cv.save(p)
-    out.append(p)
+    save(cv, "fig_domain.svg")
 
-    # coarse image cells U_{k,1}
+    # coarse image cells U_{k,1}, the first one filled
     cv = SvgCanvas()
-    _hex_outline(cv)
-    shade_region(cv, cat.u_cells[(1, 1)], color="#e8f0fc")
     for k in range(1, 6):
-        for prim in cat.u_cells[(k, 1)].prims[6:]:
-            draw_primitive(cv, prim, color="#336699", width=0.006)
-    p = outdir / "fig_u_cells.svg"
-    cv.save(p)
-    out.append(p)
+        cv.region(cat.u_cells[(k, 1)], fill="#e8f0fc" if k == 1 else "none",
+                  color="#336699")
+    save(cv, "fig_u_cells.svg")
 
-    # the 36-cell partition: diagonals plus the twelve partition circles
+    # the 36-cell partition, filled by k
     cv = SvgCanvas()
-    _hex_outline(cv)
-    for i in range(3):
-        cv.line(_HEX[i], _HEX[i + 3], width=0.006, color="#555555")
-    drawn = set()
-    for k in range(1, 7):
-        for reg in (cat.v_cells[(1, k)], cat.v_cells[(4, k)]):
-            for prim in reg.prims[6:]:
-                key = (prim.qq, prim.bx, prim.by, prim.dd)
-                if key not in drawn and prim.qq != 0:
-                    drawn.add(key)
-                    draw_primitive(cv, prim, color="#aa5533", width=0.005)
-    shade_region(cv, cat.v_cells[(4, 1)], color="#f6dfd2")
-    shade_region(cv, cat.v_cells[(1, 1)], color="#d2e6f6")
-    p = outdir / "fig_v_partition.svg"
-    cv.save(p)
-    out.append(p)
+    for (k, _l), reg in cat.v_cells.items():
+        cv.region(reg, fill=_CELL_FILLS[k - 1], color="#aa5533", width=0.005)
+    save(cv, "fig_v_partition.svg")
 
-    # dual cells: the bounding circles and one shaded representative
+    # the dual cells V*_{k,1}, the first one filled
     cv = SvgCanvas(half=2.6)
-    _hex_outline(cv)
-    shade_region(cv, cat.v_star[(1, 1)], grid=72, color="#e4eefa", box=2.6)
-    for prim in cat.v_star[(1, 1)].prims + cat.v_star[(6, 1)].prims:
-        draw_primitive(cv, prim, color="#336699", width=0.008)
-    cv.dot(0, r=0.03)
-    p = outdir / "fig_dual_cells.svg"
-    cv.save(p)
-    out.append(p)
+    hexagon(cv)
+    for k in range(1, 7):
+        cv.region(cat.v_star[(k, 1)], fill="#e4eefa" if k == 1 else "none",
+                  color="#336699", width=0.008)
+    cv.region(_disk(0, 0, Fraction(9, 10000)), fill="#000000")
+    save(cv, "fig_dual_cells.svg")
 
-    # boundary segments and arcs
+    # boundary segments L1-L6 and arcs L7-L12
     cv = SvgCanvas()
-    _hex_outline(cv)
+    hexagon(cv)
     for j, reg in cat.segments.items():
-        eq = next(pr for pr in reg.prims if pr.rel == "==")
-        if eq.qq == 0:
-            ends = {1: (_HEX[2], _HEX[1]), 2: (_HEX[3], _HEX[4]),
-                    3: (_HEX[5], _HEX[0]), 4: (_HEX[4], _HEX[1]),
-                    5: (_HEX[3], _HEX[0]), 6: (_HEX[2], _HEX[5])}[j]
-            cv.line(*ends, width=0.012, color="#116611")
-        else:
-            draw_primitive(cv, eq, color="#661166", width=0.009)
-    p = outdir / "fig_boundary_curves.svg"
-    cv.save(p)
-    out.append(p)
+        cv.region(reg, color="#116611" if j <= 6 else "#661166",
+                  width=0.012 if j <= 6 else 0.009)
+    save(cv, "fig_boundary_curves.svg")
     return out

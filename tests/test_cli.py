@@ -111,3 +111,9 @@ class TestLevyDensityRender:
         assert len(files) == 5
         for f in files:
             ET.parse(f)  # well-formed XML
+            assert f.read_text().count("<rect") == 1  # the background
+        assert (tmp_path / "fig_v_partition.svg").read_text().count("<path") == 36
+        again = tmp_path / "again"
+        assert run(capsys, "render", "regions", "--out", str(again))[0] == 0
+        for f in files:
+            assert (again / f.name).read_bytes() == f.read_bytes()

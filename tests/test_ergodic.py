@@ -6,7 +6,9 @@ import pytest
 
 from eisencf.cf import convergents, expand, orbit_with_convergents
 from eisencf.ergodic import (
+    CELLS,
     DensityEstimator,
+    _cell_cusp_components,
     estimate_C0_and_levy_integral,
     invariance_check,
     kernel_integral,
@@ -123,6 +125,15 @@ class TestArcFlux:
             mc = 4.0 * (reg.classify_complex(u, 1e-12) == 1).mean()
             assert abs(area - mc) < 0.02, kl
 
+    def test_v_cells_partition_u0_by_area(self):
+        hex_area = 3 * SQRT3 / 2
+        areas = {kl: region_area_flux(region_arc_quadrature(CAT.v_cells[kl]))
+                 for kl in CELLS}
+        assert abs(sum(areas.values()) - hex_area) < 1e-12
+        assert abs(region_area_flux(region_arc_quadrature(CAT.u0)) - hex_area) < 1e-12
+        for k, l in CELLS:
+            assert abs(areas[(k, l)] - areas[(k, 1)]) < 1e-12, (k, l)
+
     def test_kernel_integral_against_grid(self):
         reg = CAT.v_star[(4, 1)].invert()
         arcs = region_arc_quadrature(reg)
@@ -135,6 +146,20 @@ class TestArcFlux:
             grid_val = 4.0 * np.where(inside, 1.0 / np.abs(zt * zz - 1) ** 4, 0.0).mean()
             flux_val = kernel_integral(np.array([zt]), arcs)[0]
             assert abs(flux_val - grid_val) < 3e-3 * max(1.0, grid_val)
+
+
+class TestCuspComponents:
+    def test_counts_and_rotation(self):
+        base = {k: _cell_cusp_components(CAT, (k, 1)) for k in range(1, 7)}
+        assert [len(base[k]) for k in range(1, 7)] == [0, 1, 1, 2, 2, 2]
+        for k, l in CELLS:
+            rot = complex(math.cos(math.pi / 3 * (l - 1)), math.sin(math.pi / 3 * (l - 1)))
+            got = _cell_cusp_components(CAT, (k, l))
+            assert len(got) == len(base[k]), (k, l)
+            # the lists follow the vertex order, which the rotation shifts
+            for c in base[k]:
+                assert any(abs(g.vertex - rot * c.vertex) < 1e-12
+                           and abs(g.tau - rot * c.tau) < 1e-12 for g in got), (k, l)
 
 
 class TestQuadrature:

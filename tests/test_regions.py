@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from eisencf.regions import (
     CellIndex,
     NotInU,
     Primitive,
+    Region,
     build_catalog,
     cell_of,
     circle,
@@ -306,3 +308,32 @@ class TestFloatClassification:
                 w = z.approx()
                 assert xlo - 1e-9 <= w.real <= xhi + 1e-9
                 assert ylo - 1e-9 <= w.imag <= yhi + 1e-9
+
+
+class TestBoundary:
+    def test_pieces_lie_on_the_boundary(self):
+        regions = [CAT.u0, *CAT.u_cells.values(), *CAT.v_cells.values(),
+                   *CAT.segments.values(), *(r.invert() for r in CAT.v_star.values())]
+        for reg in regions:
+            pieces = reg.boundary()
+            assert pieces, reg.name
+            two_d = all(p.rel != "==" for p in reg.prims)
+            for pc in pieces:
+                tm = 0.5 * (pc.t1 + pc.t2)
+                z, n = complex(pc.at(tm)), complex(pc.normal(tm))
+                assert reg.classify_complex(z) == 0, (reg.name, pc)
+                if two_d:
+                    assert reg.classify_complex(z - 1e-7 * n) == 1, (reg.name, pc)
+                    assert reg.classify_complex(z + 1e-7 * n) == -1, (reg.name, pc)
+
+    def test_half_disk(self):
+        # the unit circle cuts the real axis where no other constraint does
+        reg = Region("D", (circle(0, 0, 1, "<"), half_plane(0, 1, 0, ">")))
+        arc, seg = reg.boundary()
+        assert (arc.radius, arc.t1) == (1.0, 0.0) and abs(arc.t2 - math.pi) < 1e-15
+        assert abs(seg.start - 1) < 1e-15 and abs(seg.end + 1) < 1e-15
+        assert abs(seg.normal(0.0) + 1j) < 1e-15
+
+    def test_unbounded_boundary_rejected(self):
+        with pytest.raises(ValueError):
+            Region("H", (half_plane(1, 0, 0, "<"),)).boundary()
