@@ -166,12 +166,33 @@ def region_arc_quadrature(reg: Region, max_span: float = math.pi / 12,
                          np.concatenate(all_wts))
 
 
+# (z, node) pairs per block of kernel_integral, which bounds its working
+# memory; a block of this size stays in cache
+_KERNEL_BLOCK = 1 << 16
+
+
 def kernel_integral(z: np.ndarray, arcs: ArcQuadrature) -> np.ndarray:
-    """integral over the region of du / |z*u - 1|^4, vectorized over z != 0."""
-    z = np.asarray(z, dtype=np.complex128)[..., None]
-    v = z * arcs.nodes - 1.0
-    H = (-v / (2.0 * np.abs(v) ** 4)) / z
-    return np.sum(np.real(H * np.conj(arcs.normals)) * arcs.weights, axis=-1)
+    """integral over the region of du / |z*u - 1|^4, vectorized over z != 0.
+
+    The flux of H = (-v / (2|v|^4)) / z, v = z*u - 1, computed in place on
+    blocks of rows; each row's sum is independent of the blocking."""
+    z = np.asarray(z, dtype=np.complex128)
+    col = z.reshape(-1, 1)
+    out = np.empty(col.shape[0])
+    rows = max(1, _KERNEL_BLOCK // arcs.nodes.size)
+    for lo in range(0, out.size, rows):
+        zb = col[lo:lo + rows]
+        v = zb * arcs.nodes
+        v -= 1.0
+        a = np.abs(v)
+        a **= 4
+        a *= 2.0
+        np.negative(v, out=v)
+        v /= a
+        v /= zb
+        v *= np.conj(arcs.normals)
+        out[lo:lo + rows] = np.sum(v.real * arcs.weights, axis=-1)
+    return out.reshape(z.shape)[()]
 
 
 def region_area_flux(arcs: ArcQuadrature) -> float:
@@ -291,11 +312,7 @@ def _quadrature_cell(cat: Catalog, kl: tuple[int, int], n: int,
 
     def masked_g(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
         g = np.zeros(z.shape)
-        idx = np.flatnonzero(mask)
-        zin = z[mask]
-        chunk = max(1, 2_000_000 // max(arcs.nodes.size, 1))
-        for lo in range(0, zin.size, chunk):
-            g[idx[lo:lo + chunk]] = kernel_integral(zin[lo:lo + chunk], arcs)
+        g[mask] = kernel_integral(z[mask], arcs)
         return g
 
     acc = np.zeros(3)      # [mass, levy, area]
@@ -477,11 +494,10 @@ class DensityEstimator:
         idx = classify_cells_complex(flat, self.cat, tol)
         out = np.full(flat.shape, np.nan)
         for ci, kl in enumerate(CELLS):
-            sel = idx == 6 * (kl[0] - 1) + (kl[1] - 1)
+            sel = idx == ci
             if not sel.any():
                 continue
-            out[sel] = self.quad.c0 * kernel_integral(
-                flat[sel], self.quad.cells[kl].arcs)
+            out[sel] = self.quad.c0 * kernel_integral(flat[sel], self.quad.cells[kl].arcs)
         return out.reshape(z.shape)
 
     def at(self, z: complex, tol: float = 1e-12) -> float:

@@ -3,6 +3,10 @@
 Boundary handling follows one rule everywhere: a point whose classification
 comes within ``tol`` of any constraint is banded and the caller must skip or
 resample it, never guess a side.
+
+Rounding to J is the A2 decoder of Conway and Sloane (IEEE Trans. Inf.
+Theory 28, 1982), the float twin of hexdomain.floor_J: J is two shifted
+rectangular lattices and U is its Voronoi cell.
 """
 
 from __future__ import annotations
@@ -15,12 +19,6 @@ from .exact import SQRT3
 U_BOX = (-1.0, 1.0, -SQRT3 / 2, SQRT3 / 2)
 ETA_C = complex(1.5, SQRT3 / 2.0)
 S3_C = complex(0.0, SQRT3)
-
-# the nine (dm, dn) offsets of the rounding search
-_OFF = np.array(
-    [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
-    dtype=np.int64,
-)
 
 
 def hex_margin(z: np.ndarray) -> np.ndarray:
@@ -40,23 +38,27 @@ def nearest_digits(
     Returns (alpha, ok, band): alpha the complex digits, ok marking entries
     whose residual w - alpha is strictly inside the hexagon, band marking
     entries that came within tol of a hexagon edge (to be skipped).
+
+    With z = x + y*sqrt(-3), J is {x in 3Z, y in Z} and its shift by
+    (3/2, 1/2).  Both cosets are rounded coordinate-wise and the point at
+    the smaller squared distance dx^2 + 3 dy^2 is kept; (near-)ties lie on
+    the hexagon's edges, inside the band.
     """
     w = np.asarray(w, dtype=np.complex128)
     x = w.real
     y = w.imag / SQRT3
-    m0 = np.rint(2.0 * x / 3.0).astype(np.int64)
-    n0 = np.rint(y - x / 3.0).astype(np.int64)
-
-    alpha = np.empty_like(w)
-    best = np.full(w.shape, np.inf)
-    for dm, dn in _OFF:
-        cand = (m0 + dm) * ETA_C + (n0 + dn) * S3_C
-        marg = hex_margin(w - cand)
-        take = marg < best
-        best = np.where(take, marg, best)
-        alpha = np.where(take, cand, alpha)
-    band = np.abs(best) <= tol
-    ok = (best < -tol) & ~band
+    p0, q0 = np.rint(x / 3.0), np.rint(y)
+    p1, q1 = np.rint((x - 1.5) / 3.0), np.rint(y - 0.5)
+    one = ((x - 3.0 * p1 - 1.5) ** 2 + 3.0 * (y - q1 - 0.5) ** 2
+           < (x - 3.0 * p0) ** 2 + 3.0 * (y - q0) ** 2)
+    # alpha = m*eta + n*sqrt(-3) has x = 3m/2 and y = m/2 + n
+    p = np.where(one, p1, p0)
+    m = (2.0 * p + one).astype(np.int64)
+    n = (np.where(one, q1, q0) - p).astype(np.int64)
+    alpha = m * ETA_C + n * S3_C
+    marg = hex_margin(w - alpha)
+    band = np.abs(marg) <= tol
+    ok = marg < -tol
     return alpha, ok, band
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -70,9 +70,6 @@ class Primitive:
         )
 
     # -- float path -------------------------------------------------------
-    def value_float(self, x, y):
-        return self.qq * (x * x + 3.0 * y * y) + self.bx * x + self.by * y + self.dd
-
     def scale_float(self) -> float:
         """Gradient-magnitude scale so |P|/scale approximates real distance."""
         if self.qq == 0:
@@ -287,24 +284,29 @@ class Region:
         )
 
     # -- float path -------------------------------------------------------
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """(qq, bx, by, dd, scale, is_eq) columns over the primitives, with the
+        ">"/">=" rows negated so that every row rejects where P > scale*tol."""
+        sg = [-1.0 if p.rel in (">", ">=") else 1.0 for p in self.prims]
+        return tuple(map(np.array, zip(*[
+            (g * p.qq, g * p.bx, g * p.by, g * p.dd, p.scale_float(), p.rel == "==")
+            for g, p in zip(sg, self.prims)])))
+
     def classify_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """+1 inside, 0 within the boundary band, -1 outside (vectorized)."""
-        out = np.ones(np.shape(x), dtype=np.int8)
-        band = np.zeros(np.shape(x), dtype=bool)
-        for p in self.prims:
-            v = p.value_float(x, y)
-            s = p.scale_float() * tol
-            if p.rel in ("<", "<="):
-                out = np.where(v > s, -1, out)
-                band |= np.abs(v) <= s
-            elif p.rel in (">", ">="):
-                out = np.where(v < -s, -1, out)
-                band |= np.abs(v) <= s
-            else:
-                out = np.where(np.abs(v) > s, -1, out)
-                band |= np.abs(v) <= s
-        res = np.where((out == 1) & band, 0, out)
-        return res
+        """+1 inside, 0 within the boundary band, -1 outside (vectorized).
+
+        All primitives are evaluated at once as qq*r + bx*x + by*y + dd,
+        r = x^2 + 3y^2, over a leading primitive axis."""
+        x, y = np.asarray(x), np.asarray(y)
+        col = (-1,) + (1,) * x.ndim
+        qq, bx, by, dd, scale, eq = (c.reshape(col) for c in self._columns)
+        v = qq * (x * x + 3.0 * y * y) + bx * x + by * y + dd
+        s = scale * tol
+        a = np.abs(v)
+        band = (a <= s).any(axis=0)
+        out = (np.where(eq, a, v) > s).any(axis=0)
+        return np.where(out, np.int8(-1), np.where(band, np.int8(0), np.int8(1)))
 
     def classify_complex(self, z: complex | np.ndarray, tol: float = 1e-12):
         z = np.asarray(z)
@@ -539,17 +541,24 @@ def cell_of(z: FieldElement, catalog: Catalog | None = None) -> CellIndex:
 def classify_cells_complex(
     z: np.ndarray, catalog: Catalog | None = None, tol: float = 1e-12
 ) -> np.ndarray:
-    """Vectorized cell classification: index 6*(k-1)+(l-1), or -1 off-cell."""
+    """Vectorized cell classification: index 6*(k-1)+(l-1), or -1 off-cell.
+
+    V_{k,l} lies in the closed sextant (l-1)pi/3 <= arg z <= l*pi/3, so a
+    point with s*pi/3 <= arg z < (s+1)*pi/3 is tested against the six cells
+    V_{k,s+1} only, in its own coordinates.  A point within tol of a sextant
+    ray is within tol of a cell boundary and comes back -1 either way.
+    """
     cat = catalog or build_catalog()
     z = np.asarray(z)
     x, y = z.real, z.imag / SQRT3
+    sextant = np.floor(np.angle(z) * (3.0 / math.pi)).astype(np.int64) % 6
     idx = np.full(z.shape, -1, dtype=np.int64)
-    count = np.zeros(z.shape, dtype=np.int64)
-    for (k, l), reg in cat.v_cells.items():
-        inside = reg.classify_xy(x, y, tol) == 1
-        idx = np.where(inside, 6 * (k - 1) + (l - 1), idx)
-        count += inside
-    idx[count != 1] = -1
+    for s in range(6):
+        sel = sextant == s
+        xs, ys = x[sel], y[sel]
+        inside = np.array([cat.v_cells[(k, s + 1)].classify_xy(xs, ys, tol) == 1
+                           for k in range(1, 7)])
+        idx[sel] = np.where(inside.sum(axis=0) == 1, 6 * inside.argmax(axis=0) + s, -1)
     return idx
 
 

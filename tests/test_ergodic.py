@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eisencf.cf import convergents, expand, orbit_with_convergents
+from eisencf import ergodic
 from eisencf.ergodic import (
     CELLS,
     DensityEstimator,
@@ -146,6 +147,28 @@ class TestArcFlux:
             grid_val = 4.0 * np.where(inside, 1.0 / np.abs(zt * zz - 1) ** 4, 0.0).mean()
             flux_val = kernel_integral(np.array([zt]), arcs)[0]
             assert abs(flux_val - grid_val) < 3e-3 * max(1.0, grid_val)
+
+
+    def test_kernel_integral_bitwise_and_chunk_free(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        z = rng.uniform(-1, 1, 3000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 3000)
+        for kl in ((1, 1), (2, 3), (6, 5)):
+            arcs = region_arc_quadrature(CAT.v_star[kl].invert())
+            zc = z[CAT.v_cells[kl].classify_complex(z) == 1]
+            # reference: the flux field written as one expression
+            v = zc[:, None] * arcs.nodes - 1.0
+            H = (-v / (2.0 * np.abs(v) ** 4)) / zc[:, None]
+            ref = np.sum(np.real(H * np.conj(arcs.normals)) * arcs.weights, axis=-1)
+            got = kernel_integral(zc, arcs)
+            assert zc.size > 20 and np.array_equal(got, ref), kl
+            assert np.array_equal(kernel_integral(zc.reshape(1, -1), arcs)[0], ref)
+            assert kernel_integral(zc[3], arcs) == ref[3]
+            split = np.concatenate([kernel_integral(zc[:7], arcs), kernel_integral(zc[7:], arcs)])
+            assert np.array_equal(split, ref)
+            for block in (1, arcs.nodes.size * 5 + 1, 10**9):
+                monkeypatch.setattr(ergodic, "_KERNEL_BLOCK", block)
+                assert np.array_equal(kernel_integral(zc, arcs), ref), block
+            monkeypatch.undo()
 
 
 class TestCuspComponents:

@@ -11,8 +11,27 @@ from eisencf.exact import (
     embed,
     j_element,
 )
-from eisencf.floatpath import hex_margin, nearest_digits
+from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, nearest_digits
 from eisencf.hexdomain import _nearest, floor_J, floor_J_candidates, in_U, in_U0
+
+
+def nearest_digits_search(w, tol=1e-12):
+    """Reference: the nine-candidate search around the rounded lattice
+    coordinates m = 2x/3, n = y - x/3, keeping the smallest hexagon margin."""
+    w = np.asarray(w, dtype=np.complex128)
+    x, y = w.real, w.imag / SQRT3
+    m0 = np.rint(2.0 * x / 3.0).astype(np.int64)
+    n0 = np.rint(y - x / 3.0).astype(np.int64)
+    alpha = np.empty_like(w)
+    best = np.full(w.shape, np.inf)
+    for dm in (0, 1, -1):
+        for dn in (0, 1, -1):
+            cand = (m0 + dm) * ETA_C + (n0 + dn) * S3_C
+            marg = hex_margin(w - cand)
+            take = marg < best
+            best = np.where(take, marg, best)
+            alpha = np.where(take, cand, alpha)
+    return alpha, best < -tol
 
 
 def rand_field(rng, bound=1000):
@@ -164,3 +183,42 @@ class TestFloatPath:
     def test_floor_float_band(self):
         _alpha, ok, band = nearest_digits(np.array([1.0 + 0j]))
         assert band[0] and not ok[0]
+
+    def _same_as_search(self, w):
+        alpha, ok, band = nearest_digits(w)
+        ref_alpha, ref_ok = nearest_digits_search(w)
+        assert np.array_equal(ok, ref_ok)
+        assert not (ok & band).any()
+        # bitwise, as the orbits' digits and residuals depend on it
+        assert np.array_equal(alpha[ok].view(np.float64), ref_alpha[ok].view(np.float64))
+        return ok
+
+    def test_decoder_matches_search_on_random_points(self):
+        rng = np.random.default_rng(71)
+        for scale in (1.0, 3.0, 40.0, 1e4, 1e9):
+            w = scale * (rng.uniform(-1, 1, 50000) + 1j * rng.uniform(-1, 1, 50000))
+            assert self._same_as_search(w).mean() > 0.999
+
+    def test_decoder_matches_search_on_j_translates(self):
+        rng = np.random.default_rng(72)
+        u = rng.uniform(-1, 1, 40000) + 1j * rng.uniform(-1, 1, 40000)
+        u = u[hex_margin(u) < 0]
+        m = rng.integers(-10**6, 10**6, u.size)
+        n = rng.integers(-10**6, 10**6, u.size)
+        for w in (u + m * ETA_C + n * S3_C, u + (m % 7) * ETA_C + (n % 5 - 2) * S3_C):
+            assert self._same_as_search(w).mean() > 0.999
+
+    def test_decoder_matches_search_near_the_hexagon_edges(self):
+        rng = np.random.default_rng(73)
+        verts = np.exp(1j * np.pi / 3 * np.arange(6))
+        t = rng.uniform(0, 1, (6, 200))
+        edges = (verts[:, None] * (1 - t) + np.roll(verts, -1)[:, None] * t).ravel()
+        base = np.concatenate([verts, edges, 0.5 * (verts + np.roll(verts, -1))])
+        dist = 10.0 ** rng.uniform(-13, -9, (base.size, 8))
+        phase = np.exp(2j * np.pi * rng.uniform(0, 1, (base.size, 8)))
+        w = (base[:, None] + dist * phase).ravel()
+        m = rng.integers(-50, 50, w.size)
+        n = rng.integers(-50, 50, w.size)
+        for pts in (w, w + m * ETA_C + n * S3_C):
+            ok = self._same_as_search(pts)
+            assert 0 < ok.sum() < ok.size

@@ -7,6 +7,7 @@ import pytest
 
 from eisencf.exact import (
     ETAS,
+    SQRT3,
     F_ZERO,
     FieldElement,
     MINUS_ZETA,
@@ -31,6 +32,53 @@ from eisencf.regions import (
 
 CAT = build_catalog()
 ZETA_F = FieldElement(1, 1, 2)
+
+
+def classify_xy_loop(reg, x, y, tol=1e-12):
+    """Reference: Region.classify_xy one primitive at a time."""
+    out = np.ones(np.shape(x), dtype=np.int8)
+    band = np.zeros(np.shape(x), dtype=bool)
+    for p in reg.prims:
+        v = p.qq * (x * x + 3.0 * y * y) + p.bx * x + p.by * y + p.dd
+        s = p.scale_float() * tol
+        if p.rel in ("<", "<="):
+            out = np.where(v > s, -1, out)
+        elif p.rel in (">", ">="):
+            out = np.where(v < -s, -1, out)
+        else:
+            out = np.where(np.abs(v) > s, -1, out)
+        band |= np.abs(v) <= s
+    return np.where((out == 1) & band, 0, out)
+
+
+def classify_cells_loop(z, tol=1e-12):
+    """Reference: every point against all 36 cells."""
+    z = np.asarray(z)
+    x, y = z.real, z.imag / SQRT3
+    idx = np.full(z.shape, -1, dtype=np.int64)
+    count = np.zeros(z.shape, dtype=np.int64)
+    for (k, l), reg in CAT.v_cells.items():
+        inside = classify_xy_loop(reg, x, y, tol) == 1
+        idx = np.where(inside, 6 * (k - 1) + (l - 1), idx)
+        count += inside
+    idx[count != 1] = -1
+    return idx
+
+
+def points_near_curve(p, rng, n=40):
+    """Float points on the curve of a primitive and at 1e-13..1e-11 off it."""
+    if p.qq:
+        cx, cy, r_sq = p.circle_data()
+        t = rng.uniform(0, 2 * math.pi, n)
+        r = math.sqrt(float(r_sq))
+        on, normal = complex(float(cx), float(cy) * SQRT3) + r * np.exp(1j * t), np.exp(1j * t)
+    else:
+        g = complex(p.bx, p.by / SQRT3)
+        g /= abs(g)
+        base = -p.dd * g / math.hypot(p.bx, p.by / SQRT3)
+        on, normal = base + rng.uniform(-2, 2, n) * 1j * g, np.full(n, g)
+    off = np.array([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1.01e-12, -1.01e-12, 1e-11])
+    return (on[:, None] + off * normal[:, None]).ravel()
 
 
 def rand_field(rng, bound=1000, den=997):
@@ -295,6 +343,49 @@ class TestFloatClassification:
         reg = CAT.v_star[(6, 1)]
         res = reg.classify_complex(np.array([3 + 0j, 1 + 0j, 0.999999 + 0j]))
         assert res[0] == 1 and res[1] == 0 and res[2] == -1
+
+    def test_stacked_matches_primitive_loop(self):
+        rng = np.random.default_rng(42)
+        regions = [CAT.u0, *CAT.u_cells.values(), *CAT.v_cells.values(),
+                   *CAT.v_star.values(), *(r.invert() for r in CAT.v_star.values()),
+                   *CAT.segments.values(), *CAT.s_sets.values()]
+        grid = rng.uniform(-3, 3, (2, 30, 40))
+        for reg in regions:
+            near = np.concatenate([points_near_curve(p, rng) for p in reg.prims])
+            x1, y1 = near.real, near.imag / SQRT3
+            for x, y in ((grid[0], grid[1]), (x1, y1), (x1[:1], y1[:1])):
+                got = reg.classify_xy(x, y)
+                ref = classify_xy_loop(reg, x, y)
+                assert got.dtype == np.int8 and got.shape == np.shape(x), reg.name
+                assert np.array_equal(got, ref), reg.name
+            assert {-1, 0, 1} >= set(reg.classify_xy(x1, y1).tolist())
+            for x, y in ((float(x1[0]), float(y1[0])), (x1[3], y1[3]), (0.0, 0.0)):
+                got = reg.classify_xy(x, y)
+                assert got.shape == () and got.dtype == np.int8, reg.name
+                assert got == classify_xy_loop(reg, x, y), reg.name
+        # band points do occur above: every region has some on its curves
+        assert (CAT.v_cells[(1, 1)].classify_complex(
+            points_near_curve(CAT.v_cells[(1, 1)].prims[-1], rng)) == 0).any()
+
+    def test_sextant_fold_matches_all_cells(self):
+        rng = np.random.default_rng(43)
+        bulk = rng.uniform(-1, 1, 20000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 20000)
+        rays = np.exp(1j * np.pi / 3 * np.arange(6))
+        r = rng.uniform(0, 1.2, (6, 60))
+        off = np.concatenate([[0.0], 10.0 ** np.arange(-14, -8.5, 0.5)])
+        off = np.concatenate([off, -off[1:], [1e-12, -1e-12, 1.01e-12, -1.01e-12]])
+        ray_pts = (rays[:, None, None]
+                   * (r[:, :, None] + 1j * off[None, None, :])).ravel()
+        z = np.concatenate([[0j, -0.0 + 0j, complex(-0.0, -0.0), complex(-0.5, 0.0)],
+                            bulk, ray_pts])
+        got = classify_cells_complex(z)
+        assert np.array_equal(got, classify_cells_loop(z))
+        assert set(got[:4].tolist()) == {-1}
+        assert 0 < (got[-ray_pts.size:] >= 0).sum() < ray_pts.size
+        assert np.array_equal(classify_cells_complex(z.reshape(2, -1)), got.reshape(2, -1))
+        for zs in (z[10], complex(z[10]), 0j):
+            one = classify_cells_complex(zs)
+            assert one.shape == () and one == classify_cells_loop(zs)
 
     def test_bbox_contains_samples(self):
         rng = random.Random(41)
