@@ -8,14 +8,23 @@ C0 / |z - w|^4 on the union of cell products V_{k,l} x Vstar_{k,l}.
 
 All area integrals substitute u = 1/w, which maps each unbounded dual cell
 onto a bounded region of the unit disk and turns the kernel into
-1/|z*u - 1|^4.  The u-integral is then evaluated essentially exactly: the
-kernel is the divergence of the field H(u) = -(v / (2|v|^4)) / z, v = zu - 1,
-so integrating H by Gauss quadrature along the exact boundary of the
-(inverted) dual cell, the arcs and segments of `Region.boundary()`, gives
+1/|z*u - 1|^4.  Both integrals are deterministic Gauss-Legendre rules.  The
+kernel is the divergence of the field H(u) = -(v / (2|v|^4)) / z,
+v = zu - 1, so
 
     g_cell(z) = integral over (Vstar_cell)^-1 of du / |z*u - 1|^4
 
-to machine accuracy; only the smooth z-integrals are left to Monte Carlo.
+is the flux of H through the arcs and segments of `Region.boundary()`, on
+panels graded toward the arc ends on the unit circle, near which g peaks as
+z nears a vertex of U.  In z, every cell lies between two graphs over the
+chord that joins its farthest corners; the rule runs along the chord,
+graded toward the corners at the vertices and at 0, and across in the
+fraction of the width, which absorbs the cusps (there g ~ dist^-2 on a
+width ~ dist^2).  V_{k,l} and its dual cell are V_{k,1} and its dual cell
+turned by zeta^(l-1), so only the six base cells are integrated.  Each
+integral comes from a coarse and a fine rule; the fine value is reported
+with their difference as its error.
+
 For the growth rate two independent routes are produced: the Birkhoff
 average above, and the space average
 
@@ -23,9 +32,9 @@ average above, and the space average
 
 which equals the invariant integral of log|w| (chain both sides of the
 convergent error identity |q_n z - p_n| = |z_0 ... z_n| through the ergodic
-theorem: (1/n) log|q_n| -> -mean(log|z|) almost everywhere).  A direct
-pair-sampled estimate of the log|w| integral is recorded alongside as a
-cross-check.
+theorem: (1/n) log|q_n| -> -mean(log|z|) almost everywhere).  A
+pair-sampled Monte Carlo estimate of the log|w| integral is recorded
+alongside as an independent cross-check.
 
 Denominators q_n are never materialized in floats (they overflow near
 n ~ 10^3); the ratio recurrence is the only tracked quantity.
@@ -33,15 +42,15 @@ n ~ 10^3); the ratio recurrence is the only tracked quantity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from ._util import CheckReport, derive_seed
-from .exact import FieldElement
-from .floatpath import SQRT3, U_BOX, hex_margin, t_step
-from .regions import Catalog, Region, build_catalog, classify_cells_complex
+from .floatpath import U_BOX, hex_margin, t_step
+from .regions import Catalog, Piece, Region, build_catalog, classify_cells_complex
 
 CELLS = [(k, l) for k in range(1, 7) for l in range(1, 7)]
 
@@ -66,7 +75,7 @@ class OrbitBatch:
     starts: np.ndarray          # (orbits,) complex
     log_w: np.ndarray           # (orbits, length) log|w_k|
     points: np.ndarray          # (orbits, length) z_k, k = 1..length
-    min_abs_w: float
+    min_abs_w: float            # smallest |w_k| on the kept orbits
 
 
 def simulate_orbits(orbits: int, length: int, seed: int,
@@ -93,6 +102,7 @@ def simulate_orbits(orbits: int, length: int, seed: int,
         alive = np.ones(need, dtype=bool)
         lw = np.zeros((need, length))
         zz = np.zeros((need, length), dtype=np.complex128)
+        row_min = np.full(need, np.inf)
         for k in range(length):
             alpha, z_next, ok = t_step(np.where(alive, z, 0.25), tol)
             alive &= ok
@@ -101,10 +111,12 @@ def simulate_orbits(orbits: int, length: int, seed: int,
             else:
                 w = np.where(alive, 1.0 / w - alpha, 1.0)
             z = np.where(alive, z_next, 0.25)
-            lw[:, k] = np.where(alive, np.log(np.abs(w)), 0.0)
+            abs_w = np.abs(w)
+            lw[:, k] = np.where(alive, np.log(abs_w), 0.0)
             zz[:, k] = z
-            if alive.any():
-                min_w = min(min_w, float(np.abs(w[alive]).min()))
+            np.minimum(row_min, abs_w, out=row_min)
+        if alive.any():
+            min_w = min(min_w, float(row_min[alive].min()))
         starts = np.concatenate([starts, z0[alive]])
         logs = np.concatenate([logs, lw[alive]])
         pts = np.concatenate([pts, zz[alive]])
@@ -132,6 +144,54 @@ def levy_birkhoff(orbits: int = 64, length: int = 20000, seed: int = 0,
 
 
 # --------------------------------------------------------------------------
+# graded Gauss-Legendre rules
+# --------------------------------------------------------------------------
+
+# the sixth roots of unity: the vertices of U, and the rotations zeta^j that
+# carry V_{k,1} and its dual cell onto V_{k,j+1} and its dual cell
+_ROOTS = np.exp(1j * math.pi / 3 * np.arange(6))
+# panels shrink by this ratio toward a singular end of an interval
+_RATIO = 0.15
+# innermost graded panel of the flux rule (radians); it must lie well below
+# the distance from the nearest node of the cell rule to its vertex
+_KERNEL_INNER = 1e-7
+# innermost graded panel of the cell rules.  The integrand along a cell's
+# chord is smooth down to the vertex, but g loses digits there: for V_{4,l}
+# and V_{5,l} the fluxes through the two tangent arcs of the dual cusp cancel
+# to ~ 1/dist, leaving about 1e-16/dist^2 relative accuracy
+_CELL_INNER = 1e-3
+# Gauss nodes per panel of the coarse and of the fine rule; every integral is
+# the fine rule's, with the difference of the two as its error
+_RULES = (12, 16)
+
+
+def _graded_rule(length: float, left: bool, right: bool, inner: float,
+                 max_len: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, length], n per panel.
+
+    Toward each flagged end the panels shrink geometrically by _RATIO until
+    the innermost is at most `inner` long; the rest of the interval is cut
+    into equal panels of at most `max_len`.
+    """
+    half = length / 2 if left and right else length
+    levels = max(0, math.ceil(math.log(inner / half) / math.log(_RATIO)))
+    geo = [half * _RATIO**j for j in range(levels, 0, -1)]
+    lo = [0.0] + geo if left else [0.0]
+    hi = [length - h for h in reversed(geo)] + [length] if right else [length]
+    m = max(1, math.ceil((hi[0] - lo[-1]) / max_len))
+    edges = np.array(lo + [lo[-1] + (hi[0] - lo[-1]) * i / m for i in range(1, m)] + hi)
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    mid, half_w = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half_w[:, None] * gx).ravel(), (half_w[:, None] * gw).ravel()
+
+
+def _singular(z: complex) -> bool:
+    """On the unit circle, where g blows up as z nears a vertex of U, or at
+    0, where log|z| does."""
+    return abs(abs(z) - 1.0) < 1e-9 or abs(z) < 1e-9
+
+
+# --------------------------------------------------------------------------
 # boundary-flux evaluation of the dual-cell kernel integral
 # --------------------------------------------------------------------------
 
@@ -142,28 +202,23 @@ class ArcQuadrature:
     weights: np.ndarray  # Gauss weight * arc radius * half-span
 
 
-def region_arc_quadrature(reg: Region, max_span: float = math.pi / 12,
-                          nodes_per_arc: int = 24) -> ArcQuadrature:
+def region_arc_quadrature(reg: Region, n: int = _RULES[-1]) -> ArcQuadrature:
     """Gauss nodes along the pieces of `reg.boundary()`, arcs and segments.
 
-    Each piece is split into parts of at most `max_span` (radians on an arc,
-    length on a segment) carrying `nodes_per_arc` nodes each.
+    Each piece is cut into panels of at most pi/6 (radians on an arc, length
+    on a segment) with n nodes each, graded toward every `_singular` end:
+    as z nears a vertex v of U, the flux of g_cell(z) peaks within |z - v|
+    of 1/v, an end on the unit circle.
     """
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_arc)
-    all_nodes, all_norms, all_wts = [], [], []
+    nodes, normals, weights = [], [], []
     for pc in reg.boundary():
-        t1, t2 = pc.t1, pc.t2
-        nsub = max(1, math.ceil((t2 - t1) / max_span))
-        for s in range(nsub):
-            a1 = t1 + (t2 - t1) * s / nsub
-            a2 = t1 + (t2 - t1) * (s + 1) / nsub
-            mid, half = 0.5 * (a1 + a2), 0.5 * (a2 - a1)
-            th = mid + half * gx
-            all_nodes.append(pc.at(th))
-            all_norms.append(pc.normal(th))
-            all_wts.append(gw * half * (pc.radius or 1.0))
-    return ArcQuadrature(np.concatenate(all_nodes), np.concatenate(all_norms),
-                         np.concatenate(all_wts))
+        t, w = _graded_rule(pc.t2 - pc.t1, _singular(pc.start), _singular(pc.end),
+                            _KERNEL_INNER, math.pi / 6, n)
+        nodes.append(pc.at(pc.t1 + t))
+        normals.append(pc.normal(pc.t1 + t))
+        weights.append(w * (pc.radius or 1.0))
+    return ArcQuadrature(np.concatenate(nodes), np.concatenate(normals),
+                         np.concatenate(weights))
 
 
 # (z, node) pairs per block of kernel_integral, which bounds its working
@@ -175,7 +230,8 @@ def kernel_integral(z: np.ndarray, arcs: ArcQuadrature) -> np.ndarray:
     """integral over the region of du / |z*u - 1|^4, vectorized over z != 0.
 
     The flux of H = (-v / (2|v|^4)) / z, v = z*u - 1, computed in place on
-    blocks of rows; each row's sum is independent of the blocking."""
+    blocks of rows; each row's sum is independent of the blocking.  The
+    factor -1/2 of H is exact, so it is applied once to the row sums."""
     z = np.asarray(z, dtype=np.complex128)
     col = z.reshape(-1, 1)
     out = np.empty(col.shape[0])
@@ -186,12 +242,11 @@ def kernel_integral(z: np.ndarray, arcs: ArcQuadrature) -> np.ndarray:
         v -= 1.0
         a = np.abs(v)
         a **= 4
-        a *= 2.0
-        np.negative(v, out=v)
         v /= a
         v /= zb
         v *= np.conj(arcs.normals)
         out[lo:lo + rows] = np.sum(v.real * arcs.weights, axis=-1)
+    out *= -0.5
     return out.reshape(z.shape)[()]
 
 
@@ -202,206 +257,82 @@ def region_area_flux(arcs: ArcQuadrature) -> float:
 
 
 # --------------------------------------------------------------------------
-# quadrature over the cell products
+# deterministic quadrature over the cell products
 # --------------------------------------------------------------------------
 
-@dataclass
-class CellQuadrature:
-    kl: tuple[int, int]
-    mass_raw: float             # integral of g over the cell
-    mass_err: float
-    levy_raw: float             # integral of -log|z| g over the cell
-    levy_err: float
-    logu_raw: float             # pair-sampled integral with weight -log|u|
-    logu_err: float
-    v_area: float
-    u_area: float
-    min_kernel_dist: float
-    arcs: ArcQuadrature
+def _height(pc: Piece, p: complex, e: complex, x: np.ndarray) -> np.ndarray:
+    """Height of the piece above the chord through p with direction e, at
+    abscissae x along it; the piece must be a graph over the chord."""
+    a, b = (pc.start - p) / e, (pc.end - p) / e
+    if not pc.radius:
+        return a.imag + (x - a.real) * ((b.imag - a.imag) / (b.real - a.real))
+    c = (pc.base - p) / e
+    side = math.copysign(1.0, ((pc.at(0.5 * (pc.t1 + pc.t2)) - p) / e).imag - c.imag)
+    # c.imag + side*sqrt(r^2 - dx^2) without cancellation; an arc tangent to
+    # the chord line (a cusp) meets it at exactly height 0
+    base = c.imag + side * pc.radius
+    base = 0.0 if abs(base) < 1e-12 else base
+    dx = x - c.real
+    return base - side * dx * dx / (pc.radius + np.sqrt(pc.radius**2 - dx * dx))
 
 
-# the six unit-circle vertices of the hexagon
-_VERTICES = np.array([
-    complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
-    for k in range(6)
-])
-_VERTICES_EXACT = [FieldElement(1, 0), FieldElement(1, 1, 2), FieldElement(-1, 1, 2),
-                   FieldElement(-1, 0), FieldElement(-1, -1, 2), FieldElement(1, -1, 2)]
-# Cells reach the six unit-circle vertices through corners and parabolic
-# cusps where the flux integral g grows like dist^-1 .. dist^-2; uniform
-# sampling of g has unbounded variance there.  Each (vertex, tangent
-# direction) pair that carries cell mass gets an importance component that
-# is log-uniform in the distance s along the tangent and ~ 1/(|t| + s^2)
-# across it, which bounds the weighted integrand.
-_IMP_RC = 0.28      # radius of the vertex balls handled by cusp components
-_IMP_S0 = 0.36      # tangential reach of a component (covers the ball)
-_IMP_SMIN = 1e-8    # inner cutoff; unsampled mass is O(s_min)
-_IMP_T0 = 0.30      # transverse reach of a component
-_STRATA = 12        # stratification grid for the bulk integral
-_LOG_S = math.log(_IMP_S0 / _IMP_SMIN)
+def _cell_rule(reg: Region, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and area weights of a Gauss rule over one cell.
 
-
-@dataclass(frozen=True)
-class _CuspComponent:
-    vertex: complex
-    tau: complex
-
-
-def _cell_cusp_components(cat: Catalog, kl: tuple[int, int]) -> list[_CuspComponent]:
-    """Vertex/tangent pairs along which the cell's boundary pieces leave a
-    unit-circle vertex, where g grows like dist^-1 .. dist^-2.  Each tangent
-    is that of the first primitive through the vertex with that direction."""
-    reg = cat.v_cells[kl]
-    pieces = reg.boundary()
-    comps: list[_CuspComponent] = []
-    for vc, ve in zip(_VERTICES, _VERTICES_EXACT):
-        leaving = [sgn * 1j * pc.gradient(t) for pc in pieces
-                   for sgn, t, end in ((1, pc.t1, pc.start), (-1, pc.t2, pc.end))
-                   if abs(end - vc) < 1e-9]
-        x, y = vc.real, vc.imag / SQRT3
-        live: list[complex] = []
-        for p in reg.prims:
-            if not leaving or p.value_int(ve) != 0:
-                continue
-            g = complex(2 * p.qq * x + p.bx, (6 * p.qq * y + p.by) / SQRT3)
-            tau = complex(-g.imag / abs(g), g.real / abs(g))
-            for t in (tau, -tau):
-                if (any(abs(t - e) < 1e-6 for e in leaving)
-                        and all(abs(t - u) >= 1e-9 for u in live)):
-                    live.append(t)
-        comps += [_CuspComponent(vc, tau) for tau in live]
-    return comps
-
-
-def _comp_density(z: np.ndarray, comp: _CuspComponent) -> np.ndarray:
-    """Exact density of the component sampler at arbitrary points."""
-    d = z - comp.vertex
-    s = d.real * comp.tau.real + d.imag * comp.tau.imag
-    t = -d.real * comp.tau.imag + d.imag * comp.tau.real
-    ok = (s >= _IMP_SMIN) & (s <= _IMP_S0) & (np.abs(t) <= _IMP_T0)
-    s_safe = np.where(ok, s, 1.0)
-    norm_t = 2.0 * np.log1p(_IMP_T0 / s_safe**2)
-    q = 1.0 / (_LOG_S * s_safe) / (norm_t * (np.abs(t) + s_safe**2))
-    return np.where(ok, q, 0.0)
-
-
-def _comp_sample(rng: np.random.Generator, n: int,
-                 comp: _CuspComponent) -> np.ndarray:
-    """Log-uniform along the tangent, ~ 1/(|t| + s^2) across it."""
-    s = _IMP_SMIN * np.exp(rng.uniform(size=n) * _LOG_S)
-    u = rng.uniform(size=n)
-    t = s * s * ((1.0 + _IMP_T0 / s**2) ** u - 1.0)
-    t *= np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-    return comp.vertex + comp.tau * s + 1j * comp.tau * t
-
-
-def _quadrature_cell(cat: Catalog, kl: tuple[int, int], n: int,
-                     rng: np.random.Generator, tol: float) -> CellQuadrature:
-    """Integrals of g and -log|z| g over one cell.
-
-    The cell is split into the vertex balls (importance-sampled by the cusp
-    components, whose densities dominate the singular growth of g) and the
-    bulk (two-pass Neyman-stratified over the cell box).  Both pieces have
-    bounded weights, so the reported standard errors are trustworthy.
+    Every cell V_{k,l} lies between two graphs over the chord that joins its
+    two farthest corners.  The chord is cut at the feet of the other corners;
+    over each cut the cell lies between two boundary pieces.  The rule is
+    Gauss-Legendre along the chord, graded toward a singular corner, times n
+    Gauss-Legendre nodes in the fraction across.  At a cusp the chord is the
+    common tangent, so g (~ dist^-2) times the width (~ dist^2) stays
+    bounded and the mapped integrand is smooth.
     """
-    v = cat.v_cells[kl]
-    u_reg = cat.v_star[kl].invert()
-    arcs = region_arc_quadrature(u_reg)
-    box = v.bbox_real(default=U_BOX)
-    comps = _cell_cusp_components(cat, kl)
+    pieces = reg.boundary()
+    corners = [z for pc in pieces for z in (pc.start, pc.end)]
+    p, q = max(itertools.combinations(corners, 2), key=lambda pq: abs(pq[1] - pq[0]))
+    length = abs(q - p)
+    e = (q - p) / length
+    cuts = [0.0]
+    for x in sorted(((c - p) / e).real for c in corners):
+        if cuts[-1] + 1e-9 < x < length - 1e-9:
+            cuts.append(x)
+    cuts.append(length)
+    spans = [(pc, ((pc.start - p) / e).real, ((pc.end - p) / e).real) for pc in pieces]
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    frac, frac_w = 0.5 * (gx + 1.0), 0.5 * gw
+    zs, ws = [], []
+    for xa, xb in zip(cuts, cuts[1:]):
+        over = [pc for pc, a, b in spans if min(a, b) < 0.5 * (xa + xb) < max(a, b)]
+        if len(over) != 2:
+            raise ValueError(f"{reg.name} is not two graphs over its chord")
+        x, wx = _graded_rule(xb - xa, xa == 0.0 and _singular(p),
+                             xb == length and _singular(q), _CELL_INNER, 0.125, n)
+        x += xa
+        y0, y1 = (_height(pc, p, e, x) for pc in over)
+        lo, width = np.minimum(y0, y1), np.abs(y1 - y0)
+        y = lo[:, None] + width[:, None] * frac
+        zs.append((p + (x[:, None] + 1j * y) * e).ravel())
+        ws.append(((wx * width)[:, None] * frac_w).ravel())
+    return np.concatenate(zs), np.concatenate(ws)
 
-    def masked_g(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        g = np.zeros(z.shape)
-        g[mask] = kernel_integral(z[mask], arcs)
-        return g
 
-    acc = np.zeros(3)      # [mass, levy, area]
-    acc_var = np.zeros(3)
-    min_dist = math.inf
+def _cell_integrals(cat: Catalog, kl: tuple[int, int],
+                    n: int) -> tuple[float, float, ArcQuadrature]:
+    """(integral of g, integral of -log|z| g, flux rule) over V_kl, with n
+    Gauss nodes per panel in both the flux rule and the cell rule."""
+    arcs = region_arc_quadrature(cat.v_star[kl].invert(), n)
+    z, w = _cell_rule(cat.v_cells[kl], n)
+    wg = w * kernel_integral(z, arcs)
+    return float(wg.sum()), float(-(np.log(np.abs(z)) * wg).sum()), arcs
 
-    # group the components by vertex; each vertex ball is handled by the
-    # equal mixture of its components
-    groups: dict[complex, list[_CuspComponent]] = {}
-    for comp in comps:
-        groups.setdefault(comp.vertex, []).append(comp)
-    verts = list(groups)
 
-    def ball_density(z: np.ndarray, vert: complex) -> np.ndarray:
-        qs = [_comp_density(z, comp) for comp in groups[vert]]
-        return sum(qs) / len(qs)
-
-    def in_covered_ball(z: np.ndarray) -> np.ndarray:
-        out = np.zeros(z.shape, dtype=bool)
-        for vert in verts:
-            near = np.abs(z - vert) < _IMP_RC
-            if near.any():
-                out |= near & (ball_density(z, vert) > 0)
-        return out
-
-    # vertex balls via the component mixtures
-    n_comp = (int(0.35 * n) // len(verts)) if verts else 0
-    for vert in verts:
-        m = max(n_comp, 64)
-        comp_list = groups[vert]
-        pick = rng.integers(0, len(comp_list), m)
-        z = np.empty(m, dtype=np.complex128)
-        for ci, comp in enumerate(comp_list):
-            sel = np.flatnonzero(pick == ci)
-            if sel.size:
-                z[sel] = _comp_sample(rng, sel.size, comp)
-        q = ball_density(z, vert)
-        use = ((np.abs(z - vert) < _IMP_RC) & (q > 0)
-               & (v.classify_complex(z, tol) == 1))
-        g = masked_g(z, use)
-        w = np.where(use, g / np.where(q > 0, q, 1.0), 0.0)
-        lw = np.where(use, -np.log(np.maximum(np.abs(z), 1e-300)), 0.0) * w
-        aw = np.where(use, 1.0 / np.where(q > 0, q, 1.0), 0.0)
-        for slot, vals in enumerate((w, lw, aw)):
-            acc[slot] += vals.mean()
-            acc_var[slot] += vals.var(ddof=1) / m
-
-    # bulk: two-pass stratified sampling over the cell box
-    s = _STRATA
-    xs = np.linspace(box[0], box[1], s + 1)
-    ys = np.linspace(box[2], box[3], s + 1)
-    box_area = (box[1] - box[0]) * (box[3] - box[2]) / (s * s)
-    n_bulk = n - n_comp * len(verts)
-    n1 = max(6, n_bulk // (3 * s * s))
-    sums = np.zeros((s * s, 3))
-    sqs = np.zeros((s * s, 3))
-    cnts = np.zeros(s * s, dtype=np.int64)
-
-    def run_stratum(b: int, m: int) -> None:
-        i, j = divmod(b, s)
-        z = (rng.uniform(xs[i], xs[i + 1], m)
-             + 1j * rng.uniform(ys[j], ys[j + 1], m))
-        use = ~in_covered_ball(z) & (v.classify_complex(z, tol) == 1)
-        g = masked_g(z, use)
-        lg = np.where(use, -np.log(np.maximum(np.abs(z), 1e-300)), 0.0) * g
-        av = use.astype(float)
-        for slot, vals in enumerate((g, lg, av)):
-            sums[b, slot] += vals.sum()
-            sqs[b, slot] += (vals * vals).sum()
-        cnts[b] += m
-
-    for b in range(s * s):
-        run_stratum(b, n1)
-    sigma = np.sqrt(np.maximum(sqs[:, 0] / cnts - (sums[:, 0] / cnts) ** 2, 0.0))
-    n2 = max(0, n_bulk - int(cnts.sum()))
-    if sigma.sum() > 0 and n2 > 0:
-        alloc = np.floor(n2 * sigma / sigma.sum()).astype(np.int64)
-        for b in np.flatnonzero(alloc):
-            run_stratum(b, int(alloc[b]))
-    means = sums / cnts[:, None]
-    spreads = np.maximum(sqs / cnts[:, None] - means**2, 0.0)
-    for slot in range(3):
-        acc[slot] += box_area * means[:, slot].sum()
-        acc_var[slot] += box_area**2 * float((spreads[:, slot] / cnts).sum())
-
-    # pair-sampled cross-check of the growth-rate integral with the
-    # uninverted weight -log|u| = log|w| (higher variance, recorded only)
-    m = max(200, n // 3)
-    ub = u_reg.bbox_real(default=(-1.0, 1.0, -1.0, 1.0))
+def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
+                rng: np.random.Generator, tol: float) -> tuple[float, float, float]:
+    """Pair-sampled integral of the kernel with the uninverted weight
+    -log|u| = log|w| over V_kl x (Vstar_kl)^-1, from m uniform pairs in the
+    two boxes: (value, stderr, smallest |z*u - 1| of a pair inside)."""
+    v, u_reg = cat.v_cells[kl], cat.v_star[kl].invert()
+    box, ub = v.bbox_real(), u_reg.bbox_real()
     zp = rng.uniform(box[0], box[1], m) + 1j * rng.uniform(box[2], box[3], m)
     u = rng.uniform(ub[0], ub[1], m) + 1j * rng.uniform(ub[2], ub[3], m)
     both = (v.classify_complex(zp, tol) == 1) & (u_reg.classify_complex(u, tol) == 1)
@@ -410,18 +341,19 @@ def _quadrature_cell(cat: Catalog, kl: tuple[int, int], n: int,
     logu = np.where(both, -np.log(np.maximum(np.abs(u), 1e-300)), 0.0)
     scale = ((box[1] - box[0]) * (box[3] - box[2])
              * (ub[1] - ub[0]) * (ub[3] - ub[2]))
-    logu_raw = scale * (kern * logu).mean()
-    logu_err = scale * (kern * logu).std(ddof=1) / math.sqrt(m)
-    if both.any():
-        min_dist = min(min_dist, float(dist[both].min()))
+    return (scale * float((kern * logu).mean()),
+            scale * float((kern * logu).std(ddof=1)) / math.sqrt(m),
+            float(dist[both].min()) if both.any() else math.inf)
 
-    return CellQuadrature(
-        kl, float(acc[0]), math.sqrt(acc_var[0]),
-        float(acc[1]), math.sqrt(acc_var[1]),
-        float(logu_raw), float(logu_err),
-        float(acc[2]), region_area_flux(arcs),
-        min_dist, arcs,
-    )
+
+@dataclass
+class CellQuadrature:
+    mass_raw: float             # integral of g over the cell
+    levy_raw: float             # integral of -log|z| g over the cell
+    logu_raw: float             # pair-sampled integral with weight -log|u|
+    logu_err: float
+    min_kernel_dist: float
+    arcs: ArcQuadrature         # the fine flux rule of the cell's dual
 
 
 @dataclass
@@ -432,45 +364,43 @@ class Quadrature:
     levy_err: float
     levy_integral_pairs: float
     levy_pairs_err: float
-    cells: dict[tuple[int, int], CellQuadrature]
+    cells: dict[tuple[int, int], CellQuadrature]   # the base cells (k, 1)
     min_kernel_dist: float
 
     def cell_masses(self) -> dict[tuple[int, int], float]:
-        return {kl: self.c0 * q.mass_raw for kl, q in self.cells.items()}
-
-    def cell_mass_errs(self) -> dict[tuple[int, int], float]:
-        return {kl: self.c0 * q.mass_err for kl, q in self.cells.items()}
+        return {(k, l): self.c0 * self.cells[(k, 1)].mass_raw for k, l in CELLS}
 
 
 def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
                                   tol: float = 1e-12) -> Quadrature:
     """Normalizing constant and the invariant growth-rate integral.
 
-    quad_samples is the total z-sample budget spread over the 36 cells; the
-    dual-cell direction is integrated by boundary flux, so the error comes
-    from the smooth z-average alone.
+    The six base cells are integrated by the coarse and the fine rule; every
+    V_{k,l} has the integrals of V_{k,1}.  quad_samples sizes only the
+    pair-sampled cross-check: a third of it in (z, u) pairs, drawn from
+    seed and banded by tol.
     """
     cat = build_catalog()
-    per = max(200, quad_samples // len(CELLS))
+    base = [(k, 1) for k in range(1, 7)]
+    coarse, fine = ([_cell_integrals(cat, kl, n) for kl in base] for n in _RULES)
     cells: dict[tuple[int, int], CellQuadrature] = {}
-    for kl in CELLS:
+    for kl, (mass, levy, arcs) in zip(base, fine):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
-        cells[kl] = _quadrature_cell(cat, kl, per, rng, tol)
-    total = sum(q.mass_raw for q in cells.values())
-    total_err = math.sqrt(sum(q.mass_err**2 for q in cells.values()))
-    levy_num = sum(q.levy_raw for q in cells.values())
-    levy_num_err = math.sqrt(sum(q.levy_err**2 for q in cells.values()))
-    logu_num = sum(q.logu_raw for q in cells.values())
-    logu_num_err = math.sqrt(sum(q.logu_err**2 for q in cells.values()))
-    c0 = 1.0 / total
-    levy = levy_num / total
+        cells[kl] = CellQuadrature(mass, levy, *_pair_check(
+            cat, kl, max(200, quad_samples // 18), rng, tol), arcs)
+
+    def c0_and_levy(rule):
+        mass = 6 * sum(q[0] for q in rule)    # each base cell and its rotations
+        return 1.0 / mass, 6 * sum(q[1] for q in rule) / mass
+
+    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
     return Quadrature(
         c0=c0,
-        c0_err=total_err / total**2,
+        c0_err=abs(c0 - c0_coarse),
         levy_integral=levy,
-        levy_err=(levy_num_err + abs(levy) * total_err) / total,
-        levy_integral_pairs=logu_num / total,
-        levy_pairs_err=(logu_num_err + abs(logu_num / total) * total_err) / total,
+        levy_err=abs(levy - levy_coarse),
+        levy_integral_pairs=6 * c0 * sum(q.logu_raw for q in cells.values()),
+        levy_pairs_err=6 * c0 * math.sqrt(sum(q.logu_err**2 for q in cells.values())),
         cells=cells,
         min_kernel_dist=min(q.min_kernel_dist for q in cells.values()),
     )
@@ -480,6 +410,30 @@ def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
 # invariant density
 # --------------------------------------------------------------------------
 
+def _sextant_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and area weights of a Gauss rule over U that ignores the cells.
+
+    Each sextant triangle (0, v_s, v_{s+1}) is cut at the midpoint of its
+    outer edge into two triangles, each mapped to the square by a Duffy
+    transform from its vertex on the unit circle.  The radius is graded
+    toward the vertex, and the angle toward both sides, which the cusps of
+    the cells hug.  The jumps of h across cell boundaries limit the rule to
+    about 1e-3, so it grades only to 1e-2.
+    """
+    r, wr = _graded_rule(1.0, True, False, 1e-2, 0.5, n)
+    f, wf = _graded_rule(1.0, True, True, 1e-2, 0.5, n)
+    zs, ws = [], []
+    for s in range(6):
+        v0, v1 = _ROOTS[s], _ROOTS[(s + 1) % 6]
+        mid = 0.5 * (v0 + v1)
+        for vert, a, b in ((v0, mid, 0j), (v1, 0j, mid)):
+            # z = vert + r*((a - vert) + f*(b - a)), Jacobian r * 2 * area
+            jac = abs((np.conj(a - vert) * (b - a)).imag)
+            zs.append((vert + r[:, None] * ((a - vert) + f * (b - a))).ravel())
+            ws.append(((r * wr * jac)[:, None] * wf).ravel())
+    return np.concatenate(zs), np.concatenate(ws)
+
+
 class DensityEstimator:
     """h(z) = C0 * integral over (Vstar_cell(z))^-1 of du / |z*u - 1|^4."""
 
@@ -488,39 +442,34 @@ class DensityEstimator:
         self.cat = catalog or build_catalog()
 
     def at_points(self, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Density at an array of points; NaN off the open cells."""
+        """Density at an array of points; NaN off the open cells.
+
+        On V_{k,l}, g(z) is g of V_{k,1} at zeta^(1-l) z."""
         z = np.asarray(z, dtype=np.complex128)
         flat = z.ravel()
         idx = classify_cells_complex(flat, self.cat, tol)
         out = np.full(flat.shape, np.nan)
-        for ci, kl in enumerate(CELLS):
+        for ci, (k, l) in enumerate(CELLS):
             sel = idx == ci
             if not sel.any():
                 continue
-            out[sel] = self.quad.c0 * kernel_integral(flat[sel], self.quad.cells[kl].arcs)
+            out[sel] = self.quad.c0 * kernel_integral(
+                flat[sel] * np.conj(_ROOTS[l - 1]), self.quad.cells[(k, 1)].arcs)
         return out.reshape(z.shape)
 
     def at(self, z: complex, tol: float = 1e-12) -> float:
         return float(self.at_points(np.array([z]), tol)[0])
 
-    def integral_over_U(self, n: int = 1000000, seed: int = 0,
-                        tol: float = 1e-12) -> tuple[float, float]:
-        """Independent Monte Carlo check of the total mass (should be ~ 1).
+    def integral_over_U(self, tol: float = 1e-12) -> tuple[float, float]:
+        """Total mass of h by the cell-blind sextant rule (should be ~ 1).
 
-        Fresh samples, same variance-controlled cell estimator; returns
-        (value, stderr).  n is the total fresh z-budget.
-        """
-        per = max(200, n // len(CELLS))
-        total = 0.0
-        err2 = 0.0
-        for kl in CELLS:
-            rng = np.random.Generator(
-                np.random.PCG64(derive_seed(seed, f"hmass:{kl}")))
-            q = _quadrature_cell(self.cat, kl, per, rng, tol)
-            total += q.mass_raw
-            err2 += q.mass_err**2
-        err = self.quad.c0 * math.sqrt(err2) + self.quad.c0_err * total
-        return self.quad.c0 * total, err
+        Returns the fine rule's value and its difference from the coarse
+        rule's; nodes in a boundary band count as 0."""
+        vals = []
+        for n in _RULES:
+            z, w = _sextant_rule(n)
+            vals.append(float(np.sum(w * np.nan_to_num(self.at_points(z, tol), nan=0.0))))
+        return vals[-1], abs(vals[-1] - vals[0])
 
     def grid(self, n: int, tol: float = 1e-12):
         """Density on an n x n grid over the bounding box of U.
@@ -556,20 +505,19 @@ def occupation_frequencies(batch: OrbitBatch, catalog: Catalog | None = None,
 
 def invariance_check(orbits: int = 64, length: int = 20000, seed: int = 0,
                      quad: Quadrature | None = None,
-                     quad_samples: int = 1000000,
                      tol: float = 1e-12) -> CheckReport:
     """Empirical occupation of long orbits against the density cell masses.
 
-    PASS when every cell discrepancy is below max(3 * combined stderr, 0.01).
+    PASS when every cell discrepancy is below max(3 * stderr, 0.01), the
+    stderr of the occupation; the masses are exact to about 1e-10.
     """
     with CheckReport("invariance") as rep:
         if quad is None:
-            quad = estimate_C0_and_levy_integral(quad_samples, seed, tol)
+            quad = estimate_C0_and_levy_integral(tol=tol)
         batch = simulate_orbits(orbits, length, seed, tol)
         freq, mean_freq = occupation_frequencies(batch, tol=tol)
         rep.samples = orbits * length
         masses = quad.cell_masses()
-        mass_errs = quad.cell_mass_errs()
         sum_f = float(mean_freq.sum())
         rep.info["frequency_sum"] = sum_f
         if abs(sum_f - 1.0) > 0.02:
@@ -579,7 +527,7 @@ def invariance_check(orbits: int = 64, length: int = 20000, seed: int = 0,
             f = float(mean_freq[ci])
             sf = float(freq[:, ci].std(ddof=1) / math.sqrt(len(freq)))
             mu = masses[kl]
-            tol_cell = max(3.0 * (sf + mass_errs[kl]), 0.01)
+            tol_cell = max(3.0 * sf, 0.01)
             worst = max(worst, abs(f - mu))
             if abs(f - mu) > tol_cell:
                 rep.fail(cell=kl, empirical=f, quadrature=mu, tolerance=tol_cell)

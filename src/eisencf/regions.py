@@ -312,20 +312,18 @@ class Region:
         z = np.asarray(z)
         return self.classify_xy(z.real, z.imag / SQRT3, tol)
 
-    def bbox_real(
-        self, default: tuple[float, float, float, float] = (-5.0, 5.0, -5.0, 5.0)
-    ) -> tuple[float, float, float, float]:
-        """Conservative (xlo, xhi, ylo, yhi) in real coordinates."""
-        xlo, xhi, ylo, yhi = default
-        for p in self.prims:
-            if p.qq != 0 and p.rel in ("<", "<=", "=="):
-                cx, cy, r_sq = p.circle_data()
-                r = math.sqrt(float(r_sq))
-                xlo = max(xlo, float(cx) - r)
-                xhi = min(xhi, float(cx) + r)
-                ylo = max(ylo, float(cy) * SQRT3 - r)
-                yhi = min(yhi, float(cy) * SQRT3 + r)
-        return xlo, xhi, ylo, yhi
+    def bbox_real(self) -> tuple[float, float, float, float]:
+        """(xlo, xhi, ylo, yhi) in real coordinates, from the boundary: the
+        piece ends and the points where an arc runs parallel to an axis."""
+        pts = []
+        for pc in self.boundary():
+            pts += [pc.start, pc.end]
+            if pc.radius:
+                quarter = math.pi / 2
+                pts += [complex(pc.at(j * quarter)) for j in
+                        range(math.ceil(pc.t1 / quarter), math.floor(pc.t2 / quarter) + 1)]
+        xs, ys = [z.real for z in pts], [z.imag for z in pts]
+        return min(xs), max(xs), min(ys), max(ys)
 
     def boundary(self) -> list[Piece]:
         """The arcs and segments that bound the region, in primitive order.
@@ -341,11 +339,10 @@ class Region:
         for i in carriers or range(len(curves)):
             c, r, g = curves[i]
             cuts = [t for j, cj in enumerate(curves) if j != i for t in _cuts(curves[i], cj)]
+            brk = sorted(set(cuts)) or [0.0]
             if r:
-                brk = sorted(set([0.0] + cuts))
                 spans = zip(brk, brk[1:] + [brk[0] + 2 * math.pi])
             else:
-                brk = sorted(set(cuts)) or [0.0]
                 spans = zip([-math.inf] + brk, brk + [math.inf])
             for t1, t2 in spans:
                 if t2 - t1 < _PIECE_EPS:

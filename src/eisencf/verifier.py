@@ -69,8 +69,8 @@ def sample_in_region(
     cap = max_tries if max_tries is not None else 4000 * n
     while len(out) < n and tries < cap:
         tries += 1
-        a = rng.randint(int(xlo * _DEN), int(xhi * _DEN))
-        b = rng.randint(int(ylo_s * _DEN), int(yhi_s * _DEN))
+        a = rng.randint(math.floor(xlo * _DEN), math.ceil(xhi * _DEN))
+        b = rng.randint(math.floor(ylo_s * _DEN), math.ceil(yhi_s * _DEN))
         z = FieldElement(a, b, _DEN)
         if reg.contains(z):
             out.append(z)

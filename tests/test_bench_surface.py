@@ -6,9 +6,10 @@ documents from them, so a prune that drops one breaks the benchmark.
 
 import dataclasses
 import importlib
+import inspect
 
 from eisencf.cli import RunConfig, build_parser
-from eisencf.ergodic import Quadrature
+from eisencf.ergodic import Quadrature, ergodic_report, estimate_C0_and_levy_integral
 
 WORKER_IMPORTS = {
     "eisencf.cli": ["RunConfig", "build_parser", "main"],
@@ -42,6 +43,19 @@ def test_run_config_fields():
 def test_quadrature_fields():
     names = {f.name for f in dataclasses.fields(Quadrature)}
     assert {"levy_integral_pairs", "levy_pairs_err", "min_kernel_dist"} <= names
+
+
+def test_quadrature_signature():
+    # the worker calls estimate_C0_and_levy_integral(quad_samples, seed, tol)
+    params = list(inspect.signature(estimate_C0_and_levy_integral).parameters)
+    assert params[:3] == ["quad_samples", "seed", "tol"]
+
+
+def test_ergodic_report_info_keys():
+    # the worker rebuilds the levy document with exactly these info keys
+    rep = ergodic_report(orbits=2, length=10, quad_samples=200, seed=1)
+    assert set(rep.info) == {"orbits", "length", "quad_samples", "seed",
+                             "levy_integral_pair_sampled", "levy_integral_pair_err"}
 
 
 def test_worker_request_shapes_parse():

@@ -95,9 +95,7 @@ class TestLevyDensityRender:
 
     def test_density_csv(self, capsys, tmp_path):
         out_file = tmp_path / "h.csv"
-        code, _, _ = run(capsys, "density", "--grid", "16",
-                         "--samples", "40000", "--seed", "7",
-                         "--out", str(out_file))
+        code, _, _ = run(capsys, "density", "--grid", "16", "--out", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "x,y,h"

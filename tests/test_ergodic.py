@@ -9,7 +9,10 @@ from eisencf import ergodic
 from eisencf.ergodic import (
     CELLS,
     DensityEstimator,
-    _cell_cusp_components,
+    _cell_integrals,
+    _cell_rule,
+    _ROOTS,
+    _RULES,
     estimate_C0_and_levy_integral,
     invariance_check,
     kernel_integral,
@@ -92,6 +95,8 @@ class TestOrbits:
     def test_ratio_modulus_exceeds_one(self):
         batch = simulate_orbits(16, 2000, seed=3)
         assert batch.min_abs_w > 1.0
+        # the smallest |w_k| over the kept orbits, which log_w also records
+        assert abs(batch.min_abs_w / np.exp(batch.log_w.min()) - 1) < 1e-14
 
     def test_birkhoff_positive_and_stable(self):
         a = levy_birkhoff(orbits=16, length=3000, seed=5)
@@ -149,6 +154,31 @@ class TestArcFlux:
             assert abs(flux_val - grid_val) < 3e-3 * max(1.0, grid_val)
 
 
+    def test_kernel_integral_near_vertices(self):
+        # along each boundary piece leaving a vertex, against the flux rule
+        # with four times the nodes per panel, down to the smallest distance
+        # of a node of the cell rule from its vertex.  The dual of V_{4,1} has
+        # a cusp at 1, whose two tangent arcs carry fluxes ~ 1/s^2 that cancel
+        # to ~ 1/s, so rounding alone leaves about 1e-16/s^2 there
+        for k in (2, 4, 6):
+            z, _ = _cell_rule(CAT.v_cells[(k, 1)], _RULES[-1])
+            s_min = min(np.abs(z - v).min() for v in _ROOTS)
+            assert 1e-7 < s_min < 1e-5
+            u = CAT.v_star[(k, 1)].invert()
+            fine, ref = region_arc_quadrature(u), region_arc_quadrature(u, 4 * _RULES[-1])
+            legs = 0
+            for pc in CAT.v_cells[(k, 1)].boundary():
+                for sign, t, end in ((1, pc.t1, pc.start), (-1, pc.t2, pc.end)):
+                    if abs(abs(end) - 1) > 1e-9:
+                        continue
+                    legs += 1
+                    tau = sign * 1j * pc.gradient(t)
+                    for s in (1e-3, 1e-5, s_min):
+                        g, g_ref = (kernel_integral(end + s * tau, q) for q in (fine, ref))
+                        bound = 1e-8 if k != 4 or s >= 1e-3 else 1e-16 / s**2
+                        assert abs(g / g_ref - 1) < bound, (k, tau, s)
+            assert legs == {2: 2, 4: 2, 6: 4}[k]
+
     def test_kernel_integral_bitwise_and_chunk_free(self, monkeypatch):
         rng = np.random.default_rng(61)
         z = rng.uniform(-1, 1, 3000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 3000)
@@ -171,20 +201,6 @@ class TestArcFlux:
             monkeypatch.undo()
 
 
-class TestCuspComponents:
-    def test_counts_and_rotation(self):
-        base = {k: _cell_cusp_components(CAT, (k, 1)) for k in range(1, 7)}
-        assert [len(base[k]) for k in range(1, 7)] == [0, 1, 1, 2, 2, 2]
-        for k, l in CELLS:
-            rot = complex(math.cos(math.pi / 3 * (l - 1)), math.sin(math.pi / 3 * (l - 1)))
-            got = _cell_cusp_components(CAT, (k, l))
-            assert len(got) == len(base[k]), (k, l)
-            # the lists follow the vertex order, which the rotation shifts
-            for c in base[k]:
-                assert any(abs(g.vertex - rot * c.vertex) < 1e-12
-                           and abs(g.tau - rot * c.tau) < 1e-12 for g in got), (k, l)
-
-
 class TestQuadrature:
     def test_c0_positive_finite(self):
         quad = estimate_C0_and_levy_integral(quad_samples=120000, seed=11)
@@ -200,12 +216,27 @@ class TestQuadrature:
         # the recorded pair-sampled route estimates the same number
         assert abs(quad.levy_integral_pairs - lb.value) < 0.12
 
+    def test_refinement_levels_agree(self):
+        quad = estimate_C0_and_levy_integral(quad_samples=1000, seed=13)
+        assert 0 < quad.c0_err < 1e-6 * quad.c0
+        assert 0 < quad.levy_err < 1e-6 * quad.levy_integral
+
     def test_rotation_invariance_of_masses(self):
-        quad = estimate_C0_and_levy_integral(quad_samples=250000, seed=13)
-        masses = quad.cell_masses()
+        # each V_{k,l} integrated directly against the base cell V_{k,1}
         for k in range(1, 7):
-            vals = [masses[(k, l)] for l in range(1, 7)]
-            assert max(vals) - min(vals) < 0.012, (k, vals)
+            l = k % 5 + 2
+            mass, levy, _ = _cell_integrals(CAT, (k, l), _RULES[-1])
+            mass1, levy1, _ = _cell_integrals(CAT, (k, 1), _RULES[-1])
+            assert abs(mass / mass1 - 1) < 1e-9, (k, l)
+            assert abs(levy / levy1 - 1) < 1e-9, (k, l)
+
+    def test_cell_integrals_against_refined_rules(self):
+        # both rules with four times the nodes per panel
+        for kl in ((4, 1), (6, 1)):
+            mass, levy, _ = _cell_integrals(CAT, kl, _RULES[-1])
+            ref_mass, ref_levy, _ = _cell_integrals(CAT, kl, 4 * _RULES[-1])
+            assert abs(mass / ref_mass - 1) < 1e-7, kl
+            assert abs(levy / ref_levy - 1) < 1e-7, kl
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +264,19 @@ class TestDensity:
             b = estimator.at(z * rot)
             assert abs(a - b) < 5e-3 * max(a, 1.0)
 
+    def test_rotated_cells_use_the_base_rule(self, estimator):
+        rng = np.random.Generator(np.random.PCG64(16))
+        z = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 4000)
+        h = estimator.at_points(z)
+        for kl in ((2, 3), (4, 5), (6, 6)):
+            zc = z[CAT.v_cells[kl].classify_complex(z) == 1]
+            direct = estimator.quad.c0 * kernel_integral(
+                zc, region_arc_quadrature(CAT.v_star[kl].invert()))
+            got = h[CAT.v_cells[kl].classify_complex(z) == 1]
+            assert zc.size > 20 and np.allclose(got, direct, rtol=1e-12, atol=0), kl
+
     def test_total_mass_near_one(self, estimator):
-        total, err = estimator.integral_over_U(150000, seed=16)
+        total, err = estimator.integral_over_U()
         assert abs(total - 1.0) < max(0.03, 4 * err)
 
     def test_grid_output(self, estimator):
@@ -246,8 +288,7 @@ class TestDensity:
 
 class TestInvariance:
     def test_small_scale_pass(self):
-        rep = invariance_check(orbits=24, length=3000, seed=17,
-                               quad_samples=250000)
+        rep = invariance_check(orbits=24, length=3000, seed=17)
         assert rep.verdict == "PASS", rep.failures[:4]
         assert abs(rep.info["frequency_sum"] - 1.0) < 1e-6
         assert rep.info["rotation_spread"] < 0.02

@@ -400,6 +400,29 @@ class TestFloatClassification:
                 assert xlo - 1e-9 <= w.real <= xhi + 1e-9
                 assert ylo - 1e-9 <= w.imag <= yhi + 1e-9
 
+    def test_bbox_is_tight(self):
+        # cells bounded by circle exteriors and lines, with cusps, and an
+        # inverted dual cell, against boxes worked out by hand
+        r3 = math.sqrt(3)
+        expected = {
+            CAT.v_cells[(2, 1)]: (0.0, 1.0, 0.0, r3 / 6),
+            CAT.v_cells[(6, 1)]: (0.5, 1.0, 0.0, r3 / 2),
+            CAT.v_star[(1, 1)].invert(): (-1.0, 1.0, -r3 / 2, 1.0),
+        }
+        for reg, box in expected.items():
+            assert np.allclose(reg.bbox_real(), box, rtol=0, atol=1e-12), reg.name
+        # lens cells: the inside points of a fine grid reach each side of the
+        # box to within a grid step
+        n = 801
+        for reg in (CAT.v_cells[(1, 2)], CAT.v_cells[(5, 4)]):
+            xlo, xhi, ylo, yhi = reg.bbox_real()
+            xs, ys = np.linspace(xlo - 0.01, xhi + 0.01, n), np.linspace(ylo - 0.01, yhi + 0.01, n)
+            gx, gy = np.meshgrid(xs, ys, indexing="ij")
+            inside = reg.classify_complex(gx + 1j * gy) == 1
+            got = (gx[inside].min(), gx[inside].max(), gy[inside].min(), gy[inside].max())
+            step = max(xs[1] - xs[0], ys[1] - ys[0])
+            assert np.allclose(got, (xlo, xhi, ylo, yhi), rtol=0, atol=step), reg.name
+
 
 class TestBoundary:
     def test_pieces_lie_on_the_boundary(self):
@@ -424,6 +447,16 @@ class TestBoundary:
         assert (arc.radius, arc.t1) == (1.0, 0.0) and abs(arc.t2 - math.pi) < 1e-15
         assert abs(seg.start - 1) < 1e-15 and abs(seg.end + 1) < 1e-15
         assert abs(seg.normal(0.0) + 1j) < 1e-15
+
+    def test_mirror_regions_have_mirror_pieces(self):
+        # x -> -x maps the conj(zeta) track onto the -zeta track; no piece
+        # breaks where nothing cuts its curve
+        a = CAT.s_sets[("zeta_bar", 1)].boundary()
+        b = CAT.s_sets[("minus_zeta", 1)].boundary()
+        assert len(a) == len(b) == 1
+        ends = lambda pcs: sorted((round(z.real, 12), round(z.imag, 12))
+                                  for pc in pcs for z in (pc.start, pc.end))
+        assert ends(a) == sorted((round(-x, 12) + 0.0, y) for x, y in ends(b))
 
     def test_unbounded_boundary_rejected(self):
         with pytest.raises(ValueError):
