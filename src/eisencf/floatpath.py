@@ -78,8 +78,3 @@ def t_step(
     alive &= ok
     z_next = np.where(alive, w - alpha, 0.0)
     return alpha, z_next, alive
-
-
-def digit_matches(alpha: np.ndarray, target: complex) -> np.ndarray:
-    """Digits of J are at mutual distance >= sqrt(3); 0.5 separates them."""
-    return np.abs(alpha - target) < 0.5

@@ -36,6 +36,8 @@ _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
 # signs of P(z) each relation admits, as given and on the closure
 _SIGNS = {"<": {-1}, "<=": {-1, 0}, "==": {0}, ">=": {0, 1}, ">": {1}}
 _SIGNS_CLOSED = {**_SIGNS, "<": {-1, 0}, ">": {0, 1}}
+# contains_int evaluates in int64 only below this proved bound on |P|
+INT64_HEADROOM = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,55 @@ class Region:
             if (v > 0) - (v < 0) not in signs[p.rel]:
                 return False
         return True
+
+    # -- exact int64 path -------------------------------------------------
+    @cached_property
+    def _int_rows(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(R, 4) int64 rows (qq, bx, by, dd), an (R, 1) strictness column and
+        the largest |coefficient|.  The region is {every row's value <= 0,
+        and < 0 where strict}: ">"/">=" rows are negated and "==" is P <= 0
+        and -P <= 0."""
+        rows, strict = [], []
+        for p in self.prims:
+            row = (p.qq, p.bx, p.by, p.dd)
+            g = -1 if p.rel in (">", ">=") else 1
+            rows.append([g * v for v in row])
+            strict.append(p.rel in ("<", ">"))
+            if p.rel == "==":
+                rows.append([-v for v in row])
+                strict.append(False)
+        return (np.array(rows, dtype=np.int64), np.array(strict, dtype=np.int64)[:, None],
+                max(abs(v) for row in rows for v in row))
+
+    def int_value_bound(self, amax: int, bmax: int, c: int) -> int:
+        """Bound on |P(a, b, c)| over the primitives for |a| <= amax, |b| <= bmax:
+        the largest |coefficient| times the bound of every term."""
+        return self._int_rows[2] * (amax * amax + 3 * bmax * bmax + (amax + bmax) * c + c * c)
+
+    def contains_int(self, a, b, c: int, closed: bool = False) -> np.ndarray:
+        """`contains` at every point (a + b*sqrt(-3))/c of int64 arrays a, b
+        with a common denominator c > 0, exactly.
+
+        All primitives are evaluated at once, as one int64 product of the
+        coefficient rows with the columns (a^2 + 3b^2, ac, bc, c^2).  The
+        bound `int_value_bound` of the inputs is proved below INT64_HEADROOM
+        in Python integers first, so no value can wrap around; inputs beyond
+        it raise OverflowError.
+        """
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        amax = max(abs(int(a.min())), abs(int(a.max()))) if a.size else 0
+        bmax = max(abs(int(b.min())), abs(int(b.max()))) if b.size else 0
+        if c <= 0:
+            raise ValueError(f"denominator {c} is not positive")
+        if self.int_value_bound(amax, bmax, c) >= INT64_HEADROOM:
+            raise OverflowError(f"{self.name}: no int64 headroom for |a| <= {amax}, "
+                                f"|b| <= {bmax}, c = {c}")
+        rows, strict, _ = self._int_rows
+        x, y = a.ravel(), b.ravel()
+        v = rows @ np.stack([x * x + 3 * y * y, x * c, y * c, np.full(x.shape, c * c)])
+        if not closed:
+            v += strict  # v < 0 is v + 1 <= 0 on integers
+        return (v.max(axis=0) <= 0).reshape(a.shape)
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._util import CheckReport, derive_seed
 from .exact import (
     ETAS,
+    SQRT3,
     EisensteinInt,
     FieldElement,
     MINUS_ZETA,
@@ -38,7 +39,6 @@ from .cf import (
     REJECTED_ZETA_BAR_PERIOD,
 )
 from .hexdomain import in_U, in_U0
-from .floatpath import SQRT3, U_BOX, digit_matches, hex_margin, t_step
 from .regions import (
     BoundaryPoint,
     Catalog,
@@ -55,28 +55,34 @@ from .regions import (
 # exact sampling helpers
 # --------------------------------------------------------------------------
 
-_DEN = 1 << 16  # denominator bound of the rational sampling grid
+_DEN = 1 << 16  # denominator of the rational sampling grid
+_BATCH = 1 << 14  # grid points drawn per numpy batch
 
 
 def sample_in_region(
-    reg: Region, rng: random.Random, n: int, box=None, max_tries: int | None = None
-) -> list[FieldElement]:
-    """Rejection-sample n exact rational points from a bounded region."""
+    reg: Region, rng: np.random.Generator, n: int, box=None, max_tries: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection-sample n exact grid points (a + b*sqrt(-3))/_DEN of a bounded
+    region: int64 arrays a, b of the first n draws in the outward-rounded box
+    that `reg.contains_int` accepts."""
     xlo, xhi, ylo, yhi = reg.bbox_real() if box is None else box
-    ylo_s, yhi_s = ylo / SQRT3, yhi / SQRT3
-    out: list[FieldElement] = []
-    tries = 0
+    alo, ahi = math.floor(xlo * _DEN), math.ceil(xhi * _DEN)
+    blo, bhi = math.floor(ylo / SQRT3 * _DEN), math.ceil(yhi / SQRT3 * _DEN)
     cap = max_tries if max_tries is not None else 4000 * n
-    while len(out) < n and tries < cap:
-        tries += 1
-        a = rng.randint(math.floor(xlo * _DEN), math.ceil(xhi * _DEN))
-        b = rng.randint(math.floor(ylo_s * _DEN), math.ceil(yhi_s * _DEN))
-        z = FieldElement(a, b, _DEN)
-        if reg.contains(z):
-            out.append(z)
-    if len(out) < n:
-        raise RuntimeError(f"sampling {reg.name}: {len(out)}/{n} after {tries} tries")
-    return out
+    got_a, got_b = [], []
+    got = tries = 0
+    while got < n and tries < cap:
+        m = min(_BATCH, 2 * n, cap - tries)
+        tries += m
+        a = rng.integers(alo, ahi, m, endpoint=True)
+        b = rng.integers(blo, bhi, m, endpoint=True)
+        keep = np.flatnonzero(reg.contains_int(a, b, _DEN))[: n - got]
+        got_a.append(a[keep])
+        got_b.append(b[keep])
+        got += keep.size
+    if got < n:
+        raise RuntimeError(f"sampling {reg.name}: {got}/{n} after {tries} tries")
+    return np.concatenate(got_a), np.concatenate(got_b)
 
 
 def random_orbit_seed(rng: random.Random, digits10: int) -> FieldElement:
@@ -263,14 +269,141 @@ def _chain_valid(z: FieldElement, chain: Sequence[EisensteinInt]) -> bool:
     return True
 
 
+def _pullback(reg: Region, chain: Sequence[EisensteinInt]) -> Region:
+    """The condition "z_k in reg" as a region in w = z_n, for the digits
+    chain = d_(k+1), ..., d_n.  Each z_(j-1) = 1/(d_j + z_j) pulls every
+    primitive back by one inversion and one translation, which multiply its
+    value by a positive factor, so each sign is kept exactly."""
+    for d in chain:
+        reg = reg.invert().translate(-embed(d))
+    return reg
+
+
+def _claim_table(claim: dict) -> tuple[Region, Region | None]:
+    """A claim's sign table in w: U0's six edge lines at z_0, ..., z_(n-1)
+    and the source cell at z_0, each pulled back to w = z_n."""
+    chain = claim["chain"]
+    u0 = build_catalog().u0
+    lines = Region(f"U0 along {claim['name']}", tuple(
+        p for k in range(len(chain)) for p in _pullback(u0, chain[k:]).prims))
+    source = claim["source"]
+    return lines, None if source is None else _pullback(source, chain)
+
+
+def _accepted_exact(claim: dict, w: FieldElement) -> bool:
+    """The scalar path: whether the chain preimage z of w is valid under
+    step_T (and lies in the source cell, if any)."""
+    try:
+        z = _chain_preimage(w, claim["chain"])
+    except ZeroDivisionError:  # some z_k is infinite
+        return False
+    source = claim["source"]
+    return _chain_valid(z, claim["chain"]) and (source is None or source.contains(z))
+
+
+def _accepted(claim: dict, table: tuple[Region, Region | None],
+              a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_accepted_exact` at every w = (a + b*sqrt(-3))/_DEN, on the sign table.
+
+    With no pulled-back line at 0, the chain is valid exactly when every
+    z_k, k < n, lies in the open hexagon U0.  A zero puts some z_k on the
+    edge of U, where U is half-open, at a vertex -zeta or conj(zeta), where
+    step_T signals, or at infinity; unless another line already puts z_k
+    outside the closed hexagon, such a draw takes the scalar path.
+    """
+    lines, source = table
+    ok = lines.contains_int(a, b, _DEN, closed=True)
+    idx = np.flatnonzero(ok)
+    inner = lines.contains_int(a[idx], b[idx], _DEN)
+    ok[idx] = inner & (True if source is None else source.contains_int(a[idx], b[idx], _DEN))
+    for i in idx[~inner]:
+        ok[i] = _accepted_exact(claim, FieldElement(int(a[i]), int(b[i]), _DEN))
+    return ok
+
+
+def _u0_draws(rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches (a, b) of uniform grid points (a + b*sqrt(-3))/_DEN of U0."""
+    u0 = build_catalog().u0
+    while True:
+        a = rng.integers(-_DEN, _DEN, _BATCH, endpoint=True)
+        b = rng.integers(-_DEN // 2, _DEN // 2, _BATCH, endpoint=True)
+        keep = u0.contains_int(a, b, _DEN)
+        yield a[keep], b[keep]
+
+
+_WITNESSES = 32  # accepted and rejected draws per claim re-run through step_T
+
+
+def _check_claim(rep: CheckReport, claim: dict, per_claim: int, n_cov: int,
+                 grid: int, seed: int) -> list:
+    """Sample one claim in w-space into rep; returns its coverage gaps."""
+    name, target = claim["name"], claim["target"]
+    full = name.startswith("full<")
+    table = _claim_table(claim)
+    draws = _u0_draws(np.random.Generator(np.random.PCG64(derive_seed(seed, "frs:" + name))))
+    cap = 40 * per_claim
+    hit = np.zeros((grid, grid), dtype=bool)
+    witnesses = {True: _WITNESSES, False: _WITNESSES}
+    valid = drawn = 0
+    while (valid < per_claim and drawn < cap) or drawn < n_cov:
+        a, b = next(draws)
+        ok = _accepted(claim, table, a, b)
+        if drawn < n_cov:
+            m = n_cov - drawn
+            ia, ib = a[:m][ok[:m]], b[:m][ok[:m]]
+            hit[(ia + _DEN) * grid // (2 * _DEN), (2 * ib + _DEN) * grid // (2 * _DEN)] = True
+        if valid < per_claim and drawn < cap:
+            # the first per_claim valid draws count; fullness counts every draw
+            n = min(a.size, cap - drawn)
+            n = min(n, int(np.searchsorted(np.cumsum(full | ok[:n]), per_claim - valid)) + 1)
+            sa, sb, sok = a[:n], b[:n], ok[:n]
+            valid += int(np.count_nonzero(full | sok))
+            tgt = target.contains_int(sa, sb, _DEN, closed=True)
+            for i in np.flatnonzero(~sok if full else sok & ~tgt):
+                w = FieldElement(int(sa[i]), int(sb[i]), _DEN)
+                detail = {} if full else {"z": str(_chain_preimage(w, claim["chain"]))}
+                rep.fail(claim=name, w=str(w), **detail)
+            for verdict, left in witnesses.items():
+                picks = np.flatnonzero(sok == verdict)[:left]
+                witnesses[verdict] -= picks.size
+                for i in picks:
+                    w = FieldElement(int(sa[i]), int(sb[i]), _DEN)
+                    if (_accepted_exact(claim, w), target.contains(w, closed=True)) != (
+                            verdict, bool(tgt[i])):
+                        rep.fail(claim=name, kind="witness_mismatch", w=str(w))
+        drawn += a.size
+    rep.samples += valid
+    if valid < per_claim:
+        rep.fail(claim=name, kind="sampling_starved", valid=valid)
+    if not n_cov:
+        return []
+    # subcells with all four corners in the target and in U0 must be hit;
+    # corner (i, j) is x = (2i - grid)/grid, y = (2j - grid)/(2 grid)
+    ends = np.arange(grid + 1)
+    ca, cb = np.meshgrid(4 * ends - 2 * grid, 2 * ends - grid, indexing="ij")
+    inside = (target.contains_int(ca, cb, 2 * grid)
+              & build_catalog().u0.contains_int(ca, cb, 2 * grid))
+    cells = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
+    return [((2 * i + 1 - grid) / grid, (2 * j + 1 - grid) / (2 * grid) * SQRT3)
+            for i, j in np.argwhere(cells & ~hit)[:8]]
+
+
 def verify_frs(samples: int = 10000, seed: int = 0,
                coverage_samples: int = 100000, grid: int | None = None) -> CheckReport:
     """Finite range structure: cylinder images land in (and cover) the
     claimed regions.
 
-    Violations are counted on exact rational samples; the claimed image is
-    asserted as closure membership.  Coverage is a float-path check: every
-    grid subcell lying strictly inside the claimed image must be hit.
+    Each claim is checked in w-space.  Its conditions -- every z_k = T^k z,
+    k < n, lies in U, and z lies in the source cell -- are pulled back to
+    w = T^n z as integer primitives, and exact grid points w of U0 are drawn
+    in numpy batches and evaluated as int64 sign tables (`contains_int`).
+    The first `samples` valid draws of each claim must lie in the closed
+    target; a fullness claim needs every draw valid.  A draw on a pulled-back
+    edge line of U takes the scalar path, and a fixed witness subsample of
+    accepted and rejected draws runs through `_chain_preimage` and step_T,
+    whose verdict must agree.  Coverage: among the first `coverage_samples`
+    draws, the valid ones must hit every grid subcell whose four corners lie
+    in the target.
     """
     cat = build_catalog()
     if grid is None:
@@ -279,38 +412,11 @@ def verify_frs(samples: int = 10000, seed: int = 0,
     with CheckReport("finite_range_structure") as rep:
         claims = _frs_claims(cat)
         rep.info["claims"] = len(claims)
-        per_claim = max(1, samples)
-        for claim in claims:
-            rng = random.Random(derive_seed(seed, "frs:" + claim["name"]))
-            valid = 0
-            tries = 0
-            while valid < per_claim and tries < 40 * per_claim:
-                tries += 1
-                w = _u0_quick_sample(rng)
-                z = _chain_preimage(w, claim["chain"])
-                if claim["name"].startswith("full<"):
-                    # fullness: every w in U0 must be reachable
-                    valid += 1
-                    if not _chain_valid(z, claim["chain"]):
-                        rep.fail(claim=claim["name"], w=str(w))
-                    continue
-                if not _chain_valid(z, claim["chain"]):
-                    continue
-                if claim["source"] is not None and not claim["source"].contains(z):
-                    continue
-                valid += 1
-                if not claim["target"].contains(w, closed=True):
-                    rep.fail(claim=claim["name"], w=str(w), z=str(z))
-            rep.samples += valid
-            if valid < per_claim:
-                rep.fail(claim=claim["name"], kind="sampling_starved", valid=valid)
-        # coverage pass (float): images must fill their claimed region
+        gaps = [_check_claim(rep, claim, max(1, samples),
+                             coverage_samples if claim["coverage"] else 0, grid, seed)
+                for claim in claims]
         unhit_total = 0
-        for claim in claims:
-            if not claim["coverage"]:
-                continue
-            unhit = _coverage_gaps(claim, cat, coverage_samples, grid,
-                                   derive_seed(seed, "frscov:" + claim["name"]))
+        for claim, unhit in zip(claims, gaps):
             if unhit:
                 unhit_total += len(unhit)
                 rep.fail(claim=claim["name"], kind="coverage",
@@ -319,62 +425,6 @@ def verify_frs(samples: int = 10000, seed: int = 0,
         rep.info["coverage_samples"] = coverage_samples
         rep.info["unhit_subcells"] = unhit_total
     return rep
-
-
-def _u0_quick_sample(rng: random.Random) -> FieldElement:
-    while True:
-        a = rng.randint(-_DEN, _DEN)
-        b = rng.randint(-_DEN // 2, _DEN // 2)
-        z = FieldElement(a, b, _DEN)
-        if in_U0(z):
-            return z
-
-
-def _coverage_gaps(claim: dict, cat: Catalog, n: int, grid: int, seed: int) -> list:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    xlo, xhi, ylo, yhi = U_BOX
-    # float samples of U0
-    pts = np.empty(0, dtype=np.complex128)
-    while pts.size < n:
-        m = int((n - pts.size) * 2.2) + 16
-        w = (rng.uniform(xlo, xhi, m) + 1j * rng.uniform(ylo, yhi, m)).astype(complex)
-        pts = np.concatenate([pts, w[hex_margin(w) < -1e-9]])
-    pts = pts[:n]
-    # forward-validate the chain on the float path
-    chain = claim["chain"]
-    z = pts
-    for d in reversed(chain):
-        z = 1.0 / (d.approx() + z)
-    alive = hex_margin(z) < -1e-9
-    if claim["source"] is not None:
-        alive &= claim["source"].classify_complex(z, 1e-9) == 1
-    cur = z
-    for d in chain:
-        alpha, cur, ok = t_step(np.where(alive, cur, 0.25))
-        alive &= ok & digit_matches(alpha, d.approx())
-    valid = pts[alive]
-    # subcells fully inside the target region must contain a valid sample
-    target: Region = claim["target"]
-    xs = np.linspace(xlo, xhi, grid + 1)
-    ys = np.linspace(ylo, yhi, grid + 1)
-    cx = 0.5 * (xs[:-1] + xs[1:])
-    cy = 0.5 * (ys[:-1] + ys[1:])
-    gx, gy = np.meshgrid(cx, cy, indexing="ij")
-    corners_in = np.ones((grid, grid), dtype=bool)
-    hstep = (xs[1] - xs[0]) / 2.0
-    vstep = (ys[1] - ys[0]) / 2.0
-    for dx in (-hstep, hstep):
-        for dy in (-vstep, vstep):
-            zz = (gx + dx) + 1j * (gy + dy)
-            corners_in &= target.classify_complex(zz, 1e-9) == 1
-            corners_in &= hex_margin(zz) < -1e-6
-    counts = np.zeros((grid, grid), dtype=np.int64)
-    if valid.size:
-        ix = np.clip(((valid.real - xlo) / (xhi - xlo) * grid).astype(int), 0, grid - 1)
-        iy = np.clip(((valid.imag - ylo) / (yhi - ylo) * grid).astype(int), 0, grid - 1)
-        np.add.at(counts, (ix, iy), 1)
-    missing = np.argwhere(corners_in & (counts == 0))
-    return [(float(cx[i]), float(cy[j])) for i, j in missing[:8]]
 
 
 # --------------------------------------------------------------------------
@@ -415,30 +465,34 @@ def _term_region(cat: Catalog, kl: tuple[int, int], alpha: EisensteinInt,
 def verify_dual_inclusions(samples: int = 1000, seed: int = 0) -> CheckReport:
     """Transfer terms embed in their dual cells and are pairwise disjoint.
 
-    For every base block and each of its six rotated copies, exact rational
-    samples of each term region must lie in the closed target dual cell and
-    avoid the interiors of the block's other terms.
+    For every base block and each of its six rotated copies, `samples` exact
+    grid points of each term region are drawn in numpy batches
+    (`sample_in_region`); the whole batch must lie in the closed target dual
+    cell and avoid the interiors of the block's other terms, all evaluated
+    as exact int64 sign tables.
     """
     cat = build_catalog()
     blocks = dual_inclusion_blocks()
     with CheckReport("dual_inclusions") as rep:
         for tgt_k, terms in blocks.items():
             for rot in range(6):
-                rng = random.Random(derive_seed(seed, f"dual:{tgt_k}:{rot}"))
+                seed_kr = derive_seed(seed, f"dual:{tgt_k}:{rot}")
+                rng = np.random.Generator(np.random.PCG64(seed_kr))
                 target = cat.v_star[(tgt_k, 1 + rot)]
                 regs = [_term_region(cat, kl, al, rot) for kl, al in terms]
                 for i, reg in enumerate(regs):
-                    pts = sample_in_region(reg, rng, samples)
-                    rep.samples += len(pts)
-                    for z in pts:
-                        if not target.contains(z, closed=True):
-                            rep.fail(block=tgt_k, rot=rot, term=str(terms[i]),
-                                     kind="inclusion", z=str(z))
-                        for j, other in enumerate(regs):
-                            if j != i and other.contains(z):
-                                rep.fail(block=tgt_k, rot=rot, kind="overlap",
-                                         terms=(str(terms[i]), str(terms[j])),
-                                         z=str(z))
+                    a, b = sample_in_region(reg, rng, samples)
+                    rep.samples += a.size
+                    for k in np.flatnonzero(~target.contains_int(a, b, _DEN, closed=True)):
+                        rep.fail(block=tgt_k, rot=rot, term=str(terms[i]), kind="inclusion",
+                                 z=str(FieldElement(int(a[k]), int(b[k]), _DEN)))
+                    for j, other in enumerate(regs):
+                        if j == i:
+                            continue
+                        for k in np.flatnonzero(other.contains_int(a, b, _DEN)):
+                            rep.fail(block=tgt_k, rot=rot, kind="overlap",
+                                     terms=(str(terms[i]), str(terms[j])),
+                                     z=str(FieldElement(int(a[k]), int(b[k]), _DEN)))
     return rep
 
 

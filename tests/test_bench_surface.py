@@ -10,6 +10,7 @@ import inspect
 
 from eisencf.cli import RunConfig, build_parser
 from eisencf.ergodic import Quadrature, ergodic_report, estimate_C0_and_levy_integral
+from eisencf.verifier import CHECKS
 
 WORKER_IMPORTS = {
     "eisencf.cli": ["RunConfig", "build_parser", "main"],
@@ -56,6 +57,12 @@ def test_ergodic_report_info_keys():
     rep = ergodic_report(orbits=2, length=10, quad_samples=200, seed=1)
     assert set(rep.info) == {"orbits", "length", "quad_samples", "seed",
                              "levy_integral_pair_sampled", "levy_integral_pair_err"}
+
+
+def test_checks_take_samples_depth_seed_positionally():
+    # the worker calls CHECKS[name](samples, depth, seed)
+    for name, check in CHECKS.items():
+        inspect.signature(check).bind(1000, 20, 1)
 
 
 def test_worker_request_shapes_parse():

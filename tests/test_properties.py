@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eisencf.cf import TerminatedAtZero, eval_cf, expand, step_T
@@ -10,8 +11,8 @@ from eisencf.exact import (
     F_ONE, F_ZERO, MINUS_ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
 )
 from eisencf.hexdomain import floor_J, floor_J_candidates, in_U
-from eisencf.regions import build_catalog, rational_points_on
-from eisencf.verifier import _chain_preimage, _frs_claims
+from eisencf.regions import INT64_HEADROOM, build_catalog, rational_points_on
+from eisencf.verifier import _chain_preimage, _frs_claims, _term_region, dual_inclusion_blocks
 
 CAT = build_catalog()
 REGIONS = sorted(
@@ -117,6 +118,39 @@ def test_region_contains_matches_primitive_signs(z, t):
                 want = all(_sign_holds(p.value_int(w), p.rel, closed)
                            for p in reg.prims)
                 assert reg.contains(w, closed) == want
+
+
+# the translated and inverted dual cells that verify_dual_inclusions samples
+DUAL_TERMS = [_term_region(CAT, kl, alpha, rot) for terms in dual_inclusion_blocks().values()
+              for kl, alpha in terms for rot in range(6)]
+
+
+@st.composite
+def grid_points(draw):
+    """Points of the dyadic grids the int64 path runs on, in the box |x|, |y| <= 4."""
+    c = 1 << draw(st.sampled_from([0, 2, 4, 8, 16]))
+    return FieldElement(draw(st.integers(-4 * c, 4 * c)), draw(st.integers(-4 * c, 4 * c)), c)
+
+
+@settings(exact, max_examples=400)
+@given(st.sampled_from(REGIONS + DUAL_TERMS), grid_points(),
+       st.fractions(-4, 4, max_denominator=8))
+def test_contains_int_matches_contains(reg, z, t):
+    # besides z, the point with parameter t on each primitive of the region
+    pts = [z] + [w for p in reg.prims for w in rational_points_on(p, [t])]
+    for closed in (False, True):
+        for w in pts:
+            if reg.int_value_bound(abs(w.a), abs(w.b), w.c) >= INT64_HEADROOM:
+                continue
+            got = reg.contains_int(np.array([w.a]), np.array([w.b]), w.c, closed)
+            assert bool(got[0]) == reg.contains(w, closed)
+        # the same points as one batch over their common denominator
+        c = math.lcm(*(w.c for w in pts))
+        a = [w.a * (c // w.c) for w in pts]
+        b = [w.b * (c // w.c) for w in pts]
+        if reg.int_value_bound(max(map(abs, a)), max(map(abs, b)), c) < INT64_HEADROOM:
+            assert reg.contains_int(np.array(a), np.array(b), c, closed).tolist() == [
+                reg.contains(w, closed) for w in pts]
 
 
 @exact
