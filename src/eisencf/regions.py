@@ -7,12 +7,19 @@ Every region is a conjunction of sign constraints on integer polynomials
 which covers circles (qq != 0), lines and half-planes (qq = 0).  In these
 coordinates every circle and line appearing in the construction has integer
 data, membership of a field element (a + b*sqrt(-3))/c reduces to one integer
-sign, and the maps z -> 1/z, z -> zeta*z, z -> z + t act on coefficient
-vectors:
+sign, and the maps z -> 1/z, z -> zeta*z, the mirror z -> -conj(z) (which is
+x -> -x) and z -> z + t act on coefficient vectors:
 
     inversion     (qq, bx, by, dd) -> (dd, bx, -by, qq)
     rotation      (qq, bx, by, dd) -> (2 qq, bx - by, 3 bx + by, 2 dd)
+    mirror        (qq, bx, by, dd) -> (qq, -bx, by, dd)
     translation   substitute z - t and clear denominators.
+
+Every membership test (exact, int64 and float) reads a region in one row
+form, built once: rows (qq, bx, by, dd) meaning "P <= 0", or "P < 0" where
+the row is strict and the region open.  A ">" or ">=" primitive becomes its
+negated row, "==" the two rows P and -P, and each row keeps its primitive's
+float scale for the boundary band.
 
 Some catalogued cells deviate from their customary printed definitions; each
 repair is documented in REGION_ERRATA.md and is forced by the partition
@@ -25,7 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable
+from itertools import product
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +41,8 @@ from .exact import ETAS, SQRT3, FieldElement, embed
 from .hexdomain import in_U
 
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
-# signs of P(z) each relation admits, as given and on the closure
-_SIGNS = {"<": {-1}, "<=": {-1, 0}, "==": {0}, ">=": {0, 1}, ">": {1}}
-_SIGNS_CLOSED = {**_SIGNS, "<": {-1, 0}, ">": {0, 1}}
+# the signs each relation's rows carry in the row form
+_ROW_SIGNS = {"<": (1,), "<=": (1,), "==": (1, -1), ">=": (-1,), ">": (-1,)}
 # contains_int evaluates in int64 only below this proved bound on |P|
 INT64_HEADROOM = 1 << 62
 
@@ -56,11 +63,8 @@ class Primitive:
         lead = next((v for v in (qq, bx, by, dd) if v != 0), 0)
         if lead < 0:
             qq, bx, by, dd, rel = -qq, -bx, -by, -dd, _FLIP[rel]
-        object.__setattr__(self, "qq", qq)
-        object.__setattr__(self, "bx", bx)
-        object.__setattr__(self, "by", by)
-        object.__setattr__(self, "dd", dd)
-        object.__setattr__(self, "rel", rel)
+        for name, v in zip(("qq", "bx", "by", "dd", "rel"), (qq, bx, by, dd, rel)):
+            object.__setattr__(self, name, v)
 
     def value_int(self, z: FieldElement) -> int:
         a, b, c = z.a, z.b, z.c
@@ -84,18 +88,21 @@ class Primitive:
 
     # -- exact transforms ---------------------------------------------------
     def invert(self) -> Primitive:
-        if self.qq != 0 and self.dd != 0:
-            # stays a circle; reject inversions that would degenerate
-            cx, cy = Fraction(-self.bx, 2 * self.dd), Fraction(self.by, 6 * self.dd)
-            if cx * cx + 3 * cy * cy - Fraction(self.qq, self.dd) <= 0:
-                raise ValueError(f"inversion of {self} degenerates")
-        return Primitive(self.dd, self.bx, -self.by, self.qq, self.rel)
+        inv = Primitive(self.dd, self.bx, -self.by, self.qq, self.rel)
+        # a circle off 0 stays a circle; reject inversions that would degenerate
+        if inv.qq != 0 and inv.dd != 0 and inv.circle_data()[2] <= 0:
+            raise ValueError(f"inversion of {self} degenerates")
+        return inv
 
     def rotate(self, times: int = 1) -> Primitive:
         p = self
         for _ in range(times % 6):
             p = Primitive(2 * p.qq, p.bx - p.by, 3 * p.bx + p.by, 2 * p.dd, p.rel)
         return p
+
+    def mirror(self) -> Primitive:
+        """Primitive of the mirror image of the region under z -> -conj(z)."""
+        return Primitive(self.qq, -self.bx, self.by, self.dd, self.rel)
 
     def translate(self, t: FieldElement) -> Primitive:
         """Primitive of the translated region R + t."""
@@ -238,6 +245,16 @@ def _cuts(ci: tuple[complex, float, complex], cj: tuple[complex, float, complex]
     return [] if a is None else [(phi - a) % (2 * math.pi), (phi + a) % (2 * math.pi)]
 
 
+class _Rows(NamedTuple):
+    """A region in row form (see the module docstring)."""
+
+    ints: tuple[tuple[int, int, int, int, bool], ...]  # (qq, bx, by, dd, strict)
+    coef: np.ndarray    # (R, 4) the rows' (qq, bx, by, dd)
+    strict: np.ndarray  # (R, 1) int64, 1 on strict rows
+    scale: np.ndarray   # (R,) gradient scale of each row's primitive
+    cmax: int           # the largest |coefficient|
+
+
 class BoundaryPoint(Exception):
     pass
 
@@ -252,46 +269,41 @@ class Region:
     prims: tuple[Primitive, ...]
     includes_infinity: bool = False
 
+    @cached_property
+    def _rows(self) -> _Rows:
+        ints, scale = [], []
+        for p in self.prims:
+            for g in _ROW_SIGNS[p.rel]:
+                ints.append((g * p.qq, g * p.bx, g * p.by, g * p.dd, p.rel in ("<", ">")))
+                scale.append(p.scale_float())
+        coef = [row[:4] for row in ints]
+        cmax = max((abs(v) for row in coef for v in row), default=0)
+        # beyond int64, contains_int raises before it reads coef
+        dtype = np.int64 if cmax < INT64_HEADROOM else object
+        return _Rows(tuple(ints), np.array(coef, dtype=dtype),
+                     np.array([[row[4]] for row in ints], dtype=np.int64), np.array(scale), cmax)
+
     def contains(self, z: FieldElement, closed: bool = False) -> bool:
-        # Primitive.value_int with the terms every primitive shares hoisted
+        # Primitive.value_int with the terms every row shares hoisted
         a, b, c = z.a, z.b, z.c
         n, ac, bc, cc = a * a + 3 * b * b, a * c, b * c, c * c
-        signs = _SIGNS_CLOSED if closed else _SIGNS
-        for p in self.prims:
-            v = p.qq * n + p.bx * ac + p.by * bc + p.dd * cc
-            if (v > 0) - (v < 0) not in signs[p.rel]:
+        for qq, bx, by, dd, strict in self._rows.ints:
+            v = qq * n + bx * ac + by * bc + dd * cc
+            if v > 0 or v == 0 and strict and not closed:
                 return False
         return True
 
     # -- exact int64 path -------------------------------------------------
-    @cached_property
-    def _int_rows(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(R, 4) int64 rows (qq, bx, by, dd), an (R, 1) strictness column and
-        the largest |coefficient|.  The region is {every row's value <= 0,
-        and < 0 where strict}: ">"/">=" rows are negated and "==" is P <= 0
-        and -P <= 0."""
-        rows, strict = [], []
-        for p in self.prims:
-            row = (p.qq, p.bx, p.by, p.dd)
-            g = -1 if p.rel in (">", ">=") else 1
-            rows.append([g * v for v in row])
-            strict.append(p.rel in ("<", ">"))
-            if p.rel == "==":
-                rows.append([-v for v in row])
-                strict.append(False)
-        return (np.array(rows, dtype=np.int64), np.array(strict, dtype=np.int64)[:, None],
-                max(abs(v) for row in rows for v in row))
-
     def int_value_bound(self, amax: int, bmax: int, c: int) -> int:
         """Bound on |P(a, b, c)| over the primitives for |a| <= amax, |b| <= bmax:
         the largest |coefficient| times the bound of every term."""
-        return self._int_rows[2] * (amax * amax + 3 * bmax * bmax + (amax + bmax) * c + c * c)
+        return self._rows.cmax * (amax * amax + 3 * bmax * bmax + (amax + bmax) * c + c * c)
 
     def contains_int(self, a, b, c: int, closed: bool = False) -> np.ndarray:
         """`contains` at every point (a + b*sqrt(-3))/c of int64 arrays a, b
         with a common denominator c > 0, exactly.
 
-        All primitives are evaluated at once, as one int64 product of the
+        All rows are evaluated at once, as one int64 product of the
         coefficient rows with the columns (a^2 + 3b^2, ac, bc, c^2).  The
         bound `int_value_bound` of the inputs is proved below INT64_HEADROOM
         in Python integers first, so no value can wrap around; inputs beyond
@@ -305,11 +317,10 @@ class Region:
         if self.int_value_bound(amax, bmax, c) >= INT64_HEADROOM:
             raise OverflowError(f"{self.name}: no int64 headroom for |a| <= {amax}, "
                                 f"|b| <= {bmax}, c = {c}")
-        rows, strict, _ = self._int_rows
         x, y = a.ravel(), b.ravel()
-        v = rows @ np.stack([x * x + 3 * y * y, x * c, y * c, np.full(x.shape, c * c)])
+        v = self._rows.coef @ np.stack([x * x + 3 * y * y, x * c, y * c, np.full(x.shape, c * c)])
         if not closed:
-            v += strict  # v < 0 is v + 1 <= 0 on integers
+            v += self._rows.strict  # v < 0 is v + 1 <= 0 on integers
         return (v.max(axis=0) <= 0).reshape(a.shape)
 
     def rotate(self, times: int, name: str | None = None) -> Region:
@@ -318,6 +329,11 @@ class Region:
             tuple(p.rotate(times) for p in self.prims),
             self.includes_infinity,
         )
+
+    def mirror(self, name: str | None = None) -> Region:
+        """Image under z -> -conj(z), which is x -> -x."""
+        return Region(name or f"mirror({self.name})",
+                      tuple(p.mirror() for p in self.prims), self.includes_infinity)
 
     def translate(self, t: FieldElement, name: str | None = None) -> Region:
         return Region(
@@ -335,28 +351,19 @@ class Region:
         )
 
     # -- float path -------------------------------------------------------
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """(qq, bx, by, dd, scale, is_eq) columns over the primitives, with the
-        ">"/">=" rows negated so that every row rejects where P > scale*tol."""
-        sg = [-1.0 if p.rel in (">", ">=") else 1.0 for p in self.prims]
-        return tuple(map(np.array, zip(*[
-            (g * p.qq, g * p.bx, g * p.by, g * p.dd, p.scale_float(), p.rel == "==")
-            for g, p in zip(sg, self.prims)])))
-
     def classify_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """+1 inside, 0 within the boundary band, -1 outside (vectorized).
 
-        All primitives are evaluated at once as qq*r + bx*x + by*y + dd,
-        r = x^2 + 3y^2, over a leading primitive axis."""
+        All rows are evaluated at once as qq*r + bx*x + by*y + dd,
+        r = x^2 + 3y^2, over a leading row axis; a row rejects where its
+        value exceeds scale*tol, scale its primitive's `scale_float`."""
         x, y = np.asarray(x), np.asarray(y)
         col = (-1,) + (1,) * x.ndim
-        qq, bx, by, dd, scale, eq = (c.reshape(col) for c in self._columns)
+        qq, bx, by, dd = (c.reshape(col) for c in self._rows.coef.T.astype(float))
         v = qq * (x * x + 3.0 * y * y) + bx * x + by * y + dd
-        s = scale * tol
-        a = np.abs(v)
-        band = (a <= s).any(axis=0)
-        out = (np.where(eq, a, v) > s).any(axis=0)
+        s = self._rows.scale.reshape(col) * tol
+        band = (np.abs(v) <= s).any(axis=0)
+        out = (v > s).any(axis=0)
         return np.where(out, np.int8(-1), np.where(band, np.int8(0), np.int8(1)))
 
     def classify_complex(self, z: complex | np.ndarray, tol: float = 1e-12):
@@ -422,16 +429,10 @@ class CellIndex:
             raise ValueError(f"cell index out of range: ({self.k}, {self.l})")
 
 
-def _eta_pt(k: int, scale: Fraction) -> tuple[Fraction, Fraction]:
-    e = ETAS[k]
-    f = embed(e)
-    return scale * f.x, scale * f.y
-
-
 def _disk(k: int, scale: Fraction, rel: str) -> Primitive:
     """|z - scale*eta_k| rel sqrt(1/3), as a primitive."""
-    cx, cy = _eta_pt(k, scale)
-    return circle(cx, cy, Fraction(1, 3), rel)
+    eta = embed(ETAS[k])
+    return circle(scale * eta.x, scale * eta.y, Fraction(1, 3), rel)
 
 
 @dataclass(frozen=True)
@@ -444,6 +445,13 @@ class Catalog:
     s_sets: dict[tuple[str, int], Region]
 
 
+def _rotations(stem: str, bases: dict[int, tuple[Primitive, ...]]
+               ) -> dict[tuple[int, int], Region]:
+    """The family {(k, l): zeta^(l-1) times base k}, named stem_k_l."""
+    return {(k, l): Region(f"{stem}_{k}_1", prims).rotate(l - 1, f"{stem}_{k}_{l}")
+            for k, prims in bases.items() for l in range(1, 7)}
+
+
 @lru_cache(maxsize=1)
 def build_catalog() -> Catalog:
     u0 = Region("U0", HEX_OPEN)
@@ -454,23 +462,18 @@ def build_catalog() -> Catalog:
     # U-cells at l = 1; U_{k,l} = zeta^(l-1) U_{k,1}.
     above_diag = half_plane(-1, 1, 0, ">")   # y > x, i.e. Im > sqrt(3) Re
     below_diag = half_plane(-1, 1, 0, "<")
-    u_base = {
+    u_cells = _rotations("U", {
         1: HEX_OPEN + (_disk(4, two_thirds, ">"),),
         2: HEX_OPEN + (_disk(4, third, ">"),),
         3: HEX_OPEN + (above_diag,),
         4: HEX_OPEN + (_disk(4, two_thirds, ">"), above_diag),
         5: HEX_OPEN + (_disk(5, two_thirds, ">"), below_diag),
-    }
-    u_cells = {}
-    for k, prims in u_base.items():
-        base = Region(f"U_{k}_1", prims)
-        for l in range(1, 7):
-            u_cells[(k, l)] = base.rotate(l - 1, f"U_{k}_{l}")
+    })
 
     # V-cells at l = 1 (the six faces of the first sextant).
     quadrant = (half_plane(1, 0, 0, ">"), half_plane(0, 1, 0, ">"))
     sextant = (half_plane(0, 1, 0, ">"), below_diag)
-    v_base = {
+    v_cells = _rotations("V", {
         1: HEX_OPEN + (_disk(6, third, "<"), _disk(2, third, "<")),
         2: HEX_OPEN + (_disk(1, two_thirds, ">"), _disk(2, third, ">")) + quadrant,
         3: HEX_OPEN + (_disk(1, two_thirds, ">"), _disk(6, third, ">")) + sextant,
@@ -478,12 +481,7 @@ def build_catalog() -> Catalog:
         # second disk repaired from (1/3)eta to (2/3)eta, see REGION_ERRATA.md
         5: HEX_OPEN + (_disk(2, third, "<"), _disk(1, two_thirds, "<")),
         6: HEX_OPEN + (_disk(6, third, ">"), _disk(2, third, ">")) + quadrant,
-    }
-    v_cells = {}
-    for k, prims in v_base.items():
-        base = Region(f"V_{k}_1", prims)
-        for l in range(1, 7):
-            v_cells[(k, l)] = base.rotate(l - 1, f"V_{k}_{l}")
+    })
 
     # Dual cells at l = 1; all are intersections of circle exteriors.
     out_unit = UNIT_CIRCLE_GT
@@ -491,19 +489,14 @@ def build_catalog() -> Catalog:
     c_eta = circle(Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), ">")
     c_etabar = circle(Fraction(3, 4), -Fraction(1, 4), Fraction(1, 4), ">")
     c_eta_big = circle(Fraction(3, 2), h, 1, ">")      # |z - eta| > 1
-    vstar_base = {
+    v_star = _rotations("Vstar", {
         1: (out_unit, c_s3, c_eta, c_etabar),
         2: (out_unit, c_eta, c_etabar),
         3: (out_unit, c_s3, c_eta),
         4: (out_unit, c_eta_big, c_etabar),
         5: (out_unit, c_eta_big, c_s3),
         6: (out_unit, c_eta_big),
-    }
-    v_star = {}
-    for k, prims in vstar_base.items():
-        base = Region(f"Vstar_{k}_1", prims)
-        for l in range(1, 7):
-            v_star[(k, l)] = base.rotate(l - 1, f"Vstar_{k}_{l}")
+    })
 
     # Boundary segments and arcs reachable as images of degenerate cylinders.
     def seg(name, p_eq, *sides) -> Region:
@@ -520,55 +513,26 @@ def build_catalog() -> Catalog:
         4: seg("L4", half_plane(-1, 1, 0, "=="), x_gt(-h), x_lt(h)),
         5: seg("L5", half_plane(0, 1, 0, "=="), x_gt(-1), x_lt(1)),
         6: seg("L6", half_plane(1, 1, 0, "=="), x_gt(-h), x_lt(h)),
-        # arcs: circle trace inside the open hexagon (printed with "<", which
-        # would be two-dimensional; see REGION_ERRATA.md)
-        7: Region("L7", (_disk(2, two_thirds, "=="),) + HEX_OPEN),
-        8: Region("L8", (_disk(4, two_thirds, "=="),) + HEX_OPEN),
-        9: Region("L9", (_disk(6, two_thirds, "=="),) + HEX_OPEN),
-        10: Region("L10", (_disk(2, third, "=="),) + HEX_OPEN),
-        11: Region("L11", (_disk(4, third, "=="),) + HEX_OPEN),
-        12: Region("L12", (_disk(6, third, "=="),) + HEX_OPEN),
     }
+    # arcs L7..L12: circle traces inside the open hexagon (printed with "<",
+    # which would be two-dimensional; see REGION_ERRATA.md)
+    for j, (scale, k) in enumerate(product((two_thirds, third), (2, 4, 6)), 7):
+        segments[j] = seg(f"L{j}", _disk(k, scale, "=="), *HEX_OPEN)
 
     # Ratio tracks of the two special-vertex expansions (eighth circles/rays).
-    # The conj(zeta) family is the mirror image x -> -x of the -zeta family;
-    # two printed side-constraints are repaired accordingly (REGION_ERRATA.md).
-    s_sets = {
-        ("minus_zeta", 0): Region(
-            "S_minus_zeta_0",
-            (half_plane(0, 1, -h, "=="), x_lt(-h)),
-            includes_infinity=True,
-        ),
-        ("minus_zeta", 1): Region(
-            "S_minus_zeta_1",
-            (circle(0, -two_thirds, third, "=="), y_lt(-h), half_plane(1, 0, 0, "<=")),
-        ),
-        ("minus_zeta", 2): Region(
-            "S_minus_zeta_2",
-            (circle(0, -third, third, "=="), y_lt(-h), half_plane(1, 0, 0, "<="),
-             UNIT_CIRCLE_GT),
-        ),
-        ("minus_zeta", 3): Region(
-            "S_minus_zeta_3", (half_plane(0, 1, 0, "=="), x_gt(1))
-        ),
-        ("zeta_bar", 0): Region(
-            "S_zeta_bar_0",
-            (half_plane(0, 1, -h, "=="), x_gt(h)),
-            includes_infinity=True,
-        ),
-        ("zeta_bar", 1): Region(
-            "S_zeta_bar_1",
-            (circle(0, -two_thirds, third, "=="), y_lt(-h), half_plane(1, 0, 0, ">=")),
-        ),
-        ("zeta_bar", 2): Region(
-            "S_zeta_bar_2",
-            (circle(0, -third, third, "=="), y_lt(-h), half_plane(1, 0, 0, ">="),
-             UNIT_CIRCLE_GT),
-        ),
-        ("zeta_bar", 3): Region(
-            "S_zeta_bar_3", (half_plane(0, 1, 0, "=="), x_lt(-1))
-        ),
-    }
+    # The conj(zeta) family is the mirror image z -> -conj(z) of the -zeta
+    # family, which repairs two printed side-constraints (REGION_ERRATA.md).
+    minus_zeta = [
+        Region("S_minus_zeta_0", (half_plane(0, 1, -h, "=="), x_lt(-h)), includes_infinity=True),
+        Region("S_minus_zeta_1",
+               (circle(0, -two_thirds, third, "=="), y_lt(-h), half_plane(1, 0, 0, "<="))),
+        Region("S_minus_zeta_2", (circle(0, -third, third, "=="), y_lt(-h),
+                                  half_plane(1, 0, 0, "<="), UNIT_CIRCLE_GT)),
+        Region("S_minus_zeta_3", (half_plane(0, 1, 0, "=="), x_gt(1))),
+    ]
+    s_sets = {("minus_zeta", n): reg for n, reg in enumerate(minus_zeta)}
+    s_sets.update({("zeta_bar", n): reg.mirror(f"S_zeta_bar_{n}")
+                   for n, reg in enumerate(minus_zeta)})
 
     return Catalog(u0, u_cells, v_cells, v_star, segments, s_sets)
 
@@ -620,29 +584,17 @@ def rational_points_on(prim: Primitive, ts: Iterable[Fraction]) -> list[FieldEle
     if prim.qq == 0:
         # line bx*x + by*y + dd = 0
         bx, by, dd = Fraction(prim.bx), Fraction(prim.by), Fraction(prim.dd)
-        for t in ts:
-            if by != 0:
-                x = Fraction(t)
-                y = -(bx * x + dd) / by
-            else:
-                y = Fraction(t)
-                x = -(by * y + dd) / bx
+        for t in map(Fraction, ts):
+            x, y = (t, -(bx * t + dd) / by) if by else (-dd / bx, t)
             pts.append(FieldElement.from_xy(x, y))
         return pts
-    base = _rational_base_point(prim)
-    x0, y0 = base
+    x0, y0 = _rational_base_point(prim)
     qq, bx, by, dd = (Fraction(v) for v in (prim.qq, prim.bx, prim.by, prim.dd))
-    for t in ts:
-        t = Fraction(t)
+    for t in map(Fraction, ts):
         # chord (x0 + s, y0 + t*s): qq((x0+s)^2 + 3(y0+t s)^2) + ... = 0
-        A = qq * (1 + 3 * t * t)
-        B = 2 * qq * (x0 + 3 * t * y0) + bx + by * t
-        if A == 0:
-            continue
-        s = -B / A
-        if s == 0:
-            continue
-        pts.append(FieldElement.from_xy(x0 + s, y0 + t * s))
+        s = -(2 * qq * (x0 + 3 * t * y0) + bx + by * t) / (qq * (1 + 3 * t * t))
+        if s != 0:
+            pts.append(FieldElement.from_xy(x0 + s, y0 + t * s))
     return pts
 
 
@@ -658,17 +610,7 @@ def _rational_base_point(prim: Primitive) -> tuple[Fraction, Fraction]:
                 rem = r_sq - 3 * u * u
                 if rem < 0:
                     continue
-                root = _sqrt_fraction(rem)
-                if root is not None:
+                root = Fraction(math.isqrt(rem.numerator), math.isqrt(rem.denominator))
+                if root * root == rem:
                     return cx + root, cy + u
     raise ValueError(f"no rational point found on {prim}")
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None

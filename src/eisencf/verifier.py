@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ _BATCH = 1 << 14  # grid points drawn per numpy batch
 
 
 def sample_in_region(
-    reg: Region, rng: np.random.Generator, n: int, box=None, max_tries: int | None = None
+    reg: Region, rng: np.random.Generator, n: int, box=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sample n exact grid points (a + b*sqrt(-3))/_DEN of a bounded
     region: int64 arrays a, b of the first n draws in the outward-rounded box
@@ -68,7 +69,7 @@ def sample_in_region(
     xlo, xhi, ylo, yhi = reg.bbox_real() if box is None else box
     alo, ahi = math.floor(xlo * _DEN), math.ceil(xhi * _DEN)
     blo, bhi = math.floor(ylo / SQRT3 * _DEN), math.ceil(yhi / SQRT3 * _DEN)
-    cap = max_tries if max_tries is not None else 4000 * n
+    cap = 4000 * n
     got_a, got_b = [], []
     got = tries = 0
     while got < n and tries < cap:
@@ -462,6 +463,15 @@ def _term_region(cat: Catalog, kl: tuple[int, int], alpha: EisensteinInt,
     return reg.translate(-shift, f"(Vstar_{kl[0]}_{kl[1]})^-1 rot{rot} -{alpha}")
 
 
+@lru_cache(maxsize=None)
+def _dual_terms(tgt_k: int, rot: int) -> tuple[tuple[Region, tuple[float, ...]], ...]:
+    """The term regions of block tgt_k rotated by rot, each with its
+    `bbox_real` sampling box; built once per process."""
+    terms = dual_inclusion_blocks()[tgt_k]
+    regs = [_term_region(build_catalog(), kl, al, rot) for kl, al in terms]
+    return tuple((reg, reg.bbox_real()) for reg in regs)
+
+
 def verify_dual_inclusions(samples: int = 1000, seed: int = 0) -> CheckReport:
     """Transfer terms embed in their dual cells and are pairwise disjoint.
 
@@ -479,14 +489,14 @@ def verify_dual_inclusions(samples: int = 1000, seed: int = 0) -> CheckReport:
                 seed_kr = derive_seed(seed, f"dual:{tgt_k}:{rot}")
                 rng = np.random.Generator(np.random.PCG64(seed_kr))
                 target = cat.v_star[(tgt_k, 1 + rot)]
-                regs = [_term_region(cat, kl, al, rot) for kl, al in terms]
-                for i, reg in enumerate(regs):
-                    a, b = sample_in_region(reg, rng, samples)
+                regs = _dual_terms(tgt_k, rot)
+                for i, (reg, box) in enumerate(regs):
+                    a, b = sample_in_region(reg, rng, samples, box)
                     rep.samples += a.size
                     for k in np.flatnonzero(~target.contains_int(a, b, _DEN, closed=True)):
                         rep.fail(block=tgt_k, rot=rot, term=str(terms[i]), kind="inclusion",
                                  z=str(FieldElement(int(a[k]), int(b[k]), _DEN)))
-                    for j, other in enumerate(regs):
+                    for j, (other, _) in enumerate(regs):
                         if j == i:
                             continue
                         for k in np.flatnonzero(other.contains_int(a, b, _DEN)):
@@ -534,7 +544,11 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
 # monotonicity and special points
 # --------------------------------------------------------------------------
 
-def _segment_points(cat: Catalog, j: int, rng: random.Random, n: int) -> list[FieldElement]:
+def _segment_points(rep: CheckReport, cat: Catalog, j: int, rng: random.Random,
+                    n: int) -> list[FieldElement]:
+    """n exact points of the curve L_j, by parameters t drawn over all of Q
+    (1/t half the time: no chord of slope |t| < 1 from its base point reaches
+    L7); a curve that yields fewer fails the report as sampling_starved."""
     reg = cat.segments[j]
     eq = next(p for p in reg.prims if p.rel == "==")
     pts: list[FieldElement] = []
@@ -542,9 +556,13 @@ def _segment_points(cat: Catalog, j: int, rng: random.Random, n: int) -> list[Fi
     while len(pts) < n and tries < 400 * n:
         tries += 1
         t = Fraction(rng.randint(-8000, 8000), 8001)
+        if t and rng.random() < 0.5:
+            t = 1 / t
         for z in rational_points_on(eq, [t]):
             if reg.contains(z):
                 pts.append(z)
+    if len(pts) < n:
+        rep.fail(curve=f"L{j}", kind="sampling_starved", valid=len(pts))
     return pts[:n]
 
 
@@ -600,7 +618,7 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
             _check_monotone(rep, list(e.digits), "generic")
             done += 1
         for j in range(1, 13):
-            for z in _segment_points(cat, j, rng, max(3, samples // 50)):
+            for z in _segment_points(rep, cat, j, rng, max(3, samples // 50)):
                 e = expand(z, min(depth, 40))
                 _check_monotone(rep, list(e.digits), f"L{j}")
         for point in (MINUS_ZETA, ZETA_BAR):
@@ -670,7 +688,7 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                   2: (ETAS[3], 9, ETAS[1], 11),
                   3: (ETAS[1], 8, ETAS[3], 12)}
         for j, (d1e, arc1, d2e, arc2) in chains.items():
-            for z in _segment_points(cat, j, rng, max(4, samples // 10)):
+            for z in _segment_points(rep, cat, j, rng, max(4, samples // 10)):
                 rep.samples += 1
                 try:
                     d1, z1 = step_T(z)
@@ -684,7 +702,7 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                     continue
         # closure of the twelve-curve track
         for j in range(1, 13):
-            for z in _segment_points(cat, j, rng, max(3, samples // 20)):
+            for z in _segment_points(rep, cat, j, rng, max(3, samples // 20)):
                 cur = z
                 for _ in range(6):
                     try:

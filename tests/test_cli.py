@@ -2,7 +2,8 @@ import json
 import xml.etree.ElementTree as ET
 
 
-from eisencf.cli import main
+from eisencf.cli import build_parser, main
+from eisencf.verifier import CHECKS
 
 
 def run(capsys, *argv):
@@ -62,6 +63,14 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         assert doc["checks"][0]["name"] == "inversions"
+
+    def test_choices_are_the_checks(self):
+        # the parser lists the checks by hand, to keep the verifier out of
+        # the CLI's import
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        verify = commands.choices["verify"]
+        which = next(a for a in verify._actions if a.dest == "which")
+        assert which.choices == [*CHECKS, "all"]
 
     def test_config_error(self, capsys):
         code, _, _ = run(capsys, "verify", "monotonic", "--samples", "0")

@@ -95,6 +95,8 @@ def test_region_contains_rotation_equivariant(reg, times, z, closed):
     for _ in range(times):
         rz = ZETA_F * rz
     assert reg.rotate(times).contains(rz, closed) == reg.contains(z, closed)
+    # and under the mirror z -> -conj(z)
+    assert reg.mirror().contains(-z.conj(), closed) == reg.contains(z, closed)
 
 
 def _sign_holds(v, rel, closed):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -116,6 +117,16 @@ class TestCatalogExamples:
         assert reg.contains(FieldElement(1, 0, 3))
         assert not reg.contains(FieldElement(1, 0))      # endpoint excluded
         assert not reg.contains(FieldElement(1, 1, 3))   # off the axis
+
+    def test_catalog_digest(self):
+        # name, primitives and includes_infinity of every catalogue region,
+        # pinned so that a rewrite of build_catalog cannot move one of them
+        lines = [f"u0|{CAT.u0.name}|{CAT.u0.includes_infinity}|{CAT.u0.prims}"]
+        for fam in ("u_cells", "v_cells", "v_star", "segments", "s_sets"):
+            for key, reg in sorted(getattr(CAT, fam).items()):
+                lines.append(f"{fam}{key}|{reg.name}|{reg.includes_infinity}|{reg.prims}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b2b6d2ce11209260078edefbb55584ad676dc38e08a90bb2bab64716f78ad631")
 
     def test_cell_count(self):
         assert len(CAT.v_cells) == 36

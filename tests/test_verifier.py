@@ -1,5 +1,6 @@
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from eisencf.verifier import (
     _chain_valid,
     _claim_table,
     _frs_claims,
+    _segment_points,
     _term_region,
     _u0_draws,
     derive_seed,
@@ -84,6 +86,14 @@ class TestChecksPass:
         assert rep.info["zeta_bar_digits"] == ["-1+2z", "-1+2z", "1+1z", "-2+1z"]
         # parabolic error at depth 60, exactly 1/|q_60|
         assert 0.02 < rep.info["minus_zeta_err_at_60"] < 0.025
+
+    def test_every_curve_yields_its_points(self):
+        # chord slopes over all of Q reach every curve, L7 included
+        for j in range(1, 13):
+            rep = CheckReport("segments")
+            pts = _segment_points(rep, CAT, j, random.Random(j), 20)
+            assert len(pts) == 20 and rep.failures == [], f"L{j}"
+            assert all(CAT.segments[j].contains(z) for z in pts)
 
     def test_block_table_shape(self):
         blocks = dual_inclusion_blocks()
