@@ -37,7 +37,9 @@ pair-sampled Monte Carlo estimate of the log|w| integral is recorded
 alongside as an independent cross-check.
 
 Denominators q_n are never materialized in floats (they overflow near
-n ~ 10^3); the ratio recurrence is the only tracked quantity.
+n ~ 10^3); the ratio recurrence is the only tracked quantity.  The Birkhoff
+and the occupation batches are stepped side by side in one array, one numpy
+call serving both; every step is elementwise, so the bytes do not move.
 """
 
 from __future__ import annotations
@@ -78,50 +80,63 @@ class OrbitBatch:
     min_abs_w: float            # smallest |w_k| on the kept orbits
 
 
+def _simulate_batches(orbits: int, length: int, seeds: list[int],
+                      tol: float = 1e-12) -> list[OrbitBatch]:
+    """simulate_orbits for each seed, stepped side by side in one array.
+
+    Each round draws every unfinished batch's fresh starts from its own
+    stream and steps them together; each step writes into per-batch arrays,
+    and a batch whose orbits all survive keeps them without a copy.
+    """
+    rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
+            for s in seeds]
+    kept: list[list] = [[] for _ in seeds]   # [starts, log_w, points] per round
+    min_w = [np.inf] * len(seeds)
+    need = [orbits] * len(seeds)
+    while any(need):
+        if max(map(len, kept)) == 20:   # rounds so far
+            raise RuntimeError("orbit batch kept hitting the boundary band")
+        live = [b for b in range(len(seeds)) if need[b]]
+        z0 = [_uniform_in_u0(rngs[b], need[b]) for b in live]
+        ends = np.cumsum([need[b] for b in live])
+        sls = [slice(hi - need[b], hi) for b, hi in zip(live, ends)]
+        lws = [np.empty((need[b], length)) for b in live]
+        zzs = [np.empty((need[b], length), dtype=np.complex128) for b in live]
+        z = np.concatenate(z0)
+        alive = np.ones(z.size, dtype=bool)
+        row_min = np.full(z.size, np.inf)
+        # a dead row runs on as garbage (z = 0) and is never read
+        with np.errstate(all="ignore"):
+            for k in range(length):
+                alpha, z, ok = t_step(z, tol)
+                alive &= ok
+                w = 1.0 / w - alpha if k else -alpha
+                abs_w = np.abs(w)
+                np.minimum(row_min, abs_w, out=row_min)
+                for sl, lw, zz in zip(sls, lws, zzs):
+                    np.log(abs_w[sl], out=lw[:, k])
+                    zz[:, k] = z[sl]
+        for b, sl, *arrays in zip(live, sls, z0, lws, zzs):
+            ok = alive[sl]
+            if ok.any():
+                min_w[b] = min(min_w[b], float(row_min[sl][ok].min()))
+            kept[b].append(arrays if ok.all() else [a[ok] for a in arrays])
+            need[b] -= int(ok.sum())
+    return [OrbitBatch(*(a[0] if len(a) == 1 else np.concatenate(a)
+                         for a in zip(*parts)), mw)
+            for parts, mw in zip(kept, min_w)]
+
+
 def simulate_orbits(orbits: int, length: int, seed: int,
                     tol: float = 1e-12) -> OrbitBatch:
     """Run `orbits` trajectories of the extension for `length` steps.
 
     Trajectories that fall into the boundary band are discarded and replaced
-    by fresh starts, so the batch always comes back complete.
+    by fresh starts, so the batch always comes back complete.  Batches of
+    several seeds stepped side by side (`_simulate_batches`) have the bytes
+    of separate runs: every operation is elementwise.
     """
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "orbits")))
-    starts = np.empty(0, dtype=np.complex128)
-    logs = np.empty((0, length))
-    pts = np.empty((0, length), dtype=np.complex128)
-    min_w = np.inf
-    need = orbits
-    attempts = 0
-    while need > 0:
-        attempts += 1
-        if attempts > 20:
-            raise RuntimeError("orbit batch kept hitting the boundary band")
-        z0 = _uniform_in_u0(rng, need)
-        z = z0.copy()
-        w = np.ones(need, dtype=np.complex128)
-        alive = np.ones(need, dtype=bool)
-        lw = np.zeros((need, length))
-        zz = np.zeros((need, length), dtype=np.complex128)
-        row_min = np.full(need, np.inf)
-        for k in range(length):
-            alpha, z_next, ok = t_step(np.where(alive, z, 0.25), tol)
-            alive &= ok
-            if k == 0:
-                w = np.where(alive, -alpha, 1.0)
-            else:
-                w = np.where(alive, 1.0 / w - alpha, 1.0)
-            z = np.where(alive, z_next, 0.25)
-            abs_w = np.abs(w)
-            lw[:, k] = np.where(alive, np.log(abs_w), 0.0)
-            zz[:, k] = z
-            np.minimum(row_min, abs_w, out=row_min)
-        if alive.any():
-            min_w = min(min_w, float(row_min[alive].min()))
-        starts = np.concatenate([starts, z0[alive]])
-        logs = np.concatenate([logs, lw[alive]])
-        pts = np.concatenate([pts, zz[alive]])
-        need = orbits - len(starts)
-    return OrbitBatch(starts[:orbits], logs[:orbits], pts[:orbits], min_w)
+    return _simulate_batches(orbits, length, [seed], tol)[0]
 
 
 @dataclass
@@ -137,7 +152,10 @@ class LevyEstimate:
 def levy_birkhoff(orbits: int = 64, length: int = 20000, seed: int = 0,
                   tol: float = 1e-12) -> LevyEstimate:
     """Growth rate lim (1/n) log|q_n| as a Birkhoff average of log|w|."""
-    batch = simulate_orbits(orbits, length, seed, tol)
+    return _birkhoff(simulate_orbits(orbits, length, seed, tol))
+
+
+def _birkhoff(batch: OrbitBatch) -> LevyEstimate:
     per = batch.log_w.mean(axis=1)
     return LevyEstimate(float(per.mean()),
                         float(per.std(ddof=1) / math.sqrt(len(per))), per)
@@ -573,9 +591,10 @@ def ergodic_report(orbits: int = 64, length: int = 20000,
                    quad_samples: int = 1000000, seed: int = 0,
                    tol: float = 1e-12) -> ErgodicReport:
     quad = estimate_C0_and_levy_integral(quad_samples, seed, tol)
-    birkhoff = levy_birkhoff(orbits, length, seed, tol)
-    batch = simulate_orbits(orbits, length, derive_seed(seed, "occ"), tol)
-    _, mean_freq = occupation_frequencies(batch, tol=tol)
+    # the Birkhoff batch is dropped before the occupation pass
+    batches = _simulate_batches(orbits, length, [seed, derive_seed(seed, "occ")], tol)
+    birkhoff = _birkhoff(batches.pop(0))
+    _, mean_freq = occupation_frequencies(batches.pop(), tol=tol)
     masses = quad.cell_masses()
     return ErgodicReport(
         levy_birkhoff=birkhoff,

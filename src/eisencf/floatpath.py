@@ -25,9 +25,8 @@ def hex_margin(z: np.ndarray) -> np.ndarray:
     """max constraint value of the open hexagon; negative means inside."""
     x = z.real
     y = z.imag / SQRT3
-    return np.maximum.reduce(
-        [np.abs(y) - 0.5, np.abs(x + y) - 1.0, np.abs(x - y) - 1.0]
-    )
+    return np.maximum(np.maximum(np.abs(y) - 0.5, np.abs(x + y) - 1.0),
+                      np.abs(x - y) - 1.0)
 
 
 def nearest_digits(
@@ -68,13 +67,14 @@ def t_step(
     """One float step of the continued fraction map on an array.
 
     Returns (digit alpha, next point, alive mask); entries that hit the
-    boundary band (or underflow at 0) come back dead and must be resampled
-    by the caller.
+    boundary band (or underflow at 0) come back dead, with next point 0,
+    and must be resampled by the caller.  A dead entry's digit is
+    meaningless: 1/z is rounded as it comes, inf and nan included.
     """
     z = np.asarray(z, dtype=np.complex128)
-    alive = np.abs(z) > 1e-15
-    w = np.where(alive, 1.0 / np.where(alive, z, 1.0), 0.0)
-    alpha, ok, _band = nearest_digits(w, tol)
-    alive &= ok
-    z_next = np.where(alive, w - alpha, 0.0)
+    with np.errstate(all="ignore"):
+        w = 1.0 / z
+        alpha, ok, _band = nearest_digits(w, tol)
+        alive = (np.abs(z) > 1e-15) & ok
+        z_next = np.where(alive, w - alpha, 0.0)
     return alpha, z_next, alive

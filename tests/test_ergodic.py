@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from eisencf._util import derive_seed
 from eisencf.cf import convergents, expand, orbit_with_convergents
 from eisencf import ergodic
 from eisencf.ergodic import (
@@ -13,10 +14,13 @@ from eisencf.ergodic import (
     _cell_rule,
     _ROOTS,
     _RULES,
+    _simulate_batches,
+    ergodic_report,
     estimate_C0_and_levy_integral,
     invariance_check,
     kernel_integral,
     levy_birkhoff,
+    occupation_frequencies,
     region_arc_quadrature,
     region_area_flux,
     simulate_orbits,
@@ -76,16 +80,16 @@ class TestNatExtStep:
             assert abs(r - exact) < 1e-9
 
     def test_skip_on_zero(self):
-        _alpha, _z_next, alive = t_step(np.array([0j, 0.25 + 0.1j]))
+        _alpha, z_next, alive = t_step(np.array([0j, 0.25 + 0.1j]))
         assert not alive[0] and alive[1]
+        assert z_next[0] == 0
 
     def test_state_lands_in_matching_cells(self):
-        rng = np.random.Generator(np.random.PCG64(5))
         batch = simulate_orbits(8, 200, seed=9)
         from eisencf.regions import classify_cells_complex
 
-        # after the first step the pair (z, w) must sit in some V x Vstar
-        # with matching index (checked via 1/w in the inverted dual cell)
+        # after the first step the orbit points lie in the open cells V_{k,l}:
+        # more than 95% classify into one, the rest fall in boundary bands
         z = batch.points[:, 10:20].ravel()
         idx = classify_cells_complex(z)
         assert (idx >= 0).mean() > 0.95
@@ -118,6 +122,35 @@ class TestOrbits:
             r = embed(e.digits[k - 1]).approx() + 1.0 / r
             acc += math.log(abs(r))
         assert abs(acc / 200 - exact_rate) < 1e-6
+
+
+class TestSideBySide:
+    """Batches stepped side by side have the bytes of batches run apart."""
+
+    @staticmethod
+    def _bytes(batch):
+        return (batch.starts.tobytes(), batch.log_w.tobytes(),
+                batch.points.tobytes(), np.float64(batch.min_abs_w).tobytes())
+
+    # seed 11 at tol 1e-3 resamples 9 times, in rounds of odd widths
+    @pytest.mark.parametrize("seeds,length,tol", [((4, 9), 300, 1e-12),
+                                                  ((11, 12), 200, 1e-3)])
+    def test_batches_equal_separate_runs(self, seeds, length, tol):
+        together = _simulate_batches(64, length, list(seeds), tol)
+        for seed, batch in zip(seeds, together):
+            assert self._bytes(batch) == self._bytes(
+                simulate_orbits(64, length, seed, tol))
+
+    def test_report_equals_replay(self):
+        # the benchmark's traced run replays the report's routes one by one
+        rep = ergodic_report(orbits=6, length=400, quad_samples=200, seed=3)
+        birk = levy_birkhoff(6, 400, 3)
+        occ = simulate_orbits(6, 400, derive_seed(3, "occ"))
+        _, freq = occupation_frequencies(occ)
+        assert (rep.levy_birkhoff.value, rep.levy_birkhoff.stderr) == (
+            birk.value, birk.stderr)
+        assert np.array([o["frequency"] for o in rep.occupation]).tobytes() == (
+            freq.tobytes())
 
 
 class TestArcFlux:

@@ -171,6 +171,19 @@ class TestFloatPath:
         # far outside but near a constraint-line extension is still outside
         assert marg[3] > 1e-12
 
+    def test_margin_matches_stacked_reduce(self):
+        # the nested maximum gives the bits of the stacked three-row reduce
+        rng = np.random.default_rng(74)
+        verts = np.exp(1j * np.pi / 3 * np.arange(6))
+        t = np.array([0.0, 0.25, 0.5, 1 / 3, 1.0])
+        edges = (verts[:, None] * (1 - t) + np.roll(verts, -1)[:, None] * t).ravel()
+        for z in (rng.uniform(-2, 2, 5000) + 1j * rng.uniform(-2, 2, 5000),
+                  np.concatenate([edges, -edges, [0j, 2j, -1.5 + 0j]])):
+            x, y = z.real, z.imag / SQRT3
+            ref = np.maximum.reduce(
+                [np.abs(y) - 0.5, np.abs(x + y) - 1.0, np.abs(x - y) - 1.0])
+            assert hex_margin(z).tobytes() == ref.tobytes()
+
     def test_floor_float_matches_exact(self):
         rng = random.Random(17)
         zs = [rand_field(rng, 400) for _ in range(2000)]
