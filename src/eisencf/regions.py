@@ -15,7 +15,7 @@ x -> -x) and z -> z + t act on coefficient vectors:
     mirror        (qq, bx, by, dd) -> (qq, -bx, by, dd)
     translation   substitute z - t and clear denominators.
 
-Every membership test (exact, int64 and float) reads a region in one row
+Every membership test (exact, int64, float, box tree) reads a region in one row
 form, built once: rows (qq, bx, by, dd) meaning "P <= 0", or "P < 0" where
 the row is strict and the region open.  A ">" or ">=" primitive becomes its
 negated row, "==" the two rows P and -P, and each row keeps its primitive's
@@ -246,13 +246,65 @@ def _cuts(ci: tuple[complex, float, complex], cj: tuple[complex, float, complex]
 
 
 class _Rows(NamedTuple):
-    """A region in row form (see the module docstring)."""
+    """The numpy arrays of a region's rows (see the module docstring)."""
 
-    ints: tuple[tuple[int, int, int, int, bool], ...]  # (qq, bx, by, dd, strict)
     coef: np.ndarray    # (R, 4) the rows' (qq, bx, by, dd)
     strict: np.ndarray  # (R, 1) int64, 1 on strict rows
     scale: np.ndarray   # (R,) gradient scale of each row's primitive
     cmax: int           # the largest |coefficient|
+
+
+def _box_row(row: tuple[int, int, int, int], s: int) -> tuple[int, ...]:
+    """A row (qq, bx, by, dd) at the scale x = u/s, y = v/s, as `_box_range`
+    reads it: (0, BX, BY, DD) for a line, P s^2 = BX u + BY v + DD, and
+    (g, 2q, g BX, 6q, g BY, K) for a circle, q = |qq|, g = sign(qq), where
+    12 q g P s^2 = 3 (2q u + g BX)^2 + (6q v + g BY)^2 - K."""
+    qq, bx, by, dd = row
+    bx, by, dd = bx * s, by * s, dd * s * s
+    if not qq:
+        return (0, bx, by, dd)
+    g = 1 if qq > 0 else -1
+    return (g, 2 * g * qq, g * bx, 6 * g * qq, g * by, 3 * bx * bx + by * by - 12 * qq * dd)
+
+
+def _box_range(row: tuple[int, ...], u0: int, u1: int, v0: int, v1: int) -> tuple[int, int]:
+    """The exact (min, max) of a `_box_row` over [u0, u1] x [v0, v1], times its
+    positive weight (1 for a line, 12 |qq| for a circle): P is a quadratic in
+    u plus one in v, so each extreme lies at a corner coordinate or at the
+    vertex, where a square's base changes sign."""
+    if not row[0]:
+        _, bx, by, dd = row
+        lo, hi = (dd + bx * u0, dd + bx * u1) if bx > 0 else (dd + bx * u1, dd + bx * u0)
+        return (lo + by * v0, hi + by * v1) if by > 0 else (lo + by * v1, hi + by * v0)
+    g, q2, bx, q6, by, k = row
+    p0, p1, r0, r1 = q2 * u0 + bx, q2 * u1 + bx, q6 * v0 + by, q6 * v1 + by
+    a, b, c, d = p0 * p0, p1 * p1, r0 * r0, r1 * r1  # p0 <= p1 and r0 <= r1
+    lo = 3 * (a if p0 > 0 else b if p1 < 0 else 0) + (c if r0 > 0 else d if r1 < 0 else 0) - k
+    hi = 3 * (a if a > b else b) + (c if c > d else d) - k
+    return (lo, hi) if g > 0 else (-hi, -lo)
+
+
+def _sift(rows, u0: int, u1: int, v0: int, v1: int, hold: int) -> list | None:
+    """None when a row is positive on the box, else the rows not decided on
+    it: those whose maximum is >= hold."""
+    left = []
+    for r in rows:
+        lo, hi = _box_range(r, u0, u1, v0, v1)
+        if lo > 0:
+            return None
+        if hi >= hold:
+            left.append(r)
+    return left
+
+
+class Excess(NamedTuple):
+    """What `Region.excess` proved; box centres are in traversal order."""
+
+    residue: Fraction   # upper bound on the area of A \ cl(B), in (x, y)
+    fails: int          # final-depth box centres strictly in A, outside cl(B)
+    example: FieldElement | None   # the first of them
+    inside: list[FieldElement]     # centres of boxes proved strictly inside A
+    outside: list[FieldElement]    # centres of boxes dropped as outside A
 
 
 class BoundaryPoint(Exception):
@@ -270,24 +322,27 @@ class Region:
     includes_infinity: bool = False
 
     @cached_property
+    def _ints(self) -> tuple[tuple[int, int, int, int, bool], ...]:
+        """The rows (qq, bx, by, dd, strict) of the row form."""
+        return tuple((g * p.qq, g * p.bx, g * p.by, g * p.dd, p.rel in ("<", ">"))
+                     for p in self.prims for g in _ROW_SIGNS[p.rel])
+
+    @cached_property
     def _rows(self) -> _Rows:
-        ints, scale = [], []
-        for p in self.prims:
-            for g in _ROW_SIGNS[p.rel]:
-                ints.append((g * p.qq, g * p.bx, g * p.by, g * p.dd, p.rel in ("<", ">")))
-                scale.append(p.scale_float())
+        ints = self._ints
+        scale = [p.scale_float() for p in self.prims for _ in _ROW_SIGNS[p.rel]]
         coef = [row[:4] for row in ints]
         cmax = max((abs(v) for row in coef for v in row), default=0)
         # beyond int64, contains_int raises before it reads coef
         dtype = np.int64 if cmax < INT64_HEADROOM else object
-        return _Rows(tuple(ints), np.array(coef, dtype=dtype),
+        return _Rows(np.array(coef, dtype=dtype),
                      np.array([[row[4]] for row in ints], dtype=np.int64), np.array(scale), cmax)
 
     def contains(self, z: FieldElement, closed: bool = False) -> bool:
         # Primitive.value_int with the terms every row shares hoisted
         a, b, c = z.a, z.b, z.c
         n, ac, bc, cc = a * a + 3 * b * b, a * c, b * c, c * c
-        for qq, bx, by, dd, strict in self._rows.ints:
+        for qq, bx, by, dd, strict in self._ints:
             v = qq * n + bx * ac + by * bc + dd * cc
             if v > 0 or v == 0 and strict and not closed:
                 return False
@@ -322,6 +377,61 @@ class Region:
         if not closed:
             v += self._rows.strict  # v < 0 is v + 1 <= 0 on integers
         return (v.max(axis=0) <= 0).reshape(a.shape)
+
+    # -- exact box tree ---------------------------------------------------
+    def excess(self, other: Region | None, box, depth: int) -> Excess:
+        """An exact dyadic bound on the area of A \\ cl(B), A = self and
+        B = other (None: the empty set), within box = (x0, x1, y0, y1), by
+        branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
+        1966).
+
+        The box is split in four, `depth` times.  A box is dropped when a row
+        of A is positive on it, or when every row of B left is <= 0 on it; a
+        row of A negative on a box, or of B <= 0, is not evaluated on its
+        children.  A row of B equal to a row of A holds on all of A and is
+        dropped up front; an A with two opposite rows lies on a curve.  A box
+        strictly inside A where a row of B is positive is all counterexample;
+        any other box left at the final depth adds to the residue, and its
+        centre is a counterexample when strictly inside A and outside cl(B).
+        """
+        box = [Fraction(v) for v in box]
+        den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
+        a_set = dict.fromkeys(r[:4] for r in self._ints)
+        if any((-qq, -bx, -by, -dd) in a_set for qq, bx, by, dd in a_set):
+            return Excess(Fraction(0), 0, None, [], [])
+        level = [(*(v.numerator * (den // v.denominator) for v in box),
+                  [_box_row(r, den) for r in a_set], None if other is None else
+                  [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])]
+        count = fails = 0
+        example, inside, outside = None, [], []
+        for d in range(depth + 1):
+            level, boxes = [], level
+            for u0, u1, v0, v1, a_rows, b_rows in boxes:
+                um, vm = (u0 + u1) >> 1, (v0 + v1) >> 1
+                keep_a = _sift(a_rows, u0, u1, v0, v1, 0)
+                if keep_a is None:
+                    outside.append(FieldElement(um, vm, den))
+                    continue
+                if a_rows and not keep_a:
+                    inside.append(FieldElement(um, vm, den))
+                keep_b = b_rows and _sift(b_rows, u0, u1, v0, v1, 1)
+                if keep_b == []:
+                    continue
+                if keep_b is None and not keep_a:
+                    bad = weight = 4 ** (depth - d)
+                elif d < depth:
+                    level += [(x, xx, y, yy, keep_a, keep_b)
+                              for x, xx in ((u0, um), (um, u1)) for y, yy in ((v0, vm), (vm, v1))]
+                    continue
+                else:  # the centre decides
+                    c = (um, um, vm, vm)
+                    weight, bad = 1, int(all(_box_range(r, *c)[0] < 0 for r in keep_a) and (
+                        keep_b is None or any(_box_range(r, *c)[0] > 0 for r in keep_b)))
+                count, fails = count + weight, fails + bad
+                if bad and example is None:
+                    example = FieldElement(um, vm, den)
+        residue = Fraction(count) * (box[1] - box[0]) * (box[3] - box[2]) / 4 ** depth
+        return Excess(residue, fails, example, inside, outside)
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(

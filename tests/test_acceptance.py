@@ -11,6 +11,7 @@ assertion is kept at its stated tolerance rather than weakened.
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -209,19 +210,23 @@ def test_c07_inversion_identities():
 
 
 def test_c08_finite_range_structure():
-    rep = verify_frs(samples=10000, seed=SEED, coverage_samples=100000, grid=64)
+    rep = verify_frs()
     report("8 (finite range structure)", rep.verdict == "PASS",
-           f"{rep.info['claims']} claims x 10^4 samples, coverage grid 64, "
-           f"unhit={rep.info['unhit_subcells']}")
+           f"{rep.info['claims']} claims proved on box trees of depth {rep.info['depth']}, "
+           f"worst residue {float(Fraction(rep.info['worst_residue'])):.2g}, "
+           f"{rep.samples} step_T witnesses")
     assert rep.verdict == "PASS", rep.failures[:3]
 
 
 def test_c09_dual_system():
-    rep = verify_dual_inclusions(samples=1000, seed=SEED)
+    rep = verify_dual_inclusions()
     rep2 = verify_dual_orbit(samples=100, depth=20, seed=SEED)
     ok = rep.verdict == rep2.verdict == "PASS"
     report("9 (dual inclusions + dual orbit)", ok,
-           f"{rep.samples} term samples, {rep2.samples} exact ratio checks")
+           f"{len(rep.info['residues'])} blocks proved on box trees of depth "
+           f"{rep.info['depth']}, worst residue "
+           f"{float(Fraction(rep.info['worst_residue'])):.2g}; "
+           f"{rep2.samples} exact ratio checks")
     assert ok, (rep.failures[:2], rep2.failures[:2])
 
 

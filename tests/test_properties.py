@@ -11,8 +11,12 @@ from eisencf.exact import (
     F_ONE, F_ZERO, MINUS_ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
 )
 from eisencf.hexdomain import floor_J, floor_J_candidates, in_U
-from eisencf.regions import INT64_HEADROOM, build_catalog, rational_points_on
-from eisencf.verifier import _chain_preimage, _frs_claims, _term_region, dual_inclusion_blocks
+from eisencf.regions import (
+    INT64_HEADROOM, _box_range, _box_row, build_catalog, rational_points_on,
+)
+from eisencf.verifier import (
+    _chain_preimage, _claim_table, _frs_claims, _term_region, dual_inclusion_blocks,
+)
 
 CAT = build_catalog()
 REGIONS = sorted(
@@ -122,7 +126,7 @@ def test_region_contains_matches_primitive_signs(z, t):
                 assert reg.contains(w, closed) == want
 
 
-# the translated and inverted dual cells that verify_dual_inclusions samples
+# the translated and inverted dual cells whose inclusions verify_dual_inclusions proves
 DUAL_TERMS = [_term_region(CAT, kl, alpha, rot) for terms in dual_inclusion_blocks().values()
               for kl, alpha in terms for rot in range(6)]
 
@@ -153,6 +157,39 @@ def test_contains_int_matches_contains(reg, z, t):
         if reg.int_value_bound(max(map(abs, a)), max(map(abs, b)), c) < INT64_HEADROOM:
             assert reg.contains_int(np.array(a), np.array(b), c, closed).tolist() == [
                 reg.contains(w, closed) for w in pts]
+
+
+# the rows of the catalogue, the dual terms and the pulled-back claim tables
+ROWS = sorted({r[:4] for reg in REGIONS + DUAL_TERMS + [_claim_table(c) for c in _frs_claims(CAT)]
+               for r in reg._ints})
+
+
+@settings(exact, max_examples=300)
+@given(st.sampled_from(ROWS), st.integers(0, 12), st.data())
+def test_box_range_is_exact(row, k, data):
+    # a dyadic box [u0, u1] x [v0, v1] / 2^k inside |x|, |y| <= 8
+    s = 1 << k
+    u0, v0 = (data.draw(st.integers(-8 * s, 4 * s)) for _ in range(2))
+    u1, v1 = (lo + data.draw(st.integers(0, 4 * s)) for lo in (u0, v0))
+    qq, bx, by, dd = row
+    weight = 12 * abs(qq) or 1
+
+    def value(u, v):  # weight * s^2 * P at (x, y) = (u, v) / s
+        return weight * (qq * (u * u + 3 * v * v) + bx * s * u + by * s * v + dd * s * s)
+
+    lo, hi = _box_range(_box_row(row, s), u0, u1, v0, v1)
+    # sound: the range brackets P at the corners and at dyadic interior points
+    assert all(lo <= value(u, v) <= hi for u in (u0, u1) for v in (v0, v1))
+    m = data.draw(st.integers(0, 8))
+    for _ in range(4):
+        i, j = (data.draw(st.integers(0, 1 << m)) for _ in range(2))
+        assert lo <= value(u0 + Fraction((u1 - u0) * i, 1 << m),
+                           v0 + Fraction((v1 - v0) * j, 1 << m)) <= hi
+    # exact: both ends are attained at a corner or vertex coordinate
+    us = {u0, u1} | ({Fraction(-bx * s, 2 * qq)} if qq else set())
+    vs = {v0, v1} | ({Fraction(-by * s, 6 * qq)} if qq else set())
+    values = [value(u, v) for u in us if u0 <= u <= u1 for v in vs if v0 <= v <= v1]
+    assert (lo, hi) == (min(values), max(values))
 
 
 @exact

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from eisencf.regions import (
     half_plane,
     rational_points_on,
 )
+from eisencf.verifier import DEPTH, U0_BOX
 
 CAT = build_catalog()
 ZETA_F = FieldElement(1, 1, 2)
@@ -155,6 +157,21 @@ class TestCellOf:
             CellIndex(0, 7)
 
 
+class TestExcess:
+    def test_thin_counterexample_found_at_the_final_depth(self):
+        # no box of depth 3 (height 1/8) fits in the strip 1/32 < y < 3/32,
+        # so only the centres of the final boxes, at y = 1/16, show that the
+        # strip is not below y = 0
+        strip = Region("strip", (half_plane(0, 1, Fraction(1, 32), ">"),
+                                 half_plane(0, 1, Fraction(3, 32), "<")))
+        below = Region("below", (half_plane(0, 1, 0, "<"),))
+        res = strip.excess(below, (0, 1, 0, 1), 3)
+        assert (res.residue, res.fails) == (Fraction(1, 8), 8)
+        assert res.example == FieldElement.from_xy(Fraction(1, 16), Fraction(1, 16))
+        assert res.inside == []
+        assert strip.excess(None, (0, 1, 0, 1), 3)[:3] == res[:3]
+
+
 class TestPartition:
     def test_exactly_one_cell_off_boundary(self):
         rng = random.Random(31)
@@ -173,6 +190,17 @@ class TestPartition:
                 assert len(hits) == 1, (str(z), hits)
         # rational sample points rarely sit on a cell boundary
         assert boundary < 100
+
+    def test_cells_pairwise_disjoint_on_box_trees(self):
+        # adjacent cells share a curve with opposite sides; every other pair
+        # is proved on a box tree over U0 that holds no point of both
+        by_rows = 0
+        for (ka, a), (kb, b) in itertools.combinations(CAT.v_cells.items(), 2):
+            rows_b = {r[:4] for r in b._ints}
+            by_rows += any((-q, -x, -y, -d) in rows_b for q, x, y, d, _ in a._ints)
+            res = Region("both", a.prims + b.prims).excess(None, U0_BOX, DEPTH)
+            assert res.fails == 0 and res.example is None, (ka, kb)
+        assert by_rows == 147
 
     def test_rotation_equivariance(self):
         rng = random.Random(32)

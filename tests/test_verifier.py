@@ -1,29 +1,27 @@
 
-import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import eisencf.verifier as verifier
 from eisencf._util import canonical_json
-from eisencf.exact import SQRT3, FieldElement
+from eisencf.exact import ETAS, FieldElement, embed, parse_field_element
 from eisencf.hexdomain import in_U0
 from eisencf.regions import INT64_HEADROOM, build_catalog
 from eisencf.verifier import (
-    _DEN,
     CheckReport,
-    _accepted,
-    _chain_preimage,
-    _chain_valid,
+    _accepted_exact,
+    _certify_block,
+    _certify_claim,
     _claim_table,
     _frs_claims,
     _segment_points,
     _term_region,
-    _u0_draws,
     derive_seed,
     dual_inclusion_blocks,
     run_checks,
-    sample_in_region,
     verify_dual_inclusions,
     verify_dual_orbit,
     verify_frs,
@@ -34,10 +32,6 @@ from eisencf.verifier import (
 
 CAT = build_catalog()
 CLAIMS = _frs_claims(CAT)
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 class TestReports:
@@ -62,13 +56,20 @@ class TestChecksPass:
         assert rep.samples >= 3 * 12
 
     def test_frs(self):
-        rep = verify_frs(samples=250, seed=1, coverage_samples=30000)
+        rep = verify_frs()
         assert rep.verdict == "PASS", rep.failures[:3]
         assert rep.info["claims"] > 40
+        assert len(rep.info["residues"]) == rep.info["claims"]
+        # the cylinder images lie in their targets up to area exactly 0
+        assert all(res["inclusion"] == "0" for res in rep.info["residues"].values())
+        # witnesses of both verdicts ran through step_T
+        assert rep.samples > 32 * rep.info["claims"]
 
     def test_dual_inclusions(self):
-        rep = verify_dual_inclusions(samples=30, seed=1)
+        rep = verify_dual_inclusions()
         assert rep.verdict == "PASS", rep.failures[:3]
+        assert len(rep.info["residues"]) == 36
+        assert Fraction(rep.info["worst_residue"]) < Fraction(1, 1000)
 
     def test_dual_orbit(self):
         rep = verify_dual_orbit(samples=12, depth=15, seed=1)
@@ -126,98 +127,150 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_frs_and_dual_draws_differ_across_seeds(self):
-        label = "frs:" + CLAIMS[0]["name"]
-        w1, w1_again, w2 = (next(_u0_draws(_rng(derive_seed(s, label)))) for s in (1, 1, 2))
-        assert all(np.array_equal(u, v) for u, v in zip(w1, w1_again))
-        assert not np.array_equal(w1[0][:100], w2[0][:100])
-        reg = _term_region(CAT, (6, 3), dual_inclusion_blocks()[1][0][1], 0)
-        z1, z1_again, z2 = (sample_in_region(reg, _rng(derive_seed(s, "dual:1:0")), 50)
-                            for s in (1, 1, 2))
-        assert all(np.array_equal(u, v) for u, v in zip(z1, z1_again))
-        assert not np.array_equal(z1[0], z2[0])
+
+def _claim(name: str) -> dict:
+    return next(c for c in CLAIMS if c["name"] == name)
 
 
-def _scalar_verdicts(claim, a, b):
-    """The scalar path on grid points: chain preimage, step_T, source cell."""
-    out = []
-    for x, y in zip(a.tolist(), b.tolist()):
-        w = FieldElement(x, y, _DEN)
-        z = _chain_preimage(w, claim["chain"])
-        ok = _chain_valid(z, claim["chain"]) and (
-            claim["source"] is None or claim["source"].contains(z))
-        out.append((ok, claim["target"].contains(w, closed=True)))
-    return out
+def _assert_inclusion_fails(claim: dict) -> None:
+    """The certificate fails the claim at an exact point w that the scalar
+    path accepts and the closed target excludes."""
+    rep = CheckReport("claim")
+    _certify_claim(rep, claim)
+    fail = next(f for f in rep.failures if f["kind"] == "inclusion")
+    assert fail["counterexamples"] > 0
+    w = parse_field_element(fail["example"])
+    assert _accepted_exact(claim, w)
+    assert not claim["target"].contains(w, closed=True)
 
 
-def _w_space_verdicts(claim, a, b):
-    ok = _accepted(claim, _claim_table(claim), a, b)
-    tgt = claim["target"].contains_int(a, b, _DEN, closed=True)
-    return list(zip(ok.tolist(), tgt.tolist()))
+class TestCertificate:
+    """The box-tree certificate fails false claims with exact counterexamples."""
+
+    def test_printed_u36_target_fails(self):
+        _assert_inclusion_fails(dict(_claim("T3<eta2,eta2,eta1+3>=U_3_3"),
+                                     target=CAT.u_cells[(3, 6)]))
+
+    def test_u45_in_place_of_u44_fails(self):
+        _assert_inclusion_fails(dict(_claim("U_2_1 ---1-1z--> U_4_4"),
+                                     target=CAT.u_cells[(4, 5)]))
+
+    def test_table_claims_without_source_fail(self):
+        # in the digit-transition table every source cell restricts its image
+        table = [c for c in CLAIMS if c["source"] is not None and "T<" not in c["name"]]
+        assert len(table) == 15
+        for claim in table:
+            _assert_inclusion_fails(dict(claim, source=None))
+
+    def test_pullback_by_plus_d_fails(self, monkeypatch):
+        def pullback_plus(reg, chain):
+            for d in chain:
+                reg = reg.invert().translate(embed(d))
+            return reg
+
+        monkeypatch.setattr(verifier, "_pullback", pullback_plus)
+        rep = verify_frs()
+        assert rep.verdict == "FAIL"
+        fails = [f for f in rep.failures if f["kind"] in ("inclusion", "coverage")]
+        assert fails and all(f["counterexamples"] > 0 for f in fails)
+        # the witnesses see that the table no longer matches the map
+        assert any(f["kind"] == "witness_mismatch" for f in rep.failures)
+
+    @pytest.mark.parametrize("block, i, digit", [(1, 0, ETAS[5]), (6, 7, ETAS[3])])
+    def test_wrong_dual_digit_fails(self, block, i, digit):
+        terms = list(dual_inclusion_blocks()[block])
+        terms[i] = (terms[i][0], digit)
+        for rot in range(6):
+            rep = CheckReport("block")
+            _certify_block(rep, block, terms, rot)
+            assert rep.verdict == "FAIL", rot
+            regs = [_term_region(CAT, kl, alpha, rot) for kl, alpha in terms]
+            for fail in rep.failures:
+                z = parse_field_element(fail["example"])
+                inside = [regs[[str(t) for t in terms].index(t)].contains(z)
+                          for t in fail["terms"]]
+                assert fail["counterexamples"] > 0 and all(inside)
+                if fail["kind"] == "inclusion":
+                    assert not CAT.v_star[(block, 1 + rot)].contains(z, closed=True)
+
+    def test_residues_shrink_with_depth(self, monkeypatch):
+        # a point contact leaves a residue that shrinks about 8x per two
+        # levels; a false claim along a curve shrinks only 4x
+        def residues(depth):
+            monkeypatch.setattr(verifier, "DEPTH", depth)
+            out = {}
+            for rep in (verify_frs(), verify_dual_inclusions()):
+                assert rep.verdict == "PASS", rep.failures[:3]
+                out.update({(rep.name, key, side): Fraction(v)
+                            for key, res in rep.info["residues"].items()
+                            for side, v in res.items()})
+            return out
+
+        coarse, fine = residues(8), residues(10)
+        assert any(fine.values())
+        for key, res in fine.items():
+            assert 6 * res <= coarse[key], key
+
+
+_DEN = 1 << 16
+
+
+def _brackets(claim, points) -> int:
+    """The claim table, open and closed, brackets the scalar path at each
+    point: open => accepted => closed.  Returns how many points lie on the
+    table's boundary."""
+    table = _claim_table(claim)
+    on_lines = 0
+    for w in points:
+        inner, closed = table.contains(w), table.contains(w, closed=True)
+        accepted = _accepted_exact(claim, w)
+        assert (not inner or accepted) and (not accepted or closed), (claim["name"], str(w))
+        on_lines += closed and not inner
+    return on_lines
 
 
 def _u0_grid(den):
-    """Every point (a + b*sqrt(-3))/den of U0, as numerators over _DEN."""
+    """Numerator arrays a, b of every point (a + b*sqrt(-3))/den of U0."""
     pts = [(x, y) for x in range(-den, den + 1) for y in range(-den // 2, den // 2 + 1)
            if in_U0(FieldElement(x, y, den))]
-    a, b = (np.array(v, dtype=np.int64) * (_DEN // den) for v in zip(*pts))
-    return a, b
+    return (np.array(v, dtype=np.int64) for v in zip(*pts))
 
 
 class TestWSpace:
-    """The w-space sign tables of verify_frs agree with the scalar path."""
+    """The w-space claim tables of verify_frs agree with the scalar path."""
 
     def test_random_grid_points(self):
         rng = np.random.default_rng(7)
         a = rng.integers(-_DEN, _DEN, 600, endpoint=True)
         b = rng.integers(-_DEN // 2, _DEN // 2, 600, endpoint=True)
-        keep = [in_U0(FieldElement(x, y, _DEN)) for x, y in zip(a.tolist(), b.tolist())]
-        a, b = a[keep], b[keep]
-        assert a.size > 300
+        points = [w for w in map(FieldElement, a.tolist(), b.tolist(), [_DEN] * 600)
+                  if in_U0(w)]
+        assert len(points) > 300
         for claim in CLAIMS:
-            assert _w_space_verdicts(claim, a, b) == _scalar_verdicts(claim, a, b), \
-                claim["name"]
+            _brackets(claim, points)
 
     def test_zeros_of_the_pulled_back_primitives(self):
         # dyadic points on a pulled-back line or source circle, where the
-        # half-open edges of U and the fallback decide
+        # half-open edges of U decide
         on_lines = 0
         for den in (1 << 4, 1 << 5, 1 << 6):
             a, b = _u0_grid(den)
             n = a * a + 3 * b * b
             for claim in CLAIMS:
-                lines, source = _claim_table(claim)
-                prims = lines.prims + (source.prims if source else ())
-                zero = np.any([p.qq * n + p.bx * a * _DEN + p.by * b * _DEN
-                               + p.dd * _DEN * _DEN == 0 for p in prims], axis=0)
-                za, zb = a[zero], b[zero]
-                on_lines += np.count_nonzero(lines.contains_int(za, zb, _DEN, closed=True)
-                                             & ~lines.contains_int(za, zb, _DEN))
-                assert _w_space_verdicts(claim, za, zb) == _scalar_verdicts(claim, za, zb), \
-                    (den, claim["name"])
+                zero = np.any([p.qq * n + p.bx * a * den + p.by * b * den + p.dd * den * den == 0
+                               for p in _claim_table(claim).prims], axis=0)
+                on_lines += _brackets(claim, list(map(FieldElement, a[zero].tolist(),
+                                                      b[zero].tolist(), [den] * len(a))))
         assert on_lines > 0
 
 
 class TestInt64Headroom:
     def test_claim_tables_and_dual_blocks(self):
         for claim in CLAIMS:
-            lines, source = _claim_table(claim)
-            for reg in (lines, source, claim["target"]):
-                if reg is not None:
-                    assert reg.int_value_bound(_DEN, _DEN // 2, _DEN) < INT64_HEADROOM
-            # coverage corners on the finest grid, denominator 128
+            for reg in (_claim_table(claim), claim["target"]):
+                assert reg.int_value_bound(_DEN, _DEN // 2, _DEN) < INT64_HEADROOM
+            # corners of a grid on U0 with denominator 128
             assert claim["target"].int_value_bound(128, 64, 128) < INT64_HEADROOM
-        for tgt_k, terms in dual_inclusion_blocks().items():
-            for rot in range(6):
-                regs = [_term_region(CAT, kl, al, rot) for kl, al in terms]
-                block = [CAT.v_star[(tgt_k, 1 + rot)], *regs]
-                for reg in regs:
-                    # the sampling box of sample_in_region, rounded outward
-                    xlo, xhi, ylo, yhi = reg.bbox_real()
-                    amax = max(-math.floor(xlo * _DEN), math.ceil(xhi * _DEN))
-                    bmax = max(-math.floor(ylo / SQRT3 * _DEN), math.ceil(yhi / SQRT3 * _DEN))
-                    for other in block:
-                        assert other.int_value_bound(amax, bmax, _DEN) < INT64_HEADROOM
 
     def test_contains_int_raises_beyond_the_bound(self):
         u0 = CAT.u0
