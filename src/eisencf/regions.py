@@ -15,8 +15,8 @@ x -> -x) and z -> z + t act on coefficient vectors:
     mirror        (qq, bx, by, dd) -> (qq, -bx, by, dd)
     translation   substitute z - t and clear denominators.
 
-Every membership test (exact, int64, float, box tree) reads a region in one row
-form, built once: rows (qq, bx, by, dd) meaning "P <= 0", or "P < 0" where
+Every membership test (exact, float, box tree) reads a region in one row form,
+built once: rows (qq, bx, by, dd) meaning "P <= 0", or "P < 0" where
 the row is strict and the region open.  A ">" or ">=" primitive becomes its
 negated row, "==" the two rows P and -P, and each row keeps its primitive's
 float scale for the boundary band.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .hexdomain import in_U
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
 # the signs each relation's rows carry in the row form
 _ROW_SIGNS = {"<": (1,), "<=": (1,), "==": (1, -1), ">=": (-1,), ">": (-1,)}
-# contains_int evaluates in int64 only below this proved bound on |P|
-INT64_HEADROOM = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,9 @@ class Primitive:
     # -- exact transforms ---------------------------------------------------
     def invert(self) -> Primitive:
         inv = Primitive(self.dd, self.bx, -self.by, self.qq, self.rel)
-        # a circle off 0 stays a circle; reject inversions that would degenerate
-        if inv.qq != 0 and inv.dd != 0 and inv.circle_data()[2] <= 0:
+        # a circle off 0 stays a circle; reject inversions that would degenerate:
+        # 12 qq^2 r^2 = 3 bx^2 + by^2 - 12 qq dd (see circle_data)
+        if inv.qq != 0 and inv.dd != 0 and 3 * inv.bx ** 2 + inv.by ** 2 <= 12 * inv.qq * inv.dd:
             raise ValueError(f"inversion of {self} degenerates")
         return inv
 
@@ -246,12 +245,10 @@ def _cuts(ci: tuple[complex, float, complex], cj: tuple[complex, float, complex]
 
 
 class _Rows(NamedTuple):
-    """The numpy arrays of a region's rows (see the module docstring)."""
+    """The float arrays of a region's rows (see the module docstring)."""
 
-    coef: np.ndarray    # (R, 4) the rows' (qq, bx, by, dd)
-    strict: np.ndarray  # (R, 1) int64, 1 on strict rows
+    coef: np.ndarray    # (R, 4) the rows' (qq, bx, by, dd), each rounded to a float
     scale: np.ndarray   # (R,) gradient scale of each row's primitive
-    cmax: int           # the largest |coefficient|
 
 
 def _box_row(row: tuple[int, int, int, int], s: int) -> tuple[int, ...]:
@@ -298,13 +295,16 @@ def _sift(rows, u0: int, u1: int, v0: int, v1: int, hold: int) -> list | None:
 
 
 class Excess(NamedTuple):
-    """What `Region.excess` proved; box centres are in traversal order."""
+    """What `Region.excess` proved."""
 
     residue: Fraction   # upper bound on the area of A \ cl(B), in (x, y)
     fails: int          # final-depth box centres strictly in A, outside cl(B)
     example: FieldElement | None   # the first of them
-    inside: list[FieldElement]     # centres of boxes proved strictly inside A
-    outside: list[FieldElement]    # centres of boxes dropped as outside A
+
+
+# the verdicts of `Region.box_tree`: a box dropped as outside A, a box proved
+# strictly inside A whose parent was not, or neither
+OUTSIDE, INSIDE, UNDECIDED = -1, 1, 0
 
 
 class BoundaryPoint(Exception):
@@ -329,14 +329,8 @@ class Region:
 
     @cached_property
     def _rows(self) -> _Rows:
-        ints = self._ints
         scale = [p.scale_float() for p in self.prims for _ in _ROW_SIGNS[p.rel]]
-        coef = [row[:4] for row in ints]
-        cmax = max((abs(v) for row in coef for v in row), default=0)
-        # beyond int64, contains_int raises before it reads coef
-        dtype = np.int64 if cmax < INT64_HEADROOM else object
-        return _Rows(np.array(coef, dtype=dtype),
-                     np.array([[row[4]] for row in ints], dtype=np.int64), np.array(scale), cmax)
+        return _Rows(np.array([row[:4] for row in self._ints], dtype=float), np.array(scale))
 
     def contains(self, z: FieldElement, closed: bool = False) -> bool:
         # Primitive.value_int with the terms every row shares hoisted
@@ -348,90 +342,78 @@ class Region:
                 return False
         return True
 
-    # -- exact int64 path -------------------------------------------------
-    def int_value_bound(self, amax: int, bmax: int, c: int) -> int:
-        """Bound on |P(a, b, c)| over the primitives for |a| <= amax, |b| <= bmax:
-        the largest |coefficient| times the bound of every term."""
-        return self._rows.cmax * (amax * amax + 3 * bmax * bmax + (amax + bmax) * c + c * c)
-
-    def contains_int(self, a, b, c: int, closed: bool = False) -> np.ndarray:
-        """`contains` at every point (a + b*sqrt(-3))/c of int64 arrays a, b
-        with a common denominator c > 0, exactly.
-
-        All rows are evaluated at once, as one int64 product of the
-        coefficient rows with the columns (a^2 + 3b^2, ac, bc, c^2).  The
-        bound `int_value_bound` of the inputs is proved below INT64_HEADROOM
-        in Python integers first, so no value can wrap around; inputs beyond
-        it raise OverflowError.
-        """
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        amax = max(abs(int(a.min())), abs(int(a.max()))) if a.size else 0
-        bmax = max(abs(int(b.min())), abs(int(b.max()))) if b.size else 0
-        if c <= 0:
-            raise ValueError(f"denominator {c} is not positive")
-        if self.int_value_bound(amax, bmax, c) >= INT64_HEADROOM:
-            raise OverflowError(f"{self.name}: no int64 headroom for |a| <= {amax}, "
-                                f"|b| <= {bmax}, c = {c}")
-        x, y = a.ravel(), b.ravel()
-        v = self._rows.coef @ np.stack([x * x + 3 * y * y, x * c, y * c, np.full(x.shape, c * c)])
-        if not closed:
-            v += self._rows.strict  # v < 0 is v + 1 <= 0 on integers
-        return (v.max(axis=0) <= 0).reshape(a.shape)
-
     # -- exact box tree ---------------------------------------------------
     def excess(self, other: Region | None, box, depth: int) -> Excess:
         """An exact dyadic bound on the area of A \\ cl(B), A = self and
         B = other (None: the empty set), within box = (x0, x1, y0, y1), by
         branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
-        1966).
+        1966): the residue and the counterexamples of `box_tree`."""
+        den, tree = self.box_tree(other, box, depth)
+        count = fails = 0
+        example = None
+        for _, u, v, weight, bad in tree:
+            count += weight
+            if bad and example is None:
+                example = FieldElement(u, v, den)
+            fails += bad
+        x0, x1, y0, y1 = (Fraction(e) for e in box)
+        return Excess(Fraction(count) * (x1 - x0) * (y1 - y0) / 4 ** depth, fails, example)
+
+    def box_tree(self, other: Region | None, box, depth: int
+                 ) -> tuple[int, Iterator[tuple[int, int, int, int, int]]]:
+        """The box tree of `excess`, as den and a lazy breadth-first stream of
+        (verdict, u, v, weight, bad): the box centred at (u, v) / den gets a
+        verdict (OUTSIDE, INSIDE or UNDECIDED) and adds weight final-depth
+        boxes to the residue, bad of them counterexamples.  A box with no
+        verdict and no weight is not emitted.
 
         The box is split in four, `depth` times.  A box is dropped when a row
         of A is positive on it, or when every row of B left is <= 0 on it; a
         row of A negative on a box, or of B <= 0, is not evaluated on its
         children.  A row of B equal to a row of A holds on all of A and is
-        dropped up front; an A with two opposite rows lies on a curve.  A box
-        strictly inside A where a row of B is positive is all counterexample;
-        any other box left at the final depth adds to the residue, and its
-        centre is a counterexample when strictly inside A and outside cl(B).
+        dropped up front; an A with two opposite rows lies on a curve, and
+        emits nothing.  A box strictly inside A where a row of B is positive
+        is all counterexample; any other box left at the final depth adds to
+        the residue, and its centre is a counterexample when strictly inside A
+        and outside cl(B).
         """
         box = [Fraction(v) for v in box]
         den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
         a_set = dict.fromkeys(r[:4] for r in self._ints)
         if any((-qq, -bx, -by, -dd) in a_set for qq, bx, by, dd in a_set):
-            return Excess(Fraction(0), 0, None, [], [])
-        level = [(*(v.numerator * (den // v.denominator) for v in box),
-                  [_box_row(r, den) for r in a_set], None if other is None else
-                  [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])]
-        count = fails = 0
-        example, inside, outside = None, [], []
-        for d in range(depth + 1):
-            level, boxes = [], level
-            for u0, u1, v0, v1, a_rows, b_rows in boxes:
-                um, vm = (u0 + u1) >> 1, (v0 + v1) >> 1
-                keep_a = _sift(a_rows, u0, u1, v0, v1, 0)
-                if keep_a is None:
-                    outside.append(FieldElement(um, vm, den))
-                    continue
-                if a_rows and not keep_a:
-                    inside.append(FieldElement(um, vm, den))
-                keep_b = b_rows and _sift(b_rows, u0, u1, v0, v1, 1)
-                if keep_b == []:
-                    continue
-                if keep_b is None and not keep_a:
-                    bad = weight = 4 ** (depth - d)
-                elif d < depth:
-                    level += [(x, xx, y, yy, keep_a, keep_b)
-                              for x, xx in ((u0, um), (um, u1)) for y, yy in ((v0, vm), (vm, v1))]
-                    continue
-                else:  # the centre decides
-                    c = (um, um, vm, vm)
-                    weight, bad = 1, int(all(_box_range(r, *c)[0] < 0 for r in keep_a) and (
-                        keep_b is None or any(_box_range(r, *c)[0] > 0 for r in keep_b)))
-                count, fails = count + weight, fails + bad
-                if bad and example is None:
-                    example = FieldElement(um, vm, den)
-        residue = Fraction(count) * (box[1] - box[0]) * (box[3] - box[2]) / 4 ** depth
-        return Excess(residue, fails, example, inside, outside)
+            return den, iter(())
+        root = (*(v.numerator * (den // v.denominator) for v in box),
+                [_box_row(r, den) for r in a_set], None if other is None else
+                [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])
+
+        def walk():
+            level = [root]
+            for d in range(depth + 1):
+                level, boxes = [], level
+                for u0, u1, v0, v1, a_rows, b_rows in boxes:
+                    um, vm = (u0 + u1) >> 1, (v0 + v1) >> 1
+                    keep_a = _sift(a_rows, u0, u1, v0, v1, 0)
+                    if keep_a is None:
+                        yield OUTSIDE, um, vm, 0, 0
+                        continue
+                    verdict = INSIDE if a_rows and not keep_a else UNDECIDED
+                    keep_b = b_rows and _sift(b_rows, u0, u1, v0, v1, 1)
+                    if keep_b == []:
+                        weight = bad = 0
+                    elif keep_b is None and not keep_a:
+                        weight = bad = 4 ** (depth - d)
+                    elif d < depth:
+                        level += [(x, xx, y, yy, keep_a, keep_b) for x, xx in ((u0, um), (um, u1))
+                                  for y, yy in ((v0, vm), (vm, v1))]
+                        weight = bad = 0
+                    else:  # the centre decides
+                        c = (um, um, vm, vm)
+                        weight, bad = 1, int(all(_box_range(r, *c)[0] < 0 for r in keep_a) and (
+                            keep_b is None or any(_box_range(r, *c)[0] > 0 for r in keep_b)))
+                    if verdict or weight:
+                        yield verdict, um, vm, weight, bad
+
+        return den, walk()
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(
@@ -469,7 +451,7 @@ class Region:
         value exceeds scale*tol, scale its primitive's `scale_float`."""
         x, y = np.asarray(x), np.asarray(y)
         col = (-1,) + (1,) * x.ndim
-        qq, bx, by, dd = (c.reshape(col) for c in self._rows.coef.T.astype(float))
+        qq, bx, by, dd = (c.reshape(col) for c in self._rows.coef.T)
         v = qq * (x * x + 3.0 * y * y) + bx * x + by * y + dd
         s = self._rows.scale.reshape(col) * tol
         band = (np.abs(v) <= s).any(axis=0)
@@ -648,9 +630,22 @@ def build_catalog() -> Catalog:
 
 
 def cell_of(z: FieldElement, catalog: Catalog | None = None) -> CellIndex:
-    """The unique (k, l) with z in the open cell V_{k,l}."""
+    """The unique (k, l) with z in the open cell V_{k,l}.
+
+    V_{k,l} lies in the closed sextant (l-1)pi/3 <= arg z <= l*pi/3, so the
+    open cell lies in the open sextant.  For z = (a + b*sqrt(-3))/c, c > 0,
+    the six rays are b = 0, a = b and a = -b: a point on one lies in no cell,
+    and any other point is tested against the six cells of its own sextant.
+    """
     cat = catalog or build_catalog()
-    hits = [kl for kl, reg in cat.v_cells.items() if reg.contains(z)]
+    a, b = z.a, z.b
+    hits = []
+    if b and a != b and a != -b:
+        if b > 0:
+            s = 0 if a > b else 1 if a > -b else 2
+        else:
+            s = 3 if a < b else 4 if a < -b else 5
+        hits = [(k, s + 1) for k in range(1, 7) if cat.v_cells[(k, s + 1)].contains(z)]
     if len(hits) == 1:
         return CellIndex(*hits[0])
     if len(hits) > 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from ._util import CheckReport, derive_seed
@@ -40,8 +40,11 @@ from .cf import (
 from .hexdomain import in_U, in_U0
 from .regions import (
     HEX_OPEN,
+    INSIDE,
+    OUTSIDE,
     BoundaryPoint,
     Catalog,
+    Excess,
     Primitive,
     Region,
     build_catalog,
@@ -275,13 +278,31 @@ def _residue_info(rep: CheckReport, residues: dict[str, dict[str, Fraction]]) ->
     rep.info["worst_residue"] = str(max(v for res in residues.values() for v in res.values()))
 
 
-def _prove(rep: CheckReport, a: Region, b: Region | None, box, **where) -> Fraction:
-    """Bound the area of a \\ cl(b) on box into rep: an exact counterexample
-    fails the report; returns the residue."""
-    res = a.excess(b, box, DEPTH)
+def _record(rep: CheckReport, res: Excess, **where) -> Fraction:
+    """Record a bound on the area of A \\ cl(B) into rep: an exact
+    counterexample fails the report; returns the residue."""
     if res.fails:
         rep.fail(**where, counterexamples=res.fails, example=str(res.example))
     return res.residue
+
+
+def _witnesses(table: Region) -> tuple[list[FieldElement], list[FieldElement]]:
+    """The centres of the first _WITNESSES boxes a tree of depth
+    _WITNESS_DEPTH proves inside the table, and of the first _WITNESSES in U0
+    it drops outside, in traversal order; the walk stops once it holds both."""
+    den, tree = table.box_tree(None, U0_BOX, _WITNESS_DEPTH)
+    inside: list[FieldElement] = []
+    outside: list[FieldElement] = []
+    for verdict, u, v, _, _ in tree:
+        if verdict == INSIDE and len(inside) < _WITNESSES:
+            inside.append(FieldElement(u, v, den))
+        # in_U0 of the centre, on its unreduced numerators
+        elif verdict == OUTSIDE and len(outside) < _WITNESSES and (
+                2 * abs(v) < den and abs(u + v) < den and abs(u - v) < den):
+            outside.append(FieldElement(u, v, den))
+        if len(inside) == len(outside) == _WITNESSES:
+            break
+    return inside, outside
 
 
 def _certify_claim(rep: CheckReport, claim: dict) -> dict[str, Fraction]:
@@ -294,13 +315,14 @@ def _certify_claim(rep: CheckReport, claim: dict) -> dict[str, Fraction]:
     from step_T.
     """
     name, target, table = claim["name"], claim["target"], _claim_table(claim)
-    residues = {"inclusion": _prove(rep, table, target, U0_BOX, claim=name, kind="inclusion")}
+    residues = {"inclusion": _record(rep, table.excess(target, U0_BOX, DEPTH),
+                                     claim=name, kind="inclusion")}
     if claim["coverage"]:
         cover = Region(f"{target.name} in U0", target.prims + HEX_OPEN)
-        residues["coverage"] = _prove(rep, cover, table, U0_BOX, claim=name, kind="coverage")
-    tree = table.excess(None, U0_BOX, _WITNESS_DEPTH)
-    for verdict, ws in ((True, tree.inside), (False, filter(in_U0, tree.outside))):
-        for w in islice(ws, _WITNESSES):
+        residues["coverage"] = _record(rep, cover.excess(table, U0_BOX, DEPTH),
+                                       claim=name, kind="coverage")
+    for verdict, ws in zip((True, False), _witnesses(table)):
+        for w in ws:
             rep.samples += 1
             if _accepted_exact(claim, w) != verdict:
                 rep.fail(claim=name, kind="witness_mismatch", w=str(w), table=verdict)
@@ -366,33 +388,55 @@ def _disk_box(reg: Region) -> tuple[Fraction, ...]:
                                              math.floor(16 * cy) - hy, math.ceil(16 * cy) + hy))
 
 
-def _certify_block(rep: CheckReport, tgt_k: int, terms, rot: int) -> dict[str, Fraction]:
+def _dual_proofs() -> tuple[Callable, Callable]:
+    """term(kl, alpha, rot): a term region and its disk box; overlap(t, s):
+    the tree on the intersection of terms t and s over the box of t.  Each is
+    computed once per distinct argument, for the calls that share them."""
+    cat = build_catalog()
+
+    @cache
+    def term(kl, alpha, rot):
+        reg = _term_region(cat, kl, alpha, rot)
+        return reg, _disk_box(reg)
+
+    @cache
+    def overlap(first, second):
+        (a, box), (b, _) = term(*first), term(*second)
+        return Region("overlap", a.prims + b.prims).excess(None, box, DEPTH)
+
+    return term, overlap
+
+
+def _certify_block(rep: CheckReport, tgt_k: int, terms, rot: int,
+                   proofs=None) -> dict[str, Fraction]:
     """Prove block tgt_k rotated by rot into rep; returns its residues.
 
     Each term lies in the closed target dual cell, and the terms are
     pairwise disjoint: a pair is decided by opposite rows, or by a tree on
-    the intersection of the two, which must hold no box centre."""
-    cat = build_catalog()
-    target = cat.v_star[(tgt_k, 1 + rot)]
-    regs = [_term_region(cat, kl, alpha, rot) for kl, alpha in terms]
+    the intersection of the two, which must hold no box centre.  proofs
+    (from `_dual_proofs`) shares terms and overlap trees with other blocks."""
+    term, overlap = proofs or _dual_proofs()
+    target = build_catalog().v_star[(tgt_k, 1 + rot)]
+    keys = [(kl, alpha, rot) for kl, alpha in terms]
     residues = {"inclusion": Fraction(0), "overlap": Fraction(0)}
-    for i, reg in enumerate(regs):
-        box = _disk_box(reg)
-        residues["inclusion"] += _prove(rep, reg, target, box, block=tgt_k, rot=rot,
-                                        kind="inclusion", terms=[str(terms[i])])
-        for j in range(i + 1, len(regs)):
-            both = Region("overlap", reg.prims + regs[j].prims)
-            residues["overlap"] += _prove(rep, both, None, box, block=tgt_k, rot=rot,
-                                          kind="overlap", terms=[str(terms[i]), str(terms[j])])
+    for i, key in enumerate(keys):
+        reg, box = term(*key)
+        residues["inclusion"] += _record(rep, reg.excess(target, box, DEPTH), block=tgt_k,
+                                         rot=rot, kind="inclusion", terms=[str(terms[i])])
+        for j in range(i + 1, len(keys)):
+            residues["overlap"] += _record(rep, overlap(key, keys[j]), block=tgt_k, rot=rot,
+                                           kind="overlap", terms=[str(terms[i]), str(terms[j])])
     return residues
 
 
 def verify_dual_inclusions() -> CheckReport:
     """Transfer terms embed in their dual cells and are pairwise disjoint,
     proved on exact box trees over each term's disk box (`_certify_block`);
-    the residues are summed per block and rotation."""
+    the residues are summed per block and rotation.  A term or an ordered
+    pair of terms that recurs across blocks is proved once per call."""
+    proofs = _dual_proofs()
     with CheckReport("dual_inclusions") as rep:
-        _residue_info(rep, {f"{tgt_k}:{rot}": _certify_block(rep, tgt_k, terms, rot)
+        _residue_info(rep, {f"{tgt_k}:{rot}": _certify_block(rep, tgt_k, terms, rot, proofs)
                             for tgt_k, terms in dual_inclusion_blocks().items()
                             for rot in range(6)})
     return rep

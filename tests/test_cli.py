@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -87,6 +88,17 @@ class TestVerify:
                              "--samples", "1500", "--depth", "8")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+    def test_verify_all_artifact_is_pinned(self, capsys, tmp_path):
+        # the bytes of `verify all --seed 42 --samples 1000`: proofs shared
+        # across blocks or stopped early must leave them as they are
+        out_file = tmp_path / "verify.json"
+        code, _, _ = run(capsys, "verify", "all", "--seed", "42", "--samples", "1000",
+                         "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "55036e1053fa41348df328bec76022888c2681add25d2fd880273294b1dfaa7c")
 
 
 class TestLevyDensityRender:

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eisencf.cf import TerminatedAtZero, eval_cf, expand, step_T
@@ -12,7 +11,8 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import floor_J, floor_J_candidates, in_U
 from eisencf.regions import (
-    INT64_HEADROOM, _box_range, _box_row, build_catalog, rational_points_on,
+    BoundaryPoint, CellIndex, NotInU, Primitive, _box_range, _box_row, build_catalog, cell_of,
+    rational_points_on,
 )
 from eisencf.verifier import (
     _chain_preimage, _claim_table, _frs_claims, _term_region, dual_inclusion_blocks,
@@ -131,32 +131,65 @@ DUAL_TERMS = [_term_region(CAT, kl, alpha, rot) for terms in dual_inclusion_bloc
               for kl, alpha in terms for rot in range(6)]
 
 
-@st.composite
-def grid_points(draw):
-    """Points of the dyadic grids the int64 path runs on, in the box |x|, |y| <= 4."""
-    c = 1 << draw(st.sampled_from([0, 2, 4, 8, 16]))
-    return FieldElement(draw(st.integers(-4 * c, 4 * c)), draw(st.integers(-4 * c, 4 * c)), c)
+small = st.integers(-12, 12)
 
 
 @settings(exact, max_examples=400)
-@given(st.sampled_from(REGIONS + DUAL_TERMS), grid_points(),
-       st.fractions(-4, 4, max_denominator=8))
-def test_contains_int_matches_contains(reg, z, t):
-    # besides z, the point with parameter t on each primitive of the region
-    pts = [z] + [w for p in reg.prims for w in rational_points_on(p, [t])]
-    for closed in (False, True):
-        for w in pts:
-            if reg.int_value_bound(abs(w.a), abs(w.b), w.c) >= INT64_HEADROOM:
-                continue
-            got = reg.contains_int(np.array([w.a]), np.array([w.b]), w.c, closed)
-            assert bool(got[0]) == reg.contains(w, closed)
-        # the same points as one batch over their common denominator
-        c = math.lcm(*(w.c for w in pts))
-        a = [w.a * (c // w.c) for w in pts]
-        b = [w.b * (c // w.c) for w in pts]
-        if reg.int_value_bound(max(map(abs, a)), max(map(abs, b)), c) < INT64_HEADROOM:
-            assert reg.contains_int(np.array(a), np.array(b), c, closed).tolist() == [
-                reg.contains(w, closed) for w in pts]
+@given(small, small, small, small, st.sampled_from(["<", "==", ">"]))
+@example(1, 2, 0, 1, "<")  # the circle of radius 0 about -1: degenerate
+def test_invert_degeneracy_matches_circle_data(qq, bx, by, dd, rel):
+    # the integer sign test of Primitive.invert against the radius of circle_data
+    p = Primitive(qq, bx, by, dd, rel)
+    inv = Primitive(p.dd, p.bx, -p.by, p.qq, p.rel)
+    degenerate = inv.qq != 0 and inv.dd != 0 and inv.circle_data()[2] <= 0
+    try:
+        assert p.invert() == inv and not degenerate
+    except ValueError:
+        assert degenerate
+
+
+def _cell_by_scan(z):
+    """cell_of's verdict from all 36 cells: a CellIndex or the exception type."""
+    hits = [kl for kl, reg in CAT.v_cells.items() if reg.contains(z)]
+    assert len(hits) <= 1, (str(z), hits)
+    if hits:
+        return CellIndex(*hits[0])
+    return BoundaryPoint if in_U(z) else NotInU
+
+
+def _cell_folded(z):
+    try:
+        return cell_of(z, CAT)
+    except (BoundaryPoint, NotInU) as exc:
+        return type(exc)
+
+
+# exact points of the box of U, |x| <= 1 and |y| <= 1/2
+u_box_points = st.integers(60, 600).flatmap(lambda c: st.builds(
+    FieldElement, st.integers(-c, c), st.integers(-c // 2, c // 2), st.just(c)))
+# points of the lines b = 0, a = b and a = -b that carry the six sextant rays
+ray_points = st.builds(lambda t, c, m: FieldElement(t, m * t, c), st.integers(-300, 300),
+                       st.integers(1, 300), st.sampled_from([0, 1, -1]))
+
+
+@settings(exact, max_examples=400)
+@given(u_box_points)
+def test_cell_of_sextant_fold_matches_the_scan(z):
+    assert _cell_folded(z) == _cell_by_scan(z)
+
+
+@settings(exact, max_examples=400)
+@given(st.one_of(near_points, ray_points))
+def test_cell_of_sextant_fold_matches_the_scan_off_cells(z):
+    assert _cell_folded(z) == _cell_by_scan(z)
+
+
+def test_cell_of_at_the_hexagon_vertices():
+    for x, y in ((1, 0), (Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)),
+                 (-1, 0), (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(-1, 2))):
+        z = FieldElement.from_xy(Fraction(x), Fraction(y))
+        # U is half-open: some vertices lie in it, on a cell boundary, some not
+        assert _cell_folded(z) == _cell_by_scan(z) in (BoundaryPoint, NotInU)
 
 
 # the rows of the catalogue, the dual terms and the pulled-back claim tables

@@ -19,6 +19,7 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import in_U
 from eisencf.regions import (
+    INSIDE,
     BoundaryPoint,
     CellIndex,
     NotInU,
@@ -168,8 +169,9 @@ class TestExcess:
         res = strip.excess(below, (0, 1, 0, 1), 3)
         assert (res.residue, res.fails) == (Fraction(1, 8), 8)
         assert res.example == FieldElement.from_xy(Fraction(1, 16), Fraction(1, 16))
-        assert res.inside == []
-        assert strip.excess(None, (0, 1, 0, 1), 3)[:3] == res[:3]
+        _, tree = strip.box_tree(below, (0, 1, 0, 1), 3)
+        assert INSIDE not in (verdict for verdict, *_ in tree)
+        assert strip.excess(None, (0, 1, 0, 1), 3) == res
 
 
 class TestPartition:

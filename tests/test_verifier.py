@@ -9,7 +9,7 @@ import eisencf.verifier as verifier
 from eisencf._util import canonical_json
 from eisencf.exact import ETAS, FieldElement, embed, parse_field_element
 from eisencf.hexdomain import in_U0
-from eisencf.regions import INT64_HEADROOM, build_catalog
+from eisencf.regions import INSIDE, OUTSIDE, Region, build_catalog
 from eisencf.verifier import (
     CheckReport,
     _accepted_exact,
@@ -19,6 +19,8 @@ from eisencf.verifier import (
     _frs_claims,
     _segment_points,
     _term_region,
+    _witnesses,
+    U0_BOX,
     derive_seed,
     dual_inclusion_blocks,
     run_checks,
@@ -264,22 +266,68 @@ class TestWSpace:
         assert on_lines > 0
 
 
-class TestInt64Headroom:
-    def test_claim_tables_and_dual_blocks(self):
-        for claim in CLAIMS:
-            for reg in (_claim_table(claim), claim["target"]):
-                assert reg.int_value_bound(_DEN, _DEN // 2, _DEN) < INT64_HEADROOM
-            # corners of a grid on U0 with denominator 128
-            assert claim["target"].int_value_bound(128, 64, 128) < INT64_HEADROOM
+class TestSharedProofs:
+    """verify_dual_inclusions proves each distinct term and ordered pair once
+    per call, and frs stops its witness tree early, with the same results."""
 
-    def test_contains_int_raises_beyond_the_bound(self):
-        u0 = CAT.u0
-        ok = np.array([1 << 29])
-        assert u0.int_value_bound(1 << 29, 0, 1) < INT64_HEADROOM
-        assert not u0.contains_int(ok, ok * 0, 1).any()
-        big = np.array([1 << 31])
-        assert u0.int_value_bound(1 << 31, 0, 1) >= INT64_HEADROOM
-        with pytest.raises(OverflowError):
-            u0.contains_int(big, big * 0, 1)
-        with pytest.raises(OverflowError):
-            u0.contains_int(ok * 0, ok * 0, 1 << 31)
+    def test_each_call_builds_66_terms_and_300_overlap_trees(self, monkeypatch):
+        counts = {"terms": 0, "overlaps": 0}
+        term_region, excess = verifier._term_region, Region.excess
+
+        def counted_term(*args):
+            counts["terms"] += 1
+            return term_region(*args)
+
+        def counted_excess(reg, other, box, depth):
+            counts["overlaps"] += reg.name == "overlap"
+            return excess(reg, other, box, depth)
+
+        monkeypatch.setattr(verifier, "_term_region", counted_term)
+        monkeypatch.setattr(Region, "excess", counted_excess)
+        for _ in range(2):
+            counts.update(terms=0, overlaps=0)
+            assert verify_dual_inclusions().verdict == "PASS"
+            assert counts == {"terms": 66, "overlaps": 300}
+
+    def test_shared_residues_equal_unshared_blocks(self):
+        rep = verify_dual_inclusions()
+        for tgt_k, terms in dual_inclusion_blocks().items():
+            for rot in range(6):
+                alone = _certify_block(CheckReport("block"), tgt_k, terms, rot)
+                assert rep.info["residues"][f"{tgt_k}:{rot}"] == {
+                    k: str(v) for k, v in alone.items()}, (tgt_k, rot)
+
+    def test_wrong_digit_fails_in_every_block_it_appears_in(self, monkeypatch):
+        # (2, 2) feeds blocks 2, 4 and 6, each time just before (2, 1) with
+        # digit eta_6; with eta_6 in place of eta_5 the two overlap, and the
+        # one shared proof of that pair fails every block and rotation
+        wrong = ((2, 2), ETAS[6])
+        blocks = {k: [wrong if kl == (2, 2) else (kl, alpha) for kl, alpha in terms]
+                  for k, terms in dual_inclusion_blocks().items()}
+        monkeypatch.setattr(verifier, "dual_inclusion_blocks", lambda: blocks)
+        rep = verify_dual_inclusions()
+        alone = CheckReport("blocks")
+        for tgt_k, terms in blocks.items():
+            for rot in range(6):
+                _certify_block(alone, tgt_k, terms, rot)
+        assert rep.failures == alone.failures
+        failed = {(f["block"], f["rot"]) for f in rep.failures
+                  if f["kind"] == "overlap" and str(wrong) in f["terms"]}
+        assert failed == {(k, rot) for k in (2, 4, 6) for rot in range(6)}
+        # each example lies in both terms at its own rotation
+        for fail in rep.failures:
+            z = parse_field_element(fail["example"])
+            for kl, alpha in (t for t in blocks[fail["block"]] if str(t) in fail["terms"]):
+                assert _term_region(CAT, kl, alpha, fail["rot"]).contains(z)
+
+    def test_early_stopped_witnesses_are_the_first_of_the_full_tree(self):
+        for claim in CLAIMS:
+            table = _claim_table(claim)
+            den, tree = table.box_tree(None, U0_BOX, verifier._WITNESS_DEPTH)
+            full = {INSIDE: [], OUTSIDE: []}
+            for verdict, u, v, _, _ in tree:
+                if verdict in full:
+                    full[verdict].append(FieldElement(u, v, den))
+            want = (full[INSIDE][:32], [w for w in full[OUTSIDE] if in_U0(w)][:32])
+            assert _witnesses(table) == want, claim["name"]
+            assert len(want[0]) == 32, claim["name"]
