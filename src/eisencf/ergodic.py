@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._util import CheckReport, derive_seed
-from .floatpath import U_BOX, hex_margin, t_step
+from .floatpath import SQRT3, U_BOX, _step, hex_margin
 from .regions import Catalog, Piece, Region, build_catalog, classify_cells_complex
 
 CELLS = [(k, l) for k in range(1, 7) for l in range(1, 7)]
@@ -72,6 +72,10 @@ def _uniform_in_u0(rng: np.random.Generator, n: int) -> np.ndarray:
     return out[:n]
 
 
+# orbit steps buffered before their |w| and z are copied into the batches
+_BLOCK = 64
+
+
 @dataclass
 class OrbitBatch:
     starts: np.ndarray          # (orbits,) complex
@@ -85,8 +89,9 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
     """simulate_orbits for each seed, stepped side by side in one array.
 
     Each round draws every unfinished batch's fresh starts from its own
-    stream and steps them together; each step writes into per-batch arrays,
-    and a batch whose orbits all survive keeps them without a copy.
+    stream and steps them together; each block of steps is copied into
+    per-batch arrays, and a batch whose orbits all survive keeps them
+    without a copy.
     """
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
             for s in seeds]
@@ -105,17 +110,26 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
         z = np.concatenate(z0)
         alive = np.ones(z.size, dtype=bool)
         row_min = np.full(z.size, np.inf)
-        # a dead row runs on as garbage (z = 0) and is never read
+        # |w| and z of the last _BLOCK steps, one row per step, copied out
+        # per batch a block at a time; np.log is elementwise, so taking it
+        # on a block gives the bits of taking it step by step
+        abs_w = np.empty((_BLOCK, z.size))
+        zs = np.empty((_BLOCK, z.size), dtype=np.complex128)
+        # a dead row runs on as garbage and is never read
         with np.errstate(all="ignore"):
-            for k in range(length):
-                alpha, z, ok = t_step(z, tol)
-                alive &= ok
-                w = 1.0 / w - alpha if k else -alpha
-                abs_w = np.abs(w)
-                np.minimum(row_min, abs_w, out=row_min)
+            for k0 in range(0, length, _BLOCK):
+                n = min(_BLOCK, length - k0)
+                for j in range(n):
+                    alpha, z, ok = _step(z, tol)
+                    alive &= ok
+                    w = 1.0 / w - alpha if k0 + j else -alpha
+                    np.abs(w, out=abs_w[j])
+                    zs[j] = z
+                np.minimum(row_min, abs_w[:n].min(axis=0), out=row_min)
+                np.log(abs_w[:n], out=abs_w[:n])
                 for sl, lw, zz in zip(sls, lws, zzs):
-                    np.log(abs_w[sl], out=lw[:, k])
-                    zz[:, k] = z[sl]
+                    lw[:, k0:k0 + n] = abs_w[:n, sl].T
+                    zz[:, k0:k0 + n] = zs[:n, sl].T
         for b, sl, *arrays in zip(live, sls, z0, lws, zzs):
             ok = alive[sl]
             if ok.any():
@@ -353,7 +367,8 @@ def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
     box, ub = v.bbox_real(), u_reg.bbox_real()
     zp = rng.uniform(box[0], box[1], m) + 1j * rng.uniform(box[2], box[3], m)
     u = rng.uniform(ub[0], ub[1], m) + 1j * rng.uniform(ub[2], ub[3], m)
-    both = (v.classify_complex(zp, tol) == 1) & (u_reg.classify_complex(u, tol) == 1)
+    both = (v.inside_xy(zp.real, zp.imag / SQRT3, tol)
+            & u_reg.inside_xy(u.real, u.imag / SQRT3, tol))
     dist = np.abs(zp * u - 1.0)
     kern = np.where(both, 1.0 / np.maximum(dist, 1e-30) ** 4, 0.0)
     logu = np.where(both, -np.log(np.maximum(np.abs(u), 1e-300)), 0.0)
@@ -511,13 +526,14 @@ def occupation_frequencies(batch: OrbitBatch, catalog: Catalog | None = None,
     """Empirical cell frequencies per orbit: (orbits x 36 matrix, means)."""
     cat = catalog or build_catalog()
     orbits, length = batch.points.shape
-    freq = np.zeros((orbits, 36))
+    counts = np.zeros((orbits, 37), dtype=np.int64)   # column 0 counts no cell
     chunk = max(1, 400000 // max(length, 1))
     for lo in range(0, orbits, chunk):
         sl = batch.points[lo:lo + chunk]
-        idx = classify_cells_complex(sl.ravel(), cat, tol).reshape(sl.shape)
-        for ci in range(36):
-            freq[lo:lo + chunk, ci] = (idx == ci).mean(axis=1)
+        key = classify_cells_complex(sl.ravel(), cat, tol) + 1
+        key += np.repeat(37 * np.arange(len(sl)), length)
+        counts[lo:lo + chunk] = np.bincount(key, minlength=37 * len(sl)).reshape(-1, 37)
+    freq = counts[:, 1:] / length
     return freq, freq.mean(axis=0)
 
 

@@ -6,7 +6,12 @@ resample it, never guess a side.
 
 Rounding to J is the A2 decoder of Conway and Sloane (IEEE Trans. Inf.
 Theory 28, 1982), the float twin of hexdomain.floor_J: J is two shifted
-rectangular lattices and U is its Voronoi cell.
+rectangular lattices and U is its Voronoi cell.  Both lattices are rounded
+in one (2, n) array and the digit is assembled from the rounded floats: 25
+numpy calls instead of the 37 of rounding each lattice on its own and
+casting the digit to integers.  Every float operation is the one the
+coordinate-wise formulas name, so the digits, residuals and masks are
+bitwise theirs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ U_BOX = (-1.0, 1.0, -SQRT3 / 2, SQRT3 / 2)
 ETA_C = complex(1.5, SQRT3 / 2.0)
 S3_C = complex(0.0, SQRT3)
 
+# J and its shift by (3/2, 1/2), as the offsets of x and of y, one row each
+_SHIFT_X = np.array([[0.0], [1.5]])
+_SHIFT_Y = np.array([[0.0], [0.5]])
+
 
 def hex_margin(z: np.ndarray) -> np.ndarray:
     """max constraint value of the open hexagon; negative means inside."""
@@ -27,6 +36,20 @@ def hex_margin(z: np.ndarray) -> np.ndarray:
     y = z.imag / SQRT3
     return np.maximum(np.maximum(np.abs(y) - 0.5, np.abs(x + y) - 1.0),
                       np.abs(x - y) - 1.0)
+
+
+def _decode(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, w - alpha) for a 1-d complex128 array w, by the rule that
+    `nearest_digits` states."""
+    x, y = w.real, w.imag / SQRT3
+    p = np.rint((x - _SHIFT_X) / 3.0)
+    q = np.rint(y - _SHIFT_Y)
+    dist = (x - 3.0 * p - _SHIFT_X) ** 2 + 3.0 * (y - q - _SHIFT_Y) ** 2
+    one = dist[1] < dist[0]
+    p, q = np.where(one, p[1], p[0]), np.where(one, q[1], q[0])
+    # alpha = m*eta + n*sqrt(-3) has x = 3m/2 and y = m/2 + n
+    alpha = (2.0 * p + one) * ETA_C + (q - p) * S3_C
+    return alpha, w - alpha
 
 
 def nearest_digits(
@@ -41,24 +64,24 @@ def nearest_digits(
     With z = x + y*sqrt(-3), J is {x in 3Z, y in Z} and its shift by
     (3/2, 1/2).  Both cosets are rounded coordinate-wise and the point at
     the smaller squared distance dx^2 + 3 dy^2 is kept; (near-)ties lie on
-    the hexagon's edges, inside the band.
+    the hexagon's edges, inside the band.  The digit's coordinates are
+    formed in floats, so an entry of modulus 2^52 or more, where doubles no
+    longer resolve the lattice, is never ok; nor is a non-finite entry.
     """
     w = np.asarray(w, dtype=np.complex128)
-    x = w.real
-    y = w.imag / SQRT3
-    p0, q0 = np.rint(x / 3.0), np.rint(y)
-    p1, q1 = np.rint((x - 1.5) / 3.0), np.rint(y - 0.5)
-    one = ((x - 3.0 * p1 - 1.5) ** 2 + 3.0 * (y - q1 - 0.5) ** 2
-           < (x - 3.0 * p0) ** 2 + 3.0 * (y - q0) ** 2)
-    # alpha = m*eta + n*sqrt(-3) has x = 3m/2 and y = m/2 + n
-    p = np.where(one, p1, p0)
-    m = (2.0 * p + one).astype(np.int64)
-    n = (np.where(one, q1, q0) - p).astype(np.int64)
-    alpha = m * ETA_C + n * S3_C
-    marg = hex_margin(w - alpha)
-    band = np.abs(marg) <= tol
-    ok = marg < -tol
-    return alpha, ok, band
+    with np.errstate(invalid="ignore", over="ignore"):
+        alpha, resid = _decode(w.reshape(-1))
+        marg = hex_margin(resid).reshape(w.shape)
+    ok = (marg < -tol) & (np.abs(w) < 2.0**52)
+    return alpha.reshape(w.shape), ok, np.abs(marg) <= tol
+
+
+def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`t_step` on a 1-d array in the caller's floating-point error state,
+    with a dead entry's next point left as it comes."""
+    w = 1.0 / z
+    alpha, resid = _decode(w)
+    return alpha, resid, (np.abs(z) > 1e-15) & (hex_margin(resid) < -tol)
 
 
 def t_step(
@@ -73,8 +96,6 @@ def t_step(
     """
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        w = 1.0 / z
-        alpha, ok, _band = nearest_digits(w, tol)
-        alive = (np.abs(z) > 1e-15) & ok
-        z_next = np.where(alive, w - alpha, 0.0)
-    return alpha, z_next, alive
+        alpha, resid, alive = _step(z.reshape(-1), tol)
+    z_next = np.where(alive, resid, 0.0)
+    return alpha.reshape(z.shape), z_next.reshape(z.shape), alive.reshape(z.shape)

@@ -348,7 +348,7 @@ class Region:
         B = other (None: the empty set), within box = (x0, x1, y0, y1), by
         branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
         1966): the residue and the counterexamples of `box_tree`."""
-        den, tree = self.box_tree(other, box, depth)
+        den, (u0, u1, v0, v1), tree = self._box_tree(other, box, depth)
         count = fails = 0
         example = None
         for _, u, v, weight, bad in tree:
@@ -356,8 +356,8 @@ class Region:
             if bad and example is None:
                 example = FieldElement(u, v, den)
             fails += bad
-        x0, x1, y0, y1 = (Fraction(e) for e in box)
-        return Excess(Fraction(count) * (x1 - x0) * (y1 - y0) / 4 ** depth, fails, example)
+        return Excess(Fraction(count * (u1 - u0) * (v1 - v0), den * den << 2 * depth),
+                      fails, example)
 
     def box_tree(self, other: Region | None, box, depth: int
                  ) -> tuple[int, Iterator[tuple[int, int, int, int, int]]]:
@@ -377,13 +377,19 @@ class Region:
         the residue, and its centre is a counterexample when strictly inside A
         and outside cl(B).
         """
+        den, _, tree = self._box_tree(other, box, depth)
+        return den, tree
+
+    def _box_tree(self, other: Region | None, box, depth: int):
+        """`box_tree` as (den, the box's corners (u0, u1, v0, v1) over den,
+        stream)."""
         box = [Fraction(v) for v in box]
         den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
+        corners = tuple(v.numerator * (den // v.denominator) for v in box)
         a_set = dict.fromkeys(r[:4] for r in self._ints)
         if any((-qq, -bx, -by, -dd) in a_set for qq, bx, by, dd in a_set):
-            return den, iter(())
-        root = (*(v.numerator * (den // v.denominator) for v in box),
-                [_box_row(r, den) for r in a_set], None if other is None else
+            return den, corners, iter(())
+        root = (*corners, [_box_row(r, den) for r in a_set], None if other is None else
                 [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])
 
         def walk():
@@ -413,7 +419,7 @@ class Region:
                     if verdict or weight:
                         yield verdict, um, vm, weight, bad
 
-        return den, walk()
+        return den, corners, walk()
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(
@@ -443,24 +449,38 @@ class Region:
         )
 
     # -- float path -------------------------------------------------------
-    def classify_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """+1 inside, 0 within the boundary band, -1 outside (vectorized).
-
-        All rows are evaluated at once as qq*r + bx*x + by*y + dd,
-        r = x^2 + 3y^2, over a leading row axis; a row rejects where its
-        value exceeds scale*tol, scale its primitive's `scale_float`."""
+    def _row_values(self, x: np.ndarray, y: np.ndarray, tol: float):
+        """(finite, v, s): v the rows' values qq*r + bx*x + by*y + dd,
+        r = x^2 + 3y^2, over a leading row axis, s their band half-widths
+        scale*tol (scale the primitive's `scale_float`), and finite marking
+        the points where r is finite."""
         x, y = np.asarray(x), np.asarray(y)
         col = (-1,) + (1,) * x.ndim
         qq, bx, by, dd = (c.reshape(col) for c in self._rows.coef.T)
-        v = qq * (x * x + 3.0 * y * y) + bx * x + by * y + dd
-        s = self._rows.scale.reshape(col) * tol
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = x * x + 3.0 * y * y
+            v = qq * r + bx * x + by * y + dd
+        return np.isfinite(r), v, self._rows.scale.reshape(col) * tol
+
+    def classify_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """+1 inside, 0 within the boundary band, -1 outside (vectorized).
+
+        A row rejects where its value exceeds its band half-width; a point
+        with a non-finite coordinate is outside."""
+        finite, v, s = self._row_values(x, y, tol)
         band = (np.abs(v) <= s).any(axis=0)
-        out = (v > s).any(axis=0)
+        out = (v > s).any(axis=0) | ~finite
         return np.where(out, np.int8(-1), np.where(band, np.int8(0), np.int8(1)))
 
     def classify_complex(self, z: complex | np.ndarray, tol: float = 1e-12):
         z = np.asarray(z)
         return self.classify_xy(z.real, z.imag / SQRT3, tol)
+
+    def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """classify_xy == 1 as a mask: every row's value is below minus its
+        band half-width, at a finite point."""
+        finite, v, s = self._row_values(x, y, tol)
+        return (v < -s).all(axis=0) & finite
 
     def bbox_real(self) -> tuple[float, float, float, float]:
         """(xlo, xhi, ylo, yhi) in real coordinates, from the boundary: the
@@ -660,23 +680,34 @@ def classify_cells_complex(
 ) -> np.ndarray:
     """Vectorized cell classification: index 6*(k-1)+(l-1), or -1 off-cell.
 
-    V_{k,l} lies in the closed sextant (l-1)pi/3 <= arg z <= l*pi/3, so a
-    point with s*pi/3 <= arg z < (s+1)*pi/3 is tested against the six cells
-    V_{k,s+1} only, in its own coordinates.  A point within tol of a sextant
-    ray is within tol of a cell boundary and comes back -1 either way.
+    The sextant is read as `cell_of` reads it, from the signs of y, x - y
+    and x + y (z = x + y*sqrt(-3)); a point on a ray, or not finite, lies in
+    no sextant.  A point in sextant s is tested against V_{1,s+1}, ...,
+    V_{6,s+1} in turn, each test only on the points no earlier cell took,
+    and belongs to the first cell it lies strictly inside (`inside_xy`).
+    The cells are disjoint open sets and the band is far wider than float
+    error, so the first hit is the only one.  A point within tol of a
+    sextant ray is within tol of a cell boundary and comes back -1.
     """
     cat = catalog or build_catalog()
     z = np.asarray(z)
-    x, y = z.real, z.imag / SQRT3
-    sextant = np.floor(np.angle(z) * (3.0 / math.pi)).astype(np.int64) % 6
-    idx = np.full(z.shape, -1, dtype=np.int64)
+    flat = z.reshape(-1)
+    x, y = flat.real, flat.imag / SQRT3
+    # with t = [x > y] + [x > -y], the sextant is 2 - t above the real axis
+    # and 3 + t below it
+    t = (x > y).view(np.int8) + (x > -y).view(np.int8)
+    sextant = np.where(y > 0, 2 - t, 3 + t)
+    sextant[~((y != 0) & (x != y) & (x != -y) & np.isfinite(flat))] = -1
+    idx = np.full(flat.shape, -1, dtype=np.int64)
     for s in range(6):
-        sel = sextant == s
-        xs, ys = x[sel], y[sel]
-        inside = np.array([cat.v_cells[(k, s + 1)].classify_xy(xs, ys, tol) == 1
-                           for k in range(1, 7)])
-        idx[sel] = np.where(inside.sum(axis=0) == 1, 6 * inside.argmax(axis=0) + s, -1)
-    return idx
+        left = np.flatnonzero(sextant == s)
+        for k in range(1, 7):
+            if not left.size:
+                break
+            hit = cat.v_cells[(k, s + 1)].inside_xy(x[left], y[left], tol)
+            idx[left[hit]] = 6 * (k - 1) + s
+            left = left[~hit]
+    return idx.reshape(z.shape)
 
 
 def rational_points_on(prim: Primitive, ts: Iterable[Fraction]) -> list[FieldElement]:

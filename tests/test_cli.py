@@ -102,6 +102,22 @@ class TestVerify:
 
 
 class TestLevyDensityRender:
+    def test_levy_and_density_artifacts_are_pinned(self, capsys, tmp_path):
+        # the bytes of the orbit and cell-lookup layers: a leaner step or
+        # lookup must leave every digit, point and frequency as it is
+        pins = {
+            ("levy", "--orbits", "8", "--length", "2000", "--samples", "40000",
+             "--seed", "7"):
+            "6bc8a7d73f7c7bbfaaa9145ce8fcb4b1493ef4f9f7051468f7ee6c1b2fcd08bc",
+            ("density", "--grid", "16"):
+            "9151b12225e5e8d7125a9f415504f1524bf98244caff77175af4fb7255a10a50",
+        }
+        for argv, digest in pins.items():
+            out_file = tmp_path / f"{argv[0]}.out"
+            code, _, _ = run(capsys, *argv, "--out", str(out_file))
+            assert code == 0
+            assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, argv[0]
+
     def test_levy_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "levy.json"
         code, _, _ = run(capsys, "levy", "--orbits", "4", "--length", "400",

@@ -28,7 +28,7 @@ from eisencf.ergodic import (
 from eisencf.exact import SQRT3, FieldElement, embed
 from eisencf.floatpath import t_step
 from eisencf.hexdomain import in_U0
-from eisencf.regions import build_catalog
+from eisencf.regions import build_catalog, classify_cells_complex
 
 CAT = build_catalog()
 
@@ -325,3 +325,14 @@ class TestInvariance:
         assert rep.verdict == "PASS", rep.failures[:4]
         assert abs(rep.info["frequency_sum"] - 1.0) < 1e-6
         assert rep.info["rotation_spread"] < 0.02
+
+    def test_frequencies_are_per_cell_means(self):
+        # one bincount per chunk gives the bits of 36 per-cell means; rows
+        # of 7000 points span two chunks of 57 orbits
+        batch = simulate_orbits(60, 7000, seed=23)
+        freq, mean_freq = occupation_frequencies(batch)
+        idx = classify_cells_complex(batch.points)
+        ref = np.stack([(idx == ci).mean(axis=1) for ci in range(36)], axis=1)
+        assert freq.tobytes() == ref.tobytes()
+        assert mean_freq.tobytes() == ref.mean(axis=0).tobytes()
+        assert 0.98 < freq.sum(axis=1).min() <= freq.sum(axis=1).max() < 1.0 + 1e-12

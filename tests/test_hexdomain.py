@@ -11,7 +11,7 @@ from eisencf.exact import (
     embed,
     j_element,
 )
-from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, nearest_digits
+from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, nearest_digits, t_step
 from eisencf.hexdomain import _nearest, floor_J, floor_J_candidates, in_U, in_U0
 
 
@@ -32,6 +32,28 @@ def nearest_digits_search(w, tol=1e-12):
             best = np.where(take, marg, best)
             alpha = np.where(take, cand, alpha)
     return alpha, best < -tol
+
+
+def t_step_coordinatewise(z, tol=1e-12):
+    """Reference: t_step with each coset of J rounded on its own, the digit
+    cast to integers and formed as m*eta + n*sqrt(-3)."""
+    z = np.asarray(z, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        w = 1.0 / z
+        x = w.real
+        y = w.imag / SQRT3
+        p0, q0 = np.rint(x / 3.0), np.rint(y)
+        p1, q1 = np.rint((x - 1.5) / 3.0), np.rint(y - 0.5)
+        one = ((x - 3.0 * p1 - 1.5) ** 2 + 3.0 * (y - q1 - 0.5) ** 2
+               < (x - 3.0 * p0) ** 2 + 3.0 * (y - q0) ** 2)
+        p = np.where(one, p1, p0)
+        m = (2.0 * p + one).astype(np.int64)
+        n = (np.where(one, q1, q0) - p).astype(np.int64)
+        alpha = m * ETA_C + n * S3_C
+        marg = hex_margin(w - alpha)
+        alive = (np.abs(z) > 1e-15) & (marg < -tol)
+        z_next = np.where(alive, w - alpha, 0.0)
+    return alpha, z_next, alive
 
 
 def rand_field(rng, bound=1000):
@@ -197,6 +219,14 @@ class TestFloatPath:
         _alpha, ok, band = nearest_digits(np.array([1.0 + 0j]))
         assert band[0] and not ok[0]
 
+    def test_beyond_float_resolution_is_never_ok(self):
+        # digits are formed in floats, which stop resolving J at 2^52
+        # and a non-finite entry is never ok, and raises no RuntimeWarning
+        w = np.array([2.0**52, 3.0 * 2**60, 1e300, 2.0**53 * ETA_C, 1e300j, 2.0**52 - 0.75,
+                      np.nan, np.inf, complex(0.0, -np.inf), complex(1e308, 1e308)])
+        _alpha, ok, _band = nearest_digits(w)
+        assert ok.tolist() == [False] * 5 + [True] + [False] * 4
+
     def _same_as_search(self, w):
         alpha, ok, band = nearest_digits(w)
         ref_alpha, ref_ok = nearest_digits_search(w)
@@ -235,3 +265,60 @@ class TestFloatPath:
         for pts in (w, w + m * ETA_C + n * S3_C):
             ok = self._same_as_search(pts)
             assert 0 < ok.sum() < ok.size
+
+
+class TestStepBitwise:
+    """t_step against the coordinate-wise reference, bit for bit: the digit
+    on live entries, the next point and the alive mask."""
+
+    @staticmethod
+    def _same(z, tol=1e-12):
+        alpha, z_next, alive = t_step(z, tol)
+        ref_alpha, ref_next, ref_alive = t_step_coordinatewise(z, tol)
+        assert np.array_equal(alive, ref_alive)
+        assert alpha[alive].tobytes() == ref_alpha[alive].tobytes()
+        assert z_next.tobytes() == ref_next.tobytes()
+        return alive, z_next
+
+    def test_random_points_of_u(self):
+        rng = np.random.default_rng(81)
+        z = rng.uniform(-1, 1, 60000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 60000)
+        alive, _ = self._same(z[hex_margin(z) < 0])
+        assert alive.mean() > 0.999
+
+    def test_inverse_within_1e_13_of_a_hexagon_edge(self):
+        rng = np.random.default_rng(82)
+        verts = np.exp(1j * np.pi / 3 * np.arange(6))
+        t = rng.uniform(0, 1, (6, 500))
+        edges = (verts[:, None] * (1 - t) + np.roll(verts, -1)[:, None] * t).ravel()
+        off = rng.choice([-1.0, 1.0], edges.size) * 10.0 ** rng.uniform(-16, -13, edges.size)
+        normal = np.exp(1j * (np.pi / 6 + np.pi / 3 * np.repeat(np.arange(6), 500)))
+        m = rng.integers(-40, 40, edges.size)
+        n = rng.integers(-40, 40, edges.size)
+        w = edges + off * normal + m * ETA_C + n * S3_C
+        w = w[np.abs(w) > 1.5]
+        for tol in (1e-12, 1e-14, 1e-16):
+            alive, _ = self._same(1.0 / w, tol)
+            if tol == 1e-16:
+                assert 0 < alive.sum() < alive.size
+
+    def test_zero_and_the_underflow_threshold(self):
+        phase = np.exp(1j * np.array([0.0, 0.3, 1.0, 2.5, -2.0]))
+        mods = np.array([0.0, 5e-324, 1e-300, 9.999999999999999e-16, 1e-15,
+                         1.0000000000000002e-15, 1.1e-15, 1e-14])
+        z = np.concatenate([(mods[:, None] * phase).ravel(),
+                            [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+        alive, z_next = self._same(z)
+        assert not alive[:len(phase) * 4].any()
+        assert (z_next[~alive] == 0).all()
+
+    def test_orbits_at_a_wide_band(self):
+        # at tol 1e-3 many entries fall in the band on every step
+        rng = np.random.default_rng(83)
+        z = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 4000)
+        z = z[hex_margin(z) < 0][:2000]
+        dead = 0
+        for _ in range(30):
+            alive, z = self._same(z, 1e-3)
+            dead += int((~alive).sum())
+        assert dead > 1000

@@ -408,6 +408,26 @@ class TestFloatClassification:
         assert (CAT.v_cells[(1, 1)].classify_complex(
             points_near_curve(CAT.v_cells[(1, 1)].prims[-1], rng)) == 0).any()
 
+    def test_non_finite_points_are_outside(self):
+        bad = np.array([complex(np.nan, np.nan), complex(np.nan, 0.1), complex(np.inf, 0.0),
+                        complex(-np.inf, 0.0), complex(0.0, np.inf), complex(0.0, -np.inf),
+                        complex(np.inf, np.inf), complex(1e200, 1e200)])
+        regions = [CAT.u0, *CAT.v_cells.values(), *CAT.v_star.values(),
+                   *(r.invert() for r in CAT.v_star.values()), *CAT.s_sets.values()]
+        for reg in regions:
+            assert (reg.classify_complex(bad) == -1).all(), reg.name
+            assert not reg.inside_xy(bad.real, bad.imag / SQRT3).any(), reg.name
+
+    def test_inside_mask_is_classify_xy_equal_to_one(self):
+        rng = np.random.default_rng(44)
+        grid = rng.uniform(-3, 3, (2, 30, 40))
+        for reg in [*CAT.v_cells.values(), *(r.invert() for r in CAT.v_star.values())]:
+            near = np.concatenate([points_near_curve(p, rng) for p in reg.prims])
+            for x, y in ((grid[0], grid[1]), (near.real, near.imag / SQRT3)):
+                got = reg.inside_xy(x, y)
+                assert got.shape == np.shape(x), reg.name
+                assert np.array_equal(got, reg.classify_xy(x, y) == 1), reg.name
+
     def test_sextant_fold_matches_all_cells(self):
         rng = np.random.default_rng(43)
         bulk = rng.uniform(-1, 1, 20000) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2, 20000)
@@ -423,6 +443,16 @@ class TestFloatClassification:
         assert np.array_equal(got, classify_cells_loop(z))
         assert set(got[:4].tolist()) == {-1}
         assert 0 < (got[-ray_pts.size:] >= 0).sum() < ray_pts.size
+        # where cells meet: every cell's curves, on them and 1e-13 to 1e-11 off
+        near = np.concatenate([points_near_curve(p, rng) for reg in CAT.v_cells.values()
+                               for p in reg.prims])
+        near = near[np.abs(near.real) <= 1.0]
+        at_curves = classify_cells_complex(near)
+        assert np.array_equal(at_curves, classify_cells_loop(near))
+        assert 0 < (at_curves >= 0).sum() < near.size
+        bad = np.array([complex(np.nan, 0.1), complex(0.1, np.nan), complex(np.inf, 0.0),
+                        complex(-np.inf, 0.5), complex(0.2, np.inf), complex(np.inf, -np.inf)])
+        assert (classify_cells_complex(bad) == -1).all()
         assert np.array_equal(classify_cells_complex(z.reshape(2, -1)), got.reshape(2, -1))
         for zs in (z[10], complex(z[10]), 0j):
             one = classify_cells_complex(zs)
