@@ -15,6 +15,7 @@ from pathlib import Path
 from ._util import canonical_json
 from .cf import DomainError, convergents, expand
 from .exact import (
+    embed,
     field_element_to_json,
     format_field_element,
     parse_field_element,
@@ -40,8 +41,9 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("samples", "orbits", "length", "depth", "grid", "digits"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            least = 2 if name == "orbits" else 1  # a standard error needs two orbits
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not (0.0 < self.tol <= 1e-6):
             raise ValueError("tol must lie in (0, 1e-6]")
 
@@ -66,6 +68,14 @@ def _write(path: str | None, text: str) -> None:
 
 def _eint_json(e) -> dict:
     return {"a": e.a, "b": e.b}
+
+
+def _ratio(p, q) -> complex:
+    """p/q as the quotient of the floats of p and q, or as the exact
+    quotient rounded once p or q nears the end of float range."""
+    if max(abs(p.a), abs(p.b), abs(q.a), abs(q.b)) < 2**1020:
+        return p.approx() / q.approx()
+    return (embed(p) / embed(q)).approx()
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
@@ -93,12 +103,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         terminal["entry_index"] = e.terminal.entry_index
         terminal["point"] = field_element_to_json(e.terminal.point)
     zf = z.approx()
-    errors = []
-    for c in convs[1:]:
-        if c.q.is_zero():
-            errors.append(None)
-        else:
-            errors.append(abs(zf - c.p.approx() / c.q.approx()))
+    errors = [None if c.q.is_zero() else abs(zf - _ratio(c.p, c.q)) for c in convs[1:]]
     doc = {
         "schema": 1,
         "z": field_element_to_json(z),

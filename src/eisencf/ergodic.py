@@ -157,7 +157,6 @@ def simulate_orbits(orbits: int, length: int, seed: int,
 class LevyEstimate:
     value: float
     stderr: float
-    per_orbit: np.ndarray
 
     def as_dict(self) -> dict:
         return {"value": self.value, "stderr": self.stderr}
@@ -171,8 +170,7 @@ def levy_birkhoff(orbits: int = 64, length: int = 20000, seed: int = 0,
 
 def _birkhoff(batch: OrbitBatch) -> LevyEstimate:
     per = batch.log_w.mean(axis=1)
-    return LevyEstimate(float(per.mean()),
-                        float(per.std(ddof=1) / math.sqrt(len(per))), per)
+    return LevyEstimate(float(per.mean()), float(per.std(ddof=1) / math.sqrt(len(per))))
 
 
 # --------------------------------------------------------------------------

@@ -190,7 +190,10 @@ class FieldElement:
         return hash((self.a, self.b, self.c))
 
     def approx(self) -> complex:
-        return complex(self.a / self.c, self.b * SQRT3 / self.c)
+        # b * SQRT3 turns b into a float, which overflows where b / c need not
+        y = self.b * SQRT3 / self.c if max(abs(self.b), self.c) < 2**1023 else (
+            self.b / self.c * SQRT3)
+        return complex(self.a / self.c, y)
 
     def to_eisenstein(self) -> EisensteinInt | None:
         """Inverse of embed() when the value is an algebraic integer."""
@@ -226,8 +229,10 @@ def parse_field_element(text: str) -> FieldElement:
     m = _FIELD_RE.match(text)
     if m is None:
         raise ValueError(f"not a field element literal: {text!r}")
-    x = Fraction(m.group(1))
-    y = Fraction(m.group(3))
+    try:
+        x, y = Fraction(m.group(1)), Fraction(m.group(3))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     if m.group(2) == "-":
         y = -y
     return FieldElement.from_xy(x, y)

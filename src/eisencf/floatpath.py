@@ -1,4 +1,6 @@
-"""Vectorized floating-point geometry for sampling runs.
+"""Vectorized floating-point geometry for sampling runs: the float step of
+the continued fraction map (`t_step`, and `_step`, which the orbit loop
+calls inside its own error state) and the hexagon margin (`hex_margin`).
 
 Boundary handling follows one rule everywhere: a point whose classification
 comes within ``tol`` of any constraint is banded and the caller must skip or
@@ -38,9 +40,15 @@ def hex_margin(z: np.ndarray) -> np.ndarray:
                       np.abs(x - y) - 1.0)
 
 
-def _decode(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, w - alpha) for a 1-d complex128 array w, by the rule that
-    `nearest_digits` states."""
+def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`t_step` on a 1-d array in the caller's floating-point error state,
+    with a dead entry's next point w - alpha, w = 1/z, left as it comes.
+
+    With w = x + y*sqrt(-3), J is {x in 3Z, y in Z} and its shift by
+    (3/2, 1/2).  Both are rounded coordinate-wise and the point at the
+    smaller dx^2 + 3 dy^2 is kept; (near-)ties lie in the band.  |z| > 1e-15
+    keeps |w| well below 2^52, where doubles stop resolving J."""
+    w = 1.0 / z
     x, y = w.real, w.imag / SQRT3
     p = np.rint((x - _SHIFT_X) / 3.0)
     q = np.rint(y - _SHIFT_Y)
@@ -49,38 +57,7 @@ def _decode(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p, q = np.where(one, p[1], p[0]), np.where(one, q[1], q[0])
     # alpha = m*eta + n*sqrt(-3) has x = 3m/2 and y = m/2 + n
     alpha = (2.0 * p + one) * ETA_C + (q - p) * S3_C
-    return alpha, w - alpha
-
-
-def nearest_digits(
-    w: np.ndarray, tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round an array of complex values to the digit module J.
-
-    Returns (alpha, ok, band): alpha the complex digits, ok marking entries
-    whose residual w - alpha is strictly inside the hexagon, band marking
-    entries that came within tol of a hexagon edge (to be skipped).
-
-    With z = x + y*sqrt(-3), J is {x in 3Z, y in Z} and its shift by
-    (3/2, 1/2).  Both cosets are rounded coordinate-wise and the point at
-    the smaller squared distance dx^2 + 3 dy^2 is kept; (near-)ties lie on
-    the hexagon's edges, inside the band.  The digit's coordinates are
-    formed in floats, so an entry of modulus 2^52 or more, where doubles no
-    longer resolve the lattice, is never ok; nor is a non-finite entry.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    with np.errstate(invalid="ignore", over="ignore"):
-        alpha, resid = _decode(w.reshape(-1))
-        marg = hex_margin(resid).reshape(w.shape)
-    ok = (marg < -tol) & (np.abs(w) < 2.0**52)
-    return alpha.reshape(w.shape), ok, np.abs(marg) <= tol
-
-
-def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`t_step` on a 1-d array in the caller's floating-point error state,
-    with a dead entry's next point left as it comes."""
-    w = 1.0 / z
-    alpha, resid = _decode(w)
+    resid = w - alpha
     return alpha, resid, (np.abs(z) > 1e-15) & (hex_margin(resid) < -tol)
 
 

@@ -15,11 +15,11 @@ x -> -x) and z -> z + t act on coefficient vectors:
     mirror        (qq, bx, by, dd) -> (qq, -bx, by, dd)
     translation   substitute z - t and clear denominators.
 
-Every membership test (exact, float, box tree) reads a region in one row form,
-built once: rows (qq, bx, by, dd) meaning "P <= 0", or "P < 0" where
-the row is strict and the region open.  A ">" or ">=" primitive becomes its
-negated row, "==" the two rows P and -P, and each row keeps its primitive's
-float scale for the boundary band.
+Every membership test (exact `contains`, float `inside_xy`, the box tree of
+`excess`) reads a region in one row form, built once: rows (qq, bx, by, dd)
+meaning "P <= 0", or "P < 0" where the row is strict and the region open.  A
+">" or ">=" primitive becomes its negated row, "==" the two rows P and -P, and
+each row keeps its primitive's float scale for the boundary band.
 
 Some catalogued cells deviate from their customary printed definitions; each
 repair is documented in REGION_ERRATA.md and is forced by the partition
@@ -348,7 +348,7 @@ class Region:
         B = other (None: the empty set), within box = (x0, x1, y0, y1), by
         branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
         1966): the residue and the counterexamples of `box_tree`."""
-        den, (u0, u1, v0, v1), tree = self._box_tree(other, box, depth)
+        den, (u0, u1, v0, v1), tree = self.box_tree(other, box, depth)
         count = fails = 0
         example = None
         for _, u, v, weight, bad in tree:
@@ -360,12 +360,13 @@ class Region:
                       fails, example)
 
     def box_tree(self, other: Region | None, box, depth: int
-                 ) -> tuple[int, Iterator[tuple[int, int, int, int, int]]]:
-        """The box tree of `excess`, as den and a lazy breadth-first stream of
-        (verdict, u, v, weight, bad): the box centred at (u, v) / den gets a
-        verdict (OUTSIDE, INSIDE or UNDECIDED) and adds weight final-depth
-        boxes to the residue, bad of them counterexamples.  A box with no
-        verdict and no weight is not emitted.
+                 ) -> tuple[int, tuple[int, ...], Iterator[tuple[int, int, int, int, int]]]:
+        """The box tree of `excess`, as den, the box's corners (u0, u1, v0, v1)
+        over den, and a lazy breadth-first stream of (verdict, u, v, weight,
+        bad): the box centred at (u, v) / den gets a verdict (OUTSIDE, INSIDE
+        or UNDECIDED) and adds weight final-depth boxes to the residue, bad of
+        them counterexamples.  A box with no verdict and no weight is not
+        emitted.
 
         The box is split in four, `depth` times.  A box is dropped when a row
         of A is positive on it, or when every row of B left is <= 0 on it; a
@@ -377,12 +378,6 @@ class Region:
         the residue, and its centre is a counterexample when strictly inside A
         and outside cl(B).
         """
-        den, _, tree = self._box_tree(other, box, depth)
-        return den, tree
-
-    def _box_tree(self, other: Region | None, box, depth: int):
-        """`box_tree` as (den, the box's corners (u0, u1, v0, v1) over den,
-        stream)."""
         box = [Fraction(v) for v in box]
         den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
         corners = tuple(v.numerator * (den // v.denominator) for v in box)
@@ -449,38 +444,18 @@ class Region:
         )
 
     # -- float path -------------------------------------------------------
-    def _row_values(self, x: np.ndarray, y: np.ndarray, tol: float):
-        """(finite, v, s): v the rows' values qq*r + bx*x + by*y + dd,
-        r = x^2 + 3y^2, over a leading row axis, s their band half-widths
-        scale*tol (scale the primitive's `scale_float`), and finite marking
-        the points where r is finite."""
+    def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Vectorized strict membership: every row's value qq*r + bx*x + by*y
+        + dd, r = x^2 + 3y^2, lies below minus its band half-width scale*tol
+        (scale the primitive's `scale_float`), at a point where r is finite.
+        A point within the band of a row is outside."""
         x, y = np.asarray(x), np.asarray(y)
         col = (-1,) + (1,) * x.ndim
         qq, bx, by, dd = (c.reshape(col) for c in self._rows.coef.T)
         with np.errstate(invalid="ignore", over="ignore"):
             r = x * x + 3.0 * y * y
             v = qq * r + bx * x + by * y + dd
-        return np.isfinite(r), v, self._rows.scale.reshape(col) * tol
-
-    def classify_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """+1 inside, 0 within the boundary band, -1 outside (vectorized).
-
-        A row rejects where its value exceeds its band half-width; a point
-        with a non-finite coordinate is outside."""
-        finite, v, s = self._row_values(x, y, tol)
-        band = (np.abs(v) <= s).any(axis=0)
-        out = (v > s).any(axis=0) | ~finite
-        return np.where(out, np.int8(-1), np.where(band, np.int8(0), np.int8(1)))
-
-    def classify_complex(self, z: complex | np.ndarray, tol: float = 1e-12):
-        z = np.asarray(z)
-        return self.classify_xy(z.real, z.imag / SQRT3, tol)
-
-    def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """classify_xy == 1 as a mask: every row's value is below minus its
-        band half-width, at a finite point."""
-        finite, v, s = self._row_values(x, y, tol)
-        return (v < -s).all(axis=0) & finite
+        return (v < -self._rows.scale.reshape(col) * tol).all(axis=0) & np.isfinite(r)
 
     def bbox_real(self) -> tuple[float, float, float, float]:
         """(xlo, xhi, ylo, yhi) in real coordinates, from the boundary: the

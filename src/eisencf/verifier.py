@@ -290,7 +290,7 @@ def _witnesses(table: Region) -> tuple[list[FieldElement], list[FieldElement]]:
     """The centres of the first _WITNESSES boxes a tree of depth
     _WITNESS_DEPTH proves inside the table, and of the first _WITNESSES in U0
     it drops outside, in traversal order; the walk stops once it holds both."""
-    den, tree = table.box_tree(None, U0_BOX, _WITNESS_DEPTH)
+    den, _, tree = table.box_tree(None, U0_BOX, _WITNESS_DEPTH)
     inside: list[FieldElement] = []
     outside: list[FieldElement] = []
     for verdict, u, v, _, _ in tree:

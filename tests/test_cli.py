@@ -1,9 +1,15 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
-
-from eisencf.cli import build_parser, main
+import eisencf
+from eisencf.cli import _ratio, build_parser, main
+from eisencf.exact import EisensteinInt, embed
 from eisencf.verifier import CHECKS
 
 
@@ -48,6 +54,42 @@ class TestExpand:
         code, _, _ = run(capsys, "expand", "--z", "not-a-number")
         assert code == 2
 
+    def test_zero_denominator_exit_2(self, capsys):
+        for z in ("1/0+1r", "0+1/0r", "1/2+0/0r"):
+            code, _, err = run(capsys, "expand", "--z", z)
+            assert code == 2 and err.startswith("error: zero denominator"), z
+
+    def test_integers_beyond_float_range(self, capsys):
+        # b * sqrt(3) overflows a float here, b / c does not
+        big = 10**309
+        code, out, _ = run(capsys, "expand", "--z", f"{big // 3 + 1}/{big}+1/7r",
+                           "--digits", "40")
+        assert code == 0
+        errors = json.loads(out)["abs_errors"]
+        assert len(errors) == 40 and all(math.isfinite(e) for e in errors)
+        assert errors[0] > 0.1 > errors[-1]
+
+    def test_ratio_of_convergents_beyond_float_range(self):
+        p, q = EisensteinInt(10**400, 3 * 10**400 + 1), EisensteinInt(5 * 10**399, 10**400)
+        exact = (embed(p) / embed(q)).approx()
+        scaled = EisensteinInt(2, 6).approx() / EisensteinInt(1, 2).approx()
+        assert _ratio(p, q) == exact and abs(exact - scaled) < 1e-12
+        # in range, the floats of p and q divide as before
+        p, q = EisensteinInt(7, 3), EisensteinInt(2, 5)
+        assert _ratio(p, q) == p.approx() / q.approx()
+
+    def test_expand_loads_neither_numpy_nor_regions(self):
+        code = ("import sys; import eisencf.cli as c; "
+                "assert c.main(['expand', '--z', '3/10+1/7r', '--digits', '5', "
+                "'--out', '-']) == 0; "
+                "print(sorted({'numpy', 'eisencf.regions'} & set(sys.modules)))")
+        src = str(Path(eisencf.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "[]"
+
     def test_writes_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "exp.json"
         code, _, _ = run(capsys, "expand", "--z", "1/5+1/9r", "--out", str(out_file))
@@ -80,6 +122,10 @@ class TestVerify:
     def test_bad_tol(self, capsys):
         code, _, _ = run(capsys, "levy", "--tol", "0.01")
         assert code == 2
+
+    def test_one_orbit_has_no_standard_error(self, capsys):
+        code, out, err = run(capsys, "levy", "--orbits", "1", "--length", "10")
+        assert (code, out) == (2, "") and err.startswith("error: orbits must be >= 2")
 
     def test_deterministic_artifacts(self, capsys):
         code1, out1, _ = run(capsys, "verify", "orbit", "--seed", "42",

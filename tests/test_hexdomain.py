@@ -11,7 +11,7 @@ from eisencf.exact import (
     embed,
     j_element,
 )
-from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, nearest_digits, t_step
+from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, t_step
 from eisencf.hexdomain import _nearest, floor_J, floor_J_candidates, in_U, in_U0
 
 
@@ -209,32 +209,39 @@ class TestFloatPath:
     def test_floor_float_matches_exact(self):
         rng = random.Random(17)
         zs = [rand_field(rng, 400) for _ in range(2000)]
-        alpha, ok, _band = nearest_digits(np.array([z.approx() for z in zs]))
-        assert ok.mean() > 0.95
-        for z, a, good in zip(zs, alpha, ok):
+        alpha, _, alive = t_step(1.0 / np.array([z.approx() for z in zs]))
+        assert alive.mean() > 0.95
+        for z, a, good in zip(zs, alpha, alive):
             if good:
                 assert abs(a - floor_J(z).approx()) < 1e-9, str(z)
 
     def test_floor_float_band(self):
-        _alpha, ok, band = nearest_digits(np.array([1.0 + 0j]))
-        assert band[0] and not ok[0]
+        # 1 lies on an edge of the hexagon around the digit 0
+        alpha, z_next, alive = t_step(np.array([1.0 + 0j]))
+        assert not alive[0] and z_next[0] == 0
+        assert abs(hex_margin(1.0 - alpha)[0]) <= 1e-12
 
     def test_beyond_float_resolution_is_never_ok(self):
-        # digits are formed in floats, which stop resolving J at 2^52
-        # and a non-finite entry is never ok, and raises no RuntimeWarning
-        w = np.array([2.0**52, 3.0 * 2**60, 1e300, 2.0**53 * ETA_C, 1e300j, 2.0**52 - 0.75,
-                      np.nan, np.inf, complex(0.0, -np.inf), complex(1e308, 1e308)])
-        _alpha, ok, _band = nearest_digits(w)
-        assert ok.tolist() == [False] * 5 + [True] + [False] * 4
+        # digits are formed in floats, which stop resolving J at 2^52; an
+        # entry is alive only for |z| > 1e-15, |w| < 1e15, and a non-finite
+        # entry is never alive, and raises no RuntimeWarning
+        w = np.array([2.0**52, 3.0 * 2**60, 1e300, 2.0**53 * ETA_C, 1e300j, 1.5e15 + 0.25,
+                      3e14 + 0.25, np.nan, np.inf, complex(0.0, -np.inf), complex(1e308, 1e308)])
+        with np.errstate(all="ignore"):
+            z = 1.0 / w
+        _alpha, _z_next, alive = t_step(z)
+        assert alive.tolist() == [False] * 6 + [True] + [False] * 4
 
     def _same_as_search(self, w):
-        alpha, ok, band = nearest_digits(w)
-        ref_alpha, ref_ok = nearest_digits_search(w)
-        assert np.array_equal(ok, ref_ok)
-        assert not (ok & band).any()
+        # t_step rounds 1/z, bitwise the argument handed to the search
+        z = 1.0 / w
+        alpha, z_next, alive = t_step(z)
+        ref_alpha, ref_ok = nearest_digits_search(1.0 / z)
+        assert np.array_equal(alive, ref_ok & (np.abs(z) > 1e-15))
         # bitwise, as the orbits' digits and residuals depend on it
-        assert np.array_equal(alpha[ok].view(np.float64), ref_alpha[ok].view(np.float64))
-        return ok
+        assert np.array_equal(alpha[alive].view(np.float64), ref_alpha[alive].view(np.float64))
+        assert np.array_equal(z_next[alive], (1.0 / z - alpha)[alive])
+        return alive
 
     def test_decoder_matches_search_on_random_points(self):
         rng = np.random.default_rng(71)

@@ -39,7 +39,8 @@ ZETA_F = FieldElement(1, 1, 2)
 
 
 def classify_xy_loop(reg, x, y, tol=1e-12):
-    """Reference: Region.classify_xy one primitive at a time."""
+    """Reference: +1 inside, 0 within the boundary band, -1 outside, one
+    primitive at a time; `Region.inside_xy` is its == 1."""
     out = np.ones(np.shape(x), dtype=np.int8)
     band = np.zeros(np.shape(x), dtype=bool)
     for p in reg.prims:
@@ -169,7 +170,7 @@ class TestExcess:
         res = strip.excess(below, (0, 1, 0, 1), 3)
         assert (res.residue, res.fails) == (Fraction(1, 8), 8)
         assert res.example == FieldElement.from_xy(Fraction(1, 16), Fraction(1, 16))
-        _, tree = strip.box_tree(below, (0, 1, 0, 1), 3)
+        *_, tree = strip.box_tree(below, (0, 1, 0, 1), 3)
         assert INSIDE not in (verdict for verdict, *_ in tree)
         assert strip.excess(None, (0, 1, 0, 1), 3) == res
 
@@ -379,11 +380,17 @@ class TestSSets:
         assert CAT.s_sets[("zeta_bar", 3)].contains(FieldElement(-3, 0, 2))
 
 
+def xy(z):
+    z = np.asarray(z)
+    return z.real, z.imag / SQRT3
+
+
 class TestFloatClassification:
     def test_band_reporting(self):
         reg = CAT.v_star[(6, 1)]
-        res = reg.classify_complex(np.array([3 + 0j, 1 + 0j, 0.999999 + 0j]))
-        assert res[0] == 1 and res[1] == 0 and res[2] == -1
+        z = np.array([3 + 0j, 1 + 0j, 0.999999 + 0j])
+        assert classify_xy_loop(reg, *xy(z)).tolist() == [1, 0, -1]
+        assert reg.inside_xy(*xy(z)).tolist() == [True, False, False]
 
     def test_stacked_matches_primitive_loop(self):
         rng = np.random.default_rng(42)
@@ -393,20 +400,20 @@ class TestFloatClassification:
         grid = rng.uniform(-3, 3, (2, 30, 40))
         for reg in regions:
             near = np.concatenate([points_near_curve(p, rng) for p in reg.prims])
-            x1, y1 = near.real, near.imag / SQRT3
+            x1, y1 = xy(near)
             for x, y in ((grid[0], grid[1]), (x1, y1), (x1[:1], y1[:1])):
-                got = reg.classify_xy(x, y)
-                ref = classify_xy_loop(reg, x, y)
-                assert got.dtype == np.int8 and got.shape == np.shape(x), reg.name
-                assert np.array_equal(got, ref), reg.name
-            assert {-1, 0, 1} >= set(reg.classify_xy(x1, y1).tolist())
+                got = reg.inside_xy(x, y)
+                assert got.dtype == bool and got.shape == np.shape(x), reg.name
+                assert np.array_equal(got, classify_xy_loop(reg, x, y) == 1), reg.name
             for x, y in ((float(x1[0]), float(y1[0])), (x1[3], y1[3]), (0.0, 0.0)):
-                got = reg.classify_xy(x, y)
-                assert got.shape == () and got.dtype == np.int8, reg.name
-                assert got == classify_xy_loop(reg, x, y), reg.name
-        # band points do occur above: every region has some on its curves
-        assert (CAT.v_cells[(1, 1)].classify_complex(
-            points_near_curve(CAT.v_cells[(1, 1)].prims[-1], rng)) == 0).any()
+                got = reg.inside_xy(x, y)
+                assert got.shape == () and got.dtype == bool, reg.name
+                assert got == (classify_xy_loop(reg, x, y) == 1), reg.name
+        # band points do occur above: every region has some on its curves,
+        # and the inside mask leaves them out
+        near = points_near_curve(CAT.v_cells[(1, 1)].prims[-1], rng)
+        band = classify_xy_loop(CAT.v_cells[(1, 1)], *xy(near)) == 0
+        assert band.any() and not CAT.v_cells[(1, 1)].inside_xy(*xy(near))[band].any()
 
     def test_non_finite_points_are_outside(self):
         bad = np.array([complex(np.nan, np.nan), complex(np.nan, 0.1), complex(np.inf, 0.0),
@@ -415,18 +422,7 @@ class TestFloatClassification:
         regions = [CAT.u0, *CAT.v_cells.values(), *CAT.v_star.values(),
                    *(r.invert() for r in CAT.v_star.values()), *CAT.s_sets.values()]
         for reg in regions:
-            assert (reg.classify_complex(bad) == -1).all(), reg.name
-            assert not reg.inside_xy(bad.real, bad.imag / SQRT3).any(), reg.name
-
-    def test_inside_mask_is_classify_xy_equal_to_one(self):
-        rng = np.random.default_rng(44)
-        grid = rng.uniform(-3, 3, (2, 30, 40))
-        for reg in [*CAT.v_cells.values(), *(r.invert() for r in CAT.v_star.values())]:
-            near = np.concatenate([points_near_curve(p, rng) for p in reg.prims])
-            for x, y in ((grid[0], grid[1]), (near.real, near.imag / SQRT3)):
-                got = reg.inside_xy(x, y)
-                assert got.shape == np.shape(x), reg.name
-                assert np.array_equal(got, reg.classify_xy(x, y) == 1), reg.name
+            assert not reg.inside_xy(*xy(bad)).any(), reg.name
 
     def test_sextant_fold_matches_all_cells(self):
         rng = np.random.default_rng(43)
@@ -489,7 +485,7 @@ class TestFloatClassification:
             xlo, xhi, ylo, yhi = reg.bbox_real()
             xs, ys = np.linspace(xlo - 0.01, xhi + 0.01, n), np.linspace(ylo - 0.01, yhi + 0.01, n)
             gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            inside = reg.classify_complex(gx + 1j * gy) == 1
+            inside = reg.inside_xy(gx, gy / SQRT3)
             got = (gx[inside].min(), gx[inside].max(), gy[inside].min(), gy[inside].max())
             step = max(xs[1] - xs[0], ys[1] - ys[0])
             assert np.allclose(got, (xlo, xhi, ylo, yhi), rtol=0, atol=step), reg.name
@@ -506,10 +502,11 @@ class TestBoundary:
             for pc in pieces:
                 tm = 0.5 * (pc.t1 + pc.t2)
                 z, n = complex(pc.at(tm)), complex(pc.normal(tm))
-                assert reg.classify_complex(z) == 0, (reg.name, pc)
+                assert classify_xy_loop(reg, *xy(z)) == 0, (reg.name, pc)
+                assert not reg.inside_xy(*xy(z)), (reg.name, pc)
                 if two_d:
-                    assert reg.classify_complex(z - 1e-7 * n) == 1, (reg.name, pc)
-                    assert reg.classify_complex(z + 1e-7 * n) == -1, (reg.name, pc)
+                    assert reg.inside_xy(*xy(z - 1e-7 * n)), (reg.name, pc)
+                    assert classify_xy_loop(reg, *xy(z + 1e-7 * n)) == -1, (reg.name, pc)
 
     def test_half_disk(self):
         # the unit circle cuts the real axis where no other constraint does

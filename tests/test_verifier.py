@@ -323,7 +323,7 @@ class TestSharedProofs:
     def test_early_stopped_witnesses_are_the_first_of_the_full_tree(self):
         for claim in CLAIMS:
             table = _claim_table(claim)
-            den, tree = table.box_tree(None, U0_BOX, verifier._WITNESS_DEPTH)
+            den, _, tree = table.box_tree(None, U0_BOX, verifier._WITNESS_DEPTH)
             full = {INSIDE: [], OUTSIDE: []}
             for verdict, u, v, _, _ in tree:
                 if verdict in full:
