@@ -231,41 +231,16 @@ def eval_cf(
     return num / den
 
 
-def orbit_with_convergents(
-    z: FieldElement, depth: int
-) -> tuple[list[FieldElement], list[ConvergentPair]]:
-    """Orbit points z_0..z_n and convergents to depth n = depth.
-
-    Stops early (without raising) if the orbit terminates at zero or reaches
-    a special point exactly at depth; raises SpecialPoint only when a special
-    point appears before the requested depth is reachable.
-    """
-    points = [z]
-    convs = [INITIAL_CONVERGENT]
-    cur = z
-    for _ in range(depth):
-        d, cur = step_T(cur)
-        convs.append(convs[-1].push(d))
-        points.append(cur)
-        if cur.is_zero():
-            break
-        if cur == MINUS_ZETA or cur == ZETA_BAR:
-            break
-    return points, convs
-
-
 def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of |z - p_n/q_n|^2 = |1/q_n|^2 * |z_0 z_1 ... z_n|^2, exact."""
-    points, convs = orbit_with_convergents(z, n)
-    if len(points) < n + 1:
+    e = expand(z, n)
+    if not isinstance(e.terminal, Truncated):
         raise ValueError(f"orbit of {z} ends before depth {n}")
-    conv = convs[n]
-    q_norm = Fraction(conv.q.norm())
-    if conv.q.is_zero():
-        raise ZeroDivisionError("q_n = 0")
+    conv = convergents(e.digits)[n]
     lhs = (z - conv.ratio()).abs_sq()
+    q_norm = Fraction(conv.q.norm())
     prod = Fraction(1)
-    for zk in points[: n + 1]:
+    for zk in e.points:
         prod *= zk.abs_sq()
     rhs = prod / q_norm
     return lhs, rhs

@@ -21,9 +21,11 @@ chord that joins its farthest corners; the rule runs along the chord,
 graded toward the corners at the vertices and at 0, and across in the
 fraction of the width, which absorbs the cusps (there g ~ dist^-2 on a
 width ~ dist^2).  V_{k,l} and its dual cell are V_{k,1} and its dual cell
-turned by zeta^(l-1), so only the six base cells are integrated.  Each
-integral comes from a coarse and a fine rule; the fine value is reported
-with their difference as its error.
+turned by zeta^(l-1), and V_{3,1} and V_{5,1} with their dual cells are the
+mirror images of V_{2,1} and V_{4,1} with theirs under z -> zeta*conj(z),
+which leaves the kernel's integrals unchanged; so only four base cells are
+integrated.  Each integral comes from a coarse and a fine rule; the fine
+value is reported with their difference as its error.
 
 For the growth rate two independent routes are produced: the Birkhoff
 average above, and the space average
@@ -52,7 +54,8 @@ import numpy as np
 
 from ._util import CheckReport, derive_seed
 from .floatpath import SQRT3, U_BOX, _step, hex_margin
-from .regions import Catalog, Piece, Region, build_catalog, classify_cells_complex
+from .regions import (MIRROR_PAIRS, Catalog, Piece, Region, build_catalog,
+                      classify_cells_complex)
 
 CELLS = [(k, l) for k in range(1, 7) for l in range(1, 7)]
 
@@ -406,23 +409,31 @@ def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
                                   tol: float = 1e-12) -> Quadrature:
     """Normalizing constant and the invariant growth-rate integral.
 
-    The six base cells are integrated by the coarse and the fine rule; every
-    V_{k,l} has the integrals of V_{k,1}.  quad_samples sizes only the
-    pair-sampled cross-check: a third of it in (z, u) pairs, drawn from
-    seed and banded by tol.
+    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
+    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
+    their mirror images, and every V_{k,l} those of V_{k,1}.  quad_samples
+    sizes only the pair-sampled cross-check: a third of it in (z, u) pairs
+    over the six base cells, drawn from seed and banded by tol.
     """
     cat = build_catalog()
-    base = [(k, 1) for k in range(1, 7)]
-    coarse, fine = ([_cell_integrals(cat, kl, n) for kl in base] for n in _RULES)
+    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
+    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
     cells: dict[tuple[int, int], CellQuadrature] = {}
-    for kl, (mass, levy, arcs) in zip(base, fine):
+    for k in range(1, 7):
+        kl = (k, 1)
+        mass, levy, arcs = fine[MIRROR_PAIRS.get(k, k)]
+        if k in MIRROR_PAIRS:
+            arcs = region_arc_quadrature(cat.v_star[kl].invert())
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
         cells[kl] = CellQuadrature(mass, levy, *_pair_check(
             cat, kl, max(200, quad_samples // 18), rng, tol), arcs)
 
+    # an integrated cell stands for its rotations and its mirror image's
+    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
+
     def c0_and_levy(rule):
-        mass = 6 * sum(q[0] for q in rule)    # each base cell and its rotations
-        return 1.0 / mass, 6 * sum(q[1] for q in rule) / mass
+        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
+        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
 
     (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
     return Quadrature(

@@ -47,7 +47,8 @@ def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     With w = x + y*sqrt(-3), J is {x in 3Z, y in Z} and its shift by
     (3/2, 1/2).  Both are rounded coordinate-wise and the point at the
     smaller dx^2 + 3 dy^2 is kept; (near-)ties lie in the band.  |z| > 1e-15
-    keeps |w| well below 2^52, where doubles stop resolving J."""
+    keeps |w| well below 2^52, where doubles stop resolving J.  An infinite z,
+    where w = 0 rounds to the digit 0 with residual 0, is dead."""
     w = 1.0 / z
     x, y = w.real, w.imag / SQRT3
     p = np.rint((x - _SHIFT_X) / 3.0)
@@ -58,7 +59,7 @@ def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # alpha = m*eta + n*sqrt(-3) has x = 3m/2 and y = m/2 + n
     alpha = (2.0 * p + one) * ETA_C + (q - p) * S3_C
     resid = w - alpha
-    return alpha, resid, (np.abs(z) > 1e-15) & (hex_margin(resid) < -tol)
+    return alpha, resid, np.isfinite(z) & (np.abs(z) > 1e-15) & (hex_margin(resid) < -tol)
 
 
 def t_step(
@@ -67,8 +68,8 @@ def t_step(
     """One float step of the continued fraction map on an array.
 
     Returns (digit alpha, next point, alive mask); entries that hit the
-    boundary band (or underflow at 0) come back dead, with next point 0,
-    and must be resampled by the caller.  A dead entry's digit is
+    boundary band, underflow at 0 or are infinite come back dead, with next
+    point 0, and must be resampled by the caller.  A dead entry's digit is
     meaningless: 1/z is rounded as it comes, inf and nan included.
     """
     z = np.asarray(z, dtype=np.complex128)

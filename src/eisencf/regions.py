@@ -532,11 +532,22 @@ class Catalog:
     s_sets: dict[tuple[str, int], Region]
 
 
+# V_{k,1} and its dual cell for k a key are the images of V_{j,1} and its dual
+# cell, j the value, under R(z) = zeta*conj(z), the reflection in the bisector
+# of the first sextant: a mirror pair with equal integrals
+MIRROR_PAIRS = {3: 2, 5: 4}
+
+
 def _rotations(stem: str, bases: dict[int, tuple[Primitive, ...]]
                ) -> dict[tuple[int, int], Region]:
-    """The family {(k, l): zeta^(l-1) times base k}, named stem_k_l."""
-    return {(k, l): Region(f"{stem}_{k}_1", prims).rotate(l - 1, f"{stem}_{k}_{l}")
-            for k, prims in bases.items() for l in range(1, 7)}
+    """The family {(k, l): zeta^(l-1) times base k}, named stem_k_l; a base
+    k of MIRROR_PAIRS that `bases` leaves out is R of its partner: the
+    mirror z -> -conj(z), then zeta^4."""
+    base = {k: Region(f"{stem}_{k}_1", prims) for k, prims in bases.items()}
+    base.update({k: base[j].mirror().rotate(4, f"{stem}_{k}_1")
+                 for k, j in MIRROR_PAIRS.items() if k not in bases})
+    return {(k, l): base[k].rotate(l - 1, f"{stem}_{k}_{l}")
+            for k in sorted(base) for l in range(1, 7)}
 
 
 @lru_cache(maxsize=1)
@@ -557,20 +568,18 @@ def build_catalog() -> Catalog:
         5: HEX_OPEN + (_disk(5, two_thirds, ">"), below_diag),
     })
 
-    # V-cells at l = 1 (the six faces of the first sextant).
+    # V-cells at l = 1 (the six faces of the first sextant); V_{3,1} and
+    # V_{5,1} are the mirror images of V_{2,1} and V_{4,1}.
     quadrant = (half_plane(1, 0, 0, ">"), half_plane(0, 1, 0, ">"))
-    sextant = (half_plane(0, 1, 0, ">"), below_diag)
     v_cells = _rotations("V", {
         1: HEX_OPEN + (_disk(6, third, "<"), _disk(2, third, "<")),
         2: HEX_OPEN + (_disk(1, two_thirds, ">"), _disk(2, third, ">")) + quadrant,
-        3: HEX_OPEN + (_disk(1, two_thirds, ">"), _disk(6, third, ">")) + sextant,
         4: HEX_OPEN + (_disk(6, third, "<"), _disk(1, two_thirds, "<")),
-        # second disk repaired from (1/3)eta to (2/3)eta, see REGION_ERRATA.md
-        5: HEX_OPEN + (_disk(2, third, "<"), _disk(1, two_thirds, "<")),
         6: HEX_OPEN + (_disk(6, third, ">"), _disk(2, third, ">")) + quadrant,
     })
 
-    # Dual cells at l = 1; all are intersections of circle exteriors.
+    # Dual cells at l = 1; all are intersections of circle exteriors, and
+    # Vstar_{3,1} and Vstar_{5,1} are mirror images as above.
     out_unit = UNIT_CIRCLE_GT
     c_s3 = circle(0, h, Fraction(1, 4), ">")          # |z - sqrt(-3)/2| > 1/2
     c_eta = circle(Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), ">")
@@ -579,32 +588,25 @@ def build_catalog() -> Catalog:
     v_star = _rotations("Vstar", {
         1: (out_unit, c_s3, c_eta, c_etabar),
         2: (out_unit, c_eta, c_etabar),
-        3: (out_unit, c_s3, c_eta),
         4: (out_unit, c_eta_big, c_etabar),
-        5: (out_unit, c_eta_big, c_s3),
         6: (out_unit, c_eta_big),
     })
 
-    # Boundary segments and arcs reachable as images of degenerate cylinders.
-    def seg(name, p_eq, *sides) -> Region:
-        return Region(name, (p_eq, *sides))
-
+    # Boundary segments and arcs reachable as images of degenerate cylinders:
+    # L1 the top edge of U and L4 the diameter through zeta, L2 and L3 the
+    # edges zeta^2 L1 and zeta^4 L1, L5 and L6 the diameters zeta^2 L4 and
+    # zeta L4.
     x_lt = lambda w: half_plane(1, 0, w, "<")
     x_gt = lambda w: half_plane(1, 0, w, ">")
     y_lt = lambda w: half_plane(0, 1, w, "<")
-    y_gt = lambda w: half_plane(0, 1, w, ">")
-    segments = {
-        1: seg("L1", half_plane(0, 1, h, "=="), x_gt(-h), x_lt(h)),
-        2: seg("L2", half_plane(1, 1, -1, "=="), y_gt(-h), y_lt(0)),
-        3: seg("L3", half_plane(1, -1, 1, "=="), y_gt(-h), y_lt(0)),
-        4: seg("L4", half_plane(-1, 1, 0, "=="), x_gt(-h), x_lt(h)),
-        5: seg("L5", half_plane(0, 1, 0, "=="), x_gt(-1), x_lt(1)),
-        6: seg("L6", half_plane(1, 1, 0, "=="), x_gt(-h), x_lt(h)),
-    }
+    top = Region("L1", (half_plane(0, 1, h, "=="), x_gt(-h), x_lt(h)))
+    diameter = Region("L4", (half_plane(-1, 1, 0, "=="), x_gt(-h), x_lt(h)))
+    segments = {1: top, 2: top.rotate(2, "L2"), 3: top.rotate(4, "L3"),
+                4: diameter, 5: diameter.rotate(2, "L5"), 6: diameter.rotate(1, "L6")}
     # arcs L7..L12: circle traces inside the open hexagon (printed with "<",
     # which would be two-dimensional; see REGION_ERRATA.md)
     for j, (scale, k) in enumerate(product((two_thirds, third), (2, 4, 6)), 7):
-        segments[j] = seg(f"L{j}", _disk(k, scale, "=="), *HEX_OPEN)
+        segments[j] = Region(f"L{j}", (_disk(k, scale, "=="), *HEX_OPEN))
 
     # Ratio tracks of the two special-vertex expansions (eighth circles/rays).
     # The conj(zeta) family is the mirror image z -> -conj(z) of the -zeta

@@ -29,9 +29,9 @@ from .exact import (
 from .cf import (
     OrbitSignal,
     SpecialPeriodic,
+    Truncated,
     convergents,
     expand,
-    orbit_with_convergents,
     special_digits,
     step_T,
     SPECIAL_PERIOD,
@@ -450,16 +450,14 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
         done = 0
         while done < samples:
             z = random_orbit_seed(rng, max(12, depth))
-            try:
-                pts, convs = orbit_with_convergents(z, depth)
-            except OrbitSignal:
-                continue
-            if len(pts) < depth + 1:
+            e = expand(z, depth)
+            if not isinstance(e.terminal, Truncated):
                 continue  # terminated early; resample (special orbits are
                 # covered by the special-point check)
+            convs = convergents(e.digits)
             done += 1
             for n in range(1, depth + 1):
-                zn = pts[n]
+                zn = e.points[n]
                 if zn.is_zero() or zn == MINUS_ZETA or zn == ZETA_BAR:
                     break
                 try:

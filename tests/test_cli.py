@@ -154,9 +154,9 @@ class TestLevyDensityRender:
         pins = {
             ("levy", "--orbits", "8", "--length", "2000", "--samples", "40000",
              "--seed", "7"):
-            "6bc8a7d73f7c7bbfaaa9145ce8fcb4b1493ef4f9f7051468f7ee6c1b2fcd08bc",
+            "b7b34d4ab496d0808551ac9709df626609d91f6233e576f2d28acc10d13bae4e",
             ("density", "--grid", "16"):
-            "9151b12225e5e8d7125a9f415504f1524bf98244caff77175af4fb7255a10a50",
+            "dce9d885ffd6df63fbb331078a8f0a47ba7a6faec688346d5d8885ae101cfb3a",
         }
         for argv, digest in pins.items():
             out_file = tmp_path / f"{argv[0]}.out"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eisencf._util import derive_seed
-from eisencf.cf import convergents, expand, orbit_with_convergents
+from eisencf.cf import Truncated, convergents, expand
 from eisencf import ergodic
 from eisencf.ergodic import (
     CELLS,
@@ -28,7 +28,7 @@ from eisencf.ergodic import (
 from eisencf.exact import SQRT3, FieldElement, embed
 from eisencf.floatpath import t_step
 from eisencf.hexdomain import in_U0
-from eisencf.regions import build_catalog, classify_cells_complex
+from eisencf.regions import MIRROR_PAIRS, build_catalog, classify_cells_complex
 
 CAT = build_catalog()
 
@@ -58,8 +58,9 @@ class TestNatExtStep:
     def test_w_tracks_exact_ratios(self):
         batch = simulate_orbits(8, 15, seed=51)
         for z0, lw, zk in zip(batch.starts, batch.log_w, batch.points):
-            pts, convs = orbit_with_convergents(exact_start(z0), 15)
-            assert len(pts) == 16
+            e = expand(exact_start(z0), 15)
+            assert isinstance(e.terminal, Truncated)
+            pts, convs = e.points, convergents(e.digits)
             for n in range(1, 16):
                 exact = -(embed(convs[n].q) / embed(convs[n].q_prev)).approx()
                 assert abs(lw[n - 1] - math.log(abs(exact))) < 1e-9, n
@@ -262,6 +263,12 @@ class TestQuadrature:
             mass1, levy1, _ = _cell_integrals(CAT, (k, 1), _RULES[-1])
             assert abs(mass / mass1 - 1) < 1e-9, (k, l)
             assert abs(levy / levy1 - 1) < 1e-9, (k, l)
+        # V_{3,1} and V_{5,1} integrated directly against their mirror images
+        for k, j in MIRROR_PAIRS.items():
+            mass, levy, _ = _cell_integrals(CAT, (k, 1), _RULES[-1])
+            mass_j, levy_j, _ = _cell_integrals(CAT, (j, 1), _RULES[-1])
+            assert abs(mass / mass_j - 1) < 1e-9, k
+            assert abs(levy / levy_j - 1) < 1e-9, k
 
     def test_cell_integrals_against_refined_rules(self):
         # both rules with four times the nodes per panel

@@ -232,6 +232,11 @@ class TestFloatPath:
         _alpha, _z_next, alive = t_step(z)
         assert alive.tolist() == [False] * 6 + [True] + [False] * 4
 
+    def test_infinite_points_are_dead(self):
+        # 1/inf = 0 rounds to the digit 0 with residual 0, inside the hexagon
+        _alpha, z_next, alive = t_step(np.array([np.inf, -np.inf, complex(np.inf, 1)]))
+        assert not alive.any() and (z_next == 0).all()
+
     def _same_as_search(self, w):
         # t_step rounds 1/z, bitwise the argument handed to the search
         z = 1.0 / w

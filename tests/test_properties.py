@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from eisencf.cf import TerminatedAtZero, eval_cf, expand, step_T
 from eisencf.exact import (
-    F_ONE, F_ZERO, MINUS_ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
+    F_ONE, F_ZERO, MINUS_ZETA, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
 )
-from eisencf.hexdomain import floor_J, floor_J_candidates, in_U
+from eisencf.hexdomain import floor_J, floor_J_candidates, in_U, in_U0
 from eisencf.regions import (
     BoundaryPoint, CellIndex, NotInU, Primitive, _box_range, _box_row, build_catalog, cell_of,
     rational_points_on,
@@ -231,6 +231,18 @@ def test_step_T_residual_is_inverse_minus_digit(z):
     assume(z and z not in (MINUS_ZETA, ZETA_BAR))
     digit, z_next = step_T(z)
     assert z_next == z.inv() - embed(digit)
+
+
+@settings(exact, max_examples=500)
+@given(st.one_of(u_points, near_points.map(lambda w: w - embed(floor_J(w)))))
+def test_step_T_is_dihedrally_equivariant(z):
+    # J and U0 are invariant under z -> conj(z) and z -> zeta*z; the second
+    # turns 1/z into zeta^5/z
+    assume(z and in_U0(z))
+    digit, z_next = step_T(z)
+    assume(in_U0(z_next))
+    assert step_T(z.conj()) == (digit.conj(), z_next.conj())
+    assert step_T(embed(ZETA) * z) == (ZETA**5 * digit, embed(ZETA**5) * z_next)
 
 
 FRS_CHAINS = [c["chain"] for c in _frs_claims(CAT)]

@@ -19,7 +19,9 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import in_U
 from eisencf.regions import (
+    HEX_OPEN,
     INSIDE,
+    UNIT_CIRCLE_GT,
     BoundaryPoint,
     CellIndex,
     NotInU,
@@ -31,6 +33,7 @@ from eisencf.regions import (
     classify_cells_complex,
     half_plane,
     rational_points_on,
+    _disk,
 )
 from eisencf.verifier import DEPTH, U0_BOX
 
@@ -130,7 +133,7 @@ class TestCatalogExamples:
             for key, reg in sorted(getattr(CAT, fam).items()):
                 lines.append(f"{fam}{key}|{reg.name}|{reg.includes_infinity}|{reg.prims}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "b2b6d2ce11209260078edefbb55584ad676dc38e08a90bb2bab64716f78ad631")
+            "a7714418245058f04deee114299806d98918dd911c1f788a3407caa085e30262")
 
     def test_cell_count(self):
         assert len(CAT.v_cells) == 36
@@ -138,6 +141,66 @@ class TestCatalogExamples:
         assert len(CAT.u_cells) == 30
         assert len(CAT.segments) == 12
         assert len(CAT.s_sets) == 8
+
+
+H, THIRD, TWO_THIRDS = Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)
+C_S3 = circle(0, H, Fraction(1, 4), ">")
+C_ETA = circle(Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), ">")
+C_ETA_BIG = circle(Fraction(3, 2), H, 1, ">")
+
+
+class TestMirrorBuilt:
+    """The regions the catalogue builds by symmetry, against the hand-written
+    definitions that it once listed."""
+
+    # the listed primitives of the cells and dual cells at l = 1
+    HAND_SETS = {
+        ("v_cells", 5): HEX_OPEN + (_disk(2, THIRD, "<"), _disk(1, TWO_THIRDS, "<")),
+        ("v_star", 3): (UNIT_CIRCLE_GT, C_S3, C_ETA),
+        ("v_star", 5): (UNIT_CIRCLE_GT, C_ETA_BIG, C_S3),
+    }
+    # V_{3,1} as listed: one of its two sextant lines is not the mirror image
+    # of a quadrant line of V_{2,1}, so the two are proved equal as sets
+    HAND_V31 = HEX_OPEN + (_disk(1, TWO_THIRDS, ">"), _disk(6, THIRD, ">"),
+                           half_plane(0, 1, 0, ">"), half_plane(-1, 1, 0, "<"))
+    # L2, L3, L5, L6 as listed, with the ends (x, y) of each segment
+    HAND_EDGES = {
+        2: ((half_plane(1, 1, -1, "=="), half_plane(0, 1, -H, ">"), half_plane(0, 1, 0, "<")),
+            (-1, 0), (-H, -H)),
+        3: ((half_plane(1, -1, 1, "=="), half_plane(0, 1, -H, ">"), half_plane(0, 1, 0, "<")),
+            (1, 0), (H, -H)),
+        5: ((half_plane(0, 1, 0, "=="), half_plane(1, 0, -1, ">"), half_plane(1, 0, 1, "<")),
+            (-1, 0), (1, 0)),
+        6: ((half_plane(1, 1, 0, "=="), half_plane(1, 0, -H, ">"), half_plane(1, 0, H, "<")),
+            (-H, H), (H, -H)),
+    }
+
+    def test_equal_primitive_sets(self):
+        for (fam, k), prims in self.HAND_SETS.items():
+            hand = Region("hand", prims)
+            for l in range(1, 7):
+                got = getattr(CAT, fam)[(k, l)]
+                assert set(got.prims) == set(hand.rotate(l - 1).prims), (fam, k, l)
+
+    def test_v31_equals_the_listed_cell(self):
+        hand, built = Region("hand", self.HAND_V31), CAT.v_cells[(3, 1)]
+        for a, b in ((hand, built), (built, hand)):
+            res = a.excess(b, U0_BOX, 12)
+            assert res.fails == 0 and res.example is None
+            assert res.residue <= Fraction(4, 10**7)
+
+    def test_edges_equal_the_listed_segments(self):
+        rng = random.Random(44)
+        for j, (prims, end1, end2) in self.HAND_EDGES.items():
+            hand, built = Region("hand", prims), CAT.segments[j]
+            assert built.name == f"L{j}" and built.prims[0] == prims[0]
+            ends = [FieldElement.from_xy(Fraction(x), Fraction(y)) for x, y in (end1, end2)]
+            mid = FieldElement.from_xy(*((Fraction(a) + b) / 2 for a, b in zip(end1, end2)))
+            for reg in (hand, built):
+                assert not any(reg.contains(e) for e in ends) and reg.contains(mid), j
+            ts = [Fraction(rng.randint(-400, 400), rng.randint(1, 200)) for _ in range(200)]
+            for z in rational_points_on(prims[0], ts):
+                assert hand.contains(z) == built.contains(z), (j, str(z))
 
 
 class TestCellOf:
@@ -203,7 +266,7 @@ class TestPartition:
             by_rows += any((-q, -x, -y, -d) in rows_b for q, x, y, d, _ in a._ints)
             res = Region("both", a.prims + b.prims).excess(None, U0_BOX, DEPTH)
             assert res.fails == 0 and res.example is None, (ka, kb)
-        assert by_rows == 147
+        assert by_rows == 141
 
     def test_rotation_equivariance(self):
         rng = random.Random(32)
@@ -311,7 +374,7 @@ class TestInversion:
         inv = src.invert()
         assert (inv.qq, inv.bx, inv.by, inv.dd) == (tgt.qq, tgt.bx, tgt.by, tgt.dd)
 
-    def test_small_circle_to_line(self):
+    def test_small_circle_tohalf_plane(self):
         src = circle(Fraction(1, 2), Fraction(1, 6), Fraction(1, 3), "==")
         inv = src.invert()
         assert inv.qq == 0
