@@ -374,7 +374,7 @@ class TestInversion:
         inv = src.invert()
         assert (inv.qq, inv.bx, inv.by, inv.dd) == (tgt.qq, tgt.bx, tgt.by, tgt.dd)
 
-    def test_small_circle_tohalf_plane(self):
+    def test_small_circle_to_line(self):
         src = circle(Fraction(1, 2), Fraction(1, 6), Fraction(1, 3), "==")
         inv = src.invert()
         assert inv.qq == 0
