@@ -19,7 +19,9 @@ Every membership test (exact `contains`, float `inside_xy`, the box tree of
 `excess`) reads a region in one row form, built once: rows (qq, bx, by, dd)
 meaning "P <= 0", or "P < 0" where the row is strict and the region open.  A
 ">" or ">=" primitive becomes its negated row, "==" the two rows P and -P, and
-each row keeps its primitive's float scale for the boundary band.
+each row keeps its primitive's float scale for the boundary band.  The float
+half (`Piece.at`, `inside_xy`, `classify_cells_complex`) imports numpy when it
+first runs, so the exact layer and `verify` load without it.
 
 Some catalogued cells deviate from their customary printed definitions; each
 repair is documented in REGION_ERRATA.md and is forced by the partition
@@ -33,12 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .exact import ETAS, SQRT3, FieldElement, embed
 from .hexdomain import in_U
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
 # the signs each relation's rows carry in the row form
@@ -175,10 +178,12 @@ class Piece:
     grad: complex
 
     def at(self, t):
+        import numpy as np
         return self.base + (self.radius * np.exp(1j * t) if self.radius else t * 1j * self.grad)
 
     def gradient(self, t):
         """Unit gradient of P at z(t); i times it is the tangent along t."""
+        import numpy as np
         return np.exp(1j * t) if self.radius else np.full(np.shape(t), self.grad)[()]
 
     def normal(self, t):
@@ -242,13 +247,6 @@ def _cuts(ci: tuple[complex, float, complex], cj: tuple[complex, float, complex]
         return [] if abs(slope) < 1e-15 else [-_dot(c - c2, g2) / slope]
     a = _meet(cosv)
     return [] if a is None else [(phi - a) % (2 * math.pi), (phi + a) % (2 * math.pi)]
-
-
-class _Rows(NamedTuple):
-    """The float arrays of a region's rows (see the module docstring)."""
-
-    coef: np.ndarray    # (R, 4) the rows' (qq, bx, by, dd), each rounded to a float
-    scale: np.ndarray   # (R,) gradient scale of each row's primitive
 
 
 def _box_row(row: tuple[int, int, int, int], s: int) -> tuple[int, ...]:
@@ -328,9 +326,11 @@ class Region:
                      for p in self.prims for g in _ROW_SIGNS[p.rel])
 
     @cached_property
-    def _rows(self) -> _Rows:
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (R, 4) rows (qq, bx, by, dd) as floats and their (R,) scales."""
+        import numpy as np
         scale = [p.scale_float() for p in self.prims for _ in _ROW_SIGNS[p.rel]]
-        return _Rows(np.array([row[:4] for row in self._ints], dtype=float), np.array(scale))
+        return np.array([row[:4] for row in self._ints], dtype=float), np.array(scale)
 
     def contains(self, z: FieldElement, closed: bool = False) -> bool:
         # Primitive.value_int with the terms every row shares hoisted
@@ -449,13 +449,15 @@ class Region:
         + dd, r = x^2 + 3y^2, lies below minus its band half-width scale*tol
         (scale the primitive's `scale_float`), at a point where r is finite.
         A point within the band of a row is outside."""
+        import numpy as np
         x, y = np.asarray(x), np.asarray(y)
         col = (-1,) + (1,) * x.ndim
-        qq, bx, by, dd = (c.reshape(col) for c in self._rows.coef.T)
+        coef, scale = self._rows
+        qq, bx, by, dd = (c.reshape(col) for c in coef.T)
         with np.errstate(invalid="ignore", over="ignore"):
             r = x * x + 3.0 * y * y
             v = qq * r + bx * x + by * y + dd
-        return (v < -self._rows.scale.reshape(col) * tol).all(axis=0) & np.isfinite(r)
+        return (v < -scale.reshape(col) * tol).all(axis=0) & np.isfinite(r)
 
     def bbox_real(self) -> tuple[float, float, float, float]:
         """(xlo, xhi, ylo, yhi) in real coordinates, from the boundary: the
@@ -666,6 +668,7 @@ def classify_cells_complex(
     error, so the first hit is the only one.  A point within tol of a
     sextant ray is within tol of a cell boundary and comes back -1.
     """
+    import numpy as np
     cat = catalog or build_catalog()
     z = np.asarray(z)
     flat = z.reshape(-1)

@@ -5,6 +5,17 @@ trees (`Region.excess`); the other checks draw exact points from a stream
 derived deterministically from (master seed, check name).  Every check
 returns a machine-readable CheckReport whose verdict is PASS exactly when no
 counterexample was found.
+
+Both proofs take one representative per rotation class.  J and U0 are
+invariant under z -> zeta*z, so on U0 the digit of zeta^-m z is zeta^m times
+the digit of z, and T(zeta^-m z) = zeta^m T(z).  A chain (d_1, d_2, d_3, ...)
+therefore rotates to (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...), and its
+w-space table, source and target rotate exactly, as sets of primitives, as
+do a dual block's terms zeta^m ((Vstar_kl)^-1 - alpha) and its target.  A
+residue bounds an area, which rotation preserves, so each proved claim holds
+with its six rotations, as the reports' `rotations` entry states.  The
+sampled checks seed on every boundary curve: on the edges of U the half-open
+convention breaks the symmetry.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ from .exact import (
     EisensteinInt,
     FieldElement,
     MINUS_ZETA,
-    ZETA,
     ZETA_BAR,
     embed,
     j_element,
@@ -147,39 +157,26 @@ def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
 
 def _frs_claims(cat: Catalog) -> list[dict]:
     """Claim table: each entry maps a digit chain (with optional source-cell
-    restriction on the pre-image of the final digit) to an image region."""
+    restriction on the pre-image of the final digit) to an image region.
+    Each claim stands for itself and its six rotations (module docstring)."""
     claims: list[dict] = []
-    # fullness of <alpha> for digits of norm >= 9
-    for alpha in (
-        EisensteinInt(3, 0), EisensteinInt(0, 3), EisensteinInt(-3, 3),
-        EisensteinInt(3, 3), ETAS[1] * 2, ETAS[4] * 2, EisensteinInt(4, 1),
-        EisensteinInt(-1, 5),
-    ):
+    # fullness of <alpha> for digits of norm >= 9, one digit per rotation orbit
+    for alpha in (EisensteinInt(3, 0), EisensteinInt(3, 3), ETAS[1] * 2, EisensteinInt(4, 1)):
         assert alpha.norm() >= 9
         claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None,
                            target=cat.u0, coverage=True))
-    # T<eta_k> = U_{1,k}
-    for k in range(1, 7):
-        claims.append(dict(name=f"T<eta{k}>=U_1_{k}", chain=[ETAS[k]], source=None,
-                           target=cat.u_cells[(1, k)], coverage=True))
-    # T^2<eta_k, eta_l> = U_{2,l} for k+l = 4 mod 6
-    for k in range(1, 7):
-        l = (4 - k) % 6 or 6
-        claims.append(dict(name=f"T2<eta{k},eta{l}>=U_2_{l}",
-                           chain=[ETAS[k], ETAS[l]], source=None,
-                           target=cat.u_cells[(2, l)], coverage=True))
+    # T<eta_k> = U_{1,k} and T^2<eta_k, eta_l> = U_{2,l} for k+l = 4 mod 6, at k = 1
+    claims.append(dict(name="T<eta1>=U_1_1", chain=[ETAS[1]], source=None,
+                       target=cat.u_cells[(1, 1)], coverage=True))
+    claims.append(dict(name="T2<eta1,eta3>=U_2_3", chain=[ETAS[1], ETAS[3]], source=None,
+                       target=cat.u_cells[(2, 3)], coverage=True))
     # depth-3 classifications; the first image index is U_{3,3}: the printed
     # U_{3,6} contradicts the digit-transition table and fails the certificate
-    e2 = ETAS[2]
-    claims.append(dict(name="T3<eta2,eta2,eta1+3>=U_3_3",
-                       chain=[e2, e2, ETAS[1] + EisensteinInt(3, 0)], source=None,
-                       target=cat.u_cells[(3, 3)], coverage=True))
-    claims.append(dict(name="T3<eta2,eta2,eta3>=U_4_3",
-                       chain=[e2, e2, ETAS[3]], source=None,
-                       target=cat.u_cells[(4, 3)], coverage=True))
-    claims.append(dict(name="T3<eta2,eta2,eta1>=U_5_6",
-                       chain=[e2, e2, ETAS[1]], source=None,
-                       target=cat.u_cells[(5, 6)], coverage=True))
+    for tag, last, tgt in (("eta1+3", ETAS[1] + EisensteinInt(3, 0), (3, 3)),
+                           ("eta3", ETAS[3], (4, 3)), ("eta1", ETAS[1], (5, 6))):
+        claims.append(dict(name=f"T3<eta2,eta2,{tag}>=U_{tgt[0]}_{tgt[1]}",
+                           chain=[ETAS[2], ETAS[2], last], source=None,
+                           target=cat.u_cells[tgt], coverage=True))
     # digit-transition table from the base cells U_{k,1}
     table: list[tuple[int, EisensteinInt, tuple[int, int]]] = [
         (1, ETAS[3], (2, 3)),
@@ -341,6 +338,7 @@ def verify_frs() -> CheckReport:
     with CheckReport("finite_range_structure") as rep:
         claims = _frs_claims(build_catalog())
         rep.info["claims"] = len(claims)
+        rep.info["rotations"] = 6
         _residue_info(rep, {c["name"]: _certify_claim(rep, c) for c in claims})
     return rep
 
@@ -371,11 +369,9 @@ def dual_inclusion_blocks() -> dict[int, list[tuple[tuple[int, int], EisensteinI
     }
 
 
-def _term_region(cat: Catalog, kl: tuple[int, int], alpha: EisensteinInt,
-                 rot: int) -> Region:
-    shift = embed((ZETA ** rot) * alpha)
-    return cat.v_star[kl].invert().rotate(rot).translate(
-        -shift, f"(Vstar_{kl[0]}_{kl[1]})^-1 rot{rot} -{alpha}")
+def _term_region(cat: Catalog, kl: tuple[int, int], alpha: EisensteinInt) -> Region:
+    return cat.v_star[kl].invert().translate(
+        -embed(alpha), f"(Vstar_{kl[0]}_{kl[1]})^-1 -{alpha}")
 
 
 def _disk_box(reg: Region) -> tuple[Fraction, ...]:
@@ -389,14 +385,14 @@ def _disk_box(reg: Region) -> tuple[Fraction, ...]:
 
 
 def _dual_proofs() -> tuple[Callable, Callable]:
-    """term(kl, alpha, rot): a term region and its disk box; overlap(t, s):
-    the tree on the intersection of terms t and s over the box of t.  Each is
+    """term(kl, alpha): a term region and its disk box; overlap(t, s): the
+    tree on the intersection of terms t and s over the box of t.  Each is
     computed once per distinct argument, for the calls that share them."""
     cat = build_catalog()
 
     @cache
-    def term(kl, alpha, rot):
-        reg = _term_region(cat, kl, alpha, rot)
+    def term(kl, alpha):
+        reg = _term_region(cat, kl, alpha)
         return reg, _disk_box(reg)
 
     @cache
@@ -407,38 +403,37 @@ def _dual_proofs() -> tuple[Callable, Callable]:
     return term, overlap
 
 
-def _certify_block(rep: CheckReport, tgt_k: int, terms, rot: int,
-                   proofs=None) -> dict[str, Fraction]:
-    """Prove block tgt_k rotated by rot into rep; returns its residues.
+def _certify_block(rep: CheckReport, tgt_k: int, terms, proofs=None) -> dict[str, Fraction]:
+    """Prove block tgt_k into rep; returns its residues.
 
     Each term lies in the closed target dual cell, and the terms are
     pairwise disjoint: a pair is decided by opposite rows, or by a tree on
     the intersection of the two, which must hold no box centre.  proofs
     (from `_dual_proofs`) shares terms and overlap trees with other blocks."""
     term, overlap = proofs or _dual_proofs()
-    target = build_catalog().v_star[(tgt_k, 1 + rot)]
-    keys = [(kl, alpha, rot) for kl, alpha in terms]
+    target = build_catalog().v_star[(tgt_k, 1)]
     residues = {"inclusion": Fraction(0), "overlap": Fraction(0)}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(terms):
         reg, box = term(*key)
         residues["inclusion"] += _record(rep, reg.excess(target, box, DEPTH), block=tgt_k,
-                                         rot=rot, kind="inclusion", terms=[str(terms[i])])
-        for j in range(i + 1, len(keys)):
-            residues["overlap"] += _record(rep, overlap(key, keys[j]), block=tgt_k, rot=rot,
-                                           kind="overlap", terms=[str(terms[i]), str(terms[j])])
+                                         kind="inclusion", terms=[str(key)])
+        for other in terms[i + 1:]:
+            residues["overlap"] += _record(rep, overlap(key, other), block=tgt_k,
+                                           kind="overlap", terms=[str(key), str(other)])
     return residues
 
 
 def verify_dual_inclusions() -> CheckReport:
     """Transfer terms embed in their dual cells and are pairwise disjoint,
     proved on exact box trees over each term's disk box (`_certify_block`);
-    the residues are summed per block and rotation.  A term or an ordered
-    pair of terms that recurs across blocks is proved once per call."""
+    the residues are summed per block, each block standing for its six
+    rotations.  A term or an ordered pair of terms that recurs across blocks
+    is proved once per call."""
     proofs = _dual_proofs()
     with CheckReport("dual_inclusions") as rep:
-        _residue_info(rep, {f"{tgt_k}:{rot}": _certify_block(rep, tgt_k, terms, rot, proofs)
-                            for tgt_k, terms in dual_inclusion_blocks().items()
-                            for rot in range(6)})
+        rep.info["rotations"] = 6
+        _residue_info(rep, {str(tgt_k): _certify_block(rep, tgt_k, terms, proofs)
+                            for tgt_k, terms in dual_inclusion_blocks().items()})
     return rep
 
 
@@ -502,7 +497,7 @@ def _segment_points(rep: CheckReport, cat: Catalog, j: int, rng: random.Random,
 
 def _check_monotone(rep: CheckReport, digits: Sequence[EisensteinInt], tag: str) -> None:
     cs = convergents(digits)
-    for i in range(1, len(cs) - 1):
+    for i in range(len(cs) - 1):
         rep.samples += 1
         if not cs[i + 1].q.norm() > cs[i].q.norm():
             rep.fail(kind=tag, n=i, digits=[str(d) for d in digits[: i + 1]])

@@ -212,7 +212,8 @@ def test_c07_inversion_identities():
 def test_c08_finite_range_structure():
     rep = verify_frs()
     report("8 (finite range structure)", rep.verdict == "PASS",
-           f"{rep.info['claims']} claims proved on box trees of depth {rep.info['depth']}, "
+           f"{rep.info['claims']} claims, each with its {rep.info['rotations']} rotations, "
+           f"proved on box trees of depth {rep.info['depth']}, "
            f"worst residue {float(Fraction(rep.info['worst_residue'])):.2g}, "
            f"{rep.samples} step_T witnesses")
     assert rep.verdict == "PASS", rep.failures[:3]
@@ -223,7 +224,8 @@ def test_c09_dual_system():
     rep2 = verify_dual_orbit(samples=100, depth=20, seed=SEED)
     ok = rep.verdict == rep2.verdict == "PASS"
     report("9 (dual inclusions + dual orbit)", ok,
-           f"{len(rep.info['residues'])} blocks proved on box trees of depth "
+           f"{len(rep.info['residues'])} blocks, each with its {rep.info['rotations']} "
+           f"rotations, proved on box trees of depth "
            f"{rep.info['depth']}, worst residue "
            f"{float(Fraction(rep.info['worst_residue'])):.2g}; "
            f"{rep2.samples} exact ratio checks")

@@ -82,13 +82,16 @@ class TestExpand:
         code = ("import sys; import eisencf.cli as c; "
                 "assert c.main(['expand', '--z', '3/10+1/7r', '--digits', '5', "
                 "'--out', '-']) == 0; "
-                "print(sorted({'numpy', 'eisencf.regions'} & set(sys.modules)))")
+                "loaded = sorted({'numpy', 'eisencf.regions'} & set(sys.modules)); "
+                "assert c.main(['verify', 'all', '--samples', '10', '--out', '-']) == 0; "
+                "print(loaded, sorted({'numpy'} & set(sys.modules)))")
         src = str(Path(eisencf.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert res.stdout.splitlines()[-1] == "[]"
+        # expand loads neither; verify then loads regions but still not numpy
+        assert res.stdout.splitlines()[-1] == "[] []"
 
     def test_writes_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "exp.json"
@@ -144,7 +147,7 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "55036e1053fa41348df328bec76022888c2681add25d2fd880273294b1dfaa7c")
+            "8719f8d799969e5bde317bdd18ad9429b8125c133d9b05a4135d362dcdc9b998")
 
 
 class TestLevyDensityRender:

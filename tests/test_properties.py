@@ -126,8 +126,10 @@ def test_region_contains_matches_primitive_signs(z, t):
                 assert reg.contains(w, closed) == want
 
 
-# the translated and inverted dual cells whose inclusions verify_dual_inclusions proves
-DUAL_TERMS = [_term_region(CAT, kl, alpha, rot) for terms in dual_inclusion_blocks().values()
+# the translated and inverted dual cells whose inclusions verify_dual_inclusions
+# proves, with their six rotations
+DUAL_TERMS = [_term_region(CAT, kl, alpha).rotate(rot)
+              for terms in dual_inclusion_blocks().values()
               for kl, alpha in terms for rot in range(6)]
 
 
@@ -192,9 +194,10 @@ def test_cell_of_at_the_hexagon_vertices():
         assert _cell_folded(z) == _cell_by_scan(z) in (BoundaryPoint, NotInU)
 
 
-# the rows of the catalogue, the dual terms and the pulled-back claim tables
-ROWS = sorted({r[:4] for reg in REGIONS + DUAL_TERMS + [_claim_table(c) for c in _frs_claims(CAT)]
-               for r in reg._ints})
+# the rows of the catalogue, and of the dual terms and the pulled-back claim
+# tables at all six rotations
+ROWS = sorted({r[:4] for reg in REGIONS + DUAL_TERMS + [
+    _claim_table(c).rotate(m) for c in _frs_claims(CAT) for m in range(6)] for r in reg._ints})
 
 
 @settings(exact, max_examples=300)
@@ -245,7 +248,9 @@ def test_step_T_is_dihedrally_equivariant(z):
     assert step_T(embed(ZETA) * z) == (ZETA**5 * digit, embed(ZETA**5) * z_next)
 
 
-FRS_CHAINS = [c["chain"] for c in _frs_claims(CAT)]
+# the frs chains and their rotations (zeta^m d_1, zeta^-m d_2, ...)
+FRS_CHAINS = [[ZETA ** (m if i % 2 == 0 else -m % 6) * d for i, d in enumerate(c["chain"])]
+              for c in _frs_claims(CAT) for m in range(6)]
 
 
 @exact

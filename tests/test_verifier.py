@@ -7,7 +7,7 @@ import pytest
 
 import eisencf.verifier as verifier
 from eisencf._util import canonical_json
-from eisencf.exact import ETAS, FieldElement, embed, parse_field_element
+from eisencf.exact import ETAS, ZETA, EisensteinInt, FieldElement, embed, parse_field_element
 from eisencf.hexdomain import in_U0
 from eisencf.regions import INSIDE, OUTSIDE, Region, build_catalog
 from eisencf.verifier import (
@@ -36,6 +36,42 @@ CAT = build_catalog()
 CLAIMS = _frs_claims(CAT)
 
 
+def _listed_claims(cat):
+    """The finite range claims with every rotation written out: the
+    references that the verifier's one representative per rotation class
+    must reproduce."""
+    claims = []
+    for alpha in (
+        EisensteinInt(3, 0), EisensteinInt(0, 3), EisensteinInt(-3, 3),
+        EisensteinInt(3, 3), ETAS[1] * 2, ETAS[4] * 2, EisensteinInt(4, 1),
+        EisensteinInt(-1, 5),
+    ):
+        claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None,
+                           target=cat.u0, coverage=True))
+    for k in range(1, 7):
+        claims.append(dict(name=f"T<eta{k}>=U_1_{k}", chain=[ETAS[k]], source=None,
+                           target=cat.u_cells[(1, k)], coverage=True))
+    for k in range(1, 7):
+        l = (4 - k) % 6 or 6
+        claims.append(dict(name=f"T2<eta{k},eta{l}>=U_2_{l}",
+                           chain=[ETAS[k], ETAS[l]], source=None,
+                           target=cat.u_cells[(2, l)], coverage=True))
+    # the depth-3, transition-table and T<digit> claims have no rotated copies
+    return claims + [c for c in _frs_claims(cat)
+                     if not c["name"].startswith(("full<", "T<eta", "T2<"))]
+
+
+LISTED_CLAIMS = _listed_claims(CAT)
+
+
+def _listed_term_region(cat, kl, alpha, rot):
+    """A dual term at rotation rot, built as the reference for
+    `_term_region` rotated by zeta^rot."""
+    shift = embed((ZETA ** rot) * alpha)
+    return cat.v_star[kl].invert().rotate(rot).translate(
+        -shift, f"(Vstar_{kl[0]}_{kl[1]})^-1 rot{rot} -{alpha}")
+
+
 class TestReports:
     def test_verdict_logic(self):
         with CheckReport("x") as rep:
@@ -60,7 +96,7 @@ class TestChecksPass:
     def test_frs(self):
         rep = verify_frs()
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert rep.info["claims"] > 40
+        assert rep.info["claims"] == 29 and rep.info["rotations"] == 6
         assert len(rep.info["residues"]) == rep.info["claims"]
         # the cylinder images lie in their targets up to area exactly 0
         assert all(res["inclusion"] == "0" for res in rep.info["residues"].values())
@@ -70,7 +106,7 @@ class TestChecksPass:
     def test_dual_inclusions(self):
         rep = verify_dual_inclusions()
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert len(rep.info["residues"]) == 36
+        assert len(rep.info["residues"]) == 6 and rep.info["rotations"] == 6
         assert Fraction(rep.info["worst_residue"]) < Fraction(1, 1000)
 
     def test_dual_orbit(self):
@@ -81,6 +117,12 @@ class TestChecksPass:
     def test_monotonicity(self):
         rep = verify_monotonicity(samples=25, depth=40, seed=1)
         assert rep.verdict == "PASS", rep.failures[:3]
+
+    def test_monotonicity_of_one_digit_expansions(self):
+        # norm(q_1) = norm(b_1) >= 3 > norm(q_0) = 1 is compared too
+        rep = verify_monotonicity(samples=20, depth=1, seed=1)
+        assert rep.verdict == "PASS", rep.failures[:3]
+        assert rep.samples > 0
 
     def test_special(self):
         rep = verify_special(depthlimit=60, samples=30, seed=1)
@@ -182,18 +224,17 @@ class TestCertificate:
     def test_wrong_dual_digit_fails(self, block, i, digit):
         terms = list(dual_inclusion_blocks()[block])
         terms[i] = (terms[i][0], digit)
-        for rot in range(6):
-            rep = CheckReport("block")
-            _certify_block(rep, block, terms, rot)
-            assert rep.verdict == "FAIL", rot
-            regs = [_term_region(CAT, kl, alpha, rot) for kl, alpha in terms]
-            for fail in rep.failures:
-                z = parse_field_element(fail["example"])
-                inside = [regs[[str(t) for t in terms].index(t)].contains(z)
-                          for t in fail["terms"]]
-                assert fail["counterexamples"] > 0 and all(inside)
-                if fail["kind"] == "inclusion":
-                    assert not CAT.v_star[(block, 1 + rot)].contains(z, closed=True)
+        rep = CheckReport("block")
+        _certify_block(rep, block, terms)
+        assert rep.verdict == "FAIL"
+        regs = [_term_region(CAT, kl, alpha) for kl, alpha in terms]
+        for fail in rep.failures:
+            z = parse_field_element(fail["example"])
+            inside = [regs[[str(t) for t in terms].index(t)].contains(z)
+                      for t in fail["terms"]]
+            assert fail["counterexamples"] > 0 and all(inside)
+            if fail["kind"] == "inclusion":
+                assert not CAT.v_star[(block, 1)].contains(z, closed=True)
 
     def test_residues_shrink_with_depth(self, monkeypatch):
         # a point contact leaves a residue that shrinks about 8x per two
@@ -248,7 +289,7 @@ class TestWSpace:
         points = [w for w in map(FieldElement, a.tolist(), b.tolist(), [_DEN] * 600)
                   if in_U0(w)]
         assert len(points) > 300
-        for claim in CLAIMS:
+        for claim in LISTED_CLAIMS:
             _brackets(claim, points)
 
     def test_zeros_of_the_pulled_back_primitives(self):
@@ -258,7 +299,7 @@ class TestWSpace:
         for den in (1 << 4, 1 << 5, 1 << 6):
             a, b = _u0_grid(den)
             n = a * a + 3 * b * b
-            for claim in CLAIMS:
+            for claim in LISTED_CLAIMS:
                 zero = np.any([p.qq * n + p.bx * a * den + p.by * b * den + p.dd * den * den == 0
                                for p in _claim_table(claim).prims], axis=0)
                 on_lines += _brackets(claim, list(map(FieldElement, a[zero].tolist(),
@@ -270,7 +311,7 @@ class TestSharedProofs:
     """verify_dual_inclusions proves each distinct term and ordered pair once
     per call, and frs stops its witness tree early, with the same results."""
 
-    def test_each_call_builds_66_terms_and_300_overlap_trees(self, monkeypatch):
+    def test_each_call_builds_11_terms_and_50_overlap_trees(self, monkeypatch):
         counts = {"terms": 0, "overlaps": 0}
         term_region, excess = verifier._term_region, Region.excess
 
@@ -287,20 +328,19 @@ class TestSharedProofs:
         for _ in range(2):
             counts.update(terms=0, overlaps=0)
             assert verify_dual_inclusions().verdict == "PASS"
-            assert counts == {"terms": 66, "overlaps": 300}
+            assert counts == {"terms": 11, "overlaps": 50}
 
     def test_shared_residues_equal_unshared_blocks(self):
         rep = verify_dual_inclusions()
         for tgt_k, terms in dual_inclusion_blocks().items():
-            for rot in range(6):
-                alone = _certify_block(CheckReport("block"), tgt_k, terms, rot)
-                assert rep.info["residues"][f"{tgt_k}:{rot}"] == {
-                    k: str(v) for k, v in alone.items()}, (tgt_k, rot)
+            alone = _certify_block(CheckReport("block"), tgt_k, terms)
+            assert rep.info["residues"][str(tgt_k)] == {
+                k: str(v) for k, v in alone.items()}, tgt_k
 
     def test_wrong_digit_fails_in_every_block_it_appears_in(self, monkeypatch):
         # (2, 2) feeds blocks 2, 4 and 6, each time just before (2, 1) with
         # digit eta_6; with eta_6 in place of eta_5 the two overlap, and the
-        # one shared proof of that pair fails every block and rotation
+        # one shared proof of that pair fails every block
         wrong = ((2, 2), ETAS[6])
         blocks = {k: [wrong if kl == (2, 2) else (kl, alpha) for kl, alpha in terms]
                   for k, terms in dual_inclusion_blocks().items()}
@@ -308,17 +348,16 @@ class TestSharedProofs:
         rep = verify_dual_inclusions()
         alone = CheckReport("blocks")
         for tgt_k, terms in blocks.items():
-            for rot in range(6):
-                _certify_block(alone, tgt_k, terms, rot)
+            _certify_block(alone, tgt_k, terms)
         assert rep.failures == alone.failures
-        failed = {(f["block"], f["rot"]) for f in rep.failures
+        failed = {f["block"] for f in rep.failures
                   if f["kind"] == "overlap" and str(wrong) in f["terms"]}
-        assert failed == {(k, rot) for k in (2, 4, 6) for rot in range(6)}
-        # each example lies in both terms at its own rotation
+        assert failed == {2, 4, 6}
+        # each example lies in both terms
         for fail in rep.failures:
             z = parse_field_element(fail["example"])
             for kl, alpha in (t for t in blocks[fail["block"]] if str(t) in fail["terms"]):
-                assert _term_region(CAT, kl, alpha, fail["rot"]).contains(z)
+                assert _term_region(CAT, kl, alpha).contains(z)
 
     def test_early_stopped_witnesses_are_the_first_of_the_full_tree(self):
         for claim in CLAIMS:
@@ -331,3 +370,51 @@ class TestSharedProofs:
             want = (full[INSIDE][:32], [w for w in full[OUTSIDE] if in_U0(w)][:32])
             assert _witnesses(table) == want, claim["name"]
             assert len(want[0]) == 32, claim["name"]
+
+
+def _rotated_chain(chain, m):
+    """The chain of zeta^-m z: (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...)."""
+    return [ZETA ** (m if i % 2 == 0 else -m % 6) * d for i, d in enumerate(chain)]
+
+
+def _prims(reg):
+    return set(reg.prims)
+
+
+class TestRotations:
+    """One representative per rotation class proves every rotated claim: each
+    listed claim and dual term is the zeta-image of a representative, exactly."""
+
+    def test_every_listed_claim_is_a_rotated_representative(self):
+        def matches(ref, claim, m):
+            # w = z_n rotates by zeta^m for odd n and zeta^-m for even n
+            s = m if len(claim["chain"]) % 2 else -m % 6
+            return (_rotated_chain(claim["chain"], m) == ref["chain"]
+                    and ref["coverage"] == claim["coverage"]
+                    and (ref["source"] is None) == (claim["source"] is None)
+                    and (ref["source"] is None
+                         or _prims(ref["source"]) == _prims(claim["source"].rotate(-m % 6)))
+                    and _prims(ref["target"]) == _prims(claim["target"].rotate(s))
+                    and _prims(_claim_table(ref)) == _prims(_claim_table(claim).rotate(s)))
+
+        assert (len(CLAIMS), len(LISTED_CLAIMS)) == (29, 43)
+        assert {c["name"] for c in CLAIMS} <= {c["name"] for c in LISTED_CLAIMS}
+        for ref in LISTED_CLAIMS:
+            assert any(matches(ref, claim, m) for claim in CLAIMS for m in range(6)), ref["name"]
+
+    def test_every_rotated_dual_term_is_a_rotated_representative(self):
+        for tgt_k, terms in dual_inclusion_blocks().items():
+            for rot in range(6):
+                assert _prims(CAT.v_star[(tgt_k, 1 + rot)]) == _prims(
+                    CAT.v_star[(tgt_k, 1)].rotate(rot))
+                for kl, alpha in terms:
+                    assert _prims(_listed_term_region(CAT, kl, alpha, rot)) == _prims(
+                        _term_region(CAT, kl, alpha).rotate(rot)), (tgt_k, rot, kl)
+
+    def test_an_unlisted_rotation_proves(self):
+        # zeta^3 * (3 + 0z): in no claim list, implied by full<3+0z>
+        rep = CheckReport("claim")
+        residues = _certify_claim(rep, dict(name="full<-3+0z>", chain=[EisensteinInt(-3, 0)],
+                                            source=None, target=CAT.u0, coverage=True))
+        assert rep.verdict == "PASS", rep.failures[:3]
+        assert residues["inclusion"] == 0
