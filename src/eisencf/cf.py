@@ -24,9 +24,9 @@ from .exact import (
     SQRT_M3,
     ZETA_BAR,
     embed,
-    in_J,
+    j_element,
 )
-from .hexdomain import floor_J, in_U
+from .hexdomain import _round_J, in_U
 
 
 class DomainError(ValueError):
@@ -105,14 +105,11 @@ def step_T(z: FieldElement) -> tuple[EisensteinInt, FieldElement]:
         raise SpecialPoint(z)
     if not in_U(z):
         raise DomainError(f"{z} is not in U")
-    w = z.inv()
-    digit = floor_J(w)
-    if digit.is_zero() or not in_J(digit):
-        raise AssertionError(f"invalid digit {digit} for {z}")
-    # w - embed(digit), with embed(digit) = (2*d.a + d.b + d.b*sqrt(-3))/2
-    z_next = FieldElement(2 * w.a - (2 * digit.a + digit.b) * w.c,
-                          2 * w.b - digit.b * w.c, 2 * w.c)
-    return digit, z_next
+    # 1/z = (c*a - c*b*sqrt(-3))/(a^2 + 3b^2), rounded without reducing it
+    a, b, c = z.a, z.b, z.c
+    n = a * a + 3 * b * b
+    m, k, ra, rb = _round_J(c * a, -c * b, n)
+    return j_element(m, k), FieldElement(ra, rb, 2 * n)
 
 
 @dataclass(frozen=True)
@@ -220,15 +217,22 @@ def eval_cf(
     partial denominators) are harmless; INF is returned only when the full
     value is the point at infinity.  Conventions: 1/INF = 0.
     """
+    # num/den with num = p + q*zeta and den = r + s*zeta in Z[zeta];
+    # (a + b*sqrt(-3))/c = ((a - b) + 2b*zeta)/c.  Each step is unimodular
+    # over Z[zeta], so the pair keeps its common integer factor and needs
+    # no gcd.
     if isinstance(tail, Infinity):
-        num, den = FieldElement(1, 0), F_ZERO
+        p, q, r, s = 1, 0, 0, 0
     else:
-        num, den = tail, FieldElement(1, 0)
-    for b in reversed(list(digits)):
-        num, den = den, embed(b) * den + num
-    if den.is_zero():
+        p, q, r, s = tail.a - tail.b, 2 * tail.b, tail.c, 0
+    for d in reversed(digits):
+        # (num, den) -> (den, d*den + num), zeta^2 = zeta - 1
+        p, q, r, s = r, s, d.a * r - d.b * s + p, d.a * s + d.b * (r + s) + q
+    if r == s == 0:
         return INF
-    return num / den
+    # num/den = (P + q*sqrt(-3))(R - s*sqrt(-3))/(R^2 + 3s^2), P = 2p + q, R = 2r + s
+    P, R = 2 * p + q, 2 * r + s
+    return FieldElement(P * R + 3 * q * s, q * R - P * s, R * R + 3 * s * s)
 
 
 def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._util import canonical_json
-from .cf import DomainError, convergents, expand
+from .cf import convergents, expand
 from .exact import (
     embed,
     field_element_to_json,
@@ -78,9 +78,8 @@ def _ratio(p, q) -> complex:
     return (embed(p) / embed(q)).approx()
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
-        cfg = _config_from(args)
         z = parse_field_element(args.z)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -90,11 +89,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
               "domain (violates the half-open hexagon constraints)",
               file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        e = expand(z, cfg.digits)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    e = expand(z, cfg.digits)
     convs = convergents(e.digits)
     terminal: dict = {"type": type(e.terminal).__name__}
     if hasattr(e.terminal, "step"):
@@ -119,14 +114,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .verifier import run_checks
 
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     reports = run_checks([args.which], cfg.samples, cfg.depth, cfg.seed)
     doc = {
         "schema": 1,
@@ -148,14 +138,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_levy(args: argparse.Namespace) -> int:
+def cmd_levy(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .ergodic import ergodic_report
 
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     quad_samples = cfg.samples if args.samples is not None else 1000000
     rep = ergodic_report(orbits=cfg.orbits, length=cfg.length,
                          quad_samples=quad_samples, seed=cfg.seed, tol=cfg.tol)
@@ -163,14 +148,9 @@ def cmd_levy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_density(args: argparse.Namespace) -> int:
+def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .ergodic import DensityEstimator, estimate_C0_and_levy_integral
 
-    try:
-        cfg = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # the density needs C0 only; the pair-sampled check runs at its floor
     est = DensityEstimator(estimate_C0_and_levy_integral(0, 0, cfg.tol))
     xs, ys, vals = est.grid(cfg.grid, cfg.tol)
@@ -182,7 +162,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .svg import render_figures
 
     paths = render_figures(Path(args.out))
@@ -251,7 +231,12 @@ def main(argv: list[str] | None = None) -> int:
             argv[i:i + 2] = [f"--z={argv[i + 1]}"]
             break
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _config_from(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

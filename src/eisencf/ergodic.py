@@ -84,7 +84,6 @@ class OrbitBatch:
     starts: np.ndarray          # (orbits,) complex
     log_w: np.ndarray           # (orbits, length) log|w_k|
     points: np.ndarray          # (orbits, length) z_k, k = 1..length
-    min_abs_w: float            # smallest |w_k| on the kept orbits
 
 
 def _simulate_batches(orbits: int, length: int, seeds: list[int],
@@ -99,7 +98,6 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
             for s in seeds]
     kept: list[list] = [[] for _ in seeds]   # [starts, log_w, points] per round
-    min_w = [np.inf] * len(seeds)
     need = [orbits] * len(seeds)
     while any(need):
         if max(map(len, kept)) == 20:   # rounds so far
@@ -112,7 +110,6 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
         zzs = [np.empty((need[b], length), dtype=np.complex128) for b in live]
         z = np.concatenate(z0)
         alive = np.ones(z.size, dtype=bool)
-        row_min = np.full(z.size, np.inf)
         # |w| and z of the last _BLOCK steps, one row per step, copied out
         # per batch a block at a time; np.log is elementwise, so taking it
         # on a block gives the bits of taking it step by step
@@ -128,20 +125,17 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
                     w = 1.0 / w - alpha if k0 + j else -alpha
                     np.abs(w, out=abs_w[j])
                     zs[j] = z
-                np.minimum(row_min, abs_w[:n].min(axis=0), out=row_min)
                 np.log(abs_w[:n], out=abs_w[:n])
                 for sl, lw, zz in zip(sls, lws, zzs):
                     lw[:, k0:k0 + n] = abs_w[:n, sl].T
                     zz[:, k0:k0 + n] = zs[:n, sl].T
         for b, sl, *arrays in zip(live, sls, z0, lws, zzs):
             ok = alive[sl]
-            if ok.any():
-                min_w[b] = min(min_w[b], float(row_min[sl][ok].min()))
             kept[b].append(arrays if ok.all() else [a[ok] for a in arrays])
             need[b] -= int(ok.sum())
     return [OrbitBatch(*(a[0] if len(a) == 1 else np.concatenate(a)
-                         for a in zip(*parts)), mw)
-            for parts, mw in zip(kept, min_w)]
+                         for a in zip(*parts)))
+            for parts in kept]
 
 
 def simulate_orbits(orbits: int, length: int, seed: int,

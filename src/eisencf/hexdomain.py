@@ -14,11 +14,12 @@ the convention is
 so the two vertices -zeta and conj(zeta) belong to U while zeta, -conj(zeta)
 and +-1 do not.
 
-As U is a Voronoi cell, [z] is a nearest point of J.  floor_J rounds z in
+As U is a Voronoi cell, [z] is a nearest point of J.  _round_J rounds z in
 integers to each coset of J (the lattice {x in 3Z, y in Z} and its shift by
-(3/2, 1/2)) and keeps the nearer point, the A2 decoder of Conway and Sloane
-(IEEE Trans. Inf. Theory 28, 1982).  A residual in U certifies the result;
-ties and boundary points fall back to a search of the neighbouring points.
+(3/2, 1/2)) and keeps the nearer point with its residual z - [z], the A2
+decoder of Conway and Sloane (IEEE Trans. Inf. Theory 28, 1982).  A residual
+in U certifies the result; ties and boundary points fall back to a search of
+the neighbouring points.  floor_J returns the point alone.
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ from .exact import EisensteinInt, FieldElement, embed, j_element
 
 
 class TilingError(RuntimeError):
-    """The neighbour search of floor_J did not find exactly one representative."""
+    """The neighbour search of _round_J did not find exactly one representative."""
+
+
+def _in_U0(a: int, b: int, c: int) -> bool:
+    # z = (a + b*sqrt(-3))/c with c > 0, not necessarily in lowest terms
+    return 2 * abs(b) < c and abs(a + b) < c and abs(a - b) < c
 
 
 def _in_U(a: int, b: int, c: int) -> bool:
-    # z = (a + b*sqrt(-3))/c with c > 0, not necessarily in lowest terms.
-    # The first test is in_U0, written out because floor_J runs this body
-    # once per digit.
-    if 2 * abs(b) < c and abs(a + b) < c and abs(a - b) < c:
+    if _in_U0(a, b, c):
         return True
     if 2 * b == c and 2 * abs(a) < c:
         return True
@@ -46,7 +49,7 @@ def _in_U(a: int, b: int, c: int) -> bool:
 
 def in_U0(z: FieldElement) -> bool:
     """Whether z lies in the open hexagon U0, the interior of U."""
-    return 2 * abs(z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c
+    return _in_U0(z.a, z.b, z.c)
 
 
 def in_U(z: FieldElement) -> bool:
@@ -79,27 +82,31 @@ def _nearest(a: int, b: int, c: int) -> tuple[int, int, int, int]:
     return 2 * p2 + 1, q2 - p2, ra2, rb2
 
 
+def _round_J(a: int, b: int, c: int) -> tuple[int, int, int, int]:
+    """[z] = m*eta + n*sqrt(-3) for z = (a + b*sqrt(-3))/c, c > 0, in lowest
+    terms or not, as (m, n, ra, rb) with z - [z] = (ra + rb*sqrt(-3))/(2c)."""
+    m, n, ra, rb = _nearest(a, b, c)
+    if _in_U(ra, rb, 2 * c):
+        return m, n, ra, rb
+    # z - alpha lies on the boundary of U; the representative is alpha or
+    # one of its six neighbours in J, whose residuals differ from it by
+    # dm*eta + dn*sqrt(-3) = (3dm + (dm + 2dn) sqrt(-3))/2
+    hit: tuple[int, int, int, int] | None = None
+    for dm, dn in _OFFSETS:
+        r = (m + dm, n + dn, ra - 3 * dm * c, rb - (dm + 2 * dn) * c)
+        if _in_U(r[2], r[3], 2 * c):
+            if hit is not None:
+                raise TilingError(f"multiple representatives for "
+                                  f"{FieldElement(a, b, c)!r}: {hit[:2]}, {r[:2]}")
+            hit = r
+    if hit is None:
+        raise TilingError(f"no representative found for {FieldElement(a, b, c)!r}")
+    return hit
+
+
 def floor_J(z: FieldElement) -> EisensteinInt:
     """The unique alpha in J with z - alpha in U."""
-    m0, n0, ra, rb = _nearest(z.a, z.b, z.c)
-    c2 = 2 * z.c
-    if _in_U(ra, rb, c2):
-        return j_element(m0, n0)
-    # z - alpha lies on the boundary of U; the representative is alpha or
-    # one of its six neighbours in J
-    a2, b2 = 2 * z.a, 2 * z.b
-    hit: tuple[int, int] | None = None
-    for dm, dn in _OFFSETS:
-        m, n = m0 + dm, n0 + dn
-        # alpha = m*eta + n*sqrt(-3) = ((3m) + (m + 2n) sqrt(-3)) / 2
-        if _in_U(a2 - 3 * m * z.c, b2 - (m + 2 * n) * z.c, c2):
-            if hit is not None:
-                raise TilingError(
-                    f"multiple representatives for {z!r}: {hit}, {(m, n)}")
-            hit = (m, n)
-    if hit is None:
-        raise TilingError(f"no representative found for {z!r}")
-    return j_element(*hit)
+    return j_element(*_round_J(z.a, z.b, z.c)[:2])
 
 
 def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:

@@ -37,17 +37,19 @@ from .exact import (
     j_element,
 )
 from .cf import (
+    INF,
     OrbitSignal,
     SpecialPeriodic,
     Truncated,
     convergents,
+    eval_cf,
     expand,
     special_digits,
     step_T,
     SPECIAL_PERIOD,
     REJECTED_ZETA_BAR_PERIOD,
 )
-from .hexdomain import in_U, in_U0
+from .hexdomain import _in_U0, in_U, in_U0
 from .regions import (
     HEX_OPEN,
     INSIDE,
@@ -210,17 +212,6 @@ def _frs_claims(cat: Catalog) -> list[dict]:
     return claims
 
 
-def _chain_preimage(w: FieldElement, chain: Sequence[EisensteinInt]) -> FieldElement:
-    z = w
-    for d in reversed(chain):
-        # 1/(embed(d) + z) with embed(d) + z = (a + b*sqrt(-3))/c unreduced
-        a = (2 * d.a + d.b) * z.c + 2 * z.a
-        b = d.b * z.c + 2 * z.b
-        c = 2 * z.c
-        z = FieldElement(c * a, -c * b, a * a + 3 * b * b)
-    return z
-
-
 def _pullback(reg: Region, chain: Sequence[EisensteinInt]) -> Region:
     """The condition "z_k in reg" as a region in w = z_n, for the digits
     chain = d_(k+1), ..., d_n.  Each z_(j-1) = 1/(d_j + z_j) pulls every
@@ -246,11 +237,8 @@ def _accepted_exact(claim: dict, w: FieldElement) -> bool:
     """The scalar path: whether the chain preimage z of w lies in U and in
     the source cell, if any, and steps through the chain's digits."""
     chain, source = claim["chain"], claim["source"]
-    try:
-        z = cur = _chain_preimage(w, chain)
-    except ZeroDivisionError:  # some z_k is infinite
-        return False
-    if not in_U(z) or source is not None and not source.contains(z):
+    z = cur = eval_cf(chain, w)
+    if z is INF or not in_U(z) or source is not None and not source.contains(z):
         return False
     for d in chain:
         try:
@@ -293,9 +281,7 @@ def _witnesses(table: Region) -> tuple[list[FieldElement], list[FieldElement]]:
     for verdict, u, v, _, _ in tree:
         if verdict == INSIDE and len(inside) < _WITNESSES:
             inside.append(FieldElement(u, v, den))
-        # in_U0 of the centre, on its unreduced numerators
-        elif verdict == OUTSIDE and len(outside) < _WITNESSES and (
-                2 * abs(v) < den and abs(u + v) < den and abs(u - v) < den):
+        elif verdict == OUTSIDE and len(outside) < _WITNESSES and _in_U0(u, v, den):
             outside.append(FieldElement(u, v, den))
         if len(inside) == len(outside) == _WITNESSES:
             break
@@ -519,8 +505,8 @@ def special_preimage(rng: random.Random, point: FieldElement, depth: int,
         if last.norm() >= 3 and (embed(last) + point).abs_sq() > 1:
             digs.append(last)
             break
-    z = _chain_preimage(point, digs)
-    if not in_U(z):
+    z = eval_cf(digs, point)
+    if z is INF or not in_U(z):
         return None
     e = expand(z, depth + 4)
     if not (isinstance(e.terminal, SpecialPeriodic)

@@ -93,6 +93,23 @@ class TestExpand:
         # expand loads neither; verify then loads regions but still not numpy
         assert res.stdout.splitlines()[-1] == "[] []"
 
+    def test_expand_artifacts_are_pinned(self, capsys, tmp_path):
+        # the bytes of a terminating, a special and a 60-digit expansion: a
+        # leaner exact step must leave every digit and convergent as it is
+        pins = {
+            ("--z", "3/10+1/7r", "--digits", "40"):
+            "0bf109ac8da943bf132c11ccdef183579f9dd0d4a8495af215afdc923f9fd2d1",
+            ("--z", "-1/2-1/2r"):
+            "87542a205c373569d79a80d2ba99243f326c12e1e9001726cbf09a5726902816",
+            ("--z", "123456789012345678901/300000000000000000000+1/7r", "--digits", "60"):
+            "f504f8aec3ee962da68e563eb89fdfdc2fcd72f3ae8f6ab289a5997d3fc167a7",
+        }
+        for argv, digest in pins.items():
+            out_file = tmp_path / "expand.json"
+            code, _, _ = run(capsys, "expand", *argv, "--out", str(out_file))
+            assert code == 0
+            assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, argv[1]
+
     def test_writes_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "exp.json"
         code, _, _ = run(capsys, "expand", "--z", "1/5+1/9r", "--out", str(out_file))

@@ -99,9 +99,8 @@ class TestNatExtStep:
 class TestOrbits:
     def test_ratio_modulus_exceeds_one(self):
         batch = simulate_orbits(16, 2000, seed=3)
-        assert batch.min_abs_w > 1.0
-        # the smallest |w_k| over the kept orbits, which log_w also records
-        assert abs(batch.min_abs_w / np.exp(batch.log_w.min()) - 1) < 1e-14
+        # every |w_k| on the kept orbits exceeds 1
+        assert batch.log_w.min() > 0
 
     def test_birkhoff_positive_and_stable(self):
         a = levy_birkhoff(orbits=16, length=3000, seed=5)
@@ -131,7 +130,7 @@ class TestSideBySide:
     @staticmethod
     def _bytes(batch):
         return (batch.starts.tobytes(), batch.log_w.tobytes(),
-                batch.points.tobytes(), np.float64(batch.min_abs_w).tobytes())
+                batch.points.tobytes())
 
     # seed 11 at tol 1e-3 resamples 9 times, in rounds of odd widths
     @pytest.mark.parametrize("seeds,length,tol", [((4, 9), 300, 1e-12),

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from eisencf.cf import TerminatedAtZero, eval_cf, expand, step_T
+from eisencf.cf import INF, TerminatedAtZero, eval_cf, expand, step_T
 from eisencf.exact import (
-    F_ONE, F_ZERO, MINUS_ZETA, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
+    F_ONE, F_ZERO, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
+    j_element,
 )
-from eisencf.hexdomain import floor_J, floor_J_candidates, in_U, in_U0
+from eisencf.hexdomain import _in_U, _nearest, floor_J, floor_J_candidates, in_U, in_U0
 from eisencf.regions import (
     BoundaryPoint, CellIndex, NotInU, Primitive, _box_range, _box_row, build_catalog, cell_of,
     rational_points_on,
 )
 from eisencf.verifier import (
-    _chain_preimage, _claim_table, _frs_claims, _term_region, dual_inclusion_blocks,
+    _claim_table, _frs_claims, _term_region, dual_inclusion_blocks,
 )
 
 CAT = build_catalog()
@@ -228,12 +229,18 @@ def test_box_range_is_exact(row, k, data):
     assert (lo, hi) == (min(values), max(values))
 
 
+def step_T_reference(z):
+    """One step built from the field operations: round 1/z, subtract."""
+    w = z.inv()
+    digit = floor_J(w)
+    return digit, w - embed(digit)
+
+
 @exact
-@given(u_points)
+@given(st.one_of(u_points, near_points.map(lambda w: w - embed(floor_J(w)))))
 def test_step_T_residual_is_inverse_minus_digit(z):
     assume(z and z not in (MINUS_ZETA, ZETA_BAR))
-    digit, z_next = step_T(z)
-    assert z_next == z.inv() - embed(digit)
+    assert step_T(z) == step_T_reference(z)
 
 
 @settings(exact, max_examples=500)
@@ -248,6 +255,54 @@ def test_step_T_is_dihedrally_equivariant(z):
     assert step_T(embed(ZETA) * z) == (ZETA**5 * digit, embed(ZETA**5) * z_next)
 
 
+# U's vertices 1, zeta, -conj(zeta), -1, -zeta, conj(zeta) as (x, y), z = x + y*sqrt(-3)
+HEX_VERTICES = [(Fraction(x, 2), Fraction(y, 2))
+                for x, y in ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))]
+
+
+def test_step_T_on_boundary_residuals():
+    # 1/z = alpha + e with e on one of U's six edges or vertices: the
+    # closed-form rounding of 1/z ties, and the neighbour search decides
+    digits = [j_element(m, n) for m in range(-3, 4) for n in range(-3, 4)
+              if j_element(m, n).norm() >= 9]
+    edge_points = [FieldElement.from_xy(*v) for v in HEX_VERTICES]
+    for (x0, y0), (x1, y1) in zip(HEX_VERTICES, HEX_VERTICES[1:] + HEX_VERTICES[:1]):
+        for t in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)):
+            edge_points.append(FieldElement.from_xy(x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    fallbacks = 0
+    for alpha in digits:
+        for e in edge_points:
+            w = embed(alpha) + e
+            z = w.inv()
+            got = step_T(z)
+            assert got == step_T_reference(z), (alpha, e)
+            assert floor_J_candidates(w) == [got[0]] and in_U(got[1])
+            _, _, ra, rb = _nearest(w.a, w.b, w.c)
+            fallbacks += not _in_U(ra, rb, 2 * w.c)
+    assert fallbacks > 0
+
+
+def eval_cf_reference(digits, tail=F_ZERO):
+    """The projective evaluation on field elements."""
+    num, den = (F_ONE, F_ZERO) if tail is INF else (tail, F_ONE)
+    for b in reversed(digits):
+        num, den = den, embed(b) * den + num
+    return INF if den.is_zero() else num / den
+
+
+small_digits = st.builds(j_element, st.integers(-3, 3), st.integers(-3, 3))
+# [sqrt(-3)]^k makes some partial denominator vanish for many tails
+vanishing = st.integers(0, 13).map(lambda k: [SQRT_M3] * k)
+
+
+@settings(exact, max_examples=400)
+@given(st.one_of(st.lists(small_digits, max_size=8), st.lists(eisenstein, max_size=6),
+                 vanishing),
+       st.one_of(st.just(INF), st.just(F_ZERO), near_points, fields))
+def test_eval_cf_matches_field_evaluation(digits, tail):
+    assert eval_cf(digits, tail) == eval_cf_reference(digits, tail)
+
+
 # the frs chains and their rotations (zeta^m d_1, zeta^-m d_2, ...)
 FRS_CHAINS = [[ZETA ** (m if i % 2 == 0 else -m % 6) * d for i, d in enumerate(c["chain"])]
               for c in _frs_claims(CAT) for m in range(6)]
@@ -259,4 +314,4 @@ def test_chain_preimage_is_composed_inverse_branches(w, chain):
     z = w
     for d in reversed(chain):
         z = (embed(d) + z).inv()
-    assert _chain_preimage(w, chain) == z
+    assert eval_cf(chain, w) == z
