@@ -178,29 +178,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "expansions, structural verification, ergodic statistics.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "seed" in names:
-            p.add_argument("--seed", type=int)
-        if "samples" in names:
-            p.add_argument("--samples", type=int)
-        if "depth" in names:
-            p.add_argument("--depth", type=int)
-        if "tol" in names:
-            p.add_argument("--tol", type=float)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    out_help = "output path (default stdout)"
 
     p = sub.add_parser("expand", help="digit expansion of an exact point")
     p.add_argument("--z", required=True, help="point literal, e.g. 3/10+1/7r")
     p.add_argument("--digits", type=int)
-    common(p)
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="run structural checks")
     p.add_argument("which", nargs="?", default="all",
                    choices=["inversions", "frs", "dual", "orbit",
                             "monotonic", "special", "all"])
-    common(p, "seed", "samples", "depth")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("levy", help="growth-rate estimates by two routes")
@@ -208,12 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int)
     p.add_argument("--samples", type=int, help="budget of the pair-sampled cross-check "
                    "(default 1000000); C0 and the integral are deterministic")
-    common(p, "seed", "tol")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_levy)
 
     p = sub.add_parser("density", help="invariant density on a grid (CSV)")
     p.add_argument("--grid", type=int)
-    common(p, "tol")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("render", help="emit qualitative SVG figures")

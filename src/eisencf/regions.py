@@ -508,16 +508,6 @@ class Region:
         return pieces
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if not (1 <= self.k <= 6 and 1 <= self.l <= 6):
-            raise ValueError(f"cell index out of range: ({self.k}, {self.l})")
-
-
 def _disk(k: int, scale: Fraction, rel: str) -> Primitive:
     """|z - scale*eta_k| rel sqrt(1/3), as a primitive."""
     eta = embed(ETAS[k])
@@ -628,15 +618,16 @@ def build_catalog() -> Catalog:
     return Catalog(u0, u_cells, v_cells, v_star, segments, s_sets)
 
 
-def cell_of(z: FieldElement, catalog: Catalog | None = None) -> CellIndex:
-    """The unique (k, l) with z in the open cell V_{k,l}.
+def cell_of(z: FieldElement) -> tuple[int, int]:
+    """The unique (k, l) with z in the open cell V_{k,l}: the key of that cell
+    in `Catalog.v_cells` and of its dual cell in `Catalog.v_star`.
 
     V_{k,l} lies in the closed sextant (l-1)pi/3 <= arg z <= l*pi/3, so the
     open cell lies in the open sextant.  For z = (a + b*sqrt(-3))/c, c > 0,
     the six rays are b = 0, a = b and a = -b: a point on one lies in no cell,
     and any other point is tested against the six cells of its own sextant.
     """
-    cat = catalog or build_catalog()
+    cat = build_catalog()
     a, b = z.a, z.b
     hits = []
     if b and a != b and a != -b:
@@ -646,7 +637,7 @@ def cell_of(z: FieldElement, catalog: Catalog | None = None) -> CellIndex:
             s = 3 if a < b else 4 if a < -b else 5
         hits = [(k, s + 1) for k in range(1, 7) if cat.v_cells[(k, s + 1)].contains(z)]
     if len(hits) == 1:
-        return CellIndex(*hits[0])
+        return hits[0]
     if len(hits) > 1:
         raise AssertionError(f"{z} lies in several cells: {hits}")
     if in_U(z):

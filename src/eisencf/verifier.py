@@ -24,7 +24,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._util import CheckReport, derive_seed
 from .exact import (
@@ -80,48 +80,28 @@ def random_orbit_seed(rng: random.Random, digits10: int) -> FieldElement:
 # --------------------------------------------------------------------------
 
 def _inversion_families() -> list[tuple[str, Primitive, Primitive]]:
-    th, tt = Fraction(1, 3), Fraction(2, 3)
-    e1 = embed(ETAS[1])
-    eb = embed(ETAS[6])
+    """The partition's circles and lines through the six eta_k, each with its
+    image under z -> 1/z as stated by the geometry, not by `Primitive.invert`:
+    the circle of radius sqrt(1/3) about c = (2/3)eta_k has |c|^2 - 1/3 = 1,
+    so its image is the circle about conj(c) (one k per conjugate pair); the
+    circle about c = (1/3)eta_k passes through 0, so its image is the line
+    Re(3c*w) = 3/2; a line through 0 maps to its mirror image in the real
+    axis."""
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
     fams: list[tuple[str, Primitive, Primitive]] = []
-    for sgn, tag in ((1, "+"), (-1, "-")):
-        fams.append((
-            f"circle({tag}2/3 eta) -> circle({tag}2/3 conj(eta))",
-            circle(sgn * tt * e1.x, sgn * tt * e1.y, th, "=="),
-            circle(sgn * tt * eb.x, sgn * tt * eb.y, th, "=="),
-        ))
-    fams.append((
-        "circle(2/3 sqrt(-3)) -> circle(-2/3 sqrt(-3))",
-        circle(0, tt, th, "=="),
-        circle(0, -tt, th, "=="),
-    ))
-    for sgn, tag in ((1, "+"), (-1, "-")):
-        # |z - (sgn/3) eta| = sqrt(1/3)  ->  y = x - sgn (Im = sqrt(3)(Re - sgn))
-        fams.append((
-            f"circle({tag}1/3 eta) -> line y = x {'-' if sgn > 0 else '+'} 1",
-            circle(sgn * th * e1.x, sgn * th * e1.y, th, "=="),
-            half_plane(-1, 1, -sgn, "=="),
-        ))
-        fams.append((
-            f"circle({tag}1/3 conj(eta)) -> line y = -x {'+' if sgn > 0 else '-'} 1",
-            circle(sgn * th * eb.x, sgn * th * eb.y, th, "=="),
-            half_plane(1, 1, sgn, "=="),
-        ))
-        fams.append((
-            f"circle({tag}1/3 sqrt(-3)) -> line y = {'-' if sgn > 0 else '+'}1/2",
-            circle(0, sgn * th, th, "=="),
-            half_plane(0, 1, -sgn * Fraction(1, 2), "=="),
-        ))
-        fams.append((
-            f"line y = {tag}x -> line y = {'-' if sgn > 0 else '+'}x",
-            half_plane(-sgn, 1, 0, "=="),
-            half_plane(sgn, 1, 0, "=="),
-        ))
-    fams.append((
-        "real line -> real line",
-        half_plane(0, 1, 0, "=="),
-        half_plane(0, 1, 0, "=="),
-    ))
+    for k in (1, 4, 2):
+        c = embed(ETAS[k])
+        fams.append((f"circle(2/3 eta{k}) -> circle(2/3 conj(eta{k}))",
+                     circle(two_thirds * c.x, two_thirds * c.y, third, "=="),
+                     circle(two_thirds * c.x, -two_thirds * c.y, third, "==")))
+    for k in range(1, 7):
+        c = embed(ETAS[k])
+        fams.append((f"circle(1/3 eta{k}) -> line Re(eta{k} w) = 3/2",
+                     circle(third * c.x, third * c.y, third, "=="),
+                     half_plane(c.x, -3 * c.y, Fraction(3, 2), "==")))
+    for u, v in ((1, -1), (1, 1), (0, 1)):
+        fams.append((f"line {u}x{v:+}y = 0 -> line {u}x{-v:+}y = 0",
+                     half_plane(u, v, 0, "=="), half_plane(u, -v, 0, "==")))
     return fams
 
 
@@ -355,11 +335,6 @@ def dual_inclusion_blocks() -> dict[int, list[tuple[tuple[int, int], EisensteinI
     }
 
 
-def _term_region(cat: Catalog, kl: tuple[int, int], alpha: EisensteinInt) -> Region:
-    return cat.v_star[kl].invert().translate(
-        -embed(alpha), f"(Vstar_{kl[0]}_{kl[1]})^-1 -{alpha}")
-
-
 def _disk_box(reg: Region) -> tuple[Fraction, ...]:
     """The box around the region's "<" disk (the image of |z| > 1 under
     inversion), rounded outward to sixteenths."""
@@ -371,14 +346,16 @@ def _disk_box(reg: Region) -> tuple[Fraction, ...]:
 
 
 def _dual_proofs() -> tuple[Callable, Callable]:
-    """term(kl, alpha): a term region and its disk box; overlap(t, s): the
-    tree on the intersection of terms t and s over the box of t.  Each is
-    computed once per distinct argument, for the calls that share them."""
+    """term(kl, alpha): the term (Vstar_kl)^-1 - alpha, the image of Vstar_kl
+    under the dual step w -> 1/w - alpha and so the set `_pullback` builds,
+    with its disk box; overlap(t, s): the tree on the intersection of terms
+    t and s over the box of t.  Each is computed once per distinct argument,
+    for the calls that share them."""
     cat = build_catalog()
 
     @cache
     def term(kl, alpha):
-        reg = _term_region(cat, kl, alpha)
+        reg = _pullback(cat.v_star[kl], [alpha])
         return reg, _disk_box(reg)
 
     @cache
@@ -438,20 +415,16 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
             convs = convergents(e.digits)
             done += 1
             for n in range(1, depth + 1):
-                zn = e.points[n]
-                if zn.is_zero() or zn == MINUS_ZETA or zn == ZETA_BAR:
-                    break
-                try:
-                    kl = cell_of(zn, cat)
+                try:  # 0, -zeta and conj(zeta), only ever the last point, are boundary points
+                    kl = cell_of(e.points[n])
                 except BoundaryPoint:
                     continue
                 if convs[n].q_prev.is_zero():
                     continue
                 ratio = -(embed(convs[n].q) / embed(convs[n].q_prev))
                 rep.samples += 1
-                if not cat.v_star[(kl.k, kl.l)].contains(ratio, closed=True):
-                    rep.fail(z=str(z), n=n, cell=(kl.k, kl.l),
-                             ratio=str(ratio))
+                if not cat.v_star[kl].contains(ratio, closed=True):
+                    rep.fail(z=str(z), n=n, cell=kl, ratio=str(ratio))
     return rep
 
 
@@ -490,33 +463,33 @@ def _check_monotone(rep: CheckReport, digits: Sequence[EisensteinInt], tag: str)
             return
 
 
-def special_preimage(rng: random.Random, point: FieldElement, depth: int,
-                     ) -> tuple[FieldElement, list[EisensteinInt]] | None:
-    """Exact z with T^depth(z) = point, |T^(depth-1)(z)| < 1, via inverse branches."""
-    digs: list[EisensteinInt] = []
-    for _ in range(depth - 1):
+def special_preimages(rng: random.Random, count: int
+                      ) -> Iterator[tuple[FieldElement, FieldElement, list[EisensteinInt]]]:
+    """count exact preimages of each special vertex, -zeta then conj(zeta), as
+    (point, z, digits): T^depth(z) = point and |T^(depth-1)(z)| < 1 for a depth
+    drawn from 1..4, built by inverse branches; a draw that the exact
+    expansion of z does not confirm is drawn again."""
+    def draw(ok: Callable[[EisensteinInt], bool]) -> EisensteinInt:
         while True:
             alpha = j_element(rng.randint(-3, 3), rng.randint(-3, 3))
-            if alpha.norm() >= 9:
-                digs.append(alpha)
-                break
-    while True:
-        last = j_element(rng.randint(-3, 3), rng.randint(-3, 3))
-        if last.norm() >= 3 and (embed(last) + point).abs_sq() > 1:
-            digs.append(last)
-            break
-    z = eval_cf(digs, point)
-    if z is INF or not in_U(z):
-        return None
-    e = expand(z, depth + 4)
-    if not (isinstance(e.terminal, SpecialPeriodic)
-            and e.terminal.entry_index == depth
-            and e.terminal.point == point
-            and tuple(e.digits[:depth]) == tuple(digs)):
-        return None
-    if depth >= 1 and e.points[depth - 1].abs_sq() >= 1:
-        return None
-    return z, digs
+            if ok(alpha):
+                return alpha
+
+    for point in (MINUS_ZETA, ZETA_BAR):
+        made = 0
+        while made < count:
+            depth = rng.randint(1, 4)
+            digs = [draw(lambda a: a.norm() >= 9) for _ in range(depth - 1)]
+            digs.append(draw(lambda a: a.norm() >= 3 and (embed(a) + point).abs_sq() > 1))
+            z = eval_cf(digs, point)
+            if z is INF or not in_U(z):
+                continue
+            e = expand(z, depth + 4)
+            if (isinstance(e.terminal, SpecialPeriodic) and e.terminal.entry_index == depth
+                    and e.terminal.point == point and e.digits[:depth] == tuple(digs)
+                    and e.points[depth - 1].abs_sq() < 1):
+                made += 1
+                yield point, z, digs
 
 
 def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> CheckReport:
@@ -536,16 +509,9 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
             for z in _segment_points(rep, cat, j, rng, max(3, samples // 50)):
                 e = expand(z, min(depth, 40))
                 _check_monotone(rep, list(e.digits), f"L{j}")
-        for point in (MINUS_ZETA, ZETA_BAR):
-            made = 0
-            while made < max(3, samples // 20):
-                got = special_preimage(rng, point, rng.randint(1, 4))
-                if got is None:
-                    continue
-                z, _ = got
-                e = expand(z, min(depth, 40))
-                _check_monotone(rep, list(e.digits), "special_preimage")
-                made += 1
+        for _, z, _ in special_preimages(rng, max(3, samples // 20)):
+            e = expand(z, min(depth, 40))
+            _check_monotone(rep, list(e.digits), "special_preimage")
     return rep
 
 
@@ -567,10 +533,9 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
     with CheckReport("special_points") as rep:
         rep.info["zeta_bar_digits"] = [str(d) for d in SPECIAL_PERIOD[ZETA_BAR]]
         rep.info["zeta_bar_rejected"] = [str(d) for d in REJECTED_ZETA_BAR_PERIOD]
-        # (a) exact error law + oracle that the rejected candidate misses
+        # (a) exact error law and (b) ratio-track membership, one pass per vertex
         for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
-            ds = special_digits(point, depthlimit)
-            cs = convergents(ds)
+            cs = convergents(special_digits(point, depthlimit))
             prev_norm = 0
             for n in range(1, depthlimit + 1):
                 rep.samples += 1
@@ -578,26 +543,22 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                 if qn <= prev_norm:
                     rep.fail(kind="q_growth", point=tag, n=n)
                 prev_norm = qn
-                err_sq = (point - cs[n].ratio()).abs_sq()
-                if err_sq * qn != 1:
+                if (point - cs[n].ratio()).abs_sq() * qn != 1:
                     rep.fail(kind="error_law", point=tag, n=n)
-            rep.info[f"{tag}_err_at_{depthlimit}"] = float(
-                math.sqrt(1.0 / cs[depthlimit].q.norm()))
-        rej = convergents([REJECTED_ZETA_BAR_PERIOD[i % 4] for i in range(depthlimit)])
-        rej_err = abs(rej[depthlimit].ratio().approx() - ZETA_BAR.approx())
-        rep.info["zeta_bar_rejected_err"] = rej_err
-        if rej_err < 1e-3:
-            rep.fail(kind="oracle", msg="rejected digit list reaches conj(zeta)")
-        # (b) ratio-track membership
-        for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
-            cs = convergents(special_digits(point, depthlimit))
-            for n in range(1, depthlimit + 1):
                 if cs[n].q_prev.is_zero():
                     continue
                 ratio = -(embed(cs[n].q) / embed(cs[n].q_prev))
                 rep.samples += 1
                 if not cat.s_sets[(tag, n % 4)].contains(ratio):
                     rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
+            rep.info[f"{tag}_err_at_{depthlimit}"] = float(
+                math.sqrt(1.0 / cs[depthlimit].q.norm()))
+        # oracle: the rejected candidate misses conj(zeta)
+        rej = convergents([REJECTED_ZETA_BAR_PERIOD[i % 4] for i in range(depthlimit)])
+        rej_err = abs(rej[depthlimit].ratio().approx() - ZETA_BAR.approx())
+        rep.info["zeta_bar_rejected_err"] = rej_err
+        if rej_err < 1e-3:
+            rep.fail(kind="oracle", msg="rejected digit list reaches conj(zeta)")
         # (c) forced cycles along the boundary segments
         chains = {1: (ETAS[5], 7, ETAS[5], 10),
                   2: (ETAS[3], 9, ETAS[1], 11),
@@ -632,21 +593,13 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                         break
         # (d) special preimages: ratio lands in cl(Vstar_6_5)
         tgt = cat.v_star[(6, 5)]
-        for point in (MINUS_ZETA, ZETA_BAR):
-            made = 0
-            while made < max(4, samples // 8):
-                got = special_preimage(rng, point, rng.randint(1, 4))
-                if got is None:
-                    continue
-                made += 1
-                z, digs = got
-                cs = convergents(digs)
-                n = len(digs)
-                ratio = -(embed(cs[n].q) / embed(cs[n].q_prev))
-                rep.samples += 1
-                if not tgt.contains(ratio, closed=True):
-                    rep.fail(kind="preimage_ratio", point=str(point),
-                             digits=[str(d) for d in digs], ratio=str(ratio))
+        for point, _, digs in special_preimages(rng, max(4, samples // 8)):
+            cs = convergents(digs)
+            ratio = -(embed(cs[-1].q) / embed(cs[-1].q_prev))
+            rep.samples += 1
+            if not tgt.contains(ratio, closed=True):
+                rep.fail(kind="preimage_ratio", point=str(point),
+                         digits=[str(d) for d in digs], ratio=str(ratio))
     return rep
 
 

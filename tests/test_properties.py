@@ -12,11 +12,11 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import _in_U, _nearest, floor_J, floor_J_candidates, in_U, in_U0
 from eisencf.regions import (
-    BoundaryPoint, CellIndex, NotInU, Primitive, _box_range, _box_row, build_catalog, cell_of,
+    BoundaryPoint, NotInU, Primitive, _box_range, _box_row, build_catalog, cell_of,
     rational_points_on,
 )
 from eisencf.verifier import (
-    _claim_table, _frs_claims, _term_region, dual_inclusion_blocks,
+    _claim_table, _frs_claims, _pullback, dual_inclusion_blocks,
 )
 
 CAT = build_catalog()
@@ -129,7 +129,7 @@ def test_region_contains_matches_primitive_signs(z, t):
 
 # the translated and inverted dual cells whose inclusions verify_dual_inclusions
 # proves, with their six rotations
-DUAL_TERMS = [_term_region(CAT, kl, alpha).rotate(rot)
+DUAL_TERMS = [_pullback(CAT.v_star[kl], [alpha]).rotate(rot)
               for terms in dual_inclusion_blocks().values()
               for kl, alpha in terms for rot in range(6)]
 
@@ -152,17 +152,17 @@ def test_invert_degeneracy_matches_circle_data(qq, bx, by, dd, rel):
 
 
 def _cell_by_scan(z):
-    """cell_of's verdict from all 36 cells: a CellIndex or the exception type."""
+    """cell_of's verdict from all 36 cells: a (k, l) key or the exception type."""
     hits = [kl for kl, reg in CAT.v_cells.items() if reg.contains(z)]
     assert len(hits) <= 1, (str(z), hits)
     if hits:
-        return CellIndex(*hits[0])
+        return hits[0]
     return BoundaryPoint if in_U(z) else NotInU
 
 
 def _cell_folded(z):
     try:
-        return cell_of(z, CAT)
+        return cell_of(z)
     except (BoundaryPoint, NotInU) as exc:
         return type(exc)
 

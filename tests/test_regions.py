@@ -23,7 +23,6 @@ from eisencf.regions import (
     INSIDE,
     UNIT_CIRCLE_GT,
     BoundaryPoint,
-    CellIndex,
     NotInU,
     Primitive,
     Region,
@@ -206,20 +205,18 @@ class TestMirrorBuilt:
 class TestCellOf:
     def test_example_cell(self):
         p = FieldElement.from_xy(Fraction(3, 4), Fraction(1, 12))
-        assert cell_of(p) == CellIndex(4, 1)
-        assert cell_of(ZETA_F * p) == CellIndex(4, 2)
+        assert cell_of(p) == (4, 1)
+        assert cell_of(ZETA_F * p) == (4, 2)
 
     def test_origin_is_boundary(self):
-        with pytest.raises(BoundaryPoint):
-            cell_of(F_ZERO)
+        # and so are the special vertices, the other points where an orbit ends
+        for z in (F_ZERO, MINUS_ZETA, ZETA_BAR):
+            with pytest.raises(BoundaryPoint):
+                cell_of(z)
 
     def test_outside(self):
         with pytest.raises(NotInU):
             cell_of(FieldElement(5, 0))
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            CellIndex(0, 7)
 
 
 class TestExcess:
@@ -293,7 +290,7 @@ class TestPartition:
                 fine = cell_of(z)
             except (BoundaryPoint, NotInU):
                 continue
-            samples.append((z, (fine.k, fine.l)))
+            samples.append((z, fine))
         for ukl, ureg in CAT.u_cells.items():
             inside = {f for z, f in samples if ureg.contains(z)}
             outside = {f for z, f in samples if not ureg.contains(z)}
@@ -310,7 +307,7 @@ class TestPartition:
             except (BoundaryPoint, NotInU):
                 continue
             pts.append(z.approx())
-            cells.append(6 * (kl.k - 1) + (kl.l - 1))
+            cells.append(6 * (kl[0] - 1) + (kl[1] - 1))
         got = classify_cells_complex(np.array(pts))
         assert (got == np.array(cells)).all()
 

@@ -7,9 +7,13 @@ import pytest
 
 import eisencf.verifier as verifier
 from eisencf._util import canonical_json
-from eisencf.exact import ETAS, ZETA, EisensteinInt, FieldElement, embed, parse_field_element
+import eisencf.cf as cf
+from eisencf.cf import REJECTED_ZETA_BAR_PERIOD
+from eisencf.exact import (
+    ETAS, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, parse_field_element,
+)
 from eisencf.hexdomain import in_U0
-from eisencf.regions import INSIDE, OUTSIDE, Region, build_catalog
+from eisencf.regions import INSIDE, OUTSIDE, Region, build_catalog, circle, half_plane
 from eisencf.verifier import (
     CheckReport,
     _accepted_exact,
@@ -17,8 +21,9 @@ from eisencf.verifier import (
     _certify_claim,
     _claim_table,
     _frs_claims,
+    _inversion_families,
+    _pullback,
     _segment_points,
-    _term_region,
     _witnesses,
     U0_BOX,
     derive_seed,
@@ -65,11 +70,32 @@ LISTED_CLAIMS = _listed_claims(CAT)
 
 
 def _listed_term_region(cat, kl, alpha, rot):
-    """A dual term at rotation rot, built as the reference for
-    `_term_region` rotated by zeta^rot."""
+    """A dual term at rotation rot, built as the reference for the term
+    `_pullback(cat.v_star[kl], [alpha])` rotated by zeta^rot."""
     shift = embed((ZETA ** rot) * alpha)
     return cat.v_star[kl].invert().rotate(rot).translate(
         -shift, f"(Vstar_{kl[0]}_{kl[1]})^-1 rot{rot} -{alpha}")
+
+
+def _listed_inversion_families():
+    """The circle/line images under z -> 1/z written out one by one: the
+    references that the three rules of `_inversion_families` must
+    reproduce."""
+    th, tt, h = Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)
+    e1, eb = embed(ETAS[1]), embed(ETAS[6])
+    fams = [(circle(0, tt, th, "=="), circle(0, -tt, th, "==")),
+            (half_plane(0, 1, 0, "=="), half_plane(0, 1, 0, "=="))]
+    for sgn in (1, -1):
+        fams += [
+            (circle(sgn * tt * e1.x, sgn * tt * e1.y, th, "=="),
+             circle(sgn * tt * eb.x, sgn * tt * eb.y, th, "==")),
+            # |z - (sgn/3) eta| = sqrt(1/3)  ->  y = x - sgn
+            (circle(sgn * th * e1.x, sgn * th * e1.y, th, "=="), half_plane(-1, 1, -sgn, "==")),
+            (circle(sgn * th * eb.x, sgn * th * eb.y, th, "=="), half_plane(1, 1, sgn, "==")),
+            (circle(0, sgn * th, th, "=="), half_plane(0, 1, -sgn * h, "==")),
+            (half_plane(-sgn, 1, 0, "=="), half_plane(sgn, 1, 0, "==")),
+        ]
+    return fams
 
 
 class TestReports:
@@ -91,7 +117,7 @@ class TestChecksPass:
     def test_inversions(self):
         rep = verify_inversions(seed=1)
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert rep.samples >= 3 * 12
+        assert rep.samples == 5 * 12
 
     def test_frs(self):
         rep = verify_frs()
@@ -131,6 +157,34 @@ class TestChecksPass:
         assert rep.info["zeta_bar_digits"] == ["-1+2z", "-1+2z", "1+1z", "-2+1z"]
         # parabolic error at depth 60, exactly 1/|q_60|
         assert 0.02 < rep.info["minus_zeta_err_at_60"] < 0.025
+
+    def test_inversion_rules_reproduce_the_listed_families(self):
+        fams = _inversion_families()
+        assert len(fams) == 12
+        assert {(src, tgt) for _, src, tgt in fams} == set(_listed_inversion_families())
+
+    def test_wrong_inversion_image_fails(self, monkeypatch):
+        # the circle about c = (2/3)eta_1 stated to map to itself, not to the
+        # circle about conj(c)
+        fams = _inversion_families()
+        c = embed(ETAS[1])
+        name, src, _ = fams[0]
+        fams[0] = (name, src, circle(Fraction(2, 3) * c.x, Fraction(2, 3) * c.y,
+                                     Fraction(1, 3), "=="))
+        monkeypatch.setattr(verifier, "_inversion_families", lambda: fams)
+        rep = verify_inversions(seed=1)
+        assert rep.verdict == "FAIL"
+        assert [(f["family"], f["kind"]) for f in rep.failures] == [(name, "coefficients")]
+
+    def test_rejected_zeta_bar_digits_fail(self, monkeypatch):
+        # the error law and the S-set tracks both reject the digit list
+        # that the resolved one replaced, at conj(zeta) only
+        monkeypatch.setitem(cf.SPECIAL_PERIOD, ZETA_BAR, REJECTED_ZETA_BAR_PERIOD)
+        rep = verify_special(depthlimit=60, samples=30, seed=1)
+        assert rep.verdict == "FAIL"
+        tracked = [f for f in rep.failures if f["kind"] in ("error_law", "s_set")]
+        assert {f["kind"] for f in tracked} == {"error_law", "s_set"}
+        assert {f["point"] for f in tracked} == {"zeta_bar"}
 
     def test_every_curve_yields_its_points(self):
         # chord slopes over all of Q reach every curve, L7 included
@@ -219,6 +273,11 @@ class TestCertificate:
         assert fails and all(f["counterexamples"] > 0 for f in fails)
         # the witnesses see that the table no longer matches the map
         assert any(f["kind"] == "witness_mismatch" for f in rep.failures)
+        # the dual terms are pulled back by the same function
+        rep = verify_dual_inclusions()
+        assert rep.verdict == "FAIL"
+        assert {f["kind"] for f in rep.failures} == {"inclusion", "overlap"}
+        assert all(f["counterexamples"] > 0 for f in rep.failures)
 
     @pytest.mark.parametrize("block, i, digit", [(1, 0, ETAS[5]), (6, 7, ETAS[3])])
     def test_wrong_dual_digit_fails(self, block, i, digit):
@@ -227,7 +286,7 @@ class TestCertificate:
         rep = CheckReport("block")
         _certify_block(rep, block, terms)
         assert rep.verdict == "FAIL"
-        regs = [_term_region(CAT, kl, alpha) for kl, alpha in terms]
+        regs = [_pullback(CAT.v_star[kl], [alpha]) for kl, alpha in terms]
         for fail in rep.failures:
             z = parse_field_element(fail["example"])
             inside = [regs[[str(t) for t in terms].index(t)].contains(z)
@@ -313,17 +372,17 @@ class TestSharedProofs:
 
     def test_each_call_builds_11_terms_and_50_overlap_trees(self, monkeypatch):
         counts = {"terms": 0, "overlaps": 0}
-        term_region, excess = verifier._term_region, Region.excess
+        pullback, excess = verifier._pullback, Region.excess
 
         def counted_term(*args):
             counts["terms"] += 1
-            return term_region(*args)
+            return pullback(*args)
 
         def counted_excess(reg, other, box, depth):
             counts["overlaps"] += reg.name == "overlap"
             return excess(reg, other, box, depth)
 
-        monkeypatch.setattr(verifier, "_term_region", counted_term)
+        monkeypatch.setattr(verifier, "_pullback", counted_term)
         monkeypatch.setattr(Region, "excess", counted_excess)
         for _ in range(2):
             counts.update(terms=0, overlaps=0)
@@ -357,7 +416,7 @@ class TestSharedProofs:
         for fail in rep.failures:
             z = parse_field_element(fail["example"])
             for kl, alpha in (t for t in blocks[fail["block"]] if str(t) in fail["terms"]):
-                assert _term_region(CAT, kl, alpha).contains(z)
+                assert _pullback(CAT.v_star[kl], [alpha]).contains(z)
 
     def test_early_stopped_witnesses_are_the_first_of_the_full_tree(self):
         for claim in CLAIMS:
@@ -409,7 +468,7 @@ class TestRotations:
                     CAT.v_star[(tgt_k, 1)].rotate(rot))
                 for kl, alpha in terms:
                     assert _prims(_listed_term_region(CAT, kl, alpha, rot)) == _prims(
-                        _term_region(CAT, kl, alpha).rotate(rot)), (tgt_k, rot, kl)
+                        _pullback(CAT.v_star[kl], [alpha]).rotate(rot)), (tgt_k, rot, kl)
 
     def test_an_unlisted_rotation_proves(self):
         # zeta^3 * (3 + 0z): in no claim list, implied by full<3+0z>
