@@ -50,13 +50,6 @@ class SpecialPoint(OrbitSignal):
 
 
 class Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "INF"
 
@@ -82,19 +75,6 @@ def special_digits(point: FieldElement, count: int) -> list[EisensteinInt]:
         raise ValueError(f"{point} is not a special point")
     period = SPECIAL_PERIOD[point]
     return [period[i % 4] for i in range(count)]
-
-
-# The special orbits are 4-cycles: for -zeta the points run
-# (-zeta, -zeta, -zeta, 1) and for conj(zeta) they run
-# (cz, cz, cz, -1) with cz = conj(zeta).
-_SPECIAL_CYCLE: dict[FieldElement, tuple[FieldElement, ...]] = {
-    MINUS_ZETA: (MINUS_ZETA, MINUS_ZETA, MINUS_ZETA, FieldElement(1, 0)),
-    ZETA_BAR: (ZETA_BAR, ZETA_BAR, ZETA_BAR, FieldElement(-1, 0)),
-}
-
-
-def special_orbit_point(point: FieldElement, i: int) -> FieldElement:
-    return _SPECIAL_CYCLE[point][i % 4]
 
 
 def step_T(z: FieldElement) -> tuple[EisensteinInt, FieldElement]:
@@ -160,11 +140,11 @@ def expand(z: FieldElement, max_digits: int = 256) -> Expansion:
             return Expansion(tuple(digits), TerminatedAtZero(len(digits)), True, tuple(points))
         except SpecialPoint as sp:
             entry = len(digits)
-            tail = special_digits(sp.point, max_digits - entry)
-            digits.extend(tail)
-            points.extend(
-                special_orbit_point(sp.point, i + 1) for i in range(len(tail))
-            )
+            # cur is the special vertex; the spliced digits walk its 4-cycle
+            for d in special_digits(sp.point, max_digits - entry):
+                cur = cur.inv() - embed(d)
+                digits.append(d)
+                points.append(cur)
             return Expansion(tuple(digits), SpecialPeriodic(sp.point, entry), True, tuple(points))
         digits.append(d)
         points.append(cur)

@@ -149,11 +149,10 @@ def cmd_levy(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .ergodic import DensityEstimator, estimate_C0_and_levy_integral
+    from .ergodic import estimate_C0_and_levy_integral
 
-    # the density needs C0 only; the pair-sampled check runs at its floor
-    est = DensityEstimator(estimate_C0_and_levy_integral(0, 0, cfg.tol))
-    xs, ys, vals = est.grid(cfg.grid, cfg.tol)
+    # the density needs C0 and the flux rules; the pair check runs at its floor
+    xs, ys, vals = estimate_C0_and_levy_integral(0, 0, cfg.tol).density_grid(cfg.grid, cfg.tol)
     lines = ["x,y,h"]
     for i in range(cfg.grid):
         for j in range(cfg.grid):

@@ -354,10 +354,12 @@ def _cell_integrals(cat: Catalog, kl: tuple[int, int],
 
 
 def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
-                rng: np.random.Generator, tol: float) -> tuple[float, float, float]:
+                seed: int, tol: float) -> tuple[float, float, float]:
     """Pair-sampled integral of the kernel with the uninverted weight
     -log|u| = log|w| over V_kl x (Vstar_kl)^-1, from m uniform pairs in the
-    two boxes: (value, stderr, smallest |z*u - 1| of a pair inside)."""
+    two boxes drawn from the cell's own stream of seed: (value, stderr,
+    smallest |z*u - 1| of a pair inside)."""
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
     v, u_reg = cat.v_cells[kl], cat.v_star[kl].invert()
     box, ub = v.bbox_real(), u_reg.bbox_real()
     zp = rng.uniform(box[0], box[1], m) + 1j * rng.uniform(box[2], box[3], m)
@@ -372,74 +374,6 @@ def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
     return (scale * float((kern * logu).mean()),
             scale * float((kern * logu).std(ddof=1)) / math.sqrt(m),
             float(dist[both].min()) if both.any() else math.inf)
-
-
-@dataclass
-class CellQuadrature:
-    mass_raw: float             # integral of g over the cell
-    levy_raw: float             # integral of -log|z| g over the cell
-    logu_raw: float             # pair-sampled integral with weight -log|u|
-    logu_err: float
-    min_kernel_dist: float
-    arcs: ArcQuadrature         # the fine flux rule of the cell's dual
-
-
-@dataclass
-class Quadrature:
-    c0: float
-    c0_err: float
-    levy_integral: float
-    levy_err: float
-    levy_integral_pairs: float
-    levy_pairs_err: float
-    cells: dict[tuple[int, int], CellQuadrature]   # the base cells (k, 1)
-    min_kernel_dist: float
-
-    def cell_masses(self) -> dict[tuple[int, int], float]:
-        return {(k, l): self.c0 * self.cells[(k, 1)].mass_raw for k, l in CELLS}
-
-
-def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
-                                  tol: float = 1e-12) -> Quadrature:
-    """Normalizing constant and the invariant growth-rate integral.
-
-    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
-    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
-    their mirror images, and every V_{k,l} those of V_{k,1}.  quad_samples
-    sizes only the pair-sampled cross-check: a third of it in (z, u) pairs
-    over the six base cells, drawn from seed and banded by tol.
-    """
-    cat = build_catalog()
-    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
-    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
-    cells: dict[tuple[int, int], CellQuadrature] = {}
-    for k in range(1, 7):
-        kl = (k, 1)
-        mass, levy, arcs = fine[MIRROR_PAIRS.get(k, k)]
-        if k in MIRROR_PAIRS:
-            arcs = region_arc_quadrature(cat.v_star[kl].invert())
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
-        cells[kl] = CellQuadrature(mass, levy, *_pair_check(
-            cat, kl, max(200, quad_samples // 18), rng, tol), arcs)
-
-    # an integrated cell stands for its rotations and its mirror image's
-    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
-
-    def c0_and_levy(rule):
-        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
-        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
-
-    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
-    return Quadrature(
-        c0=c0,
-        c0_err=abs(c0 - c0_coarse),
-        levy_integral=levy,
-        levy_err=abs(levy - levy_coarse),
-        levy_integral_pairs=6 * c0 * sum(q.logu_raw for q in cells.values()),
-        levy_pairs_err=6 * c0 * math.sqrt(sum(q.logu_err**2 for q in cells.values())),
-        cells=cells,
-        min_kernel_dist=min(q.min_kernel_dist for q in cells.values()),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -470,33 +404,42 @@ def _sextant_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(zs), np.concatenate(ws)
 
 
-class DensityEstimator:
-    """h(z) = C0 * integral over (Vstar_cell(z))^-1 of du / |z*u - 1|^4."""
+@dataclass
+class Quadrature:
+    """The invariant measure: C0, the growth-rate integral and its
+    pair-sampled cross-check, and per base cell V_{k,1} its mass and the
+    fine flux rule of its dual, from which it evaluates the density."""
+    c0: float
+    c0_err: float
+    levy_integral: float
+    levy_err: float
+    levy_integral_pairs: float
+    levy_pairs_err: float
+    min_kernel_dist: float
+    masses: dict[int, float]           # integral of g over V_{k,1}
+    arcs: dict[int, ArcQuadrature]     # fine flux rule of (Vstar_{k,1})^-1
 
-    def __init__(self, quad: Quadrature, catalog: Catalog | None = None):
-        self.quad = quad
-        self.cat = catalog or build_catalog()
+    def cell_masses(self) -> dict[tuple[int, int], float]:
+        return {(k, l): self.c0 * self.masses[k] for k, l in CELLS}
 
-    def at_points(self, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Density at an array of points; NaN off the open cells.
+    def density(self, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """h(z) = C0 * integral over (Vstar_cell(z))^-1 of du / |z*u - 1|^4
+        at an array of points; NaN off the open cells.
 
         On V_{k,l}, g(z) is g of V_{k,1} at zeta^(1-l) z."""
         z = np.asarray(z, dtype=np.complex128)
         flat = z.ravel()
-        idx = classify_cells_complex(flat, self.cat, tol)
+        idx = classify_cells_complex(flat, tol=tol)
         out = np.full(flat.shape, np.nan)
         for ci, (k, l) in enumerate(CELLS):
             sel = idx == ci
             if not sel.any():
                 continue
-            out[sel] = self.quad.c0 * kernel_integral(
-                flat[sel] * np.conj(_ROOTS[l - 1]), self.quad.cells[(k, 1)].arcs)
+            out[sel] = self.c0 * kernel_integral(
+                flat[sel] * np.conj(_ROOTS[l - 1]), self.arcs[k])
         return out.reshape(z.shape)
 
-    def at(self, z: complex, tol: float = 1e-12) -> float:
-        return float(self.at_points(np.array([z]), tol)[0])
-
-    def integral_over_U(self, tol: float = 1e-12) -> tuple[float, float]:
+    def density_integral(self, tol: float = 1e-12) -> tuple[float, float]:
         """Total mass of h by the cell-blind sextant rule (should be ~ 1).
 
         Returns the fine rule's value and its difference from the coarse
@@ -504,10 +447,10 @@ class DensityEstimator:
         vals = []
         for n in _RULES:
             z, w = _sextant_rule(n)
-            vals.append(float(np.sum(w * np.nan_to_num(self.at_points(z, tol), nan=0.0))))
+            vals.append(float(np.sum(w * np.nan_to_num(self.density(z, tol), nan=0.0))))
         return vals[-1], abs(vals[-1] - vals[0])
 
-    def grid(self, n: int, tol: float = 1e-12):
+    def density_grid(self, n: int, tol: float = 1e-12):
         """Density on an n x n grid over the bounding box of U.
 
         Returns (x nodes, y nodes, values); off-domain values are 0.
@@ -516,24 +459,60 @@ class DensityEstimator:
         xs = np.linspace(xlo, xhi, n)
         ys = np.linspace(ylo, yhi, n)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        vals = self.at_points(gx + 1j * gy, tol)
+        vals = self.density(gx + 1j * gy, tol)
         return xs, ys, np.nan_to_num(vals, nan=0.0)
+
+
+def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
+                                  tol: float = 1e-12) -> Quadrature:
+    """Normalizing constant and the invariant growth-rate integral.
+
+    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
+    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
+    their mirror images, and every V_{k,l} those of V_{k,1}.  quad_samples
+    sizes only the pair-sampled cross-check: a third of it in (z, u) pairs
+    over the six base cells, drawn from seed and banded by tol.
+    """
+    cat = build_catalog()
+    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
+    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
+    logu, logu_err, dist = zip(*(_pair_check(cat, (k, 1), max(200, quad_samples // 18),
+                                             seed, tol) for k in range(1, 7)))
+
+    # an integrated cell stands for its rotations and its mirror image's
+    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
+
+    def c0_and_levy(rule):
+        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
+        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
+
+    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
+    return Quadrature(
+        c0=c0,
+        c0_err=abs(c0 - c0_coarse),
+        levy_integral=levy,
+        levy_err=abs(levy - levy_coarse),
+        levy_integral_pairs=6 * c0 * sum(logu),
+        levy_pairs_err=6 * c0 * math.sqrt(sum(e**2 for e in logu_err)),
+        min_kernel_dist=min(dist),
+        masses={k: fine[MIRROR_PAIRS.get(k, k)][0] for k in range(1, 7)},
+        arcs={k: fine[k][2] if k in fine else
+              region_arc_quadrature(cat.v_star[(k, 1)].invert()) for k in range(1, 7)},
+    )
 
 
 # --------------------------------------------------------------------------
 # occupation versus quadrature masses
 # --------------------------------------------------------------------------
 
-def occupation_frequencies(batch: OrbitBatch, catalog: Catalog | None = None,
-                           tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def occupation_frequencies(batch: OrbitBatch, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Empirical cell frequencies per orbit: (orbits x 36 matrix, means)."""
-    cat = catalog or build_catalog()
     orbits, length = batch.points.shape
     counts = np.zeros((orbits, 37), dtype=np.int64)   # column 0 counts no cell
     chunk = max(1, 400000 // max(length, 1))
     for lo in range(0, orbits, chunk):
         sl = batch.points[lo:lo + chunk]
-        key = classify_cells_complex(sl.ravel(), cat, tol) + 1
+        key = classify_cells_complex(sl.ravel(), tol=tol) + 1
         key += np.repeat(37 * np.arange(len(sl)), length)
         counts[lo:lo + chunk] = np.bincount(key, minlength=37 * len(sl)).reshape(-1, 37)
     freq = counts[:, 1:] / length
@@ -550,7 +529,7 @@ def invariance_check(orbits: int = 64, length: int = 20000, seed: int = 0,
     """
     with CheckReport("invariance") as rep:
         if quad is None:
-            quad = estimate_C0_and_levy_integral(tol=tol)
+            quad = estimate_C0_and_levy_integral(0, 0, tol)
         batch = simulate_orbits(orbits, length, seed, tol)
         freq, mean_freq = occupation_frequencies(batch, tol=tol)
         rep.samples = orbits * length

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .regions import Catalog, Piece, Region, build_catalog, circle, half_plane
+from .regions import Piece, Region, build_catalog, circle, half_plane
 
 # fills of the V_{k,l} cells by k
 _CELL_FILLS = ["#d2e6f6", "#e6f2d2", "#f6efd2", "#f6dfd2", "#ead2f6", "#d2f6ee"]
@@ -99,10 +99,10 @@ def _path_data(pieces: list[Piece]) -> str:
     return " ".join(out)
 
 
-def render_figures(outdir: Path, catalog: Catalog | None = None) -> list[Path]:
+def render_figures(outdir: Path) -> list[Path]:
     """Five qualitative figures: the fundamental domain, the coarse image
     cells, the cell partition, the dual cells, and the boundary curves."""
-    cat = catalog or build_catalog()
+    cat = build_catalog()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out: list[Path] = []

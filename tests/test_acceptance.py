@@ -80,11 +80,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def ergodic_bundle():
-    from eisencf.ergodic import (
-        DensityEstimator,
-        estimate_C0_and_levy_integral,
-        levy_birkhoff,
-    )
+    from eisencf.ergodic import estimate_C0_and_levy_integral, levy_birkhoff
 
     t0 = time.perf_counter()
     quad = estimate_C0_and_levy_integral(quad_samples=3000000, seed=SEED)
@@ -95,7 +91,6 @@ def ergodic_bundle():
         "quad": quad,
         "birkhoff": birkhoff,
         "birkhoff_double": birkhoff_double,
-        "estimator": DensityEstimator(quad),
         "elapsed": elapsed,
     }
 
@@ -265,7 +260,7 @@ def test_c12_invariant_density(ergodic_bundle):
 
     rep = invariance_check(orbits=64, length=20000, seed=SEED,
                            quad=ergodic_bundle["quad"])
-    total, err = ergodic_bundle["estimator"].integral_over_U()
+    total, err = ergodic_bundle["quad"].density_integral()
     ok = rep.verdict == "PASS" and abs(total - 1.0) < 0.01
     report("12 (invariant density)", ok,
            f"max cell discrepancy {rep.info['max_discrepancy']:.4f}, "

@@ -22,7 +22,6 @@ from eisencf.cf import (
     inverse_branch_derivative,
     jump_map,
     special_digits,
-    special_orbit_point,
     step_T,
 )
 from eisencf.exact import (
@@ -117,9 +116,12 @@ class TestSpecialDigits:
                 assert err_sq * cs[n].q.norm() == 1
 
     def test_special_orbit_cycle(self):
-        assert special_orbit_point(MINUS_ZETA, 3) == FieldElement(1, 0)
-        assert special_orbit_point(MINUS_ZETA, 4) == MINUS_ZETA
-        assert special_orbit_point(ZETA_BAR, 3) == FieldElement(-1, 0)
+        # the spliced points run (-zeta, -zeta, -zeta, 1) and
+        # (conj(zeta), conj(zeta), conj(zeta), -1) around their 4-cycles
+        for point, turn in ((MINUS_ZETA, FieldElement(1, 0)),
+                            (ZETA_BAR, FieldElement(-1, 0))):
+            cycle = (point, point, point, turn)
+            assert expand(point, 8).points == cycle + cycle + (point,)
 
     def test_rejects_non_special(self):
         with pytest.raises(ValueError):
@@ -212,10 +214,12 @@ class TestEvalCf:
                 assert eval_cf(e.digits[:n], e.points[n]) == z
 
     def test_reconstruction_through_special_track(self):
-        z = FieldElement(1, 1, 4)
-        e = expand(z, 9)
-        for n in range(len(e.digits) + 1):
-            assert eval_cf(e.digits[:n], e.points[n]) == z
+        # zeta/2 enters -zeta, and (-1 + sqrt(-3))/4 enters conj(zeta)
+        for z in (FieldElement(1, 1, 4), FieldElement(-1, 1, 4)):
+            e = expand(z, 9)
+            assert isinstance(e.terminal, SpecialPeriodic)
+            for n in range(len(e.digits) + 1):
+                assert eval_cf(e.digits[:n], e.points[n]) == z
 
 
 class TestErrorProduct:
