@@ -53,7 +53,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._util import CheckReport, derive_seed
-from .floatpath import SQRT3, U_BOX, _step, hex_margin
+from .floatpath import SQRT3, U_BOX, _alive, _round, hex_margin
 from .regions import (MIRROR_PAIRS, Catalog, Piece, Region, build_catalog,
                       classify_cells_complex)
 
@@ -75,7 +75,7 @@ def _uniform_in_u0(rng: np.random.Generator, n: int) -> np.ndarray:
     return out[:n]
 
 
-# orbit steps buffered before their |w| and z are copied into the batches
+# orbit steps buffered before their mask, log|w| and z are taken at once
 _BLOCK = 64
 
 
@@ -91,9 +91,10 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
     """simulate_orbits for each seed, stepped side by side in one array.
 
     Each round draws every unfinished batch's fresh starts from its own
-    stream and steps them together; each block of steps is copied into
-    per-batch arrays, and a batch whose orbits all survive keeps them
-    without a copy.
+    stream and steps them together.  A step is only the rounding and the
+    dual recurrence w -> 1/w - alpha, written into block buffers of z and
+    w; the alive mask, log|w| and the per-batch copies are then taken once
+    per block.  A batch whose orbits all survive keeps them without a copy.
     """
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
             for s in seeds]
@@ -108,27 +109,35 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
         sls = [slice(hi - need[b], hi) for b, hi in zip(live, ends)]
         lws = [np.empty((need[b], length)) for b in live]
         zzs = [np.empty((need[b], length), dtype=np.complex128) for b in live]
-        z = np.concatenate(z0)
-        alive = np.ones(z.size, dtype=bool)
-        # |w| and z of the last _BLOCK steps, one row per step, copied out
-        # per batch a block at a time; np.log is elementwise, so taking it
-        # on a block gives the bits of taking it step by step
-        abs_w = np.empty((_BLOCK, z.size))
-        zs = np.empty((_BLOCK, z.size), dtype=np.complex128)
-        # a dead row runs on as garbage and is never read
+        # z and w of up to _BLOCK steps, one row per step, after the row
+        # carried in from the last block (row 0: the starts, and no w yet)
+        zs = np.empty((_BLOCK + 1, ends[-1]), dtype=np.complex128)
+        ws = np.empty_like(zs)
+        zs[0] = np.concatenate(z0)
+        # row views made once: indexing them anew each step took about a
+        # tenth of the loop's time
+        zr, wr = list(zs), list(ws)
+        alive = np.ones(zs.shape[1], dtype=bool)
         with np.errstate(all="ignore"):
             for k0 in range(0, length, _BLOCK):
                 n = min(_BLOCK, length - k0)
                 for j in range(n):
-                    alpha, z, ok = _step(z, tol)
-                    alive &= ok
-                    w = 1.0 / w - alpha if k0 + j else -alpha
-                    np.abs(w, out=abs_w[j])
-                    zs[j] = z
-                np.log(abs_w[:n], out=abs_w[:n])
+                    alpha = _round(zr[j], zr[j + 1])
+                    if k0 + j:
+                        np.subtract(np.divide(1.0, wr[j], out=wr[j + 1]), alpha,
+                                    out=wr[j + 1])
+                    else:
+                        np.negative(alpha, out=wr[1])
+                # a dead orbit's column runs on as garbage and is never
+                # read, so its mask can wait for the end of the block: each
+                # test is elementwise, and the AND of a block's rows is the
+                # AND taken step by step
+                alive &= _alive(zs[:n], zs[1:n + 1], tol).all(axis=0)
+                log_w = np.log(np.abs(ws[1:n + 1]))
                 for sl, lw, zz in zip(sls, lws, zzs):
-                    lw[:, k0:k0 + n] = abs_w[:n, sl].T
-                    zz[:, k0:k0 + n] = zs[:n, sl].T
+                    lw[:, k0:k0 + n] = log_w[:, sl].T
+                    zz[:, k0:k0 + n] = zs[1:n + 1, sl].T
+                zs[0], ws[0] = zs[n], ws[n]
         for b, sl, *arrays in zip(live, sls, z0, lws, zzs):
             ok = alive[sl]
             kept[b].append(arrays if ok.all() else [a[ok] for a in arrays])

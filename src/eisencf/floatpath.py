@@ -1,6 +1,12 @@
 """Vectorized floating-point geometry for sampling runs: the float step of
-the continued fraction map (`t_step`, and `_step`, which the orbit loop
-calls inside its own error state) and the hexagon margin (`hex_margin`).
+the continued fraction map and the hexagon margin (`hex_margin`).
+
+The step has two parts.  `_round` rounds w = 1/z to its digit alpha and
+writes the residual w - alpha into a caller's buffer; `_alive` is the
+boundary-band test on z and that residual.  `t_step` is both in one call.
+The orbit loop calls `_round` every step, inside its own error state, and
+`_alive` once per block of steps: the test is elementwise, so a block's
+mask ANDed over its rows is the mask ANDed step by step.
 
 Boundary handling follows one rule everywhere: a point whose classification
 comes within ``tol`` of any constraint is banded and the caller must skip or
@@ -9,11 +15,11 @@ resample it, never guess a side.
 Rounding to J is the A2 decoder of Conway and Sloane (IEEE Trans. Inf.
 Theory 28, 1982), the float twin of hexdomain.floor_J: J is two shifted
 rectangular lattices and U is its Voronoi cell.  Both lattices are rounded
-in one (2, n) array and the digit is assembled from the rounded floats: 25
-numpy calls instead of the 37 of rounding each lattice on its own and
-casting the digit to integers.  Every float operation is the one the
-coordinate-wise formulas name, so the digits, residuals and masks are
-bitwise theirs.
+in one (2, n) array and the digit is assembled from the rounded floats:
+after 1/z, `_round` makes 25 numpy calls, against the 37 of rounding each
+lattice on its own and casting the digit to integers.  Every float
+operation is the one the coordinate-wise formulas name, so the digits,
+residuals and masks are bitwise theirs.
 """
 
 from __future__ import annotations
@@ -40,16 +46,17 @@ def hex_margin(z: np.ndarray) -> np.ndarray:
                       np.abs(x - y) - 1.0)
 
 
-def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`t_step` on a 1-d array in the caller's floating-point error state,
-    with a dead entry's next point w - alpha, w = 1/z, left as it comes.
+def _round(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rounding of `t_step` on a 1-d array, in the caller's
+    floating-point error state: returns the digit alpha of w = 1/z and
+    writes the residual w - alpha into `out`, which must not share memory
+    with z.
 
     With w = x + y*sqrt(-3), J is {x in 3Z, y in Z} and its shift by
     (3/2, 1/2).  Both are rounded coordinate-wise and the point at the
-    smaller dx^2 + 3 dy^2 is kept; (near-)ties lie in the band.  |z| > 1e-15
-    keeps |w| well below 2^52, where doubles stop resolving J.  An infinite z,
-    where w = 0 rounds to the digit 0 with residual 0, is dead."""
-    w = 1.0 / z
+    smaller dx^2 + 3 dy^2 is kept; (near-)ties lie in the band, which
+    `_alive` tests."""
+    w = np.divide(1.0, z, out=out)
     x, y = w.real, w.imag / SQRT3
     p = np.rint((x - _SHIFT_X) / 3.0)
     q = np.rint(y - _SHIFT_Y)
@@ -58,14 +65,23 @@ def _step(z: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     p, q = np.where(one, p[1], p[0]), np.where(one, q[1], q[0])
     # alpha = m*eta + n*sqrt(-3) has x = 3m/2 and y = m/2 + n
     alpha = (2.0 * p + one) * ETA_C + (q - p) * S3_C
-    resid = w - alpha
-    return alpha, resid, np.isfinite(z) & (np.abs(z) > 1e-15) & (hex_margin(resid) < -tol)
+    np.subtract(w, alpha, out=out)
+    return alpha
+
+
+def _alive(z: np.ndarray, resid: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the step from z to its residual `resid` is kept, elementwise
+    on arrays of any one shape.  |z| > 1e-15 keeps |1/z| well below 2^52,
+    where doubles stop resolving J.  An infinite z, where 1/z = 0 rounds to
+    the digit 0 with residual 0, is dead."""
+    return np.isfinite(z) & (np.abs(z) > 1e-15) & (hex_margin(resid) < -tol)
 
 
 def t_step(
     z: np.ndarray, tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One float step of the continued fraction map on an array.
+    """One float step of the continued fraction map on an array: `_round`
+    and `_alive` in one call.
 
     Returns (digit alpha, next point, alive mask); entries that hit the
     boundary band, underflow at 0 or are infinite come back dead, with next
@@ -73,7 +89,8 @@ def t_step(
     meaningless: 1/z is rounded as it comes, inf and nan included.
     """
     z = np.asarray(z, dtype=np.complex128)
+    resid = np.empty(z.shape, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        alpha, resid, alive = _step(z.reshape(-1), tol)
-    z_next = np.where(alive, resid, 0.0)
-    return alpha.reshape(z.shape), z_next.reshape(z.shape), alive.reshape(z.shape)
+        alpha = _round(z.reshape(-1), resid.reshape(-1))
+        alive = _alive(z, resid, tol)
+    return alpha.reshape(z.shape), np.where(alive, resid, 0.0), alive

@@ -107,6 +107,12 @@ class TestOrbits:
         assert a.value > 0 and b.value > 0
         assert abs(a.value - b.value) < 3 * (a.stderr + b.stderr)
 
+    def test_gives_up_when_every_orbit_dies(self):
+        # no residual of U clears a band of width 1, so every orbit dies on
+        # its first step and every round resamples all of them
+        with pytest.raises(RuntimeError, match="kept hitting the boundary band"):
+            simulate_orbits(4, 1, seed=0, tol=1.0)
+
     def test_exact_cross_check_depth_200(self):
         rng = random.Random(53)
         z = seed_in_u0(rng, 60)
@@ -121,6 +127,55 @@ class TestOrbits:
             r = embed(e.digits[k - 1]).approx() + 1.0 / r
             acc += math.log(abs(r))
         assert abs(acc / 200 - exact_rate) < 1e-6
+
+
+def simulate_step_by_step(orbits, length, seed, tol=1e-12):
+    """Reference for simulate_orbits: one t_step at a time, its alive mask
+    ANDed after every step, and |w| and z stored as each step makes them.
+    Returns the (starts, log_w, points) arrays and the number of rounds."""
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "orbits")))
+    parts, need = [], orbits
+    with np.errstate(all="ignore"):
+        while need:
+            z = z0 = ergodic._uniform_in_u0(rng, need)
+            alive = np.ones(need, dtype=bool)
+            log_w = np.empty((need, length))
+            points = np.empty((need, length), dtype=np.complex128)
+            for k in range(length):
+                alpha, z, ok = t_step(z, tol)
+                alive &= ok
+                w = 1.0 / w - alpha if k else -alpha
+                log_w[:, k] = np.log(np.abs(w))
+                points[:, k] = z
+            parts.append((z0[alive], log_w[alive], points[alive]))
+            need -= int(alive.sum())
+    return [np.concatenate(a) for a in zip(*parts)], len(parts)
+
+
+class TestBlockedLoop:
+    """The orbit loop takes the alive mask, |w| and the log once per block of
+    steps; its batches have the bytes of the step-by-step reference."""
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 133])
+    def test_lengths_around_the_block(self, length):
+        batch = simulate_orbits(8, length, seed=length)
+        (starts, log_w, points), _ = simulate_step_by_step(8, length, length)
+        assert batch.starts.tobytes() == starts.tobytes()
+        assert batch.log_w.tobytes() == log_w.tobytes()
+        assert batch.points.tobytes() == points.tobytes()
+
+    # at tol 1e-3 orbits die on every step, and each seed resamples; at
+    # length 128 the last step, where no later death can hide a missed one,
+    # is the last row of a block
+    @pytest.mark.parametrize("length", [128, 200])
+    def test_orbits_dying_mid_block(self, length):
+        together = _simulate_batches(64, length, [11, 12], 1e-3)
+        for seed, batch in zip((11, 12), together):
+            (starts, log_w, points), rounds = simulate_step_by_step(64, length, seed, 1e-3)
+            assert rounds > 2
+            assert batch.starts.tobytes() == starts.tobytes()
+            assert batch.log_w.tobytes() == log_w.tobytes()
+            assert batch.points.tobytes() == points.tobytes()
 
 
 class TestSideBySide:
