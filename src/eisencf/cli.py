@@ -8,6 +8,7 @@ runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,7 +171,11 @@ def cmd_render(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it as
+    it is and returns a fresh namespace, so in-process callers of ``main``
+    share it and no request sees another's options."""
     ap = argparse.ArgumentParser(
         prog="eisencf",
         description="Continued fractions over the Eisenstein field: exact "
@@ -220,11 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # keep point literals with a leading minus out of option parsing
-    for i, tok in enumerate(argv[:-1]):
-        if tok == "--z" and argv[i + 1].startswith("-"):
-            argv[i:i + 2] = [f"--z={argv[i + 1]}"]
-            break
+    # keep negative point literals (`--z -1/2-1/2r`) out of option parsing;
+    # any other token after `--z` is left for argparse to judge.  Right to
+    # left, so that a splice shifts no token still to be visited.
+    for i in reversed(range(len(argv) - 1)):
+        nxt = argv[i + 1]
+        if argv[i] == "--z" and nxt[:1] == "-" and nxt[1:2].isdecimal():
+            argv[i:i + 2] = [f"--z={nxt}"]
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from(args)

@@ -7,6 +7,8 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 import eisencf
 from eisencf.cli import _ratio, build_parser, main
 from eisencf.exact import EisensteinInt, embed
@@ -17,6 +19,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_python(*args):
+    """stdout of a new interpreter run with ``args``, on this package."""
+    src = str(Path(eisencf.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the bytes of a terminating, a special and a 60-digit expansion: a leaner
+# exact step must leave every digit and convergent as it is
+EXPAND_PINS = {
+    ("--z", "3/10+1/7r", "--digits", "40"):
+    "0bf109ac8da943bf132c11ccdef183579f9dd0d4a8495af215afdc923f9fd2d1",
+    ("--z", "-1/2-1/2r"):
+    "87542a205c373569d79a80d2ba99243f326c12e1e9001726cbf09a5726902816",
+    ("--z", "123456789012345678901/300000000000000000000+1/7r", "--digits", "60"):
+    "f504f8aec3ee962da68e563eb89fdfdc2fcd72f3ae8f6ab289a5997d3fc167a7",
+}
 
 
 class TestExpand:
@@ -82,33 +109,30 @@ class TestExpand:
         code = ("import sys; import eisencf.cli as c; "
                 "assert c.main(['expand', '--z', '3/10+1/7r', '--digits', '5', "
                 "'--out', '-']) == 0; "
-                "loaded = sorted({'numpy', 'eisencf.regions'} & set(sys.modules)); "
+                "loaded = sorted({'numpy', 'eisencf.regions', 'hashlib'} & set(sys.modules)); "
                 "assert c.main(['verify', 'all', '--samples', '10', '--out', '-']) == 0; "
                 "print(loaded, sorted({'numpy'} & set(sys.modules)))")
-        src = str(Path(eisencf.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        # expand loads neither; verify then loads regions but still not numpy
-        assert res.stdout.splitlines()[-1] == "[] []"
+        # expand loads none of them, not even hashlib, which only seeds need;
+        # verify then loads regions but still not numpy
+        assert fresh_python("-c", code).splitlines()[-1] == "[] []"
 
     def test_expand_artifacts_are_pinned(self, capsys, tmp_path):
-        # the bytes of a terminating, a special and a 60-digit expansion: a
-        # leaner exact step must leave every digit and convergent as it is
-        pins = {
-            ("--z", "3/10+1/7r", "--digits", "40"):
-            "0bf109ac8da943bf132c11ccdef183579f9dd0d4a8495af215afdc923f9fd2d1",
-            ("--z", "-1/2-1/2r"):
-            "87542a205c373569d79a80d2ba99243f326c12e1e9001726cbf09a5726902816",
-            ("--z", "123456789012345678901/300000000000000000000+1/7r", "--digits", "60"):
-            "f504f8aec3ee962da68e563eb89fdfdc2fcd72f3ae8f6ab289a5997d3fc167a7",
-        }
-        for argv, digest in pins.items():
+        for argv, digest in EXPAND_PINS.items():
             out_file = tmp_path / "expand.json"
             code, _, _ = run(capsys, "expand", *argv, "--out", str(out_file))
             assert code == 0
             assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, argv[1]
+
+    def test_z_takes_no_option_as_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--z", "--digits", "5"])
+        assert exc.value.code == 2
+        assert "argument --z: expected one argument" in capsys.readouterr().err
+
+    def test_last_negative_z_wins(self, capsys):
+        code, out, _ = run(capsys, "expand", "--z", "-1/2-1/2r", "--z", "-1/3+0r")
+        assert code == 0
+        assert json.loads(out)["z"] == {"x": "-1/3", "y": "0"}
 
     def test_writes_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "exp.json"
@@ -218,3 +242,38 @@ class TestLevyDensityRender:
         assert run(capsys, "render", "regions", "--out", str(again))[0] == 0
         for f in files:
             assert (again / f.name).read_bytes() == f.read_bytes()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_no_option_leaks_into_a_later_request(self, capsys):
+        # with --digits, then without it, then another command, then again:
+        # each document is its pinned or its fresh-process bytes
+        short = ("expand", "--z", "3/10+1/7r", "--digits", "5")
+        special = ("--z", "-1/2-1/2r")
+        checks = ("verify", "inversions", "--out", "-")
+        terminating = ("--z", "3/10+1/7r", "--digits", "40")
+        for argv, expected in ((short, sha256(fresh_python("-m", "eisencf.cli", *short))),
+                               (("expand", *special), EXPAND_PINS[special]),
+                               (checks, sha256(fresh_python("-m", "eisencf.cli", *checks))),
+                               (("expand", *terminating), EXPAND_PINS[terminating])):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and sha256(out) == expected, argv
+
+    def test_help_is_the_same_on_a_second_call(self, capsys):
+        commands = ([], ["expand"], ["verify"], ["levy"], ["density"], ["render"])
+
+        def helps():
+            texts = []
+            for argv in commands:
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, "--help"])
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        first = helps()
+        assert all(first) and len(set(first)) == len(commands)
+        assert helps() == first

@@ -1,10 +1,14 @@
-"""Property-based tests of the exact layer."""
+"""Property-based tests of the exact layer and of the artifact writer."""
 
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from eisencf._util import canonical_json
 from eisencf.cf import INF, TerminatedAtZero, eval_cf, expand, step_T
 from eisencf.exact import (
     F_ONE, F_ZERO, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
@@ -315,3 +319,44 @@ def test_chain_preimage_is_composed_inverse_branches(w, chain):
     for d in reversed(chain):
         z = (embed(d) + z).inv()
     assert eval_cf(chain, w) == z
+
+
+# what artifacts hold, with the corners of json's text: non-ASCII, quotes and
+# control characters; ints past 2^64; NaN, infinities, -0.0 and subnormals;
+# float subclasses; empty containers
+json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+json_atoms = st.one_of(
+    st.text(), st.integers(), st.integers(-2**80, 2**80), json_floats,
+    json_floats.map(np.float64), st.booleans(), st.none())
+json_docs = st.recursive(
+    json_atoms,
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                           st.dictionaries(st.text(), kids)),
+    max_leaves=40)
+
+
+@settings(exact, max_examples=200)
+@given(json_docs)
+@example({"b\u00e9\"\\\x00\x1f\u2028": [-0.0, 5e-324, 1e308, math.nan, math.inf,
+                                  -math.inf, 2**64 + 1, -(2**70), np.float64(0.1)],
+          "a": [[], {}, (), ("x", True, False, None)]})
+def test_canonical_json_is_jsons_text(doc):
+    assert canonical_json(doc) == (
+        json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+
+
+def test_canonical_json_sorts_and_spells_other_keys_as_json():
+    # numbers sort as numbers, then print as strings
+    doc = {10: [], 2: {}, -0.5: None, True: 1.5, math.inf: 0}
+    assert canonical_json(doc) == (
+        json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+    assert list(json.loads(canonical_json(doc))) == ["-0.5", "true", "2", "10", "Infinity"]
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes", np.int64(3)])
+def test_canonical_json_rejects_what_json_rejects(bad):
+    for doc in (bad, [1, bad], {"k": bad}, {(1,): bad}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            canonical_json(doc)
