@@ -159,7 +159,6 @@ class ConvergentPair:
     p: EisensteinInt
     q_prev: EisensteinInt
     q: EisensteinInt
-    n: int
 
     def det(self) -> EisensteinInt:
         return self.p_prev * self.q - self.p * self.q_prev
@@ -168,7 +167,6 @@ class ConvergentPair:
         return ConvergentPair(
             self.p, digit * self.p + self.p_prev,
             self.q, digit * self.q + self.q_prev,
-            self.n + 1,
         )
 
     def ratio(self) -> FieldElement:
@@ -177,7 +175,7 @@ class ConvergentPair:
         return embed(self.p) / embed(self.q)
 
 
-INITIAL_CONVERGENT = ConvergentPair(E_ONE, EisensteinInt(0, 0), EisensteinInt(0, 0), E_ONE, 0)
+INITIAL_CONVERGENT = ConvergentPair(E_ONE, EisensteinInt(0, 0), EisensteinInt(0, 0), E_ONE)
 
 
 def convergents(digits: Sequence[EisensteinInt]) -> list[ConvergentPair]:

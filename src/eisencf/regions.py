@@ -317,7 +317,6 @@ class NotInU(Exception):
 class Region:
     name: str
     prims: tuple[Primitive, ...]
-    includes_infinity: bool = False
 
     @cached_property
     def _ints(self) -> tuple[tuple[int, int, int, int, bool], ...]:
@@ -417,31 +416,20 @@ class Region:
         return den, corners, walk()
 
     def rotate(self, times: int, name: str | None = None) -> Region:
-        return Region(
-            name or f"zeta^{times}*{self.name}",
-            tuple(p.rotate(times) for p in self.prims),
-            self.includes_infinity,
-        )
+        return Region(name or f"zeta^{times}*{self.name}",
+                      tuple(p.rotate(times) for p in self.prims))
 
     def mirror(self, name: str | None = None) -> Region:
         """Image under z -> -conj(z), which is x -> -x."""
         return Region(name or f"mirror({self.name})",
-                      tuple(p.mirror() for p in self.prims), self.includes_infinity)
+                      tuple(p.mirror() for p in self.prims))
 
     def translate(self, t: FieldElement, name: str | None = None) -> Region:
-        return Region(
-            name or f"{self.name}+t",
-            tuple(p.translate(t) for p in self.prims),
-            self.includes_infinity,
-        )
+        return Region(name or f"{self.name}+t", tuple(p.translate(t) for p in self.prims))
 
     def invert(self, name: str | None = None) -> Region:
         """Primitive-wise image under z -> 1/z (valid for our dual cells)."""
-        return Region(
-            name or f"({self.name})^-1",
-            tuple(p.invert() for p in self.prims),
-            includes_infinity=False,
-        )
+        return Region(name or f"({self.name})^-1", tuple(p.invert() for p in self.prims))
 
     # -- float path -------------------------------------------------------
     def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -603,8 +591,10 @@ def build_catalog() -> Catalog:
     # Ratio tracks of the two special-vertex expansions (eighth circles/rays).
     # The conj(zeta) family is the mirror image z -> -conj(z) of the -zeta
     # family, which repairs two printed side-constraints (REGION_ERRATA.md).
+    # S_0 also holds infinity, the ratio -q_0/q_(-1) = -1/0 at n = 0, which
+    # no row states and no check evaluates.
     minus_zeta = [
-        Region("S_minus_zeta_0", (half_plane(0, 1, -h, "=="), x_lt(-h)), includes_infinity=True),
+        Region("S_minus_zeta_0", (half_plane(0, 1, -h, "=="), x_lt(-h))),
         Region("S_minus_zeta_1",
                (circle(0, -two_thirds, third, "=="), y_lt(-h), half_plane(1, 0, 0, "<="))),
         Region("S_minus_zeta_2", (circle(0, -third, third, "=="), y_lt(-h),

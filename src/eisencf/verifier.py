@@ -6,15 +6,19 @@ derived deterministically from (master seed, check name).  Every check
 returns a machine-readable CheckReport whose verdict is PASS exactly when no
 counterexample was found.
 
-Both proofs take one representative per rotation class.  J and U0 are
+Both proofs take one representative per dihedral class.  J and U0 are
 invariant under z -> zeta*z, so on U0 the digit of zeta^-m z is zeta^m times
 the digit of z, and T(zeta^-m z) = zeta^m T(z).  A chain (d_1, d_2, d_3, ...)
-therefore rotates to (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...), and its
-w-space table, source and target rotate exactly, as sets of primitives, as
-do a dual block's terms zeta^m ((Vstar_kl)^-1 - alpha) and its target.  A
-residue bounds an area, which rotation preserves, so each proved claim holds
-with its six rotations, as the reports' `rotations` entry states.  The
-sampled checks seed on every boundary curve: on the edges of U the half-open
+therefore rotates to (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...).  J and U0
+are invariant under the mirror M(z) = -conj(z) too, and M commutes with T
+with no alternation: the digit of M(z) is M(d) = -conj(d).  Under each of
+the twelve symmetries a chain's w-space table, source and target map
+exactly, as sets of primitives, as do a dual block's terms
+(Vstar_kl)^-1 - alpha and its target; dual blocks 3 and 5 are the images of
+blocks 2 and 4 under R = zeta*M (`regions.MIRROR_PAIRS`).  A residue bounds
+an area, which rotation and mirror preserve, so each proved claim holds with
+its twelve images, as the reports' `symmetries` entry states.  The sampled
+checks seed on every boundary curve: on the edges of U the half-open
 convention breaks the symmetry.
 """
 
@@ -53,6 +57,7 @@ from .hexdomain import _in_U0, in_U, in_U0
 from .regions import (
     HEX_OPEN,
     INSIDE,
+    MIRROR_PAIRS,
     OUTSIDE,
     BoundaryPoint,
     Catalog,
@@ -140,9 +145,11 @@ def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
 def _frs_claims(cat: Catalog) -> list[dict]:
     """Claim table: each entry maps a digit chain (with optional source-cell
     restriction on the pre-image of the final digit) to an image region.
-    Each claim stands for itself and its six rotations (module docstring)."""
+    Each claim stands for its twelve dihedral images (module docstring); of
+    a mirror pair only one member is listed."""
     claims: list[dict] = []
-    # fullness of <alpha> for digits of norm >= 9, one digit per rotation orbit
+    # fullness of <alpha> for digits of norm >= 9, one digit per dihedral
+    # orbit: the mirror joins the two rotation orbits of norm 21
     for alpha in (EisensteinInt(3, 0), EisensteinInt(3, 3), ETAS[1] * 2, EisensteinInt(4, 1)):
         assert alpha.norm() >= 9
         claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None,
@@ -155,7 +162,7 @@ def _frs_claims(cat: Catalog) -> list[dict]:
     # depth-3 classifications; the first image index is U_{3,3}: the printed
     # U_{3,6} contradicts the digit-transition table and fails the certificate
     for tag, last, tgt in (("eta1+3", ETAS[1] + EisensteinInt(3, 0), (3, 3)),
-                           ("eta3", ETAS[3], (4, 3)), ("eta1", ETAS[1], (5, 6))):
+                           ("eta3", ETAS[3], (4, 3))):
         claims.append(dict(name=f"T3<eta2,eta2,{tag}>=U_{tgt[0]}_{tgt[1]}",
                            chain=[ETAS[2], ETAS[2], last], source=None,
                            target=cat.u_cells[tgt], coverage=True))
@@ -163,13 +170,10 @@ def _frs_claims(cat: Catalog) -> list[dict]:
     table: list[tuple[int, EisensteinInt, tuple[int, int]]] = [
         (1, ETAS[3], (2, 3)),
         (2, ETAS[4], (4, 4)),
-        (2, ETAS[2], (5, 1)),
     ]
     for j in (1, 2):
         table.append((2, ETAS[2] + EisensteinInt(0, 3 * j), (3, 4)))
-        table.append((2, ETAS[4] - EisensteinInt(0, 3 * j), (3, 4)))
         table.append((3, EisensteinInt(3 * j, -3 * j), (3, 2)))
-        table.append((3, EisensteinInt(-3 * j, 3 * j), (3, 2)))
         table.append((4, EisensteinInt(3 * j, -3 * j), (3, 2)))
         table.append((4, EisensteinInt(-3 * j, 3 * j), (3, 2)))
     for src_k, alpha, tgt in table:
@@ -181,8 +185,7 @@ def _frs_claims(cat: Catalog) -> list[dict]:
     # non-exceptional digits leave the image at T<digit>; the chosen digits
     # have cylinders meeting the source cell
     for src_k, alpha, tgt in [
-        (1, ETAS[1], (1, 1)), (1, ETAS[5], (1, 5)),
-        (2, ETAS[6], (1, 6)), (3, ETAS[4], (1, 4)), (4, ETAS[4], (1, 4)),
+        (1, ETAS[1], (1, 1)), (2, ETAS[6], (1, 6)), (3, ETAS[4], (1, 4)), (4, ETAS[4], (1, 4)),
     ]:
         claims.append(dict(
             name=f"U_{src_k}_1 --{alpha}--> T<{alpha}>",
@@ -300,11 +303,13 @@ def verify_frs() -> CheckReport:
     the source cell -- are pulled back to w = T^n z (`_claim_table`), and
     `Region.excess` bounds the area where the claim could fail by an exact
     dyadic residue, or finds an exact counterexample (`_certify_claim`).
+    One claim stands for its class under the twelve rotations and mirrors,
+    which map its table, source and target exactly (module docstring).
     """
     with CheckReport("finite_range_structure") as rep:
         claims = _frs_claims(build_catalog())
         rep.info["claims"] = len(claims)
-        rep.info["rotations"] = 6
+        rep.info["symmetries"] = 12
         _residue_info(rep, {c["name"]: _certify_claim(rep, c) for c in claims})
     return rep
 
@@ -314,7 +319,8 @@ def verify_frs() -> CheckReport:
 # --------------------------------------------------------------------------
 
 def dual_inclusion_blocks() -> dict[int, list[tuple[tuple[int, int], EisensteinInt]]]:
-    """Transfer terms (source dual cell, digit) feeding each base dual cell."""
+    """Transfer terms (source dual cell, digit) feeding each base dual cell
+    k not in MIRROR_PAIRS, whose blocks are R-images (module docstring)."""
     e = ETAS
     m3 = EisensteinInt(-3, 0)
     m2eta = -(ETAS[1] * 2)
@@ -324,12 +330,8 @@ def dual_inclusion_blocks() -> dict[int, list[tuple[tuple[int, int], EisensteinI
             ((1, 6), e[1]), ((3, 5), e[2]), ((5, 4), e[3])],
         2: [((6, 3), e[4]), ((2, 2), e[5]), ((2, 1), e[6]),
             ((1, 6), e[1]), ((3, 5), e[2]), ((5, 4), e[3])],
-        3: [((6, 3), e[4]), ((4, 2), e[5]), ((2, 1), e[6]),
-            ((1, 6), e[1]), ((3, 5), e[2]), ((3, 4), e[3])],
         4: [((2, 2), e[5]), ((2, 1), e[6]), ((1, 6), e[1]), ((3, 5), e[2]),
             ((5, 4), e[3]), ((2, 4), m3), ((1, 3), m2eta), ((3, 2), m3zeta)],
-        5: [((4, 2), e[5]), ((2, 1), e[6]), ((1, 6), e[1]), ((3, 5), e[2]),
-            ((3, 4), e[3]), ((2, 4), m3), ((1, 3), m2eta), ((3, 2), m3zeta)],
         6: [((2, 2), e[5]), ((2, 1), e[6]), ((1, 6), e[1]), ((3, 5), e[2]),
             ((3, 4), e[3]), ((2, 4), m3), ((1, 3), m2eta), ((3, 2), m3zeta)],
     }
@@ -389,12 +391,14 @@ def _certify_block(rep: CheckReport, tgt_k: int, terms, proofs=None) -> dict[str
 def verify_dual_inclusions() -> CheckReport:
     """Transfer terms embed in their dual cells and are pairwise disjoint,
     proved on exact box trees over each term's disk box (`_certify_block`);
-    the residues are summed per block, each block standing for its six
-    rotations.  A term or an ordered pair of terms that recurs across blocks
-    is proved once per call."""
+    the residues are summed per block, each block standing for its twelve
+    dihedral images: blocks 3 and 5 are not proved apart, as R maps blocks
+    2 and 4 onto them (module docstring).  A term or an ordered pair of
+    terms that recurs across blocks is proved once per call."""
     proofs = _dual_proofs()
     with CheckReport("dual_inclusions") as rep:
-        rep.info["rotations"] = 6
+        rep.info["symmetries"] = 12
+        rep.info["mirrors"] = {str(k): j for k, j in MIRROR_PAIRS.items()}
         _residue_info(rep, {str(tgt_k): _certify_block(rep, tgt_k, terms, proofs)
                             for tgt_k, terms in dual_inclusion_blocks().items()})
     return rep

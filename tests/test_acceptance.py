@@ -207,7 +207,8 @@ def test_c07_inversion_identities():
 def test_c08_finite_range_structure():
     rep = verify_frs()
     report("8 (finite range structure)", rep.verdict == "PASS",
-           f"{rep.info['claims']} claims, each with its {rep.info['rotations']} rotations, "
+           f"{rep.info['claims']} claims, each with its {rep.info['symmetries']} dihedral "
+           "images, "
            f"proved on box trees of depth {rep.info['depth']}, "
            f"worst residue {float(Fraction(rep.info['worst_residue'])):.2g}, "
            f"{rep.samples} step_T witnesses")
@@ -219,8 +220,8 @@ def test_c09_dual_system():
     rep2 = verify_dual_orbit(samples=100, depth=20, seed=SEED)
     ok = rep.verdict == rep2.verdict == "PASS"
     report("9 (dual inclusions + dual orbit)", ok,
-           f"{len(rep.info['residues'])} blocks, each with its {rep.info['rotations']} "
-           f"rotations, proved on box trees of depth "
+           f"{len(rep.info['residues'])} blocks, each with its {rep.info['symmetries']} "
+           f"dihedral images, proved on box trees of depth "
            f"{rep.info['depth']}, worst residue "
            f"{float(Fraction(rep.info['worst_residue'])):.2g}; "
            f"{rep2.samples} exact ratio checks")

