@@ -19,7 +19,7 @@ integers to each coset of J (the lattice {x in 3Z, y in Z} and its shift by
 (3/2, 1/2)) and keeps the nearer point with its residual z - [z], the A2
 decoder of Conway and Sloane (IEEE Trans. Inf. Theory 28, 1982).  A residual
 in U certifies the result; ties and boundary points fall back to a search of
-the neighbouring points.  floor_J returns the point alone.
+the nine nearby points.  floor_J returns the point alone.
 """
 
 from __future__ import annotations
@@ -88,9 +88,10 @@ def _round_J(a: int, b: int, c: int) -> tuple[int, int, int, int]:
     m, n, ra, rb = _nearest(a, b, c)
     if _in_U(ra, rb, 2 * c):
         return m, n, ra, rb
-    # z - alpha lies on the boundary of U; the representative is alpha or
-    # one of its six neighbours in J, whose residuals differ from it by
-    # dm*eta + dn*sqrt(-3) = (3dm + (dm + 2dn) sqrt(-3))/2
+    # z - alpha lies on the boundary of U; the loop tries all nine points
+    # alpha + dm*eta + dn*sqrt(-3), |dm|, |dn| <= 1: alpha, its six
+    # neighbours in J and the two offsets +-(eta + sqrt(-3)), of norm 9.
+    # Each residual is z - alpha less (3dm + (dm + 2dn) sqrt(-3))/2
     hit: tuple[int, int, int, int] | None = None
     for dm, dn in _OFFSETS:
         r = (m + dm, n + dn, ra - 3 * dm * c, rb - (dm + 2 * dn) * c)

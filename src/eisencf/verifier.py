@@ -6,6 +6,9 @@ derived deterministically from (master seed, check name).  Every check
 returns a machine-readable CheckReport whose verdict is PASS exactly when no
 counterexample was found.
 
+Every `frs` claim is a one-step image equality T(source & <alpha>) = target;
+deeper cylinder images follow by induction on the depth (`_frs_claims`).
+
 Both proofs take one representative per dihedral class.  J and U0 are
 invariant under z -> zeta*z, so on U0 the digit of zeta^-m z is zeta^m times
 the digit of z, and T(zeta^-m z) = zeta^m T(z).  A chain (d_1, d_2, d_3, ...)
@@ -55,7 +58,6 @@ from .cf import (
 )
 from .hexdomain import _in_U0, in_U, in_U0
 from .regions import (
-    HEX_OPEN,
     INSIDE,
     MIRROR_PAIRS,
     OUTSIDE,
@@ -143,29 +145,26 @@ def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
 # --------------------------------------------------------------------------
 
 def _frs_claims(cat: Catalog) -> list[dict]:
-    """Claim table: each entry maps a digit chain (with optional source-cell
-    restriction on the pre-image of the final digit) to an image region.
-    Each claim stands for its twelve dihedral images (module docstring); of
-    a mirror pair only one member is listed."""
+    """Claim table: each entry is a one-step image equality
+    T(source & <alpha>) = target, chain = [alpha], with source U0 (None) or a
+    base cell U_{k,1}.  Each claim stands for its twelve dihedral images
+    (module docstring); of a mirror pair only one member is listed.
+
+    Deeper images follow by induction: T^n<b_1 ... b_n> is the one-step
+    image T(P & <b_n>) of the prefix image P = T^(n-1)<b_1 ... b_(n-1)>.  If
+    P = U_{k,l} = zeta^(l-1) U_{k,1}, that image is zeta^-(l-1) times the
+    target of the claim (U_{k,1}, zeta^(l-1) b_n), by the rotation rule of
+    the module docstring.  T is a Moebius map on each cylinder, so
+    equalities that hold up to null sets compose."""
     claims: list[dict] = []
     # fullness of <alpha> for digits of norm >= 9, one digit per dihedral
     # orbit: the mirror joins the two rotation orbits of norm 21
     for alpha in (EisensteinInt(3, 0), EisensteinInt(3, 3), ETAS[1] * 2, EisensteinInt(4, 1)):
         assert alpha.norm() >= 9
-        claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None,
-                           target=cat.u0, coverage=True))
-    # T<eta_k> = U_{1,k} and T^2<eta_k, eta_l> = U_{2,l} for k+l = 4 mod 6, at k = 1
+        claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None, target=cat.u0))
+    # T<eta_k> = U_{1,k}, at k = 1
     claims.append(dict(name="T<eta1>=U_1_1", chain=[ETAS[1]], source=None,
-                       target=cat.u_cells[(1, 1)], coverage=True))
-    claims.append(dict(name="T2<eta1,eta3>=U_2_3", chain=[ETAS[1], ETAS[3]], source=None,
-                       target=cat.u_cells[(2, 3)], coverage=True))
-    # depth-3 classifications; the first image index is U_{3,3}: the printed
-    # U_{3,6} contradicts the digit-transition table and fails the certificate
-    for tag, last, tgt in (("eta1+3", ETAS[1] + EisensteinInt(3, 0), (3, 3)),
-                           ("eta3", ETAS[3], (4, 3))):
-        claims.append(dict(name=f"T3<eta2,eta2,{tag}>=U_{tgt[0]}_{tgt[1]}",
-                           chain=[ETAS[2], ETAS[2], last], source=None,
-                           target=cat.u_cells[tgt], coverage=True))
+                       target=cat.u_cells[(1, 1)]))
     # digit-transition table from the base cells U_{k,1}
     table: list[tuple[int, EisensteinInt, tuple[int, int]]] = [
         (1, ETAS[3], (2, 3)),
@@ -177,21 +176,15 @@ def _frs_claims(cat: Catalog) -> list[dict]:
         table.append((4, EisensteinInt(3 * j, -3 * j), (3, 2)))
         table.append((4, EisensteinInt(-3 * j, 3 * j), (3, 2)))
     for src_k, alpha, tgt in table:
-        claims.append(dict(
-            name=f"U_{src_k}_1 --{alpha}--> U_{tgt[0]}_{tgt[1]}",
-            chain=[alpha], source=cat.u_cells[(src_k, 1)],
-            target=cat.u_cells[tgt], coverage=False,
-        ))
+        claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> U_{tgt[0]}_{tgt[1]}", chain=[alpha],
+                           source=cat.u_cells[(src_k, 1)], target=cat.u_cells[tgt]))
     # non-exceptional digits leave the image at T<digit>; the chosen digits
-    # have cylinders meeting the source cell
+    # have cylinders inside the source cell
     for src_k, alpha, tgt in [
         (1, ETAS[1], (1, 1)), (2, ETAS[6], (1, 6)), (3, ETAS[4], (1, 4)), (4, ETAS[4], (1, 4)),
     ]:
-        claims.append(dict(
-            name=f"U_{src_k}_1 --{alpha}--> T<{alpha}>",
-            chain=[alpha], source=cat.u_cells[(src_k, 1)],
-            target=cat.u_cells[tgt], coverage=False,
-        ))
+        claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> T<{alpha}>", chain=[alpha],
+                           source=cat.u_cells[(src_k, 1)], target=cat.u_cells[tgt]))
     return claims
 
 
@@ -272,21 +265,22 @@ def _witnesses(table: Region) -> tuple[list[FieldElement], list[FieldElement]]:
 
 
 def _certify_claim(rep: CheckReport, claim: dict) -> dict[str, Fraction]:
-    """Prove one claim on box trees over U0 into rep; returns its residues.
+    """Prove one claim's image equality on box trees over U0 into rep;
+    returns its residues.
 
-    Inclusion: the table lies in the closed target.  Coverage, where
-    claimed: target and U0 lie in the closed table.  The witnesses tie the
-    table to the map: centres of boxes a shallow tree proves inside the
-    table, and of boxes in U0 it proves outside, must get the same verdict
-    from step_T.
+    Inclusion: the table lies in the closed target.  Coverage: the target
+    lies in the closed table; every target is U0 or a U-cell, which carries
+    U0's six rows, so it needs no intersection with U0.  A one-step claim is
+    a step of the induction of `_frs_claims`; a deeper chain is proved the
+    same way.  The witnesses tie the table to the map: centres of boxes a
+    shallow tree proves inside the table, and of boxes in U0 it proves
+    outside, must get the same verdict from step_T.
     """
     name, target, table = claim["name"], claim["target"], _claim_table(claim)
     residues = {"inclusion": _record(rep, table.excess(target, U0_BOX, DEPTH),
-                                     claim=name, kind="inclusion")}
-    if claim["coverage"]:
-        cover = Region(f"{target.name} in U0", target.prims + HEX_OPEN)
-        residues["coverage"] = _record(rep, cover.excess(table, U0_BOX, DEPTH),
-                                       claim=name, kind="coverage")
+                                     claim=name, kind="inclusion"),
+                "coverage": _record(rep, target.excess(table, U0_BOX, DEPTH),
+                                    claim=name, kind="coverage")}
     for verdict, ws in zip((True, False), _witnesses(table)):
         for w in ws:
             rep.samples += 1
@@ -296,15 +290,16 @@ def _certify_claim(rep: CheckReport, claim: dict) -> dict[str, Fraction]:
 
 
 def verify_frs() -> CheckReport:
-    """Finite range structure: cylinder images lie in (and cover) the claimed
-    regions, proved in w-space on exact box trees.
+    """Finite range structure: each one-step image T(source & <alpha>)
+    equals its claimed region, proved in w-space on exact box trees; every
+    deeper cylinder image follows by induction (`_frs_claims`).
 
-    A claim's conditions -- every z_k = T^k z, k <= n, lies in U0 and z in
-    the source cell -- are pulled back to w = T^n z (`_claim_table`), and
-    `Region.excess` bounds the area where the claim could fail by an exact
-    dyadic residue, or finds an exact counterexample (`_certify_claim`).
-    One claim stands for its class under the twelve rotations and mirrors,
-    which map its table, source and target exactly (module docstring).
+    A claim's conditions -- z and T z lie in U0, and z in the source cell --
+    are pulled back to w = T z (`_claim_table`), and `Region.excess` bounds
+    the area where either inclusion could fail by an exact dyadic residue,
+    or finds an exact counterexample (`_certify_claim`).  One claim stands
+    for its class under the twelve rotations and mirrors, which map its
+    table, source and target exactly (module docstring).
     """
     with CheckReport("finite_range_structure") as rep:
         claims = _frs_claims(build_catalog())

@@ -188,7 +188,7 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "8feba9983c403c7c47448e820ef75f0a4f7594968055889fe276e4c74d5a2d49")
+            "72c3d688c6a2ce96101289c8e1664298032acdcd4ecf20b9df5b6d6146b6776a")
 
 
 class TestLevyDensityRender:

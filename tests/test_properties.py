@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eisencf._util import canonical_json
 from eisencf.cf import INF, TerminatedAtZero, eval_cf, expand, step_T
 from eisencf.exact import (
-    F_ONE, F_ZERO, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed,
-    j_element,
+    ETAS, F_ONE, F_ZERO, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement,
+    embed, j_element,
 )
 from eisencf.hexdomain import _in_U, _nearest, floor_J, floor_J_candidates, in_U, in_U0
 from eisencf.regions import (
@@ -199,10 +199,17 @@ def test_cell_of_at_the_hexagon_vertices():
         assert _cell_folded(z) == _cell_by_scan(z) in (BoundaryPoint, NotInU)
 
 
+# the frs claims and three deeper cylinder claims that follow from them,
+# whose tables carry the larger coefficients
+DEEP_CLAIMS = [dict(name=f"T{len(chain)}", chain=chain, source=None) for chain in (
+    [ETAS[1], ETAS[3]], [ETAS[2], ETAS[2], ETAS[1] + EisensteinInt(3, 0)],
+    [ETAS[2], ETAS[2], ETAS[3]])]
+CLAIMS = _frs_claims(CAT) + DEEP_CLAIMS
+
 # the rows of the catalogue, and of the dual terms and the pulled-back claim
 # tables at all six rotations
 ROWS = sorted({r[:4] for reg in REGIONS + DUAL_TERMS + [
-    _claim_table(c).rotate(m) for c in _frs_claims(CAT) for m in range(6)] for r in reg._ints})
+    _claim_table(c).rotate(m) for c in CLAIMS for m in range(6)] for r in reg._ints})
 
 
 @settings(exact, max_examples=300)
@@ -307,9 +314,18 @@ def test_eval_cf_matches_field_evaluation(digits, tail):
     assert eval_cf(digits, tail) == eval_cf_reference(digits, tail)
 
 
-# the frs chains and their rotations (zeta^m d_1, zeta^-m d_2, ...)
+# the frs and deeper chains and their rotations (zeta^m d_1, zeta^-m d_2, ...)
 FRS_CHAINS = [[ZETA ** (m if i % 2 == 0 else -m % 6) * d for i, d in enumerate(c["chain"])]
-              for c in _frs_claims(CAT) for m in range(6)]
+              for c in CLAIMS for m in range(6)]
+
+
+def test_row_and_chain_pools_keep_the_deeper_tables():
+    assert (len(ROWS), len(FRS_CHAINS)) == (513, 132)
+    # the one-step tables reach |coefficient| 65, the deeper ones 162
+    one_step = {r[:4] for c in _frs_claims(CAT) for m in range(6)
+                for r in _claim_table(c).rotate(m)._ints}
+    assert max(abs(v) for row in one_step for v in row) == 65
+    assert max(abs(v) for row in ROWS for v in row) == 162
 
 
 @exact

@@ -46,8 +46,9 @@ CLAIMS = _frs_claims(CAT)
 def _listed_claims(cat):
     """The finite range claims written out: every rotation of the fullness,
     T<eta_k> and T2 claims, and both members of each mirror pair of the
-    depth-3, transition and T<digit> claims.  These are the references that
-    the verifier's one representative per dihedral class must reproduce."""
+    depth-3, transition and T<digit> claims.  The one-step claims are the
+    references that the verifier's one representative per dihedral class
+    must reproduce; the deeper ones follow from them by induction."""
     claims = []
     for alpha in (
         EisensteinInt(3, 0), EisensteinInt(0, 3), EisensteinInt(-3, 3),
@@ -55,20 +56,20 @@ def _listed_claims(cat):
         EisensteinInt(-1, 5),
     ):
         claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None,
-                           target=cat.u0, coverage=True))
+                           target=cat.u0))
     for k in range(1, 7):
         claims.append(dict(name=f"T<eta{k}>=U_1_{k}", chain=[ETAS[k]], source=None,
-                           target=cat.u_cells[(1, k)], coverage=True))
+                           target=cat.u_cells[(1, k)]))
     for k in range(1, 7):
         l = (4 - k) % 6 or 6
         claims.append(dict(name=f"T2<eta{k},eta{l}>=U_2_{l}",
                            chain=[ETAS[k], ETAS[l]], source=None,
-                           target=cat.u_cells[(2, l)], coverage=True))
+                           target=cat.u_cells[(2, l)]))
     for tag, last, tgt in (("eta1+3", ETAS[1] + EisensteinInt(3, 0), (3, 3)),
                            ("eta3", ETAS[3], (4, 3)), ("eta1", ETAS[1], (5, 6))):
         claims.append(dict(name=f"T3<eta2,eta2,{tag}>=U_{tgt[0]}_{tgt[1]}",
                            chain=[ETAS[2], ETAS[2], last], source=None,
-                           target=cat.u_cells[tgt], coverage=True))
+                           target=cat.u_cells[tgt]))
     table = [(1, ETAS[3], (2, 3)), (2, ETAS[4], (4, 4)), (2, ETAS[2], (5, 1))]
     for j in (1, 2):
         table += [(2, ETAS[2] + EisensteinInt(0, 3 * j), (3, 4)),
@@ -78,15 +79,17 @@ def _listed_claims(cat):
     for src_k, alpha, tgt in table:
         claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> U_{tgt[0]}_{tgt[1]}",
                            chain=[alpha], source=cat.u_cells[(src_k, 1)],
-                           target=cat.u_cells[tgt], coverage=False))
+                           target=cat.u_cells[tgt]))
     for src_k, k in ((1, 1), (1, 5), (2, 6), (3, 4), (4, 4)):
         claims.append(dict(name=f"U_{src_k}_1 --{ETAS[k]}--> T<{ETAS[k]}>",
                            chain=[ETAS[k]], source=cat.u_cells[(src_k, 1)],
-                           target=cat.u_cells[(1, k)], coverage=False))
+                           target=cat.u_cells[(1, k)]))
     return claims
 
 
 LISTED_CLAIMS = _listed_claims(CAT)
+ONE_STEP_CLAIMS = [c for c in LISTED_CLAIMS if len(c["chain"]) == 1]
+DEEP_CLAIMS = [c for c in LISTED_CLAIMS if len(c["chain"]) > 1]
 
 
 def _mirrored_blocks():
@@ -155,12 +158,24 @@ class TestChecksPass:
     def test_frs(self):
         rep = verify_frs()
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert rep.info["claims"] == 22 and rep.info["symmetries"] == 12
+        assert rep.info["claims"] == 19 and rep.info["symmetries"] == 12
         assert len(rep.info["residues"]) == rep.info["claims"]
+        assert rep.info["worst_residue"] == "3/524288"
+        # every claim is an image equality: both sides are proved
+        assert all(set(res) == {"inclusion", "coverage"}
+                   for res in rep.info["residues"].values())
+        assert all(c.keys() == {"name", "chain", "source", "target"} and len(c["chain"]) == 1
+                   for c in CLAIMS)
         # the cylinder images lie in their targets up to area exactly 0
         assert all(res["inclusion"] == "0" for res in rep.info["residues"].values())
         # witnesses of both verdicts ran through step_T
         assert rep.samples > 32 * rep.info["claims"]
+
+    def test_every_target_carries_the_rows_of_U0(self):
+        # the coverage side bounds target \ cl(table) over U0's box, which
+        # is the target's part in U0 only when the target carries U0's rows
+        for claim in CLAIMS + LISTED_CLAIMS:
+            assert set(CAT.u0.prims) <= set(claim["target"].prims), claim["name"]
 
     def test_dual_inclusions(self):
         rep = verify_dual_inclusions()
@@ -261,7 +276,7 @@ class TestDeterminism:
 
 
 def _claim(name: str) -> dict:
-    return next(c for c in CLAIMS if c["name"] == name)
+    return next(c for c in LISTED_CLAIMS if c["name"] == name)
 
 
 def _assert_inclusion_fails(claim: dict) -> None:
@@ -286,6 +301,23 @@ class TestCertificate:
     def test_u45_in_place_of_u44_fails(self):
         _assert_inclusion_fails(dict(_claim("U_2_1 ---1-1z--> U_4_4"),
                                      target=CAT.u_cells[(4, 5)]))
+
+    @pytest.mark.parametrize("name, fails, example", [
+        ("U_3_1 --3-3z--> U_3_2", 393216, "3/8-1/16r"),
+        ("U_1_1 --1+1z--> T<1+1z>", 61971, "-9/16-9/32r"),
+    ])
+    def test_too_large_target_fails_coverage(self, name, fails, example):
+        # U0 holds every image, so only the coverage side sees that the
+        # image is smaller: at an exact point of U0 outside the closed table
+        claim = dict(_claim(name), target=CAT.u0)
+        rep = CheckReport("claim")
+        residues = _certify_claim(rep, claim)
+        assert residues["inclusion"] == 0
+        assert [(f["kind"], f["counterexamples"], f["example"]) for f in rep.failures] == [
+            ("coverage", fails, example)]
+        w = parse_field_element(example)
+        assert CAT.u0.contains(w) and not _claim_table(claim).contains(w, closed=True)
+        assert not _accepted_exact(claim, w)
 
     def test_table_claims_without_source_fail(self):
         # in the digit-transition table every source cell restricts its
@@ -495,7 +527,6 @@ class TestSymmetries:
             chain = [-d.conj() for d in claim["chain"]] if mirrored else claim["chain"]
             s = m if len(chain) % 2 else -m % 6
             return (_rotated_chain(chain, m) == ref["chain"]
-                    and ref["coverage"] == claim["coverage"]
                     and (ref["source"] is None) == (claim["source"] is None)
                     and (ref["source"] is None or _prims(ref["source"]) == _prims(
                         _image(claim["source"], mirrored, -m % 6)))
@@ -507,12 +538,12 @@ class TestSymmetries:
             return any(matches(ref, claim, m, mirrored) for claim in CLAIMS
                        for m in range(6) for mirrored in mirrors)
 
-        assert (len(CLAIMS), len(LISTED_CLAIMS)) == (22, 43)
-        assert {c["name"] for c in CLAIMS} <= {c["name"] for c in LISTED_CLAIMS}
-        for ref in LISTED_CLAIMS:
+        assert (len(CLAIMS), len(ONE_STEP_CLAIMS), len(DEEP_CLAIMS)) == (19, 34, 9)
+        assert {c["name"] for c in CLAIMS} <= {c["name"] for c in ONE_STEP_CLAIMS}
+        for ref in ONE_STEP_CLAIMS:
             assert found(ref, (False, True)), ref["name"]
-        # the seven dropped mirror duplicates are no rotation of a representative
-        assert sum(not found(ref, (False,)) for ref in LISTED_CLAIMS) == 7
+        # the six dropped mirror duplicates are no rotation of a representative
+        assert sum(not found(ref, (False,)) for ref in ONE_STEP_CLAIMS) == 6
 
     def test_every_rotated_dual_term_is_a_rotated_representative(self):
         for tgt_k, terms in {**dual_inclusion_blocks(), **_mirrored_blocks()}.items():
@@ -539,7 +570,7 @@ class TestSymmetries:
         # zeta^3 * (3 + 0z): in no claim list, implied by full<3+0z>
         rep = CheckReport("claim")
         residues = _certify_claim(rep, dict(name="full<-3+0z>", chain=[EisensteinInt(-3, 0)],
-                                            source=None, target=CAT.u0, coverage=True))
+                                            source=None, target=CAT.u0))
         assert rep.verdict == "PASS", rep.failures[:3]
         assert residues["inclusion"] == 0
 
@@ -548,10 +579,10 @@ class TestSymmetries:
         # M(4 + 1z), the second rotation orbit of norm 21: in no claim list
         u51 = CAT.u_cells[(5, 1)]
         claims = [dict(name=f"U_5_1 --{alpha}--> U_3_5", chain=[alpha], source=u51,
-                       target=CAT.u_cells[(3, 5)], coverage=False)
+                       target=CAT.u_cells[(3, 5)])
                   for alpha in (EisensteinInt(3, -3), EisensteinInt(-3, 3))]
         claims.append(dict(name="full<-5+1z>", chain=[EisensteinInt(-5, 1)], source=None,
-                           target=CAT.u0, coverage=True))
+                           target=CAT.u0))
         listed = [(c["chain"], c["source"]) for c in LISTED_CLAIMS]
         for claim in claims:
             assert (claim["chain"], claim["source"]) not in listed, claim["name"]
@@ -561,4 +592,42 @@ class TestSymmetries:
             assert set(residues.values()) == {0}, claim["name"]
             # a full cylinder's table is all of U0, which leaves no outside
             # witness
-            assert rep.samples == (32 if claim["coverage"] else 64), claim["name"]
+            full = claim["source"] is None and claim["target"] is CAT.u0
+            assert rep.samples == (32 if full else 64), claim["name"]
+
+
+def _composed_image(chain):
+    """T^n<chain> from the listed one-step claims, by the induction of
+    `_frs_claims`: a prefix image P = zeta^r U_{k,1} and a digit d give
+    zeta^-r times the target of the listed claim (U_{k,1}, zeta^r d); P = U0
+    gives the target of the claim (U0, d)."""
+    image = CAT.u0
+    for d in chain:
+        if _prims(image) == _prims(CAT.u0):
+            source, r = None, 0
+        else:
+            k, l = next(kl for kl, reg in CAT.u_cells.items() if _prims(reg) == _prims(image))
+            source, r = CAT.u_cells[(k, 1)], l - 1
+        step = next(c for c in ONE_STEP_CLAIMS
+                    if c["chain"] == [ZETA ** r * d] and c["source"] is source)
+        image = step["target"].rotate(-r % 6)
+    return image
+
+
+class TestDeeperClaims:
+    """The deeper listed cylinder images follow from the one-step claims
+    and are proved directly too."""
+
+    def test_listed_images_compose_from_one_step_claims(self):
+        assert len(DEEP_CLAIMS) == 9
+        for claim in DEEP_CLAIMS:
+            assert _prims(_composed_image(claim["chain"])) == _prims(claim["target"]), (
+                claim["name"])
+
+    def test_listed_images_prove_directly(self):
+        for claim in DEEP_CLAIMS:
+            rep = CheckReport("claim")
+            residues = _certify_claim(rep, claim)
+            assert rep.verdict == "PASS", (claim["name"], rep.failures[:3])
+            assert set(residues) == {"inclusion", "coverage"}, claim["name"]
+            assert max(residues.values()) <= Fraction(3, 524288), claim["name"]
