@@ -26,11 +26,7 @@ from .exact import (
     embed,
     j_element,
 )
-from .hexdomain import _round_J, in_U
-
-
-class DomainError(ValueError):
-    """Argument outside the fundamental domain U."""
+from .hexdomain import DomainError, _round_J, in_U
 
 
 class OrbitSignal(Exception):
@@ -115,8 +111,9 @@ Terminal = Union[TerminatedAtZero, Truncated, SpecialPeriodic]
 class Expansion:
     digits: tuple[EisensteinInt, ...]
     terminal: Terminal
-    exact: bool
     points: tuple[FieldElement, ...]  # z_0 .. z_n along the expansion
+
+    exact = True   # every digit and point is computed exactly
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -137,7 +134,7 @@ def expand(z: FieldElement, max_digits: int = 256) -> Expansion:
         try:
             d, cur = step_T(cur)
         except ZeroOrbit:
-            return Expansion(tuple(digits), TerminatedAtZero(len(digits)), True, tuple(points))
+            return Expansion(tuple(digits), TerminatedAtZero(len(digits)), tuple(points))
         except SpecialPoint as sp:
             entry = len(digits)
             # cur is the special vertex; the spliced digits walk its 4-cycle
@@ -145,10 +142,10 @@ def expand(z: FieldElement, max_digits: int = 256) -> Expansion:
                 cur = cur.inv() - embed(d)
                 digits.append(d)
                 points.append(cur)
-            return Expansion(tuple(digits), SpecialPeriodic(sp.point, entry), True, tuple(points))
+            return Expansion(tuple(digits), SpecialPeriodic(sp.point, entry), tuple(points))
         digits.append(d)
         points.append(cur)
-    return Expansion(tuple(digits), Truncated(), True, tuple(points))
+    return Expansion(tuple(digits), Truncated(), tuple(points))
 
 
 @dataclass(frozen=True)

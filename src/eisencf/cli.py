@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._util import canonical_json
 from .cf import convergents, expand
 from .exact import (
+    BAND,
     embed,
     field_element_to_json,
     format_field_element,
@@ -38,23 +39,20 @@ class RunConfig:
     depth: int = 20
     grid: int = 200
     digits: int = 40
-    tol: float = 1e-12
+    tol: float = BAND
 
     def validate(self) -> None:
         for name in ("samples", "orbits", "length", "depth", "grid", "digits"):
             least = 2 if name == "orbits" else 1  # a standard error needs two orbits
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if not (0.0 < self.tol <= 1e-6):
-            raise ValueError("tol must lie in (0, 1e-6]")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    for name in ("seed", "samples", "orbits", "length", "depth", "grid",
-                 "digits", "tol"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, getattr(args, name))
+    for f in fields(cfg):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     cfg.validate()
     return cfg
 
@@ -142,9 +140,8 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_levy(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .ergodic import ergodic_report
 
-    quad_samples = cfg.samples if args.samples is not None else 1000000
     rep = ergodic_report(orbits=cfg.orbits, length=cfg.length,
-                         quad_samples=quad_samples, seed=cfg.seed, tol=cfg.tol)
+                         quad_samples=cfg.samples, seed=cfg.seed)
     _write(args.out, canonical_json(rep.as_dict()))
     return EXIT_OK
 
@@ -153,7 +150,7 @@ def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .ergodic import estimate_C0_and_levy_integral
 
     # the density needs C0 and the flux rules; the pair check runs at its floor
-    xs, ys, vals = estimate_C0_and_levy_integral(0, 0, cfg.tol).density_grid(cfg.grid, cfg.tol)
+    xs, ys, vals = estimate_C0_and_levy_integral(0, 0).density_grid(cfg.grid)
     lines = ["x,y,h"]
     for i in range(cfg.grid):
         for j in range(cfg.grid):
@@ -203,16 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("levy", help="growth-rate estimates by two routes")
     p.add_argument("--orbits", type=int)
     p.add_argument("--length", type=int)
-    p.add_argument("--samples", type=int, help="budget of the pair-sampled cross-check "
-                   "(default 1000000); C0 and the integral are deterministic")
+    p.add_argument("--samples", type=int, default=1000000,
+                   help="budget of the pair-sampled cross-check (default "
+                        "%(default)s); C0 and the integral are deterministic")
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
     p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_levy)
 
     p = sub.add_parser("density", help="invariant density on a grid (CSV)")
     p.add_argument("--grid", type=int)
-    p.add_argument("--tol", type=float)
     p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_density)
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._util import CheckReport, derive_seed
+from .exact import BAND
 from .floatpath import SQRT3, U_BOX, _alive, _round, hex_margin
 from .regions import (MIRROR_PAIRS, Catalog, Piece, Region, build_catalog,
                       classify_cells_complex)
@@ -87,7 +88,7 @@ class OrbitBatch:
 
 
 def _simulate_batches(orbits: int, length: int, seeds: list[int],
-                      tol: float = 1e-12) -> list[OrbitBatch]:
+                      tol: float = BAND) -> list[OrbitBatch]:
     """simulate_orbits for each seed, stepped side by side in one array.
 
     Each round draws every unfinished batch's fresh starts from its own
@@ -148,7 +149,7 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
 
 
 def simulate_orbits(orbits: int, length: int, seed: int,
-                    tol: float = 1e-12) -> OrbitBatch:
+                    tol: float = BAND) -> OrbitBatch:
     """Run `orbits` trajectories of the extension for `length` steps.
 
     Trajectories that fall into the boundary band are discarded and replaced
@@ -169,7 +170,7 @@ class LevyEstimate:
 
 
 def levy_birkhoff(orbits: int = 64, length: int = 20000, seed: int = 0,
-                  tol: float = 1e-12) -> LevyEstimate:
+                  tol: float = BAND) -> LevyEstimate:
     """Growth rate lim (1/n) log|q_n| as a Birkhoff average of log|w|."""
     return _birkhoff(simulate_orbits(orbits, length, seed, tol))
 
@@ -431,14 +432,14 @@ class Quadrature:
     def cell_masses(self) -> dict[tuple[int, int], float]:
         return {(k, l): self.c0 * self.masses[k] for k, l in CELLS}
 
-    def density(self, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def density(self, z: np.ndarray) -> np.ndarray:
         """h(z) = C0 * integral over (Vstar_cell(z))^-1 of du / |z*u - 1|^4
         at an array of points; NaN off the open cells.
 
         On V_{k,l}, g(z) is g of V_{k,1} at zeta^(1-l) z."""
         z = np.asarray(z, dtype=np.complex128)
         flat = z.ravel()
-        idx = classify_cells_complex(flat, tol=tol)
+        idx = classify_cells_complex(flat)
         out = np.full(flat.shape, np.nan)
         for ci, (k, l) in enumerate(CELLS):
             sel = idx == ci
@@ -448,7 +449,7 @@ class Quadrature:
                 flat[sel] * np.conj(_ROOTS[l - 1]), self.arcs[k])
         return out.reshape(z.shape)
 
-    def density_integral(self, tol: float = 1e-12) -> tuple[float, float]:
+    def density_integral(self) -> tuple[float, float]:
         """Total mass of h by the cell-blind sextant rule (should be ~ 1).
 
         Returns the fine rule's value and its difference from the coarse
@@ -456,10 +457,10 @@ class Quadrature:
         vals = []
         for n in _RULES:
             z, w = _sextant_rule(n)
-            vals.append(float(np.sum(w * np.nan_to_num(self.density(z, tol), nan=0.0))))
+            vals.append(float(np.sum(w * np.nan_to_num(self.density(z), nan=0.0))))
         return vals[-1], abs(vals[-1] - vals[0])
 
-    def density_grid(self, n: int, tol: float = 1e-12):
+    def density_grid(self, n: int):
         """Density on an n x n grid over the bounding box of U.
 
         Returns (x nodes, y nodes, values); off-domain values are 0.
@@ -468,12 +469,12 @@ class Quadrature:
         xs = np.linspace(xlo, xhi, n)
         ys = np.linspace(ylo, yhi, n)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        vals = self.density(gx + 1j * gy, tol)
+        vals = self.density(gx + 1j * gy)
         return xs, ys, np.nan_to_num(vals, nan=0.0)
 
 
 def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
-                                  tol: float = 1e-12) -> Quadrature:
+                                  tol: float = BAND) -> Quadrature:
     """Normalizing constant and the invariant growth-rate integral.
 
     The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
@@ -514,7 +515,7 @@ def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
 # occupation versus quadrature masses
 # --------------------------------------------------------------------------
 
-def occupation_frequencies(batch: OrbitBatch, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def occupation_frequencies(batch: OrbitBatch, tol: float = BAND) -> tuple[np.ndarray, np.ndarray]:
     """Empirical cell frequencies per orbit: (orbits x 36 matrix, means)."""
     orbits, length = batch.points.shape
     counts = np.zeros((orbits, 37), dtype=np.int64)   # column 0 counts no cell
@@ -528,19 +529,15 @@ def occupation_frequencies(batch: OrbitBatch, tol: float = 1e-12) -> tuple[np.nd
     return freq, freq.mean(axis=0)
 
 
-def invariance_check(orbits: int = 64, length: int = 20000, seed: int = 0,
-                     quad: Quadrature | None = None,
-                     tol: float = 1e-12) -> CheckReport:
+def invariance_check(quad: Quadrature, orbits: int = 64, length: int = 20000,
+                     seed: int = 0) -> CheckReport:
     """Empirical occupation of long orbits against the density cell masses.
 
     PASS when every cell discrepancy is below max(3 * stderr, 0.01), the
     stderr of the occupation; the masses are exact to about 1e-10.
     """
     with CheckReport("invariance") as rep:
-        if quad is None:
-            quad = estimate_C0_and_levy_integral(0, 0, tol)
-        batch = simulate_orbits(orbits, length, seed, tol)
-        freq, mean_freq = occupation_frequencies(batch, tol=tol)
+        freq, mean_freq = occupation_frequencies(simulate_orbits(orbits, length, seed))
         rep.samples = orbits * length
         masses = quad.cell_masses()
         sum_f = float(mean_freq.sum())
@@ -595,13 +592,12 @@ class ErgodicReport:
 
 
 def ergodic_report(orbits: int = 64, length: int = 20000,
-                   quad_samples: int = 1000000, seed: int = 0,
-                   tol: float = 1e-12) -> ErgodicReport:
-    quad = estimate_C0_and_levy_integral(quad_samples, seed, tol)
+                   quad_samples: int = 1000000, seed: int = 0) -> ErgodicReport:
+    quad = estimate_C0_and_levy_integral(quad_samples, seed)
     # the Birkhoff batch is dropped before the occupation pass
-    batches = _simulate_batches(orbits, length, [seed, derive_seed(seed, "occ")], tol)
+    batches = _simulate_batches(orbits, length, [seed, derive_seed(seed, "occ")])
     birkhoff = _birkhoff(batches.pop(0))
-    _, mean_freq = occupation_frequencies(batches.pop(), tol=tol)
+    _, mean_freq = occupation_frequencies(batches.pop())
     masses = quad.cell_masses()
     return ErgodicReport(
         levy_birkhoff=birkhoff,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 SQRT3 = math.sqrt(3.0)
+# the float layer's band: a point this near a constraint lies on neither side
+BAND = 1e-12
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ The orbit loop calls `_round` every step, inside its own error state, and
 mask ANDed over its rows is the mask ANDed step by step.
 
 Boundary handling follows one rule everywhere: a point whose classification
-comes within ``tol`` of any constraint is banded and the caller must skip or
-resample it, never guess a side.
+comes within ``exact.BAND`` of any constraint is banded and the caller must
+skip or resample it, never guess a side.
 
 Rounding to J is the A2 decoder of Conway and Sloane (IEEE Trans. Inf.
 Theory 28, 1982), the float twin of hexdomain.floor_J: J is two shifted
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import SQRT3
+from .exact import BAND, SQRT3
 
 # bounding box (xlo, xhi, ylo, yhi) of the hexagon U in real coordinates
 U_BOX = (-1.0, 1.0, -SQRT3 / 2, SQRT3 / 2)
@@ -78,7 +78,7 @@ def _alive(z: np.ndarray, resid: np.ndarray, tol: float) -> np.ndarray:
 
 
 def t_step(
-    z: np.ndarray, tol: float = 1e-12
+    z: np.ndarray, tol: float = BAND
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One float step of the continued fraction map on an array: `_round`
     and `_alive` in one call.

@@ -27,6 +27,10 @@ from __future__ import annotations
 from .exact import EisensteinInt, FieldElement, embed, j_element
 
 
+class DomainError(ValueError):
+    """Argument outside the fundamental domain U."""
+
+
 class TilingError(RuntimeError):
     """The neighbour search of _round_J did not find exactly one representative."""
 

@@ -37,8 +37,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .exact import ETAS, SQRT3, FieldElement, embed
-from .hexdomain import in_U
+from .exact import BAND, ETAS, SQRT3, FieldElement, embed
+from .hexdomain import DomainError, in_U
 
 if TYPE_CHECKING:
     import numpy as np
@@ -309,10 +309,6 @@ class BoundaryPoint(Exception):
     pass
 
 
-class NotInU(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Region:
     name: str
@@ -432,7 +428,7 @@ class Region:
         return Region(name or f"({self.name})^-1", tuple(p.invert() for p in self.prims))
 
     # -- float path -------------------------------------------------------
-    def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = BAND) -> np.ndarray:
         """Vectorized strict membership: every row's value qq*r + bx*x + by*y
         + dd, r = x^2 + 3y^2, lies below minus its band half-width scale*tol
         (scale the primitive's `scale_float`), at a point where r is finite.
@@ -632,11 +628,11 @@ def cell_of(z: FieldElement) -> tuple[int, int]:
         raise AssertionError(f"{z} lies in several cells: {hits}")
     if in_U(z):
         raise BoundaryPoint(f"{z} lies on a cell boundary")
-    raise NotInU(f"{z} is not in U")
+    raise DomainError(f"{z} is not in U")
 
 
 def classify_cells_complex(
-    z: np.ndarray, catalog: Catalog | None = None, tol: float = 1e-12
+    z: np.ndarray, catalog: Catalog | None = None, tol: float = BAND
 ) -> np.ndarray:
     """Vectorized cell classification: index 6*(k-1)+(l-1), or -1 off-cell.
 

@@ -112,12 +112,15 @@ def _inversion_families() -> list[tuple[str, Primitive, Primitive]]:
     return fams
 
 
-def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
+_POINTS_PER_FAMILY = 5
+
+
+def verify_inversions(seed: int = 0) -> CheckReport:
     """The catalogue of circle/line images under z -> 1/z, exactly.
 
     Each family is checked two ways: the coefficient-level inversion of the
-    source primitive must equal the stated target, and >= 3 exact rational
-    points on the source must land exactly on the target.
+    source primitive must equal the stated target, and _POINTS_PER_FAMILY
+    exact rational points on the source must land exactly on the target.
     """
     rng = random.Random(derive_seed(seed, "inversions"))
     with CheckReport("inversions") as rep:
@@ -127,7 +130,7 @@ def verify_inversions(points_per_family: int = 5, seed: int = 0) -> CheckReport:
                 rep.fail(family=name, kind="coefficients", got=str(inv))
                 continue
             pts: list[FieldElement] = []
-            while len(pts) < points_per_family:
+            while len(pts) < _POINTS_PER_FAMILY:
                 t = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
                 for z in rational_points_on(src, [t]):
                     if not z.is_zero():
@@ -363,14 +366,14 @@ def _dual_proofs() -> tuple[Callable, Callable]:
     return term, overlap
 
 
-def _certify_block(rep: CheckReport, tgt_k: int, terms, proofs=None) -> dict[str, Fraction]:
+def _certify_block(rep: CheckReport, tgt_k: int, terms, proofs) -> dict[str, Fraction]:
     """Prove block tgt_k into rep; returns its residues.
 
     Each term lies in the closed target dual cell, and the terms are
     pairwise disjoint: a pair is decided by opposite rows, or by a tree on
     the intersection of the two, which must hold no box centre.  proofs
     (from `_dual_proofs`) shares terms and overlap trees with other blocks."""
-    term, overlap = proofs or _dual_proofs()
+    term, overlap = proofs
     target = build_catalog().v_star[(tgt_k, 1)]
     residues = {"inclusion": Fraction(0), "overlap": Fraction(0)}
     for i, key in enumerate(terms):
@@ -514,7 +517,10 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
     return rep
 
 
-def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> CheckReport:
+_SPECIAL_DEPTH = 60  # convergents checked per special vertex
+
+
+def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
     """Expansions of the two special vertices and the boundary-track dynamics.
 
     (a) The convergent error satisfies |v - p_n/q_n|^2 * norm(q_n) = 1
@@ -534,9 +540,9 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
         rep.info["zeta_bar_rejected"] = [str(d) for d in REJECTED_ZETA_BAR_PERIOD]
         # (a) exact error law and (b) ratio-track membership, one pass per vertex
         for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
-            cs = convergents(special_digits(point, depthlimit))
+            cs = convergents(special_digits(point, _SPECIAL_DEPTH))
             prev_norm = 0
-            for n in range(1, depthlimit + 1):
+            for n in range(1, _SPECIAL_DEPTH + 1):
                 rep.samples += 1
                 qn = cs[n].q.norm()
                 if qn <= prev_norm:
@@ -550,11 +556,11 @@ def verify_special(depthlimit: int = 60, samples: int = 60, seed: int = 0) -> Ch
                 rep.samples += 1
                 if not cat.s_sets[(tag, n % 4)].contains(ratio):
                     rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
-            rep.info[f"{tag}_err_at_{depthlimit}"] = float(
-                math.sqrt(1.0 / cs[depthlimit].q.norm()))
+            rep.info[f"{tag}_err_at_{_SPECIAL_DEPTH}"] = float(
+                math.sqrt(1.0 / cs[_SPECIAL_DEPTH].q.norm()))
         # oracle: the rejected candidate misses conj(zeta)
-        rej = convergents([REJECTED_ZETA_BAR_PERIOD[i % 4] for i in range(depthlimit)])
-        rej_err = abs(rej[depthlimit].ratio().approx() - ZETA_BAR.approx())
+        rej = convergents([REJECTED_ZETA_BAR_PERIOD[i % 4] for i in range(_SPECIAL_DEPTH)])
+        rej_err = abs(rej[_SPECIAL_DEPTH].ratio().approx() - ZETA_BAR.approx())
         rep.info["zeta_bar_rejected_err"] = rej_err
         if rej_err < 1e-3:
             rep.fail(kind="oracle", msg="rejected digit list reaches conj(zeta)")
@@ -615,7 +621,7 @@ CHECKS: dict[str, Callable[..., CheckReport]] = {
     "monotonic": lambda samples, depth, seed: verify_monotonicity(
         samples=max(20, samples // 50), depth=depth, seed=seed),
     "special": lambda samples, depth, seed: verify_special(
-        depthlimit=60, samples=max(20, samples // 100), seed=seed),
+        samples=max(20, samples // 100), seed=seed),
 }
 
 

@@ -35,6 +35,7 @@ from eisencf.exact import (
 from eisencf.hexdomain import floor_J_candidates
 from eisencf.regions import build_catalog
 from eisencf.verifier import (
+    random_orbit_seed,
     verify_dual_inclusions,
     verify_dual_orbit,
     verify_frs,
@@ -55,14 +56,6 @@ def rand_exact(rng, bound=1000):
                         rng.randint(1, bound))
 
 
-def seed_in_u0(rng, digits10):
-    while True:
-        c = rng.randint(10**digits10, 4 * 10**digits10)
-        z = FieldElement(rng.randint(-c, c), rng.randint(-c, c), c)
-        if abs(2 * z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c:
-            return z
-
-
 @pytest.fixture(scope="module")
 def corpus():
     """10^3 expansions to depth 50 (denominators large enough to sustain
@@ -70,7 +63,7 @@ def corpus():
     rng = random.Random(SEED)
     out = []
     while len(out) < 1000:
-        z = seed_in_u0(rng, 33)
+        z = random_orbit_seed(rng, 33)
         e = expand(z, 50)
         if len(e.digits) < 50:
             continue
@@ -135,7 +128,7 @@ def test_c04_error_product_identity():
     done = 0
     bad = 0
     while done < 100:
-        z = seed_in_u0(rng, 16)
+        z = random_orbit_seed(rng, 16)
         try:
             for n in range(1, 21):
                 lhs, rhs = error_product_check(z, n)
@@ -198,7 +191,7 @@ def test_c06c_digit_list_ambiguity_pinned():
 
 
 def test_c07_inversion_identities():
-    rep = verify_inversions(points_per_family=5, seed=SEED)
+    rep = verify_inversions(seed=SEED)
     report("7 (inversion identities)", rep.verdict == "PASS",
            f"{rep.samples} exact point checks")
     assert rep.verdict == "PASS", rep.failures[:3]

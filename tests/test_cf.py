@@ -38,14 +38,7 @@ from eisencf.exact import (
     in_J,
 )
 from eisencf.hexdomain import in_U
-
-
-def seed_in_u0(rng, digits10=30):
-    while True:
-        c = rng.randint(10**digits10, 4 * 10**digits10)
-        z = FieldElement(rng.randint(-c, c), rng.randint(-c, c), c)
-        if abs(2 * z.b) < z.c and abs(z.a + z.b) < z.c and abs(z.a - z.b) < z.c:
-            return z
+from eisencf.verifier import random_orbit_seed
 
 
 class TestStep:
@@ -72,7 +65,7 @@ class TestStep:
     def test_digit_validity_and_orbit_stays_in_u(self):
         rng = random.Random(21)
         for _ in range(50):
-            z = seed_in_u0(rng, 12)
+            z = random_orbit_seed(rng, 12)
             cur = z
             for _ in range(12):
                 try:
@@ -152,7 +145,7 @@ class TestExpand:
 
     def test_truncation(self):
         rng = random.Random(22)
-        e = expand(seed_in_u0(rng, 40), 30)
+        e = expand(random_orbit_seed(rng, 40), 30)
         assert isinstance(e.terminal, Truncated)
         assert len(e.digits) == 30
         assert len(e.points) == 31
@@ -172,7 +165,7 @@ class TestConvergents:
     def test_determinant_alternates(self):
         rng = random.Random(23)
         for _ in range(30):
-            e = expand(seed_in_u0(rng, 25), 40)
+            e = expand(random_orbit_seed(rng, 25), 40)
             cs = convergents(e.digits)
             for n, c in enumerate(cs):
                 assert c.det() == EisensteinInt((-1) ** n, 0)
@@ -180,7 +173,7 @@ class TestConvergents:
     def test_convergence_rate_float(self):
         rng = random.Random(24)
         for _ in range(10):
-            z = seed_in_u0(rng, 30)
+            z = random_orbit_seed(rng, 30)
             e = expand(z, 40)
             if len(e.digits) < 40:
                 continue
@@ -208,7 +201,7 @@ class TestEvalCf:
     def test_reconstruction_identity(self):
         rng = random.Random(25)
         for _ in range(20):
-            z = seed_in_u0(rng, 25)
+            z = random_orbit_seed(rng, 25)
             e = expand(z, 25)
             for n in range(len(e.digits) + 1):
                 assert eval_cf(e.digits[:n], e.points[n]) == z
@@ -227,7 +220,7 @@ class TestErrorProduct:
         rng = random.Random(26)
         done = 0
         while done < 15:
-            z = seed_in_u0(rng, 20)
+            z = random_orbit_seed(rng, 20)
             try:
                 for n in range(1, 21):
                     lhs, rhs = error_product_check(z, n)
@@ -279,7 +272,7 @@ class TestInverseBranchDerivative:
     def test_identity_branch(self):
         rng = random.Random(27)
         for _ in range(20):
-            z = seed_in_u0(rng, 3)
+            z = random_orbit_seed(rng, 3)
             assert inverse_branch_derivative(INITIAL_CONVERGENT, z) == FieldElement(1, 0)
 
     def test_single_digit_formula(self):
@@ -297,7 +290,7 @@ class TestInverseBranchDerivative:
         rng = random.Random(28)
         done = 0
         while done < 25:
-            z = seed_in_u0(rng, 20)
+            z = random_orbit_seed(rng, 20)
             e = expand(z, 12)
             cs = convergents(e.digits)
             for n, dig in enumerate(e.digits, start=1):

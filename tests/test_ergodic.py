@@ -26,18 +26,10 @@ from eisencf.ergodic import (
 )
 from eisencf.exact import SQRT3, FieldElement, embed
 from eisencf.floatpath import t_step
-from eisencf.hexdomain import in_U0
 from eisencf.regions import MIRROR_PAIRS, build_catalog, classify_cells_complex
+from eisencf.verifier import random_orbit_seed
 
 CAT = build_catalog()
-
-
-def seed_in_u0(rng, digits10=30):
-    while True:
-        c = rng.randint(10**digits10, 4 * 10**digits10)
-        z = FieldElement(rng.randint(-c, c), rng.randint(-c, c), c)
-        if in_U0(z):
-            return z
 
 
 def exact_start(z0: complex) -> FieldElement:
@@ -69,7 +61,7 @@ class TestNatExtStep:
 
     def test_w_recurrence(self):
         rng = random.Random(52)
-        z = seed_in_u0(rng, 20)
+        z = random_orbit_seed(rng, 20)
         e = expand(z, 10)
         # r_k = b_k + 1/r_{k-1} with r_1 = b_1 tracks q_k / q_{k-1}
         cs = convergents(e.digits)
@@ -115,7 +107,7 @@ class TestOrbits:
 
     def test_exact_cross_check_depth_200(self):
         rng = random.Random(53)
-        z = seed_in_u0(rng, 60)
+        z = random_orbit_seed(rng, 60)
         e = expand(z, 200)
         assert len(e.digits) == 200
         cs = convergents(e.digits)
@@ -380,8 +372,8 @@ class TestDensity:
 
 
 class TestInvariance:
-    def test_small_scale_pass(self):
-        rep = invariance_check(orbits=24, length=3000, seed=17)
+    def test_small_scale_pass(self, estimator):
+        rep = invariance_check(estimator, orbits=24, length=3000, seed=17)
         assert rep.verdict == "PASS", rep.failures[:4]
         assert abs(rep.info["frequency_sum"] - 1.0) < 1e-6
         assert rep.info["rotation_spread"] < 0.02

@@ -14,9 +14,11 @@ from eisencf.exact import (
     ETAS, F_ONE, F_ZERO, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement,
     embed, j_element,
 )
-from eisencf.hexdomain import _in_U, _nearest, floor_J, floor_J_candidates, in_U, in_U0
+from eisencf.hexdomain import (
+    DomainError, _in_U, _nearest, floor_J, floor_J_candidates, in_U, in_U0,
+)
 from eisencf.regions import (
-    BoundaryPoint, NotInU, Primitive, _box_range, _box_row, build_catalog, cell_of,
+    BoundaryPoint, Primitive, _box_range, _box_row, build_catalog, cell_of,
     rational_points_on,
 )
 from eisencf.verifier import (
@@ -161,13 +163,13 @@ def _cell_by_scan(z):
     assert len(hits) <= 1, (str(z), hits)
     if hits:
         return hits[0]
-    return BoundaryPoint if in_U(z) else NotInU
+    return BoundaryPoint if in_U(z) else DomainError
 
 
 def _cell_folded(z):
     try:
         return cell_of(z)
-    except (BoundaryPoint, NotInU) as exc:
+    except (BoundaryPoint, DomainError) as exc:
         return type(exc)
 
 
@@ -196,7 +198,7 @@ def test_cell_of_at_the_hexagon_vertices():
                  (-1, 0), (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(-1, 2))):
         z = FieldElement.from_xy(Fraction(x), Fraction(y))
         # U is half-open: some vertices lie in it, on a cell boundary, some not
-        assert _cell_folded(z) == _cell_by_scan(z) in (BoundaryPoint, NotInU)
+        assert _cell_folded(z) == _cell_by_scan(z) in (BoundaryPoint, DomainError)
 
 
 # the frs claims and three deeper cylinder claims that follow from them,

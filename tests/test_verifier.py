@@ -22,6 +22,7 @@ from eisencf.verifier import (
     _certify_block,
     _certify_claim,
     _claim_table,
+    _dual_proofs,
     _frs_claims,
     _inversion_families,
     _pullback,
@@ -200,7 +201,7 @@ class TestChecksPass:
         assert rep.samples > 0
 
     def test_special(self):
-        rep = verify_special(depthlimit=60, samples=30, seed=1)
+        rep = verify_special(samples=30, seed=1)
         assert rep.verdict == "PASS", rep.failures[:3]
         # the resolved digit list is reported
         assert rep.info["zeta_bar_digits"] == ["-1+2z", "-1+2z", "1+1z", "-2+1z"]
@@ -229,7 +230,7 @@ class TestChecksPass:
         # the error law and the S-set tracks both reject the digit list
         # that the resolved one replaced, at conj(zeta) only
         monkeypatch.setitem(cf.SPECIAL_PERIOD, ZETA_BAR, REJECTED_ZETA_BAR_PERIOD)
-        rep = verify_special(depthlimit=60, samples=30, seed=1)
+        rep = verify_special(samples=30, seed=1)
         assert rep.verdict == "FAIL"
         tracked = [f for f in rep.failures if f["kind"] in ("error_law", "s_set")]
         assert {f["kind"] for f in tracked} == {"error_law", "s_set"}
@@ -352,7 +353,7 @@ class TestCertificate:
         terms = list(dual_inclusion_blocks()[block])
         terms[i] = (terms[i][0], digit)
         rep = CheckReport("block")
-        _certify_block(rep, block, terms)
+        _certify_block(rep, block, terms, _dual_proofs())
         assert rep.verdict == "FAIL"
         regs = [_pullback(CAT.v_star[kl], [alpha]) for kl, alpha in terms]
         for fail in rep.failures:
@@ -460,7 +461,7 @@ class TestSharedProofs:
     def test_shared_residues_equal_unshared_blocks(self):
         rep = verify_dual_inclusions()
         for tgt_k, terms in dual_inclusion_blocks().items():
-            alone = _certify_block(CheckReport("block"), tgt_k, terms)
+            alone = _certify_block(CheckReport("block"), tgt_k, terms, _dual_proofs())
             assert rep.info["residues"][str(tgt_k)] == {
                 k: str(v) for k, v in alone.items()}, tgt_k
 
@@ -475,7 +476,7 @@ class TestSharedProofs:
         rep = verify_dual_inclusions()
         alone = CheckReport("blocks")
         for tgt_k, terms in blocks.items():
-            _certify_block(alone, tgt_k, terms)
+            _certify_block(alone, tgt_k, terms, _dual_proofs())
         assert rep.failures == alone.failures
         failed = {f["block"] for f in rep.failures
                   if f["kind"] == "overlap" and str(wrong) in f["terms"]}
