@@ -88,7 +88,7 @@ def _json_text(o, nl: str) -> str:
 @dataclass
 class CheckReport:
     """Outcome of one check; as a context manager it times its block into
-    ``elapsed``."""
+    ``elapsed``, which ``as_dict`` leaves out: artifacts stay byte-stable."""
 
     name: str
     samples: int = 0
@@ -120,6 +120,5 @@ class CheckReport:
             "verdict": self.verdict,
             "samples": self.samples,
             "failures": self.failures,
-            "elapsed_s": round(self.elapsed, 3),
             "info": self.info,
         }

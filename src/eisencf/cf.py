@@ -171,6 +171,10 @@ class ConvergentPair:
             raise ZeroDivisionError("q_n = 0")
         return embed(self.p) / embed(self.q)
 
+    def dual_ratio(self) -> FieldElement:
+        """-q_n/q_(n-1), the point w_n of the dual system after n digits."""
+        return -(embed(self.q) / embed(self.q_prev))
+
 
 INITIAL_CONVERGENT = ConvergentPair(E_ONE, EisensteinInt(0, 0), EisensteinInt(0, 0), E_ONE)
 

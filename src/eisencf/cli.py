@@ -125,9 +125,6 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         "checks": [r.as_dict() for r in reports],
         "verdict": "PASS" if all(r.verdict == "PASS" for r in reports) else "FAIL",
     }
-    # timings vary run to run; keep artifacts byte-stable
-    for chk in doc["checks"]:
-        chk.pop("elapsed_s", None)
     _write(args.out, canonical_json(doc))
     if doc["verdict"] != "PASS":
         for r in reports:

@@ -6,8 +6,8 @@ derived deterministically from (master seed, check name).  Every check
 returns a machine-readable CheckReport whose verdict is PASS exactly when no
 counterexample was found.
 
-Every `frs` claim is a one-step image equality T(source & <alpha>) = target;
-deeper cylinder images follow by induction on the depth (`_frs_claims`).
+Every `frs` claim is a one-step image T(source & <alpha>) = target, found from
+its table (`_find_target`); deeper images follow by induction (`_frs_claims`).
 
 Both proofs take one representative per dihedral class.  J and U0 are
 invariant under z -> zeta*z, so on U0 the digit of zeta^-m z is zeta^m times
@@ -148,47 +148,48 @@ def verify_inversions(seed: int = 0) -> CheckReport:
 # --------------------------------------------------------------------------
 
 def _frs_claims(cat: Catalog) -> list[dict]:
-    """Claim table: each entry is a one-step image equality
-    T(source & <alpha>) = target, chain = [alpha], with source U0 (None) or a
-    base cell U_{k,1}.  Each claim stands for its twelve dihedral images
-    (module docstring); of a mirror pair only one member is listed.
+    """The one-step claims T(source & <alpha>) = target, chain = [alpha], named
+    `<source> --<alpha>--> <target>`, from U0 (None) or a base cell U_{k,1},
+    the target found from the table (`_find_target`).  Each stands for its
+    twelve dihedral images (module docstring): of a mirror pair, one is listed.
 
-    Deeper images follow by induction: T^n<b_1 ... b_n> is the one-step
-    image T(P & <b_n>) of the prefix image P = T^(n-1)<b_1 ... b_(n-1)>.  If
-    P = U_{k,l} = zeta^(l-1) U_{k,1}, that image is zeta^-(l-1) times the
-    target of the claim (U_{k,1}, zeta^(l-1) b_n), by the rotation rule of
-    the module docstring.  T is a Moebius map on each cylinder, so
-    equalities that hold up to null sets compose."""
-    claims: list[dict] = []
-    # fullness of <alpha> for digits of norm >= 9, one digit per dihedral
-    # orbit: the mirror joins the two rotation orbits of norm 21
-    for alpha in (EisensteinInt(3, 0), EisensteinInt(3, 3), ETAS[1] * 2, EisensteinInt(4, 1)):
-        assert alpha.norm() >= 9
-        claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None, target=cat.u0))
-    # T<eta_k> = U_{1,k}, at k = 1
-    claims.append(dict(name="T<eta1>=U_1_1", chain=[ETAS[1]], source=None,
-                       target=cat.u_cells[(1, 1)]))
-    # digit-transition table from the base cells U_{k,1}
-    table: list[tuple[int, EisensteinInt, tuple[int, int]]] = [
-        (1, ETAS[3], (2, 3)),
-        (2, ETAS[4], (4, 4)),
-    ]
-    for j in (1, 2):
-        table.append((2, ETAS[2] + EisensteinInt(0, 3 * j), (3, 4)))
-        table.append((3, EisensteinInt(3 * j, -3 * j), (3, 2)))
-        table.append((4, EisensteinInt(3 * j, -3 * j), (3, 2)))
-        table.append((4, EisensteinInt(-3 * j, 3 * j), (3, 2)))
-    for src_k, alpha, tgt in table:
-        claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> U_{tgt[0]}_{tgt[1]}", chain=[alpha],
-                           source=cat.u_cells[(src_k, 1)], target=cat.u_cells[tgt]))
-    # non-exceptional digits leave the image at T<digit>; the chosen digits
-    # have cylinders inside the source cell
-    for src_k, alpha, tgt in [
-        (1, ETAS[1], (1, 1)), (2, ETAS[6], (1, 6)), (3, ETAS[4], (1, 4)), (4, ETAS[4], (1, 4)),
-    ]:
-        claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> T<{alpha}>", chain=[alpha],
-                           source=cat.u_cells[(src_k, 1)], target=cat.u_cells[tgt]))
+    Deeper images follow by induction: T^n<b_1 ... b_n> = T(P & <b_n>) for
+    the prefix image P = T^(n-1)<b_1 ... b_(n-1)>.  P = zeta^r U_{k,1} makes
+    it zeta^-r times the target of the claim (U_{k,1}, zeta^r b_n) (module
+    docstring).  T is a Moebius map on each cylinder, so equalities that
+    hold up to null sets compose."""
+    e, E = ETAS, EisensteinInt
+    # from U0: a digit of norm >= 9 per dihedral orbit, and eta_1; from the
+    # base cells: the digit transitions, then digits whose cylinders lie in the source
+    pairs = [(None, E(3, 0)), (None, E(3, 3)), (None, E(2, 2)), (None, E(4, 1)), (None, e[1]),
+             (1, e[3]), (2, e[4]), (2, E(-1, 5)), (3, E(3, -3)), (4, E(3, -3)), (4, E(-3, 3)),
+             (2, E(-1, 8)), (3, E(6, -6)), (4, E(6, -6)), (4, E(-6, 6)),
+             (1, e[1]), (2, e[6]), (3, e[4]), (4, e[4])]
+    claims = []
+    for k, alpha in pairs:
+        claim = dict(chain=[alpha], source=None if k is None else cat.u_cells[(k, 1)])
+        target = _find_target(cat, _claim_table(claim))
+        name = f"{(claim['source'] or cat.u0).name} --{alpha}--> {target.name}"
+        claims.append(dict(claim, name=name, target=target))
     return claims
+
+
+def _find_target(cat: Catalog, table: Region) -> Region:
+    """Of U0 and the U-cells whose rows all appear in the claim table, and
+    so hold it, the one with the most rows; of several, the first whose
+    coverage walk finds no counterexample, else the last, unwalked.  U0 is
+    always a candidate: every table carries its rows at w."""
+    have = set(table._ints)
+    candidates = [reg for reg in (cat.u0, *cat.u_cells.values()) if have.issuperset(reg._ints)]
+    most = max(len(reg._ints) for reg in candidates)
+    tied = [reg for reg in candidates if len(reg._ints) == most]
+    return next((reg for reg in tied[:-1] if _first_uncovered(reg, table) is None), tied[-1])
+
+
+def _first_uncovered(target: Region, table: Region) -> FieldElement | None:
+    """The first counterexample to target <= cl(table) over U0, or None."""
+    den, _, tree = target.box_tree(table, U0_BOX, DEPTH)
+    return next((FieldElement(u, v, den) for _, u, v, _, bad in tree if bad), None)
 
 
 def _pullback(reg: Region, chain: Sequence[EisensteinInt]) -> Region:
@@ -209,7 +210,7 @@ def _claim_table(claim: dict) -> Region:
     regs = [_pullback(u0, chain[k:]) for k in range(len(chain) + 1)]
     if source is not None:
         regs.append(_pullback(source, chain))
-    return Region(f"table of {claim['name']}", tuple(p for reg in regs for p in reg.prims))
+    return Region("claim table", tuple(p for reg in regs for p in reg.prims))
 
 
 def _accepted_exact(claim: dict, w: FieldElement) -> bool:
@@ -294,16 +295,15 @@ def _certify_claim(rep: CheckReport, claim: dict) -> dict[str, Fraction]:
 
 def verify_frs() -> CheckReport:
     """Finite range structure: each one-step image T(source & <alpha>)
-    equals its claimed region, proved in w-space on exact box trees; every
-    deeper cylinder image follows by induction (`_frs_claims`).
+    equals a region of the catalogue, proved in w-space on exact box trees;
+    every deeper cylinder image follows by induction (`_frs_claims`).
 
     A claim's conditions -- z and T z lie in U0, and z in the source cell --
-    are pulled back to w = T z (`_claim_table`), and `Region.excess` bounds
-    the area where either inclusion could fail by an exact dyadic residue,
-    or finds an exact counterexample (`_certify_claim`).  One claim stands
-    for its class under the twelve rotations and mirrors, which map its
-    table, source and target exactly (module docstring).
-    """
+    are pulled back to w = T z (`_claim_table`), whose rows name the region
+    (`_find_target`).  `Region.excess` bounds the area where either side
+    could fail by an exact dyadic residue, or finds an exact counterexample
+    (`_certify_claim`).  One claim stands for its class under the twelve
+    rotations and mirrors, which map its table, source and target exactly."""
     with CheckReport("finite_range_structure") as rep:
         claims = _frs_claims(build_catalog())
         rep.info["claims"] = len(claims)
@@ -423,7 +423,7 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
                     continue
                 if convs[n].q_prev.is_zero():
                     continue
-                ratio = -(embed(convs[n].q) / embed(convs[n].q_prev))
+                ratio = convs[n].dual_ratio()
                 rep.samples += 1
                 if not cat.v_star[kl].contains(ratio, closed=True):
                     rep.fail(z=str(z), n=n, cell=kl, ratio=str(ratio))
@@ -552,7 +552,7 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
                     rep.fail(kind="error_law", point=tag, n=n)
                 if cs[n].q_prev.is_zero():
                     continue
-                ratio = -(embed(cs[n].q) / embed(cs[n].q_prev))
+                ratio = cs[n].dual_ratio()
                 rep.samples += 1
                 if not cat.s_sets[(tag, n % 4)].contains(ratio):
                     rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
@@ -599,8 +599,7 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
         # (d) special preimages: ratio lands in cl(Vstar_6_5)
         tgt = cat.v_star[(6, 5)]
         for point, _, digs in special_preimages(rng, max(4, samples // 8)):
-            cs = convergents(digs)
-            ratio = -(embed(cs[-1].q) / embed(cs[-1].q_prev))
+            ratio = convergents(digs)[-1].dual_ratio()
             rep.samples += 1
             if not tgt.contains(ratio, closed=True):
                 rep.fail(kind="preimage_ratio", point=str(point),

@@ -195,7 +195,7 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "72c3d688c6a2ce96101289c8e1664298032acdcd4ecf20b9df5b6d6146b6776a")
+            "af36939cf177e2e42e8e54c163914085c5440bf8f883bfe12b6f0b696d6ed325")
 
 
 class TestLevyDensityRender:

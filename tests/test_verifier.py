@@ -23,6 +23,8 @@ from eisencf.verifier import (
     _certify_claim,
     _claim_table,
     _dual_proofs,
+    _find_target,
+    _first_uncovered,
     _frs_claims,
     _inversion_families,
     _pullback,
@@ -44,47 +46,45 @@ CAT = build_catalog()
 CLAIMS = _frs_claims(CAT)
 
 
+def _listed_claim(source, chain, target):
+    """A claim named as the verifier names its own, `<source> --<digits>-->
+    <target>`, the digits joined by commas."""
+    name = f"{source.name if source else 'U0'} --{','.join(map(str, chain))}--> {target.name}"
+    return dict(name=name, chain=chain, source=source, target=target)
+
+
 def _listed_claims(cat):
     """The finite range claims written out: every rotation of the fullness,
     T<eta_k> and T2 claims, and both members of each mirror pair of the
     depth-3, transition and T<digit> claims.  The one-step claims are the
-    references that the verifier's one representative per dihedral class
-    must reproduce; the deeper ones follow from them by induction."""
+    references that the verifier's one representative per dihedral class,
+    its target found from its table's rows, must reproduce; the deeper ones
+    follow from them by induction."""
     claims = []
     for alpha in (
         EisensteinInt(3, 0), EisensteinInt(0, 3), EisensteinInt(-3, 3),
         EisensteinInt(3, 3), ETAS[1] * 2, ETAS[4] * 2, EisensteinInt(4, 1),
         EisensteinInt(-1, 5),
     ):
-        claims.append(dict(name=f"full<{alpha}>", chain=[alpha], source=None,
-                           target=cat.u0))
+        claims.append(_listed_claim(None, [alpha], cat.u0))
     for k in range(1, 7):
-        claims.append(dict(name=f"T<eta{k}>=U_1_{k}", chain=[ETAS[k]], source=None,
-                           target=cat.u_cells[(1, k)]))
+        claims.append(_listed_claim(None, [ETAS[k]], cat.u_cells[(1, k)]))
     for k in range(1, 7):
         l = (4 - k) % 6 or 6
-        claims.append(dict(name=f"T2<eta{k},eta{l}>=U_2_{l}",
-                           chain=[ETAS[k], ETAS[l]], source=None,
-                           target=cat.u_cells[(2, l)]))
-    for tag, last, tgt in (("eta1+3", ETAS[1] + EisensteinInt(3, 0), (3, 3)),
-                           ("eta3", ETAS[3], (4, 3)), ("eta1", ETAS[1], (5, 6))):
-        claims.append(dict(name=f"T3<eta2,eta2,{tag}>=U_{tgt[0]}_{tgt[1]}",
-                           chain=[ETAS[2], ETAS[2], last], source=None,
-                           target=cat.u_cells[tgt]))
+        claims.append(_listed_claim(None, [ETAS[k], ETAS[l]], cat.u_cells[(2, l)]))
+    for last, tgt in ((ETAS[1] + EisensteinInt(3, 0), (3, 3)), (ETAS[3], (4, 3)),
+                      (ETAS[1], (5, 6))):
+        claims.append(_listed_claim(None, [ETAS[2], ETAS[2], last], cat.u_cells[tgt]))
     table = [(1, ETAS[3], (2, 3)), (2, ETAS[4], (4, 4)), (2, ETAS[2], (5, 1))]
     for j in (1, 2):
         table += [(2, ETAS[2] + EisensteinInt(0, 3 * j), (3, 4)),
                   (2, ETAS[4] - EisensteinInt(0, 3 * j), (3, 4))]
         table += [(k, EisensteinInt(s * 3 * j, -s * 3 * j), (3, 2))
                   for k in (3, 4) for s in (1, -1)]
+    # the T<digit> claims: T(U_{j,1} & <eta_k>) = T<eta_k> = U_{1,k}
+    table += [(src_k, ETAS[k], (1, k)) for src_k, k in ((1, 1), (1, 5), (2, 6), (3, 4), (4, 4))]
     for src_k, alpha, tgt in table:
-        claims.append(dict(name=f"U_{src_k}_1 --{alpha}--> U_{tgt[0]}_{tgt[1]}",
-                           chain=[alpha], source=cat.u_cells[(src_k, 1)],
-                           target=cat.u_cells[tgt]))
-    for src_k, k in ((1, 1), (1, 5), (2, 6), (3, 4), (4, 4)):
-        claims.append(dict(name=f"U_{src_k}_1 --{ETAS[k]}--> T<{ETAS[k]}>",
-                           chain=[ETAS[k]], source=cat.u_cells[(src_k, 1)],
-                           target=cat.u_cells[(1, k)]))
+        claims.append(_listed_claim(cat.u_cells[(src_k, 1)], [alpha], cat.u_cells[tgt]))
     return claims
 
 
@@ -256,8 +256,6 @@ class TestDeterminism:
                                              samples=2000, depth=10, seed=42)]
         b = [r.as_dict() for r in run_checks(["inversions", "orbit"],
                                              samples=2000, depth=10, seed=42)]
-        for ra, rb in zip(a, b):
-            ra.pop("elapsed_s"), rb.pop("elapsed_s")
         assert canonical_json(a) == canonical_json(b)
 
     def test_different_seeds_differ(self):
@@ -267,11 +265,8 @@ class TestDeterminism:
 
     def test_frs_and_dual_identical_for_identical_seeds(self):
         def run():
-            docs = [r.as_dict() for r in run_checks(["frs", "dual"], samples=300,
-                                                    depth=10, seed=42)]
-            for d in docs:
-                d.pop("elapsed_s")
-            return canonical_json(docs)
+            return canonical_json([r.as_dict() for r in run_checks(
+                ["frs", "dual"], samples=300, depth=10, seed=42)])
 
         assert run() == run()
 
@@ -296,7 +291,7 @@ class TestCertificate:
     """The box-tree certificate fails false claims with exact counterexamples."""
 
     def test_printed_u36_target_fails(self):
-        _assert_inclusion_fails(dict(_claim("T3<eta2,eta2,eta1+3>=U_3_3"),
+        _assert_inclusion_fails(dict(_claim("U0 ---1+2z,-1+2z,4+1z--> U_3_3"),
                                      target=CAT.u_cells[(3, 6)]))
 
     def test_u45_in_place_of_u44_fails(self):
@@ -305,7 +300,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("name, fails, example", [
         ("U_3_1 --3-3z--> U_3_2", 393216, "3/8-1/16r"),
-        ("U_1_1 --1+1z--> T<1+1z>", 61971, "-9/16-9/32r"),
+        ("U_1_1 --1+1z--> U_1_1", 61971, "-9/16-9/32r"),
     ])
     def test_too_large_target_fails_coverage(self, name, fails, example):
         # U0 holds every image, so only the coverage side sees that the
@@ -322,9 +317,10 @@ class TestCertificate:
 
     def test_table_claims_without_source_fail(self):
         # in the digit-transition table every source cell restricts its
-        # image, in the listed mirror images too
+        # image, in the listed mirror images too; the T<digit> claims, whose
+        # targets are the cells U_{1,k} = T<eta_k>, are left out
         table = [c for c in LISTED_CLAIMS
-                 if c["source"] is not None and "T<" not in c["name"]]
+                 if c["source"] is not None and not c["target"].name.startswith("U_1_")]
         assert len(table) == 15
         for claim in table:
             _assert_inclusion_fails(dict(claim, source=None))
@@ -338,10 +334,18 @@ class TestCertificate:
         monkeypatch.setattr(verifier, "_pullback", pullback_plus)
         rep = verify_frs()
         assert rep.verdict == "FAIL"
-        fails = [f for f in rep.failures if f["kind"] in ("inclusion", "coverage")]
-        assert fails and all(f["counterexamples"] > 0 for f in fails)
         # the witnesses see that the table no longer matches the map
         assert any(f["kind"] == "witness_mismatch" for f in rep.failures)
+        # the targets found from the broken tables fail with exact
+        # counterexamples too; the witnesses of earlier claims fill the
+        # report's 64 failures, so each claim is certified alone
+        assert rep.info["failures_truncated"]
+        fails = []
+        for claim in _frs_claims(CAT):
+            alone = CheckReport("claim")
+            _certify_claim(alone, claim)
+            fails += [f for f in alone.failures if f["kind"] in ("inclusion", "coverage")]
+        assert fails and all(f["counterexamples"] > 0 for f in fails)
         # the dual terms are pulled back by the same function
         rep = verify_dual_inclusions()
         assert rep.verdict == "FAIL"
@@ -381,6 +385,60 @@ class TestCertificate:
         assert any(fine.values())
         for key, res in fine.items():
             assert 6 * res <= coarse[key], key
+
+
+class TestFoundTargets:
+    """`_find_target` finds each target from the rows of the claim's table,
+    and refutes a wrong candidate at its first counterexample."""
+
+    def test_the_rule_finds_every_listed_one_step_target(self):
+        # rotations and mirror images included
+        for ref in ONE_STEP_CLAIMS:
+            assert _find_target(CAT, _claim_table(ref)) == ref["target"], ref["name"]
+
+    def test_tie_is_decided_by_the_first_counterexample(self):
+        # U_{1,3} and U_{2,3} both have 7 rows, all in the table of
+        # (U_{1,1}, eta_3); the walk of U_{1,3} stops at the first point of
+        # U0 outside the closed table, which the scalar path rejects
+        claim = next(c for c in CLAIMS
+                     if c["source"] is CAT.u_cells[(1, 1)] and c["chain"] == [ETAS[3]])
+        table = _claim_table(claim)
+        u13, u23 = CAT.u_cells[(1, 3)], CAT.u_cells[(2, 3)]
+        assert claim["target"] is u23 and len(u13.prims) == len(u23.prims) == 7
+        w = _first_uncovered(u13, table)
+        assert w == u13.excess(table, U0_BOX, verifier.DEPTH).example
+        assert CAT.u0.contains(w) and u13.contains(w) and not table.contains(w, closed=True)
+        assert not _accepted_exact(claim, w)
+        assert _first_uncovered(u23, table) is None
+
+    def test_no_rejected_candidate_is_counted(self, monkeypatch):
+        # excess runs on each table (inclusion) and each found target
+        # (coverage), never on the refuted U_{1,3}
+        calls, excess = [], Region.excess
+
+        def recorded(reg, other, box, depth):
+            calls.append(reg.name)
+            return excess(reg, other, box, depth)
+
+        monkeypatch.setattr(Region, "excess", recorded)
+        assert verify_frs().verdict == "PASS"
+        assert sorted(calls) == sorted(["claim table"] * len(CLAIMS)
+                                       + [c["target"].name for c in CLAIMS])
+
+    def test_a_missing_image_fails_coverage(self, monkeypatch):
+        # without U_{4,4} the largest candidate left for (U_{2,1}, eta_4) is
+        # larger than the image, and its coverage fails at an exact point
+        # that the scalar path rejects: nothing falls back silently
+        monkeypatch.delitem(CAT.u_cells, (4, 4))
+        rep = verify_frs()
+        assert rep.verdict == "FAIL"
+        [fail] = rep.failures
+        claim = next(c for c in _frs_claims(CAT) if c["name"] == fail["claim"])
+        assert claim["source"] is CAT.u_cells[(2, 1)] and claim["chain"] == [ETAS[4]]
+        assert fail["kind"] == "coverage" and fail["counterexamples"] > 0
+        w = parse_field_element(fail["example"])
+        assert claim["target"].contains(w) and not _claim_table(claim).contains(w, closed=True)
+        assert not _accepted_exact(claim, w)
 
 
 _DEN = 1 << 16
@@ -568,9 +626,9 @@ class TestSymmetries:
             assert refs == images and len(refs) == len(terms) == len(blocks[j]), k
 
     def test_an_unlisted_rotation_proves(self):
-        # zeta^3 * (3 + 0z): in no claim list, implied by full<3+0z>
+        # zeta^3 * (3 + 0z): in no claim list, implied by U0 --3+0z--> U0
         rep = CheckReport("claim")
-        residues = _certify_claim(rep, dict(name="full<-3+0z>", chain=[EisensteinInt(-3, 0)],
+        residues = _certify_claim(rep, dict(name="U0 ---3+0z--> U0", chain=[EisensteinInt(-3, 0)],
                                             source=None, target=CAT.u0))
         assert rep.verdict == "PASS", rep.failures[:3]
         assert residues["inclusion"] == 0
@@ -582,7 +640,7 @@ class TestSymmetries:
         claims = [dict(name=f"U_5_1 --{alpha}--> U_3_5", chain=[alpha], source=u51,
                        target=CAT.u_cells[(3, 5)])
                   for alpha in (EisensteinInt(3, -3), EisensteinInt(-3, 3))]
-        claims.append(dict(name="full<-5+1z>", chain=[EisensteinInt(-5, 1)], source=None,
+        claims.append(dict(name="U0 ---5+1z--> U0", chain=[EisensteinInt(-5, 1)], source=None,
                            target=CAT.u0))
         listed = [(c["chain"], c["source"]) for c in LISTED_CLAIMS]
         for claim in claims:
