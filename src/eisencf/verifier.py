@@ -1,28 +1,25 @@
 """Executable checks for the identities and classifications of the system.
 
 The finite range structure and the dual inclusions are proved on exact box
-trees (`Region.excess`); the other checks draw exact points from a stream
+trees (`Region.box_tree`); the other checks draw exact points from a stream
 derived deterministically from (master seed, check name).  Every check
 returns a machine-readable CheckReport whose verdict is PASS exactly when no
 counterexample was found.
 
-Every `frs` claim is a one-step image T(source & <alpha>) = target, found from
-its table (`_find_target`); deeper images follow by induction (`_frs_claims`).
-
-Both proofs take one representative per dihedral class.  J and U0 are
-invariant under z -> zeta*z, so on U0 the digit of zeta^-m z is zeta^m times
-the digit of z, and T(zeta^-m z) = zeta^m T(z).  A chain (d_1, d_2, d_3, ...)
-therefore rotates to (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...).  J and U0
-are invariant under the mirror M(z) = -conj(z) too, and M commutes with T
-with no alternation: the digit of M(z) is M(d) = -conj(d).  Under each of
-the twelve symmetries a chain's w-space table, source and target map
-exactly, as sets of primitives, as do a dual block's terms
+Both proofs take one representative per dihedral class: `frs` one entry of
+its table of one-step images (`_frs_pairs`), `dual` one block.  J and U0
+are invariant under z -> zeta*z, so on U0 the digit of zeta^-m z is zeta^m
+times the digit of z, and T(zeta^-m z) = zeta^m T(z); a chain (d_1, d_2,
+d_3, ...) rotates to (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...).  M(z) =
+-conj(z) commutes with T with no alternation: the digit of M(z) is -conj(d).
+Under each of the twelve symmetries a chain's w-space table, source and
+target map exactly, as sets of primitives, as do a dual block's terms
 (Vstar_kl)^-1 - alpha and its target; dual blocks 3 and 5 are the images of
 blocks 2 and 4 under R = zeta*M (`regions.MIRROR_PAIRS`).  A residue bounds
-an area, which rotation and mirror preserve, so each proved claim holds with
-its twelve images, as the reports' `symmetries` entry states.  The sampled
-checks seed on every boundary curve: on the edges of U the half-open
-convention breaks the symmetry.
+an area, which the symmetries preserve, so each proof holds for its twelve
+images, as the reports' `symmetries` entry states.  The sampled checks seed
+on every boundary curve: on the edges of U the half-open convention breaks
+the symmetry.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from .exact import (
     MINUS_ZETA,
     ZETA_BAR,
     embed,
+    in_J,
     j_element,
 )
 from .cf import (
@@ -147,49 +145,33 @@ def verify_inversions(seed: int = 0) -> CheckReport:
 # finite range structure
 # --------------------------------------------------------------------------
 
-def _frs_claims(cat: Catalog) -> list[dict]:
-    """The one-step claims T(source & <alpha>) = target, chain = [alpha], named
-    `<source> --<alpha>--> <target>`, from U0 (None) or a base cell U_{k,1},
-    the target found from the table (`_find_target`).  Each stands for its
-    twelve dihedral images (module docstring): of a mirror pair, one is listed.
-
-    Deeper images follow by induction: T^n<b_1 ... b_n> = T(P & <b_n>) for
-    the prefix image P = T^(n-1)<b_1 ... b_(n-1)>.  P = zeta^r U_{k,1} makes
-    it zeta^-r times the target of the claim (U_{k,1}, zeta^r b_n) (module
-    docstring).  T is a Moebius map on each cylinder, so equalities that
-    hold up to null sets compose."""
-    e, E = ETAS, EisensteinInt
-    # from U0: a digit of norm >= 9 per dihedral orbit, and eta_1; from the
-    # base cells: the digit transitions, then digits whose cylinders lie in the source
-    pairs = [(None, E(3, 0)), (None, E(3, 3)), (None, E(2, 2)), (None, E(4, 1)), (None, e[1]),
-             (1, e[3]), (2, e[4]), (2, E(-1, 5)), (3, E(3, -3)), (4, E(3, -3)), (4, E(-3, 3)),
-             (2, E(-1, 8)), (3, E(6, -6)), (4, E(6, -6)), (4, E(-6, 6)),
-             (1, e[1]), (2, e[6]), (3, e[4]), (4, e[4])]
-    claims = []
-    for k, alpha in pairs:
-        claim = dict(chain=[alpha], source=None if k is None else cat.u_cells[(k, 1)])
-        target = _find_target(cat, _claim_table(claim))
-        name = f"{(claim['source'] or cat.u0).name} --{alpha}--> {target.name}"
-        claims.append(dict(claim, name=name, target=target))
-    return claims
+FRS_NORM = 12  # the `frs` table holds every digit of norm <= FRS_NORM
 
 
-def _find_target(cat: Catalog, table: Region) -> Region:
-    """Of U0 and the U-cells whose rows all appear in the claim table, and
-    so hold it, the one with the most rows; of several, the first whose
-    coverage walk finds no counterexample, else the last, unwalked.  U0 is
-    always a candidate: every table carries its rows at w."""
-    have = set(table._ints)
-    candidates = [reg for reg in (cat.u0, *cat.u_cells.values()) if have.issuperset(reg._ints)]
-    most = max(len(reg._ints) for reg in candidates)
-    tied = [reg for reg in candidates if len(reg._ints) == most]
-    return next((reg for reg in tied[:-1] if _first_uncovered(reg, table) is None), tied[-1])
-
-
-def _first_uncovered(target: Region, table: Region) -> FieldElement | None:
-    """The first counterexample to target <= cl(table) over U0, or None."""
-    den, _, tree = target.box_tree(table, U0_BOX, DEPTH)
-    return next((FieldElement(u, v, den) for _, u, v, _, bad in tree if bad), None)
+@cache
+def _frs_pairs() -> tuple[tuple[Region | None, EisensteinInt], ...]:
+    """The rule of the `frs` table: one (source, alpha) per dihedral class of
+    the pairs of U0 (None) or a U-cell and a digit alpha of norm <= FRS_NORM,
+    the first of its class over the sources U0 and U_{1,1} ... U_{4,1}:
+    U_{5,1} = M zeta^5 U_{4,1} needs no entry of its own.  The classes come
+    from index arithmetic (module docstring): zeta^-m maps (U_{k,l}, d) to
+    (U_{k,l-m}, zeta^m d), and M maps (U_{k,1}, d) to (M U_{k,1}, -conj(d)),
+    M U_{k,1} looked up once by its primitives."""
+    cells = build_catalog().u_cells
+    keys = {frozenset(reg.prims): kl for kl, reg in cells.items()}
+    mirror = {k: keys[frozenset(cells[(k, l)].mirror().prims)] for k, l in cells if l == 1}
+    r = math.isqrt(4 * FRS_NORM // 3)  # norm(a + b zeta) >= 3 max(|a|, |b|)^2 / 4
+    digits = [d for a in range(-r, r + 1) for b in range(-r, r + 1)
+              if in_J(d := EisensteinInt(a, b)) and 0 < d.norm() <= FRS_NORM]
+    seen, pairs = set(), []
+    for key in (None, (1, 1), (2, 1), (3, 1), (4, 1)):
+        for alpha in (d for d in digits if (key, d) not in seen):
+            pairs.append((key and cells[key], alpha))
+            for kl, d in ((key, alpha), (key and mirror[key[0]], -alpha.conj())):
+                for m in range(6):
+                    seen.add((kl and (kl[0], (kl[1] - m - 1) % 6 + 1), d))
+                    d = EisensteinInt(-d.b, d.a + d.b)  # zeta * d
+    return tuple(pairs)
 
 
 def _pullback(reg: Region, chain: Sequence[EisensteinInt]) -> Region:
@@ -231,8 +213,8 @@ def _accepted_exact(claim: dict, w: FieldElement) -> bool:
 
 
 DEPTH = 10  # levels of every certificate's box tree
-_WITNESS_DEPTH = 5  # levels of the tree the step_T witnesses are taken from
-_WITNESSES = 32  # box centres per verdict and claim re-run through step_T
+_WITNESS_DEPTH = 3  # levels of the tree the step_T witnesses are taken from
+_WITNESSES = 8  # box centres per verdict and entry re-run through step_T
 U0_BOX = (-1, 1, Fraction(-1, 2), Fraction(1, 2))  # the bounding box of U0
 
 
@@ -268,47 +250,62 @@ def _witnesses(table: Region) -> tuple[list[FieldElement], list[FieldElement]]:
     return inside, outside
 
 
-def _certify_claim(rep: CheckReport, claim: dict) -> dict[str, Fraction]:
-    """Prove one claim's image equality on box trees over U0 into rep;
-    returns its residues.
+def _coverage(target: Region, table: Region) -> Fraction | None:
+    """The residue of target \\ cl(table) over U0 that `Region.excess` bounds,
+    from one walk of their box tree; None at its first counterexample.  The
+    target, U0 or a U-cell, carries U0's six rows."""
+    den, (u0, u1, v0, v1), tree = target.box_tree(table, U0_BOX, DEPTH)
+    count = 0
+    for _, _, _, weight, bad in tree:
+        if bad:
+            return None
+        count += weight
+    return Fraction(count * (u1 - u0) * (v1 - v0), den * den << 2 * DEPTH)
 
-    Inclusion: the table lies in the closed target.  Coverage: the target
-    lies in the closed table; every target is U0 or a U-cell, which carries
-    U0's six rows, so it needs no intersection with U0.  A one-step claim is
-    a step of the induction of `_frs_claims`; a deeper chain is proved the
-    same way.  The witnesses tie the table to the map: centres of boxes a
-    shallow tree proves inside the table, and of boxes in U0 it proves
-    outside, must get the same verdict from step_T.
-    """
-    name, target, table = claim["name"], claim["target"], _claim_table(claim)
-    residues = {"inclusion": _record(rep, table.excess(target, U0_BOX, DEPTH),
-                                     claim=name, kind="inclusion"),
-                "coverage": _record(rep, target.excess(table, U0_BOX, DEPTH),
-                                    claim=name, kind="coverage")}
-    for verdict, ws in zip((True, False), _witnesses(table)):
-        for w in ws:
-            rep.samples += 1
-            if _accepted_exact(claim, w) != verdict:
-                rep.fail(claim=name, kind="witness_mismatch", w=str(w), table=verdict)
-    return residues
+
+def _frs_entry(rep: CheckReport, source: Region | None, alpha: EisensteinInt) -> dict:
+    """Find and prove T(source & <alpha>) on one build of its table into rep;
+    returns the entry: its claim, name, target (None: null) and residues.
+    The candidates are U0 and the U-cells whose rows, strictness included,
+    are all rows of the table, which so lies in each.  The image is the
+    first, by decreasing row count, whose coverage walk finds no
+    counterexample; a table none covers is proved null by `Region.excess`,
+    or fails at an exact point.  step_T must accept the witnesses inside the
+    table and reject those outside, or the first mismatch is recorded."""
+    cat = build_catalog()
+    claim = dict(chain=[alpha], source=source)
+    table = _claim_table(claim)
+    rows = set(table._ints)
+    candidates = sorted((reg for reg in (cat.u0, *cat.u_cells.values())
+                         if rows.issuperset(reg._ints)), key=lambda reg: -len(reg._ints))
+    target, residue = next(((reg, res) for reg in candidates
+                            if (res := _coverage(reg, table)) is not None), (None, None))
+    name = f"{(source or cat.u0).name} --{alpha}--> {target.name if target else 'null'}"
+    residues = {"coverage": residue} if target else {
+        "null": _record(rep, table.excess(None, U0_BOX, DEPTH), entry=name, kind="null")}
+    witnesses = _witnesses(table)
+    wrong = [(str(w), verdict) for verdict, ws in zip((True, False), witnesses) for w in ws
+             if _accepted_exact(claim, w) != verdict]
+    rep.samples += sum(map(len, witnesses))
+    if wrong:
+        rep.fail(entry=name, kind="witness_mismatch", mismatches=len(wrong), w=wrong[0][0],
+                 table=wrong[0][1])
+    return dict(claim, name=name, target=target, residues=residues)
 
 
 def verify_frs() -> CheckReport:
-    """Finite range structure: each one-step image T(source & <alpha>)
-    equals a region of the catalogue, proved in w-space on exact box trees;
-    every deeper cylinder image follows by induction (`_frs_claims`).
-
-    A claim's conditions -- z and T z lie in U0, and z in the source cell --
-    are pulled back to w = T z (`_claim_table`), whose rows name the region
-    (`_find_target`).  `Region.excess` bounds the area where either side
-    could fail by an exact dyadic residue, or finds an exact counterexample
-    (`_certify_claim`).  One claim stands for its class under the twelve
-    rotations and mirrors, which map its table, source and target exactly."""
+    """Finite range structure: the image T(source & <alpha>) of each source,
+    U0 or a U-cell, and each digit of norm <= FRS_NORM is U0, a U-cell or
+    null, found from its w-space table (`_claim_table`) and proved on exact
+    box trees (`_frs_entry`).  One entry stands for its dihedral class
+    (`_frs_pairs`).  Deeper images follow by induction: T^n<b_1 ... b_n> =
+    T(P & <b_n>) for the prefix image P = T^(n-1)<b_1 ... b_(n-1)>, and T is
+    a Moebius map on each cylinder, so equalities up to null sets compose."""
     with CheckReport("finite_range_structure") as rep:
-        claims = _frs_claims(build_catalog())
-        rep.info["claims"] = len(claims)
-        rep.info["symmetries"] = 12
-        _residue_info(rep, {c["name"]: _certify_claim(rep, c) for c in claims})
+        entries = [_frs_entry(rep, source, alpha) for source, alpha in _frs_pairs()]
+        rep.info.update(claims=len(entries), digit_norm=FRS_NORM, symmetries=12,
+                        nulls=sum(e["target"] is None for e in entries))
+        _residue_info(rep, {e["name"]: e["residues"] for e in entries})
     return rep
 
 

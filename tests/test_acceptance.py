@@ -200,7 +200,8 @@ def test_c07_inversion_identities():
 def test_c08_finite_range_structure():
     rep = verify_frs()
     report("8 (finite range structure)", rep.verdict == "PASS",
-           f"{rep.info['claims']} claims, each with its {rep.info['symmetries']} dihedral "
+           f"{rep.info['claims']} entries ({rep.info['nulls']} null) for every digit of norm "
+           f"<= {rep.info['digit_norm']}, each with its {rep.info['symmetries']} dihedral "
            "images, "
            f"proved on box trees of depth {rep.info['depth']}, "
            f"worst residue {float(Fraction(rep.info['worst_residue'])):.2g}, "

@@ -195,7 +195,7 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "af36939cf177e2e42e8e54c163914085c5440bf8f883bfe12b6f0b696d6ed325")
+            "1dec91d4b920c4c580a08dc17730a7e7d389beeb9f0afc849d34817a0a65a542")
 
 
 class TestLevyDensityRender:

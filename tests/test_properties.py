@@ -21,9 +21,8 @@ from eisencf.regions import (
     BoundaryPoint, Primitive, _box_range, _box_row, build_catalog, cell_of,
     rational_points_on,
 )
-from eisencf.verifier import (
-    _claim_table, _frs_claims, _pullback, dual_inclusion_blocks,
-)
+from eisencf.verifier import _claim_table, _pullback, dual_inclusion_blocks
+from test_verifier import HAND_CLAIMS
 
 CAT = build_catalog()
 REGIONS = sorted(
@@ -201,12 +200,12 @@ def test_cell_of_at_the_hexagon_vertices():
         assert _cell_folded(z) == _cell_by_scan(z) in (BoundaryPoint, DomainError)
 
 
-# the frs claims and three deeper cylinder claims that follow from them,
-# whose tables carry the larger coefficients
+# the hand-listed frs claims and three deeper cylinder claims that follow
+# from them, whose tables carry the larger coefficients
 DEEP_CLAIMS = [dict(name=f"T{len(chain)}", chain=chain, source=None) for chain in (
     [ETAS[1], ETAS[3]], [ETAS[2], ETAS[2], ETAS[1] + EisensteinInt(3, 0)],
     [ETAS[2], ETAS[2], ETAS[3]])]
-CLAIMS = _frs_claims(CAT) + DEEP_CLAIMS
+CLAIMS = HAND_CLAIMS + DEEP_CLAIMS
 
 # the rows of the catalogue, and of the dual terms and the pulled-back claim
 # tables at all six rotations
@@ -316,7 +315,7 @@ def test_eval_cf_matches_field_evaluation(digits, tail):
     assert eval_cf(digits, tail) == eval_cf_reference(digits, tail)
 
 
-# the frs and deeper chains and their rotations (zeta^m d_1, zeta^-m d_2, ...)
+# the hand-listed and deeper chains and their rotations (zeta^m d_1, zeta^-m d_2, ...)
 FRS_CHAINS = [[ZETA ** (m if i % 2 == 0 else -m % 6) * d for i, d in enumerate(c["chain"])]
               for c in CLAIMS for m in range(6)]
 
@@ -324,7 +323,7 @@ FRS_CHAINS = [[ZETA ** (m if i % 2 == 0 else -m % 6) * d for i, d in enumerate(c
 def test_row_and_chain_pools_keep_the_deeper_tables():
     assert (len(ROWS), len(FRS_CHAINS)) == (513, 132)
     # the one-step tables reach |coefficient| 65, the deeper ones 162
-    one_step = {r[:4] for c in _frs_claims(CAT) for m in range(6)
+    one_step = {r[:4] for c in HAND_CLAIMS for m in range(6)
                 for r in _claim_table(c).rotate(m)._ints}
     assert max(abs(v) for row in one_step for v in row) == 65
     assert max(abs(v) for row in ROWS for v in row) == 162

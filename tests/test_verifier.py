@@ -1,5 +1,6 @@
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from eisencf._util import canonical_json
 import eisencf.cf as cf
 from eisencf.cf import REJECTED_ZETA_BAR_PERIOD
 from eisencf.exact import (
-    ETAS, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, parse_field_element,
+    ETAS, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, j_element, parse_field_element,
 )
 from eisencf.hexdomain import in_U0
 from eisencf.regions import (
@@ -20,16 +21,17 @@ from eisencf.verifier import (
     CheckReport,
     _accepted_exact,
     _certify_block,
-    _certify_claim,
     _claim_table,
+    _coverage,
     _dual_proofs,
-    _find_target,
-    _first_uncovered,
-    _frs_claims,
+    _frs_entry,
+    _frs_pairs,
     _inversion_families,
     _pullback,
+    _record,
     _segment_points,
     _witnesses,
+    FRS_NORM,
     U0_BOX,
     derive_seed,
     dual_inclusion_blocks,
@@ -43,7 +45,10 @@ from eisencf.verifier import (
 )
 
 CAT = build_catalog()
-CLAIMS = _frs_claims(CAT)
+PAIRS = _frs_pairs()
+# the derived table: one entry per dihedral class, its target found
+ENTRIES = [_frs_entry(CheckReport("frs"), source, alpha) for source, alpha in PAIRS]
+IMAGES = [e for e in ENTRIES if e["target"] is not None]
 
 
 def _listed_claim(source, chain, target):
@@ -91,6 +96,53 @@ def _listed_claims(cat):
 LISTED_CLAIMS = _listed_claims(CAT)
 ONE_STEP_CLAIMS = [c for c in LISTED_CLAIMS if len(c["chain"]) == 1]
 DEEP_CLAIMS = [c for c in LISTED_CLAIMS if len(c["chain"]) > 1]
+
+
+def _hand_claims(cat):
+    """The 19 one-step claims once listed by hand, one per dihedral class,
+    with their targets stated: 12 of norm <= FRS_NORM, images of derived
+    entries, and 7 past it -- two full U0 cylinders and the j = 1, 2
+    members of the digit rays -- which are proved here."""
+    e, E, u0 = ETAS, EisensteinInt, cat.u0
+    stated = [(None, E(3, 0), u0), (None, E(3, 3), u0), (None, E(2, 2), u0), (None, E(4, 1), u0),
+              (None, e[1], (1, 1)), (1, e[3], (2, 3)), (2, e[4], (4, 4)), (2, E(-1, 5), (3, 4)),
+              (3, E(3, -3), (3, 2)), (4, E(3, -3), (3, 2)), (4, E(-3, 3), (3, 2)),
+              (2, E(-1, 8), (3, 4)), (3, E(6, -6), (3, 2)), (4, E(6, -6), (3, 2)),
+              (4, E(-6, 6), (3, 2)),
+              (1, e[1], (1, 1)), (2, e[6], (1, 6)), (3, e[4], (1, 4)), (4, e[4], (1, 4))]
+    return [_listed_claim(k and cat.u_cells[(k, 1)], [alpha],
+                          tgt if tgt is u0 else cat.u_cells[tgt]) for k, alpha, tgt in stated]
+
+
+HAND_CLAIMS = _hand_claims(CAT)
+
+
+def _stated_witnesses(table):
+    """`_witnesses` at the stated claims' budget: depth 5, 32 per verdict."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_WITNESS_DEPTH", 5)
+        patch.setattr(verifier, "_WITNESSES", 32)
+        return _witnesses(table)
+
+
+def _certify_claim(rep: CheckReport, claim: dict) -> dict:
+    """Prove a stated claim's image equality T^n<chain> = target on box
+    trees over U0 into rep; returns its residues.
+
+    Inclusion: the table lies in the closed target.  Coverage: the target,
+    U0 or a U-cell, lies in the closed table.  The witnesses, from a tree of
+    depth 5 and 32 per verdict, must get the table's verdict from step_T."""
+    name, target, table = claim["name"], claim["target"], _claim_table(claim)
+    residues = {"inclusion": _record(rep, table.excess(target, U0_BOX, verifier.DEPTH),
+                                     claim=name, kind="inclusion"),
+                "coverage": _record(rep, target.excess(table, U0_BOX, verifier.DEPTH),
+                                    claim=name, kind="coverage")}
+    for verdict, ws in zip((True, False), _stated_witnesses(table)):
+        for w in ws:
+            rep.samples += 1
+            if _accepted_exact(claim, w) != verdict:
+                rep.fail(claim=name, kind="witness_mismatch", w=str(w), table=verdict)
+    return residues
 
 
 def _mirrored_blocks():
@@ -159,23 +211,25 @@ class TestChecksPass:
     def test_frs(self):
         rep = verify_frs()
         assert rep.verdict == "PASS", rep.failures[:3]
-        assert rep.info["claims"] == 19 and rep.info["symmetries"] == 12
+        assert (rep.info["claims"], rep.info["nulls"]) == (54, 17)
+        assert rep.info["digit_norm"] == FRS_NORM == 12 and rep.info["symmetries"] == 12
         assert len(rep.info["residues"]) == rep.info["claims"]
         assert rep.info["worst_residue"] == "3/524288"
-        # every claim is an image equality: both sides are proved
-        assert all(set(res) == {"inclusion", "coverage"}
-                   for res in rep.info["residues"].values())
-        assert all(c.keys() == {"name", "chain", "source", "target"} and len(c["chain"]) == 1
-                   for c in CLAIMS)
-        # the cylinder images lie in their targets up to area exactly 0
-        assert all(res["inclusion"] == "0" for res in rep.info["residues"].values())
-        # witnesses of both verdicts ran through step_T
-        assert rep.samples > 32 * rep.info["claims"]
+        # an image is proved by its coverage walk, a null entry by a tree
+        # that leaves area exactly 0
+        residues = rep.info["residues"]
+        nulls = {name: res for name, res in residues.items() if name.endswith("--> null")}
+        assert len(nulls) == 17 and all(res == {"null": "0"} for res in nulls.values())
+        assert all(set(res) == {"coverage"} for name, res in residues.items() if name not in nulls)
+        assert all(len(e["chain"]) == 1 for e in ENTRIES)
+        assert [e["name"] for e in ENTRIES] == list(residues)
+        # witnesses of both verdicts ran through step_T, 8 per verdict
+        assert rep.samples == 368
 
     def test_every_target_carries_the_rows_of_U0(self):
         # the coverage side bounds target \ cl(table) over U0's box, which
         # is the target's part in U0 only when the target carries U0's rows
-        for claim in CLAIMS + LISTED_CLAIMS:
+        for claim in IMAGES + LISTED_CLAIMS + HAND_CLAIMS:
             assert set(CAT.u0.prims) <= set(claim["target"].prims), claim["name"]
 
     def test_dual_inclusions(self):
@@ -333,15 +387,22 @@ class TestCertificate:
 
         monkeypatch.setattr(verifier, "_pullback", pullback_plus)
         rep = verify_frs()
-        assert rep.verdict == "FAIL"
-        # the witnesses see that the table no longer matches the map
-        assert any(f["kind"] == "witness_mismatch" for f in rep.failures)
-        # the targets found from the broken tables fail with exact
-        # counterexamples too; the witnesses of earlier claims fill the
-        # report's 64 failures, so each claim is certified alone
-        assert rep.info["failures_truncated"]
+        assert rep.verdict == "FAIL" and "failures_truncated" not in rep.info
+        # the broken tables are the true tables of other digits, so their
+        # found targets prove; only the witnesses see that a table no longer
+        # matches the map, each entry in one record of its first mismatch
+        assert len(rep.failures) == 36
+        assert {f["kind"] for f in rep.failures} == {"witness_mismatch"}
+        pairs = {f"{(src or CAT.u0).name} --{alpha}-->": (src, alpha) for src, alpha in PAIRS}
+        for fail in rep.failures:
+            src, alpha = pairs[fail["entry"].rsplit(" ", 1)[0]]
+            w = parse_field_element(fail["w"])
+            assert fail["mismatches"] > 0
+            assert _accepted_exact(dict(chain=[alpha], source=src), w) != fail["table"]
+        # the stated targets of the hand claims fail with exact
+        # counterexamples
         fails = []
-        for claim in _frs_claims(CAT):
+        for claim in HAND_CLAIMS:
             alone = CheckReport("claim")
             _certify_claim(alone, claim)
             fails += [f for f in alone.failures if f["kind"] in ("inclusion", "coverage")]
@@ -388,57 +449,89 @@ class TestCertificate:
 
 
 class TestFoundTargets:
-    """`_find_target` finds each target from the rows of the claim's table,
-    and refutes a wrong candidate at its first counterexample."""
+    """`_frs_entry` finds each image from the rows of its table, refutes a
+    wrong candidate at its first counterexample, and proves a table that no
+    candidate covers null, or fails it at an exact point."""
 
     def test_the_rule_finds_every_listed_one_step_target(self):
-        # rotations and mirror images included
+        # the listed digits past norm 12 included, where `verify frs` does
+        # not look
         for ref in ONE_STEP_CLAIMS:
-            assert _find_target(CAT, _claim_table(ref)) == ref["target"], ref["name"]
+            rep = CheckReport("entry")
+            entry = _frs_entry(rep, ref["source"], ref["chain"][0])
+            assert entry["target"] == ref["target"] and entry["name"] == ref["name"], ref["name"]
+            assert rep.verdict == "PASS", (ref["name"], rep.failures[:3])
 
     def test_tie_is_decided_by_the_first_counterexample(self):
         # U_{1,3} and U_{2,3} both have 7 rows, all in the table of
-        # (U_{1,1}, eta_3); the walk of U_{1,3} stops at the first point of
-        # U0 outside the closed table, which the scalar path rejects
-        claim = next(c for c in CLAIMS
-                     if c["source"] is CAT.u_cells[(1, 1)] and c["chain"] == [ETAS[3]])
-        table = _claim_table(claim)
+        # (U_{1,1}, eta_3); the walk of U_{1,3} stops at a counterexample, a
+        # point of U0 outside the closed table that the scalar path rejects
+        entry = next(e for e in ENTRIES
+                     if e["source"] is CAT.u_cells[(1, 1)] and e["chain"] == [ETAS[3]])
+        table = _claim_table(entry)
         u13, u23 = CAT.u_cells[(1, 3)], CAT.u_cells[(2, 3)]
-        assert claim["target"] is u23 and len(u13.prims) == len(u23.prims) == 7
-        w = _first_uncovered(u13, table)
-        assert w == u13.excess(table, U0_BOX, verifier.DEPTH).example
+        assert entry["target"] is u23 and len(u13.prims) == len(u23.prims) == 7
+        assert _coverage(u13, table) is None
+        w = u13.excess(table, U0_BOX, verifier.DEPTH).example
         assert CAT.u0.contains(w) and u13.contains(w) and not table.contains(w, closed=True)
-        assert not _accepted_exact(claim, w)
-        assert _first_uncovered(u23, table) is None
+        assert not _accepted_exact(entry, w)
+        assert _coverage(u23, table) == entry["residues"]["coverage"]
+
+    def test_the_coverage_walk_bounds_what_excess_bounds(self):
+        for entry in IMAGES:
+            full = entry["target"].excess(_claim_table(entry), U0_BOX, verifier.DEPTH)
+            assert (full.fails, full.residue) == (0, entry["residues"]["coverage"]), entry["name"]
 
     def test_no_rejected_candidate_is_counted(self, monkeypatch):
-        # excess runs on each table (inclusion) and each found target
-        # (coverage), never on the refuted U_{1,3}
+        # excess runs on each null table alone, never on a candidate: a
+        # candidate gets one walk, which stops at its first counterexample
         calls, excess = [], Region.excess
 
         def recorded(reg, other, box, depth):
-            calls.append(reg.name)
+            calls.append((reg.name, other))
             return excess(reg, other, box, depth)
 
         monkeypatch.setattr(Region, "excess", recorded)
         assert verify_frs().verdict == "PASS"
-        assert sorted(calls) == sorted(["claim table"] * len(CLAIMS)
-                                       + [c["target"].name for c in CLAIMS])
+        assert calls == [("claim table", None)] * 17
+
+    def test_one_table_build_per_pair(self, monkeypatch):
+        built, claim_table = [], verifier._claim_table
+
+        def counted(claim):
+            built.append((claim["source"], *claim["chain"]))
+            return claim_table(claim)
+
+        monkeypatch.setattr(verifier, "_claim_table", counted)
+        assert verify_frs().verdict == "PASS"
+        assert built == list(PAIRS)
+
+    def test_no_null_table_holds_an_accepted_grid_point(self):
+        a, b = _u0_grid(1 << 5)
+        points = list(map(FieldElement, a.tolist(), b.tolist(), [1 << 5] * len(a)))
+        nulls = [e for e in ENTRIES if e["target"] is None]
+        assert len(nulls) == 17
+        for entry in nulls:
+            assert not any(_accepted_exact(entry, w) for w in points), entry["name"]
 
     def test_a_missing_image_fails_coverage(self, monkeypatch):
-        # without U_{4,4} the largest candidate left for (U_{2,1}, eta_4) is
-        # larger than the image, and its coverage fails at an exact point
-        # that the scalar path rejects: nothing falls back silently
-        monkeypatch.delitem(CAT.u_cells, (4, 4))
-        rep = verify_frs()
-        assert rep.verdict == "FAIL"
-        [fail] = rep.failures
-        claim = next(c for c in _frs_claims(CAT) if c["name"] == fail["claim"])
-        assert claim["source"] is CAT.u_cells[(2, 1)] and claim["chain"] == [ETAS[4]]
-        assert fail["kind"] == "coverage" and fail["counterexamples"] > 0
-        w = parse_field_element(fail["example"])
-        assert claim["target"].contains(w) and not _claim_table(claim).contains(w, closed=True)
-        assert not _accepted_exact(claim, w)
+        # without an image in the catalogue, every candidate left fails its
+        # coverage walk, and the null proof fails at an exact point of the
+        # table that the scalar path accepts: nothing falls back silently
+        for cell, failed in (
+                ((4, 4), {"U_2_1 ---1-1z--> null": "1/8-5/16r"}),
+                ((3, 2), {"U_3_1 ---3+3z--> null": "-5/8-1/16r",
+                          "U_4_1 ---3+3z--> null": "-5/8-1/16r",
+                          "U_4_1 --3-3z--> null": "-5/8-1/16r"})):
+            with monkeypatch.context() as patch:
+                patch.delitem(CAT.u_cells, cell)
+                rep = verify_frs()
+            assert {f["entry"]: f["example"] for f in rep.failures} == failed, cell
+            for fail in rep.failures:
+                assert fail["kind"] == "null" and fail["counterexamples"] > 0
+                entry = next(e for e in ENTRIES
+                             if e["name"].rsplit(" ", 1)[0] == fail["entry"].rsplit(" ", 1)[0])
+                assert _accepted_exact(entry, parse_field_element(fail["example"]))
 
 
 _DEN = 1 << 16
@@ -546,16 +639,22 @@ class TestSharedProofs:
                 assert _pullback(CAT.v_star[kl], [alpha]).contains(z)
 
     def test_early_stopped_witnesses_are_the_first_of_the_full_tree(self):
-        for claim in CLAIMS:
-            table = _claim_table(claim)
-            den, _, tree = table.box_tree(None, U0_BOX, verifier._WITNESS_DEPTH)
-            full = {INSIDE: [], OUTSIDE: []}
-            for verdict, u, v, _, _ in tree:
-                if verdict in full:
-                    full[verdict].append(FieldElement(u, v, den))
-            want = (full[INSIDE][:32], [w for w in full[OUTSIDE] if in_U0(w)][:32])
-            assert _witnesses(table) == want, claim["name"]
-            assert len(want[0]) == 32, claim["name"]
+        # at the derived table's budget and at the stated claims' one
+        for claims, walk, depth, count in ((ENTRIES, _witnesses, 3, 8),
+                                           (HAND_CLAIMS, _stated_witnesses, 5, 32)):
+            for claim in claims:
+                table = _claim_table(claim)
+                den, _, tree = table.box_tree(None, U0_BOX, depth)
+                full = {INSIDE: [], OUTSIDE: []}
+                for verdict, u, v, _, _ in tree:
+                    if verdict in full:
+                        full[verdict].append(FieldElement(u, v, den))
+                want = (full[INSIDE][:count], [w for w in full[OUTSIDE] if in_U0(w)][:count])
+                assert walk(table) == want, claim["name"]
+                # a null table has no inside witness, an image some, and a
+                # hand claim a full count
+                assert bool(want[0]) == bool(claim["target"]), claim["name"]
+                assert claims is ENTRIES or len(want[0]) == count, claim["name"]
 
 
 def _rotated_chain(chain, m):
@@ -594,15 +693,45 @@ class TestSymmetries:
                         _image(_claim_table(claim), mirrored, s)))
 
         def found(ref, mirrors):
-            return any(matches(ref, claim, m, mirrored) for claim in CLAIMS
+            return any(matches(ref, claim, m, mirrored) for claim in IMAGES
                        for m in range(6) for mirrored in mirrors)
 
-        assert (len(CLAIMS), len(ONE_STEP_CLAIMS), len(DEEP_CLAIMS)) == (19, 34, 9)
-        assert {c["name"] for c in CLAIMS} <= {c["name"] for c in ONE_STEP_CLAIMS}
-        for ref in ONE_STEP_CLAIMS:
+        # the listed one-step claims within the table's digit range, the
+        # hand claims among them, are images of derived entries
+        refs = [c for c in ONE_STEP_CLAIMS if c["chain"][0].norm() <= FRS_NORM]
+        assert (len(ONE_STEP_CLAIMS), len(refs), len(DEEP_CLAIMS)) == (34, 23, 9)
+        assert {c["name"] for c in HAND_CLAIMS} <= {c["name"] for c in ONE_STEP_CLAIMS}
+        assert sum(c["chain"][0].norm() <= FRS_NORM for c in HAND_CLAIMS) == 12
+        for ref in refs:
             assert found(ref, (False, True)), ref["name"]
-        # the six dropped mirror duplicates are no rotation of a representative
-        assert sum(not found(ref, (False,)) for ref in ONE_STEP_CLAIMS) == 6
+        # some are images under a mirror only
+        assert sum(not found(ref, (False,)) for ref in refs) == 3
+
+    def test_the_representatives_cover_every_pair_once(self):
+        # the images of the entries' pairs under the twelve symmetries, made
+        # by rotating and mirroring the source cells, cover each pair of U0
+        # or a U-cell and a digit of norm <= 12 exactly once
+        keys = {frozenset(reg.prims): kl for kl, reg in CAT.u_cells.items()}
+        keys[frozenset(CAT.u0.prims)] = None
+        digits = {d for m in range(-4, 5) for n in range(-4, 5)
+                  if 0 < (d := j_element(m, n)).norm() <= FRS_NORM}
+        assert len(digits) == 18 and len(PAIRS) == 54
+        covered = Counter()
+        for source, alpha in PAIRS:
+            covered.update({(keys[frozenset(_image(source or CAT.u0, mirrored, -m % 6).prims)],
+                             ZETA ** m * (-alpha.conj() if mirrored else alpha))
+                            for m in range(6) for mirrored in (False, True)})
+        assert covered.keys() == {(key, d) for key in (None, *CAT.u_cells) for d in digits}
+        assert len(covered) == 558 and set(covered.values()) == {1}
+
+    def test_index_mirror_agrees_with_region_mirror(self):
+        # M zeta^(l-1) = zeta^(1-l) M: M U_{k,l} is U_{k',l'-l+1} for
+        # M U_{k,1} = U_{k',l'}, on all 30 cells
+        keys = {frozenset(reg.prims): kl for kl, reg in CAT.u_cells.items()}
+        base = {k: keys[frozenset(CAT.u_cells[(k, 1)].mirror().prims)] for k in range(1, 6)}
+        for (k, l), reg in CAT.u_cells.items():
+            assert keys[frozenset(reg.mirror().prims)] == (
+                base[k][0], (base[k][1] - l) % 6 + 1), (k, l)
 
     def test_every_rotated_dual_term_is_a_rotated_representative(self):
         for tgt_k, terms in {**dual_inclusion_blocks(), **_mirrored_blocks()}.items():
@@ -657,7 +786,7 @@ class TestSymmetries:
 
 def _composed_image(chain):
     """T^n<chain> from the listed one-step claims, by the induction of
-    `_frs_claims`: a prefix image P = zeta^r U_{k,1} and a digit d give
+    `verify_frs`: a prefix image P = zeta^r U_{k,1} and a digit d give
     zeta^-r times the target of the listed claim (U_{k,1}, zeta^r d); P = U0
     gives the target of the claim (U0, d)."""
     image = CAT.u0
@@ -675,13 +804,24 @@ def _composed_image(chain):
 
 class TestDeeperClaims:
     """The deeper listed cylinder images follow from the one-step claims
-    and are proved directly too."""
+    and are proved directly too, as are the hand claims."""
 
     def test_listed_images_compose_from_one_step_claims(self):
         assert len(DEEP_CLAIMS) == 9
         for claim in DEEP_CLAIMS:
             assert _prims(_composed_image(claim["chain"])) == _prims(claim["target"]), (
                 claim["name"])
+
+    def test_hand_claims_prove_directly(self):
+        # the 7 past norm 12 are proved here only
+        assert sum(c["chain"][0].norm() > FRS_NORM for c in HAND_CLAIMS) == 7
+        rep = CheckReport("hand claims")
+        for claim in HAND_CLAIMS:
+            residues = _certify_claim(rep, claim)
+            assert residues["inclusion"] == 0, claim["name"]
+            assert residues["coverage"] <= Fraction(3, 524288), claim["name"]
+        assert rep.verdict == "PASS", rep.failures[:3]
+        assert rep.samples == 1018
 
     def test_listed_images_prove_directly(self):
         for claim in DEEP_CLAIMS:
