@@ -4,7 +4,6 @@ check report shared by the verifier and the ergodic code."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii as _json_str
 
 
@@ -85,16 +84,12 @@ def _json_text(o, nl: str) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-@dataclass
 class CheckReport:
     """Outcome of one check; as a context manager it times its block into
     ``elapsed``, which ``as_dict`` leaves out: artifacts stay byte-stable."""
 
-    name: str
-    samples: int = 0
-    failures: list = dc_field(default_factory=list)
-    elapsed: float = 0.0
-    info: dict = dc_field(default_factory=dict)
+    def __init__(self, name: str):
+        self.name, self.samples, self.failures, self.elapsed, self.info = name, 0, [], 0.0, {}
 
     def __enter__(self) -> CheckReport:
         self._t0 = time.perf_counter()

@@ -9,9 +9,7 @@ not converge; they carry hand-defined period-4 expansions instead, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .exact import (
     ETA,
@@ -88,18 +86,16 @@ def step_T(z: FieldElement) -> tuple[EisensteinInt, FieldElement]:
     return j_element(m, k), FieldElement(ra, rb, 2 * n)
 
 
-@dataclass(frozen=True)
-class TerminatedAtZero:
+class TerminatedAtZero(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
-class Truncated:
-    pass
+class Truncated(NamedTuple):
+    """The digit budget ran out.  An empty tuple, so it is falsy: tell the
+    terminals apart by type, never by truth value."""
 
 
-@dataclass(frozen=True)
-class SpecialPeriodic:
+class SpecialPeriodic(NamedTuple):
     point: FieldElement
     entry_index: int
 
@@ -107,16 +103,12 @@ class SpecialPeriodic:
 Terminal = Union[TerminatedAtZero, Truncated, SpecialPeriodic]
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     digits: tuple[EisensteinInt, ...]
     terminal: Terminal
     points: tuple[FieldElement, ...]  # z_0 .. z_n along the expansion
 
     exact = True   # every digit and point is computed exactly
-
-    def __len__(self) -> int:
-        return len(self.digits)
 
 
 def expand(z: FieldElement, max_digits: int = 256) -> Expansion:
@@ -148,8 +140,7 @@ def expand(z: FieldElement, max_digits: int = 256) -> Expansion:
     return Expansion(tuple(digits), Truncated(), tuple(points))
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
+class ConvergentPair(NamedTuple):
     """Matrix state ((p_{n-1}, p_n), (q_{n-1}, q_n)) after n digits."""
 
     p_prev: EisensteinInt
@@ -212,45 +203,3 @@ def eval_cf(
     # num/den = (P + q*sqrt(-3))(R - s*sqrt(-3))/(R^2 + 3s^2), P = 2p + q, R = 2r + s
     P, R = 2 * p + q, 2 * r + s
     return FieldElement(P * R + 3 * q * s, q * R - P * s, R * R + 3 * s * s)
-
-
-def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of |z - p_n/q_n|^2 = |1/q_n|^2 * |z_0 z_1 ... z_n|^2, exact."""
-    e = expand(z, n)
-    if not isinstance(e.terminal, Truncated):
-        raise ValueError(f"orbit of {z} ends before depth {n}")
-    conv = convergents(e.digits)[n]
-    lhs = (z - conv.ratio()).abs_sq()
-    q_norm = Fraction(conv.q.norm())
-    prod = Fraction(1)
-    for zk in e.points:
-        prod *= zk.abs_sq()
-    rhs = prod / q_norm
-    return lhs, rhs
-
-
-def jump_map(
-    z: FieldElement, max_steps: int = 64
-) -> tuple[int | None, FieldElement]:
-    """First index N with digit norm >= 9, and the point after N+1 steps.
-
-    Returns (None, z) unchanged when no such index shows up within
-    max_steps.  |b| >= 3 is tested as norm(b) >= 9, never in floats.
-    """
-    if not in_U(z):
-        raise DomainError(f"{z} is not in U")
-    cur = z
-    for n in range(1, max_steps + 1):
-        d, cur = step_T(cur)
-        if d.norm() >= 9:
-            _, out = step_T(cur)
-            return n, out
-    return None, z
-
-
-def inverse_branch_derivative(c: ConvergentPair, z_n: FieldElement) -> FieldElement:
-    """Derivative 1/(q_n + q_{n-1} z_n)^2 of the local inverse branch."""
-    den = embed(c.q) + embed(c.q_prev) * z_n
-    if den.is_zero():
-        raise ZeroDivisionError("vanishing branch denominator")
-    return (den * den).inv()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._util import canonical_json
@@ -30,8 +29,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-@dataclass
 class RunConfig:
+    """The run settings: the class defaults, overridden per instance by the
+    options a command was given."""
+
     seed: int = 0
     samples: int = 10000
     orbits: int = 64
@@ -50,9 +51,9 @@ class RunConfig:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    for f in fields(cfg):
-        if getattr(args, f.name, None) is not None:
-            setattr(cfg, f.name, getattr(args, f.name))
+    for name in RunConfig.__annotations__:
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     cfg.validate()
     return cfg
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 SQRT3 = math.sqrt(3.0)
@@ -18,12 +17,29 @@ SQRT3 = math.sqrt(3.0)
 BAND = 1e-12
 
 
-@dataclass(frozen=True)
 class EisensteinInt:
-    """Element a + b*zeta of Z[zeta], zeta^2 = zeta - 1."""
+    """Element a + b*zeta of Z[zeta], zeta^2 = zeta - 1; treated as immutable.
 
-    a: int
-    b: int
+    Equal when the fields are; the hash is that of (a, b), which fixes the
+    order in which a set of them iterates.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not EisensteinInt:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"EisensteinInt(a={self.a!r}, b={self.b!r})"
 
     def __add__(self, other: EisensteinInt) -> EisensteinInt:
         return EisensteinInt(self.a + other.a, self.b + other.b)
@@ -252,7 +268,3 @@ def format_field_element(f: FieldElement) -> str:
 
 def field_element_to_json(f: FieldElement) -> dict:
     return {"x": _fmt_rat(f.x), "y": _fmt_rat(f.y)}
-
-
-def field_element_from_json(d: dict) -> FieldElement:
-    return FieldElement.from_xy(Fraction(d["x"]), Fraction(d["y"]))

@@ -31,7 +31,6 @@ property (exactly one cell per interior point), which the test-suite checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -48,24 +47,34 @@ _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "=="}
 _ROW_SIGNS = {"<": (1,), "<=": (1,), "==": (1, -1), ">=": (-1,), ">": (-1,)}
 
 
-@dataclass(frozen=True)
 class Primitive:
-    qq: int
-    bx: int
-    by: int
-    dd: int
-    rel: str
+    """The constraint P rel 0, treated as immutable, stored normalised: the
+    coefficients are coprime and the first nonzero one is positive (a
+    negative scale flips rel).  Equal when the fields are; the hash is that
+    of (qq, bx, by, dd, rel), as for `EisensteinInt`."""
 
-    def __post_init__(self):
-        qq, bx, by, dd, rel = self.qq, self.bx, self.by, self.dd, self.rel
+    __slots__ = ("qq", "bx", "by", "dd", "rel")
+
+    def __init__(self, qq: int, bx: int, by: int, dd: int, rel: str):
         g = math.gcd(qq, bx, by, dd)
         if g > 1:
             qq, bx, by, dd = qq // g, bx // g, by // g, dd // g
-        lead = next((v for v in (qq, bx, by, dd) if v != 0), 0)
-        if lead < 0:
+        if (qq or bx or by or dd) < 0:  # the first nonzero coefficient
             qq, bx, by, dd, rel = -qq, -bx, -by, -dd, _FLIP[rel]
-        for name, v in zip(("qq", "bx", "by", "dd", "rel"), (qq, bx, by, dd, rel)):
-            object.__setattr__(self, name, v)
+        self.qq, self.bx, self.by, self.dd, self.rel = qq, bx, by, dd, rel
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Primitive:
+            return NotImplemented
+        return (self.qq, self.bx, self.by, self.dd, self.rel) == (
+            other.qq, other.bx, other.by, other.dd, other.rel)
+
+    def __hash__(self) -> int:
+        return hash((self.qq, self.bx, self.by, self.dd, self.rel))
+
+    def __repr__(self) -> str:
+        return (f"Primitive(qq={self.qq!r}, bx={self.bx!r}, by={self.by!r}, "
+                f"dd={self.dd!r}, rel={self.rel!r})")
 
     def value_int(self, z: FieldElement) -> int:
         a, b, c = z.a, z.b, z.c
@@ -97,10 +106,11 @@ class Primitive:
         return inv
 
     def rotate(self, times: int = 1) -> Primitive:
-        p = self
+        # normalising each step would only rescale the row, so once will do
+        qq, bx, by, dd = self.qq, self.bx, self.by, self.dd
         for _ in range(times % 6):
-            p = Primitive(2 * p.qq, p.bx - p.by, 3 * p.bx + p.by, 2 * p.dd, p.rel)
-        return p
+            qq, bx, by, dd = 2 * qq, bx - by, 3 * bx + by, 2 * dd
+        return Primitive(qq, bx, by, dd, self.rel)
 
     def mirror(self) -> Primitive:
         """Primitive of the mirror image of the region under z -> -conj(z)."""
@@ -162,8 +172,7 @@ HEX_OPEN = (
 )
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """An arc or a segment of a region's boundary, on the curve of `prim`.
 
     An arc is z(t) = base + radius*e^(it), t an angle; a segment (radius 0) is
@@ -309,10 +318,24 @@ class BoundaryPoint(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class Region:
-    name: str
-    prims: tuple[Primitive, ...]
+    """A named conjunction of primitives, treated as immutable.  Equal when
+    the fields are; the hash is that of (name, prims), as for `EisensteinInt`."""
+
+    def __init__(self, name: str, prims: tuple[Primitive, ...]):
+        self.name = name
+        self.prims = prims
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Region:
+            return NotImplemented
+        return (self.name, self.prims) == (other.name, other.prims)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.prims))
+
+    def __repr__(self) -> str:
+        return f"Region(name={self.name!r}, prims={self.prims!r})"
 
     @cached_property
     def _ints(self) -> tuple[tuple[int, int, int, int, bool], ...]:
@@ -498,8 +521,7 @@ def _disk(k: int, scale: Fraction, rel: str) -> Primitive:
     return circle(scale * eta.x, scale * eta.y, Fraction(1, 3), rel)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     u0: Region
     u_cells: dict[tuple[int, int], Region]
     v_cells: dict[tuple[int, int], Region]

@@ -1,0 +1,96 @@
+"""Test oracles of paper claims: exact or statistical identities that the
+tests check and no command runs."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from eisencf._util import CheckReport
+from eisencf.cf import ConvergentPair, Truncated, convergents, expand, step_T
+from eisencf.exact import FieldElement, embed
+from eisencf.hexdomain import DomainError, in_U
+
+
+def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of |z - p_n/q_n|^2 = |1/q_n|^2 * |z_0 z_1 ... z_n|^2, exact."""
+    e = expand(z, n)
+    if not isinstance(e.terminal, Truncated):
+        raise ValueError(f"orbit of {z} ends before depth {n}")
+    conv = convergents(e.digits)[n]
+    lhs = (z - conv.ratio()).abs_sq()
+    q_norm = Fraction(conv.q.norm())
+    prod = Fraction(1)
+    for zk in e.points:
+        prod *= zk.abs_sq()
+    rhs = prod / q_norm
+    return lhs, rhs
+
+
+def jump_map(
+    z: FieldElement, max_steps: int = 64
+) -> tuple[int | None, FieldElement]:
+    """First index N with digit norm >= 9, and the point after N+1 steps.
+
+    Returns (None, z) unchanged when no such index shows up within
+    max_steps.  |b| >= 3 is tested as norm(b) >= 9, never in floats.
+    """
+    if not in_U(z):
+        raise DomainError(f"{z} is not in U")
+    cur = z
+    for n in range(1, max_steps + 1):
+        d, cur = step_T(cur)
+        if d.norm() >= 9:
+            _, out = step_T(cur)
+            return n, out
+    return None, z
+
+
+def inverse_branch_derivative(c: ConvergentPair, z_n: FieldElement) -> FieldElement:
+    """Derivative 1/(q_n + q_{n-1} z_n)^2 of the local inverse branch."""
+    den = embed(c.q) + embed(c.q_prev) * z_n
+    if den.is_zero():
+        raise ZeroDivisionError("vanishing branch denominator")
+    return (den * den).inv()
+
+
+def field_element_from_json(d: dict) -> FieldElement:
+    """The inverse of `exact.field_element_to_json`."""
+    return FieldElement.from_xy(Fraction(d["x"]), Fraction(d["y"]))
+
+
+def invariance_check(quad, orbits: int = 64, length: int = 20000,
+                     seed: int = 0) -> CheckReport:
+    """Empirical occupation of long orbits against the density cell masses
+    of `quad`, an `ergodic.Quadrature`.
+
+    PASS when every cell discrepancy is below max(3 * stderr, 0.01), the
+    stderr of the occupation; the masses are exact to about 1e-10.
+    """
+    import numpy as np
+
+    from eisencf.ergodic import CELLS, occupation_frequencies, simulate_orbits
+
+    with CheckReport("invariance") as rep:
+        freq, mean_freq = occupation_frequencies(simulate_orbits(orbits, length, seed))
+        rep.samples = orbits * length
+        masses = quad.cell_masses()
+        sum_f = float(mean_freq.sum())
+        rep.info["frequency_sum"] = sum_f
+        if abs(sum_f - 1.0) > 0.02:
+            rep.fail(kind="band_loss", frequency_sum=sum_f)
+        worst = 0.0
+        for ci, kl in enumerate(CELLS):
+            f = float(mean_freq[ci])
+            sf = float(freq[:, ci].std(ddof=1) / math.sqrt(len(freq)))
+            mu = masses[kl]
+            tol_cell = max(3.0 * sf, 0.01)
+            worst = max(worst, abs(f - mu))
+            if abs(f - mu) > tol_cell:
+                rep.fail(cell=kl, empirical=f, quadrature=mu, tolerance=tol_cell)
+        rep.info["max_discrepancy"] = worst
+        # rotation symmetry of the construction: occupation of V_{k,l}
+        # should not depend on l
+        by_k = mean_freq.reshape(6, 6)
+        rep.info["rotation_spread"] = float(np.max(by_k.max(axis=1) - by_k.min(axis=1)))
+    return rep

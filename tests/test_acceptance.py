@@ -17,7 +17,6 @@ import pytest
 
 from eisencf.cf import (
     convergents,
-    error_product_check,
     eval_cf,
     expand,
     special_digits,
@@ -42,6 +41,7 @@ from eisencf.verifier import (
     verify_inversions,
     verify_monotonicity,
 )
+from oracles import error_product_check, invariance_check
 
 SEED = 42
 CAT = build_catalog()
@@ -251,8 +251,6 @@ def test_c11_levy_constant(ergodic_bundle):
 
 
 def test_c12_invariant_density(ergodic_bundle):
-    from eisencf.ergodic import invariance_check
-
     rep = invariance_check(orbits=64, length=20000, seed=SEED,
                            quad=ergodic_bundle["quad"])
     total, err = ergodic_bundle["quad"].density_integral()

@@ -16,11 +16,8 @@ from eisencf.cf import (
     ZeroOrbit,
     DomainError,
     convergents,
-    error_product_check,
     eval_cf,
     expand,
-    inverse_branch_derivative,
-    jump_map,
     special_digits,
     step_T,
 )
@@ -39,6 +36,7 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import in_U
 from eisencf.verifier import random_orbit_seed
+from oracles import error_product_check, inverse_branch_derivative, jump_map
 
 
 class TestStep:
@@ -149,6 +147,10 @@ class TestExpand:
         assert isinstance(e.terminal, Truncated)
         assert len(e.digits) == 30
         assert len(e.points) == 31
+        # the terminals are named tuples, and Truncated() is the empty one:
+        # it is falsy, so a terminal is told apart by type, never by truth
+        assert e.terminal == () and not e.terminal
+        assert TerminatedAtZero(0) and SpecialPeriodic(MINUS_ZETA, 0)
 
 
 class TestConvergents:

@@ -16,7 +16,6 @@ from eisencf.ergodic import (
     _simulate_batches,
     ergodic_report,
     estimate_C0_and_levy_integral,
-    invariance_check,
     kernel_integral,
     levy_birkhoff,
     occupation_frequencies,
@@ -28,6 +27,7 @@ from eisencf.exact import SQRT3, FieldElement, embed
 from eisencf.floatpath import t_step
 from eisencf.regions import MIRROR_PAIRS, build_catalog, classify_cells_complex
 from eisencf.verifier import random_orbit_seed
+from oracles import invariance_check
 
 CAT = build_catalog()
 

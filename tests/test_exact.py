@@ -19,12 +19,12 @@ from eisencf.exact import (
     ZETA,
     ZETA_BAR,
     embed,
-    field_element_from_json,
     field_element_to_json,
     format_field_element,
     in_J,
     parse_field_element,
 )
+from oracles import field_element_from_json
 
 
 def rand_eint(rng, bound=1000):
@@ -184,6 +184,18 @@ class TestDigitModule:
         small = [EisensteinInt(a, b) for a in range(-4, 5) for b in range(-4, 5)
                  if in_J(EisensteinInt(a, b)) and not (a == b == 0)]
         assert min(x.norm() for x in small) == 3
+
+
+class TestValueSemantics:
+    # equality, hash and repr as a frozen dataclass has them: the hash of the
+    # field tuple keeps every set and dict in the order it always had, and
+    # the repr text is what messages print, so no artifact moves
+    def test_eisenstein_int(self):
+        e = EisensteinInt(1, -2)
+        assert hash(e) == hash((1, -2))
+        assert e == EisensteinInt(1, -2) and e != EisensteinInt(-2, 1)
+        assert (e == (1, -2)) is False and e.__eq__((1, -2)) is NotImplemented
+        assert repr(e) == "EisensteinInt(a=1, b=-2)"
 
 
 class TestTextAndJson:

@@ -156,6 +156,19 @@ def test_invert_degeneracy_matches_circle_data(qq, bx, by, dd, rel):
         assert degenerate
 
 
+@exact
+@given(small, small, small, small, st.sampled_from(["<", "<=", "==", ">=", ">"]),
+       st.integers(-30, 30).filter(bool), st.integers(0, 11), st.integers(0, 11))
+def test_primitive_normal_form(qq, bx, by, dd, rel, k, a, b):
+    p = Primitive(qq, bx, by, dd, rel)
+    # the normal form forgets a nonzero scale; a negative one flips rel
+    flip = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
+    assert Primitive(k * qq, k * bx, k * by, k * dd, rel if k > 0 else flip[rel]) == p
+    assert p.rotate(6) == p
+    assert p.rotate(a).rotate(b) == p.rotate(a + b)
+    assert p.mirror().mirror() == p
+
+
 def _cell_by_scan(z):
     """cell_of's verdict from all 36 cells: a (k, l) key or the exception type."""
     hits = [kl for kl, reg in CAT.v_cells.items() if reg.contains(z)]

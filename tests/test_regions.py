@@ -98,6 +98,26 @@ def rotate(z, times):
     return z
 
 
+class TestValueSemantics:
+    # as for EisensteinInt in test_exact: equality, hash and repr as a frozen
+    # dataclass has them, so no set order, message or artifact moves (the
+    # repr of every catalogue primitive is pinned by test_catalog_digest)
+    def test_primitive(self):
+        p = Primitive(-2, 4, 0, 6, "<")
+        assert (p.qq, p.bx, p.by, p.dd, p.rel) == (1, -2, 0, -3, ">")
+        assert hash(p) == hash((1, -2, 0, -3, ">"))
+        assert p == Primitive(1, -2, 0, -3, ">") and p != Primitive(1, -2, 0, -3, "<")
+        assert (p == (1, -2, 0, -3, ">")) is False and p.__eq__(p.rel) is NotImplemented
+        assert repr(p) == "Primitive(qq=1, bx=-2, by=0, dd=-3, rel='>')"
+
+    def test_region(self):
+        r = Region("R", (half_plane(0, 1, 0, "<"),))
+        assert hash(r) == hash(("R", r.prims))
+        assert r == Region("R", (Primitive(0, 0, 1, 0, "<"),)) and r != Region("S", r.prims)
+        assert (r == ("R", r.prims)) is False and r.__eq__(CAT) is NotImplemented
+        assert repr(r) == "Region(name='R', prims=(Primitive(qq=0, bx=0, by=1, dd=0, rel='<'),))"
+
+
 class TestCatalogExamples:
     def test_dual_cell_six(self):
         reg = CAT.v_star[(6, 1)]
