@@ -287,12 +287,6 @@ def kernel_integral(z: np.ndarray, arcs: ArcQuadrature) -> np.ndarray:
     return out.reshape(z.shape)[()]
 
 
-def region_area_flux(arcs: ArcQuadrature) -> float:
-    """Exact-area cross-check: the field u/2 has divergence one."""
-    return float(np.sum(np.real(arcs.nodes / 2 * np.conj(arcs.normals))
-                        * arcs.weights))
-
-
 # --------------------------------------------------------------------------
 # deterministic quadrature over the cell products
 # --------------------------------------------------------------------------
@@ -390,30 +384,6 @@ def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
 # invariant density
 # --------------------------------------------------------------------------
 
-def _sextant_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and area weights of a Gauss rule over U that ignores the cells.
-
-    Each sextant triangle (0, v_s, v_{s+1}) is cut at the midpoint of its
-    outer edge into two triangles, each mapped to the square by a Duffy
-    transform from its vertex on the unit circle.  The radius is graded
-    toward the vertex, and the angle toward both sides, which the cusps of
-    the cells hug.  The jumps of h across cell boundaries limit the rule to
-    about 1e-3, so it grades only to 1e-2.
-    """
-    r, wr = _graded_rule(1.0, True, False, 1e-2, 0.5, n)
-    f, wf = _graded_rule(1.0, True, True, 1e-2, 0.5, n)
-    zs, ws = [], []
-    for s in range(6):
-        v0, v1 = _ROOTS[s], _ROOTS[(s + 1) % 6]
-        mid = 0.5 * (v0 + v1)
-        for vert, a, b in ((v0, mid, 0j), (v1, 0j, mid)):
-            # z = vert + r*((a - vert) + f*(b - a)), Jacobian r * 2 * area
-            jac = abs((np.conj(a - vert) * (b - a)).imag)
-            zs.append((vert + r[:, None] * ((a - vert) + f * (b - a))).ravel())
-            ws.append(((r * wr * jac)[:, None] * wf).ravel())
-    return np.concatenate(zs), np.concatenate(ws)
-
-
 @dataclass
 class Quadrature:
     """The invariant measure: C0, the growth-rate integral and its
@@ -448,17 +418,6 @@ class Quadrature:
             out[sel] = self.c0 * kernel_integral(
                 flat[sel] * np.conj(_ROOTS[l - 1]), self.arcs[k])
         return out.reshape(z.shape)
-
-    def density_integral(self) -> tuple[float, float]:
-        """Total mass of h by the cell-blind sextant rule (should be ~ 1).
-
-        Returns the fine rule's value and its difference from the coarse
-        rule's; nodes in a boundary band count as 0."""
-        vals = []
-        for n in _RULES:
-            z, w = _sextant_rule(n)
-            vals.append(float(np.sum(w * np.nan_to_num(self.density(z), nan=0.0))))
-        return vals[-1], abs(vals[-1] - vals[0])
 
     def density_grid(self, n: int):
         """Density on an n x n grid over the bounding box of U.

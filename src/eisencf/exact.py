@@ -120,7 +120,8 @@ def j_element(m: int, n: int) -> EisensteinInt:
 
 
 class FieldElement:
-    """Element (a + b*sqrt(-3))/c of Q(sqrt(-3)), canonical reduced form."""
+    """Element (a + b*sqrt(-3))/c of Q(sqrt(-3)) in canonical reduced form;
+    treated as immutable."""
 
     __slots__ = ("a", "b", "c")
 
@@ -132,12 +133,7 @@ class FieldElement:
         g = math.gcd(a, b, c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("FieldElement is immutable")
+        self.a, self.b, self.c = a, b, c
 
     @property
     def x(self) -> Fraction:

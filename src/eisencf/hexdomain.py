@@ -24,7 +24,7 @@ the nine nearby points.  floor_J returns the point alone.
 
 from __future__ import annotations
 
-from .exact import EisensteinInt, FieldElement, embed, j_element
+from .exact import EisensteinInt, FieldElement, j_element
 
 
 class DomainError(ValueError):
@@ -64,12 +64,6 @@ _OFFSETS = (
     (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
 )
-
-
-def _search_anchor(z: FieldElement) -> tuple[int, int]:
-    # rounded lattice coordinates m = 2x/3, n = y - x/3, in pure integers
-    a, b, c = z.a, z.b, z.c
-    return (4 * a + 3 * c) // (6 * c), (2 * (3 * b - a) + 3 * c) // (6 * c)
 
 
 def _nearest(a: int, b: int, c: int) -> tuple[int, int, int, int]:
@@ -112,13 +106,3 @@ def _round_J(a: int, b: int, c: int) -> tuple[int, int, int, int]:
 def floor_J(z: FieldElement) -> EisensteinInt:
     """The unique alpha in J with z - alpha in U."""
     return j_element(*_round_J(z.a, z.b, z.c)[:2])
-
-
-def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:
-    """All 9 search candidates that land in U (used by the tiling test)."""
-    m0, n0 = _search_anchor(z)
-    return [
-        alpha
-        for dm, dn in _OFFSETS
-        if in_U(z - embed(alpha := j_element(m0 + dm, n0 + dn)))
-    ]

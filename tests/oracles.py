@@ -6,10 +6,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from eisencf._util import CheckReport
 from eisencf.cf import ConvergentPair, Truncated, convergents, expand, step_T
-from eisencf.exact import FieldElement, embed
-from eisencf.hexdomain import DomainError, in_U
+from eisencf.ergodic import (_ROOTS, _RULES, CELLS, ArcQuadrature, _graded_rule,
+                             occupation_frequencies, simulate_orbits)
+from eisencf.exact import EisensteinInt, FieldElement, embed, j_element
+from eisencf.hexdomain import _OFFSETS, DomainError, in_U
 
 
 def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:
@@ -67,10 +71,6 @@ def invariance_check(quad, orbits: int = 64, length: int = 20000,
     PASS when every cell discrepancy is below max(3 * stderr, 0.01), the
     stderr of the occupation; the masses are exact to about 1e-10.
     """
-    import numpy as np
-
-    from eisencf.ergodic import CELLS, occupation_frequencies, simulate_orbits
-
     with CheckReport("invariance") as rep:
         freq, mean_freq = occupation_frequencies(simulate_orbits(orbits, length, seed))
         rep.samples = orbits * length
@@ -94,3 +94,59 @@ def invariance_check(quad, orbits: int = 64, length: int = 20000,
         by_k = mean_freq.reshape(6, 6)
         rep.info["rotation_spread"] = float(np.max(by_k.max(axis=1) - by_k.min(axis=1)))
     return rep
+
+
+def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:
+    """Every alpha among the nine points of J around z's rounded lattice
+    coordinates with z - alpha in U; the tiling gives exactly one."""
+    # rounded lattice coordinates m = 2x/3, n = y - x/3, in pure integers
+    a, b, c = z.a, z.b, z.c
+    m0, n0 = (4 * a + 3 * c) // (6 * c), (2 * (3 * b - a) + 3 * c) // (6 * c)
+    return [
+        alpha
+        for dm, dn in _OFFSETS
+        if in_U(z - embed(alpha := j_element(m0 + dm, n0 + dn)))
+    ]
+
+
+def region_area_flux(arcs: ArcQuadrature) -> float:
+    """Exact-area cross-check: the field u/2 has divergence one."""
+    return float(np.sum(np.real(arcs.nodes / 2 * np.conj(arcs.normals))
+                        * arcs.weights))
+
+
+def _sextant_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and area weights of a Gauss rule over U that ignores the cells.
+
+    Each sextant triangle (0, v_s, v_{s+1}) is cut at the midpoint of its
+    outer edge into two triangles, each mapped to the square by a Duffy
+    transform from its vertex on the unit circle.  The radius is graded
+    toward the vertex, and the angle toward both sides, which the cusps of
+    the cells hug.  The jumps of h across cell boundaries limit the rule to
+    about 1e-3, so it grades only to 1e-2.
+    """
+    r, wr = _graded_rule(1.0, True, False, 1e-2, 0.5, n)
+    f, wf = _graded_rule(1.0, True, True, 1e-2, 0.5, n)
+    zs, ws = [], []
+    for s in range(6):
+        v0, v1 = _ROOTS[s], _ROOTS[(s + 1) % 6]
+        mid = 0.5 * (v0 + v1)
+        for vert, a, b in ((v0, mid, 0j), (v1, 0j, mid)):
+            # z = vert + r*((a - vert) + f*(b - a)), Jacobian r * 2 * area
+            jac = abs((np.conj(a - vert) * (b - a)).imag)
+            zs.append((vert + r[:, None] * ((a - vert) + f * (b - a))).ravel())
+            ws.append(((r * wr * jac)[:, None] * wf).ravel())
+    return np.concatenate(zs), np.concatenate(ws)
+
+
+def density_integral(quad) -> tuple[float, float]:
+    """Total mass of the density h of `quad`, an `ergodic.Quadrature`, by the
+    cell-blind sextant rule (should be ~ 1).
+
+    Returns the fine rule's value and its difference from the coarse rule's;
+    nodes in a boundary band count as 0."""
+    vals = []
+    for n in _RULES:
+        z, w = _sextant_rule(n)
+        vals.append(float(np.sum(w * np.nan_to_num(quad.density(z), nan=0.0))))
+    return vals[-1], abs(vals[-1] - vals[0])

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import importlib
 import inspect
 import json
 import pkgutil
 import math
+import re
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import eisencf
 from eisencf.cli import RunConfig, _ratio, build_parser, main
 from eisencf.exact import BAND, EisensteinInt, embed
 from eisencf.verifier import CHECKS
+from test_bench_surface import WORKER_IMPORTS
 
 
 def run(capsys, *argv):
@@ -47,6 +50,62 @@ EXPAND_PINS = {
     ("--z", "123456789012345678901/300000000000000000000+1/7r", "--digits", "60"):
     "f504f8aec3ee962da68e563eb89fdfdc2fcd72f3ae8f6ab289a5997d3fc167a7",
 }
+
+# command lines that together run every def in src/eisencf but those below
+TRACED_COMMANDS = [
+    ["expand", "--z", "123456789012345678901/300000000000000000000+1/7r",
+     "--digits", "60"],
+    ["expand", "--z", "-1/2-1/2r"],
+    ["expand", "--z", "0+0r"],
+    ["verify", "all", "--samples", "10"],
+    ["levy", "--orbits", "2", "--length", "100", "--samples", "1000"],
+    ["density", "--grid", "4"],
+    ["render", "regions"],
+]
+# the defs that no command runs, each with its reason; the benchmark-only
+# ones are the names of WORKER_IMPORTS
+NOT_RUN = {
+    "_util.CheckReport.fail": "runs only when a check fails",
+    "cf.ConvergentPair.det": "value-type algebra the tests use",
+    "exact.FieldElement.conj": "value-type algebra the tests use",
+    "exact.FieldElement.to_eisenstein": "value-type algebra the tests use",
+}
+# runs TRACED_COMMANDS under a profiler and prints (file, first line) of
+# every code object of the package that was called
+TRACE = """
+import json, sys
+argvs, out = json.loads(sys.argv[1]), sys.argv[2]
+ran = set()
+def note(frame, event, arg):
+    if event == "call" and "eisencf" in frame.f_code.co_filename:
+        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(note)
+from eisencf.cli import main
+for i, argv in enumerate(argvs):
+    assert main([*argv, "--out", f"{out}/{i}"]) == 0, argv
+sys.setprofile(None)
+print(json.dumps(sorted(ran)))
+"""
+
+
+def src_functions():
+    """{(file, first line): module-qualified name} of every def in
+    src/eisencf.  A decorated def's code starts at its first decorator."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    line = min([d.lineno for d in child.decorator_list], default=child.lineno)
+                    found[(path, line)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in Path(eisencf.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), str(path.resolve()), f"{path.stem}.")
+    return found
 
 
 class TestExpand:
@@ -126,6 +185,18 @@ class TestExpand:
                 "r.build_catalog(); "
                 "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))")
         assert fresh_python("-c", code).splitlines()[-1] == "[]"
+
+    def test_src_holds_only_what_runs(self, tmp_path):
+        # a fresh interpreter, so no catalogue cached by another test hides a
+        # call; whatever only a test calls belongs in tests/oracles.py
+        out = fresh_python("-c", TRACE, json.dumps(TRACED_COMMANDS), str(tmp_path))
+        ran = {(str(Path(f).resolve()), line) for f, line in json.loads(out.splitlines()[-1])}
+        exempt = set(NOT_RUN) | {f"{mod.removeprefix('eisencf.')}.{name}"
+                                 for mod, names in WORKER_IMPORTS.items() for name in names}
+        unrun = sorted(name for key, name in src_functions().items()
+                       if key not in ran and name not in exempt
+                       and not re.fullmatch(r"__\w+__", name.rsplit(".", 1)[-1]))
+        assert unrun == [], f"run by no command: {', '.join(unrun)}"
 
     def test_expand_artifacts_are_pinned(self, capsys, tmp_path):
         for argv, digest in EXPAND_PINS.items():

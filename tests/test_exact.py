@@ -197,6 +197,14 @@ class TestValueSemantics:
         assert (e == (1, -2)) is False and e.__eq__((1, -2)) is NotImplemented
         assert repr(e) == "EisensteinInt(a=1, b=-2)"
 
+    def test_field_element(self):
+        f = FieldElement(1, 1, 3)
+        assert hash(f) == hash((1, 1, 3))
+        assert (f == (1, 1, 3)) is False and f.__eq__((1, 1, 3)) is NotImplemented
+        assert repr(f) == "FieldElement(1, 1, 3)"
+        assert FieldElement(2, 2, 6) == f   # stored in lowest terms
+        assert not hasattr(f, "__dict__")
+
 
 class TestTextAndJson:
     @pytest.mark.parametrize("text,x,y", [

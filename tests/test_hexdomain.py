@@ -12,7 +12,8 @@ from eisencf.exact import (
     j_element,
 )
 from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, t_step
-from eisencf.hexdomain import _nearest, floor_J, floor_J_candidates, in_U, in_U0
+from eisencf.hexdomain import _nearest, floor_J, in_U, in_U0
+from oracles import floor_J_candidates
 
 
 def nearest_digits_search(w, tol=1e-12):

@@ -15,13 +15,14 @@ from eisencf.exact import (
     embed, j_element,
 )
 from eisencf.hexdomain import (
-    DomainError, _in_U, _nearest, floor_J, floor_J_candidates, in_U, in_U0,
+    DomainError, _in_U, _nearest, floor_J, in_U, in_U0,
 )
 from eisencf.regions import (
     BoundaryPoint, Primitive, _box_range, _box_row, build_catalog, cell_of,
     rational_points_on,
 )
 from eisencf.verifier import _claim_table, _pullback, dual_inclusion_blocks
+from oracles import floor_J_candidates
 from test_verifier import HAND_CLAIMS
 
 CAT = build_catalog()
