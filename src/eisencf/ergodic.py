@@ -25,7 +25,9 @@ turned by zeta^(l-1), and V_{3,1} and V_{5,1} with their dual cells are the
 mirror images of V_{2,1} and V_{4,1} with theirs under z -> zeta*conj(z),
 which leaves the kernel's integrals unchanged; so only four base cells are
 integrated.  Each integral comes from a coarse and a fine rule; the fine
-value is reported with their difference as its error.
+value is reported with their difference as its error.  These integrals and
+the flux rules depend on no input, so they are built once per process
+(`_base_quadrature`); only the seeded pair check below runs per request.
 
 For the growth rate two independent routes are produced: the Birkhoff
 average above, and the space average
@@ -46,9 +48,11 @@ call serving both; every step is elementwise, so the bytes do not move.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,8 +236,9 @@ def _singular(z: complex) -> bool:
 # boundary-flux evaluation of the dual-cell kernel integral
 # --------------------------------------------------------------------------
 
-@dataclass
-class ArcQuadrature:
+class ArcQuadrature(NamedTuple):
+    """A flux rule; immutable, with read-only arrays, because one rule
+    serves every request of a process."""
     nodes: np.ndarray    # complex points on the boundary arcs
     normals: np.ndarray  # outward unit normals (complex)
     weights: np.ndarray  # Gauss weight * arc radius * half-span
@@ -254,8 +259,10 @@ def region_arc_quadrature(reg: Region, n: int = _RULES[-1]) -> ArcQuadrature:
         nodes.append(pc.at(pc.t1 + t))
         normals.append(pc.normal(pc.t1 + t))
         weights.append(w * (pc.radius or 1.0))
-    return ArcQuadrature(np.concatenate(nodes), np.concatenate(normals),
-                         np.concatenate(weights))
+    arrays = [np.concatenate(a) for a in (nodes, normals, weights)]
+    for a in arrays:
+        a.setflags(write=False)
+    return ArcQuadrature(*arrays)
 
 
 # (z, node) pairs per block of kernel_integral, which bounds its working
@@ -357,15 +364,15 @@ def _cell_integrals(cat: Catalog, kl: tuple[int, int],
     return float(wg.sum()), float(-(np.log(np.abs(z)) * wg).sum()), arcs
 
 
-def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
-                seed: int, tol: float) -> tuple[float, float, float]:
+def _pair_check(kl: tuple[int, int], cell: tuple[Region, Region, tuple, tuple],
+                m: int, seed: int, tol: float) -> tuple[float, float, float]:
     """Pair-sampled integral of the kernel with the uninverted weight
     -log|u| = log|w| over V_kl x (Vstar_kl)^-1, from m uniform pairs in the
     two boxes drawn from the cell's own stream of seed: (value, stderr,
-    smallest |z*u - 1| of a pair inside)."""
+    smallest |z*u - 1| of a pair inside).  `cell` is (V_kl, (Vstar_kl)^-1,
+    and their two bounding boxes)."""
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
-    v, u_reg = cat.v_cells[kl], cat.v_star[kl].invert()
-    box, ub = v.bbox_real(), u_reg.bbox_real()
+    v, u_reg, box, ub = cell
     zp = rng.uniform(box[0], box[1], m) + 1j * rng.uniform(box[2], box[3], m)
     u = rng.uniform(ub[0], ub[1], m) + 1j * rng.uniform(ub[2], ub[3], m)
     both = (v.inside_xy(zp.real, zp.imag / SQRT3, tol)
@@ -378,6 +385,53 @@ def _pair_check(cat: Catalog, kl: tuple[int, int], m: int,
     return (scale * float((kern * logu).mean()),
             scale * float((kern * logu).std(ddof=1)) / math.sqrt(m),
             float(dist[both].min()) if both.any() else math.inf)
+
+
+class _Base(NamedTuple):
+    """The input-free part of a `Quadrature`, and per base cell V_{k,1} what
+    `_pair_check` samples from."""
+    c0: float
+    c0_err: float
+    levy_integral: float
+    levy_err: float
+    masses: dict[int, float]
+    arcs: dict[int, ArcQuadrature]
+    pair_cells: dict[int, tuple[Region, Region, tuple, tuple]]
+
+
+@functools.cache
+def _base_quadrature() -> _Base:
+    """The cell integrals, flux rules and pair-check regions, which depend
+    on no input, built once per process like the catalogue.
+
+    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
+    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
+    their mirror images, and every V_{k,l} those of V_{k,1}.
+    """
+    cat = build_catalog()
+    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
+    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
+    duals = {k: cat.v_star[(k, 1)].invert() for k in range(1, 7)}
+
+    # an integrated cell stands for its rotations and its mirror image's
+    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
+
+    def c0_and_levy(rule):
+        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
+        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
+
+    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
+    return _Base(
+        c0=c0,
+        c0_err=abs(c0 - c0_coarse),
+        levy_integral=levy,
+        levy_err=abs(levy - levy_coarse),
+        masses={k: fine[MIRROR_PAIRS.get(k, k)][0] for k in range(1, 7)},
+        arcs={k: fine[k][2] if k in fine else region_arc_quadrature(duals[k])
+              for k in range(1, 7)},
+        pair_cells={k: (cat.v_cells[(k, 1)], u, cat.v_cells[(k, 1)].bbox_real(),
+                        u.bbox_real()) for k, u in duals.items()},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -436,37 +490,24 @@ def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
                                   tol: float = BAND) -> Quadrature:
     """Normalizing constant and the invariant growth-rate integral.
 
-    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
-    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
-    their mirror images, and every V_{k,l} those of V_{k,1}.  quad_samples
-    sizes only the pair-sampled cross-check: a third of it in (z, u) pairs
-    over the six base cells, drawn from seed and banded by tol.
+    Both come from `_base_quadrature`, built on the first call.
+    quad_samples sizes only the pair-sampled cross-check: a third of it in
+    (z, u) pairs over the six base cells, drawn from seed and banded by tol.
     """
-    cat = build_catalog()
-    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
-    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
-    logu, logu_err, dist = zip(*(_pair_check(cat, (k, 1), max(200, quad_samples // 18),
-                                             seed, tol) for k in range(1, 7)))
-
-    # an integrated cell stands for its rotations and its mirror image's
-    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
-
-    def c0_and_levy(rule):
-        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
-        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
-
-    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
+    b = _base_quadrature()
+    logu, logu_err, dist = zip(*(_pair_check((k, 1), cell, max(200, quad_samples // 18),
+                                             seed, tol) for k, cell in b.pair_cells.items()))
     return Quadrature(
-        c0=c0,
-        c0_err=abs(c0 - c0_coarse),
-        levy_integral=levy,
-        levy_err=abs(levy - levy_coarse),
-        levy_integral_pairs=6 * c0 * sum(logu),
-        levy_pairs_err=6 * c0 * math.sqrt(sum(e**2 for e in logu_err)),
+        c0=b.c0,
+        c0_err=b.c0_err,
+        levy_integral=b.levy_integral,
+        levy_err=b.levy_err,
+        levy_integral_pairs=6 * b.c0 * sum(logu),
+        levy_pairs_err=6 * b.c0 * math.sqrt(sum(e**2 for e in logu_err)),
         min_kernel_dist=min(dist),
-        masses={k: fine[MIRROR_PAIRS.get(k, k)][0] for k in range(1, 7)},
-        arcs={k: fine[k][2] if k in fine else
-              region_arc_quadrature(cat.v_star[(k, 1)].invert()) for k in range(1, 7)},
+        # the caller's own dicts, of the shared read-only rules
+        masses=dict(b.masses),
+        arcs=dict(b.arcs),
     )
 
 

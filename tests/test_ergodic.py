@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,6 +10,7 @@ from eisencf.cf import Truncated, convergents, expand
 from eisencf import ergodic
 from eisencf.ergodic import (
     CELLS,
+    Quadrature,
     _cell_integrals,
     _cell_rule,
     _ROOTS,
@@ -313,6 +315,44 @@ class TestQuadrature:
             mass_j, levy_j, _ = _cell_integrals(CAT, (j, 1), _RULES[-1])
             assert abs(mass / mass_j - 1) < 1e-9, k
             assert abs(levy / levy_j - 1) < 1e-9, k
+
+    def test_rules_are_built_once_and_shared_read_only(self, monkeypatch):
+        calls = []
+
+        def counted(cat, kl, n):
+            calls.append((kl, n))
+            return _cell_integrals(cat, kl, n)
+
+        monkeypatch.setattr(ergodic, "_cell_integrals", counted)
+        ergodic._base_quadrature.cache_clear()
+        first = estimate_C0_and_levy_integral(quad_samples=1000, seed=31)
+        second = estimate_C0_and_levy_integral(quad_samples=4000, seed=32)
+        ergodic_report(orbits=2, length=10, quad_samples=200, seed=33)
+        # one build: the four base cells, each by the coarse and the fine rule
+        assert sorted(calls) == sorted(((k, 1), n) for k in (1, 2, 4, 6) for n in _RULES)
+        ergodic._base_quadrature.cache_clear()
+        cold = estimate_C0_and_levy_integral(quad_samples=1000, seed=31)
+        assert len(calls) == 2 * 4 * len(_RULES)
+        pair_fields = {"levy_integral_pairs", "levy_pairs_err", "min_kernel_dist"}
+        for quad in (first, second):
+            for f in dataclasses.fields(Quadrature):
+                got, ref = getattr(quad, f.name), getattr(cold, f.name)
+                if f.name == "arcs":
+                    assert got.keys() == ref.keys()
+                    assert all(np.array_equal(a, b) for k in got
+                               for a, b in zip(got[k], ref[k]))
+                elif f.name not in pair_fields or quad is first:
+                    assert got == ref, f.name
+        # every request gets its own dicts of the one set of read-only rules
+        assert first.arcs[4] is second.arcs[4] and first.arcs is not second.arcs
+        mass = cold.masses[4]
+        cold.masses[4] = 0.0
+        assert estimate_C0_and_levy_integral(1000, 31).masses[4] == mass > 0
+        for a in cold.arcs[3]:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        with pytest.raises(AttributeError):
+            cold.arcs[3].nodes = cold.arcs[3].nodes.copy()
 
     def test_cell_integrals_against_refined_rules(self):
         # both rules with four times the nodes per panel
