@@ -58,7 +58,7 @@ import numpy as np
 
 from ._util import derive_seed
 from .exact import BAND
-from .floatpath import SQRT3, U_BOX, _alive, _round, hex_margin
+from .floatpath import SQRT3, U_BOX, _alive, _digit, _stacks, hex_margin
 from .regions import (MIRROR_PAIRS, Catalog, Piece, Region, build_catalog,
                       classify_cells_complex)
 
@@ -96,10 +96,11 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
     """simulate_orbits for each seed, stepped side by side in one array.
 
     Each round draws every unfinished batch's fresh starts from its own
-    stream and steps them together.  A step is only the rounding and the
-    dual recurrence w -> 1/w - alpha, written into block buffers of z and
-    w; the alive mask, log|w| and the per-batch copies are then taken once
-    per block.  A batch whose orbits all survive keeps them without a copy.
+    stream and steps them together.  The state is one (2, n) row per step,
+    z on top and w below, so one divide and one subtract of the digit serve
+    z -> 1/z - alpha and the dual recurrence w -> 1/w - alpha alike; the
+    alive mask, log|w| and the per-batch copies are then taken once per
+    block.  A batch whose orbits all survive keeps them without a copy.
     """
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
             for s in seeds]
@@ -114,35 +115,34 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
         sls = [slice(hi - need[b], hi) for b, hi in zip(live, ends)]
         lws = [np.empty((need[b], length)) for b in live]
         zzs = [np.empty((need[b], length), dtype=np.complex128) for b in live]
-        # z and w of up to _BLOCK steps, one row per step, after the row
-        # carried in from the last block (row 0: the starts, and no w yet)
-        zs = np.empty((_BLOCK + 1, ends[-1]), dtype=np.complex128)
-        ws = np.empty_like(zs)
-        zs[0] = np.concatenate(z0)
+        # (z, w) of up to _BLOCK steps after the row carried in from the
+        # last block (row 0: the starts, and a w the first step overwrites)
+        zw = np.zeros((_BLOCK + 1, 2, ends[-1]), dtype=np.complex128)
+        zw[0, 0] = np.concatenate(z0)
         # row views made once: indexing them anew each step took about a
         # tenth of the loop's time
-        zr, wr = list(zs), list(ws)
-        alive = np.ones(zs.shape[1], dtype=bool)
+        rows, stacks = list(zw), _stacks(zw.shape[2])
+        tops = [r[0] for r in rows]
+        alive = np.ones(zw.shape[2], dtype=bool)
         with np.errstate(all="ignore"):
             for k0 in range(0, length, _BLOCK):
                 n = min(_BLOCK, length - k0)
                 for j in range(n):
-                    alpha = _round(zr[j], zr[j + 1])
-                    if k0 + j:
-                        np.subtract(np.divide(1.0, wr[j], out=wr[j + 1]), alpha,
-                                    out=wr[j + 1])
-                    else:
-                        np.negative(alpha, out=wr[1])
+                    np.divide(1.0, rows[j], out=rows[j + 1])
+                    alpha = _digit(tops[j + 1], stacks)
+                    np.subtract(rows[j + 1], alpha, out=rows[j + 1])
+                    if not k0 + j:   # w_1 = -alpha: the start has no w
+                        np.negative(alpha, out=rows[1][1])
                 # a dead orbit's column runs on as garbage and is never
                 # read, so its mask can wait for the end of the block: each
                 # test is elementwise, and the AND of a block's rows is the
                 # AND taken step by step
-                alive &= _alive(zs[:n], zs[1:n + 1], tol).all(axis=0)
-                log_w = np.log(np.abs(ws[1:n + 1]))
+                alive &= _alive(zw[:n, 0], zw[1:n + 1, 0], tol).all(axis=0)
+                log_w = np.log(np.abs(zw[1:n + 1, 1]))
                 for sl, lw, zz in zip(sls, lws, zzs):
                     lw[:, k0:k0 + n] = log_w[:, sl].T
-                    zz[:, k0:k0 + n] = zs[1:n + 1, sl].T
-                zs[0], ws[0] = zs[n], ws[n]
+                    zz[:, k0:k0 + n] = zw[1:n + 1, 0, sl].T
+                zw[0] = zw[n]
         for b, sl, *arrays in zip(live, sls, z0, lws, zzs):
             ok = alive[sl]
             kept[b].append(arrays if ok.all() else [a[ok] for a in arrays])

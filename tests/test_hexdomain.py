@@ -315,6 +315,27 @@ class TestStepBitwise:
             if tol == 1e-16:
                 assert 0 < alive.sum() < alive.size
 
+    def test_near_ties_on_every_voronoi_edge(self):
+        # w on each edge of U, which J's Voronoi cells share: two of them
+        # tie rounding within a lattice, four tie the choice of lattice, by
+        # 3 dt^2 + du^2; moved 0 and 1e-16 ... 1e-9 off the edge, and by a
+        # digit of J
+        rng = np.random.default_rng(84)
+        verts = np.exp(1j * np.pi / 3 * np.arange(7))
+        t = np.concatenate([[0.5], rng.uniform(0.01, 0.99, 40)])
+        edges = verts[:-1, None] * (1 - t) + verts[1:, None] * t
+        normal = np.exp(1j * (np.pi / 6 + np.pi / 3 * np.arange(6)))[:, None]
+        off = np.concatenate([[0.0], 10.0 ** np.arange(-16, -8.5)])
+        off = np.concatenate([off, -off[1:]])
+        m = rng.integers(-30, 30, (6, t.size, 1))
+        n = rng.integers(-30, 30, (6, t.size, 1))
+        w = ((edges + off[:, None, None] * normal).transpose(1, 2, 0)
+             + m * ETA_C + n * S3_C).ravel()
+        w = w[np.abs(w) > 1.5]
+        for tol in (1e-12, 1e-14, 1e-16):
+            alive, _ = self._same(1.0 / w, tol)
+            assert 0 < alive.sum() < alive.size
+
     def test_zero_and_the_underflow_threshold(self):
         phase = np.exp(1j * np.array([0.0, 0.3, 1.0, 2.5, -2.0]))
         mods = np.array([0.0, 5e-324, 1e-300, 9.999999999999999e-16, 1e-15,

@@ -32,6 +32,7 @@ from eisencf.regions import (
     half_plane,
     rational_points_on,
     _disk,
+    _sextant_tables,
 )
 from eisencf.verifier import DEPTH, U0_BOX
 
@@ -567,6 +568,47 @@ class TestFloatClassification:
             got = (gx[inside].min(), gx[inside].max(), gy[inside].min(), gy[inside].max())
             step = max(xs[1] - xs[0], ys[1] - ys[0])
             assert np.allclose(got, (xlo, xhi, ylo, yhi), rtol=0, atol=step), reg.name
+
+
+class TestCellLookup:
+    """`classify_cells_complex` reads a per-sextant table of distinct rows,
+    built once, against the cell-by-cell reference."""
+
+    def test_thirteen_rows_and_54_references_per_sextant(self):
+        for s, (coef, scale, refs, cells) in enumerate(_sextant_tables()):
+            rows = [tuple(r) for r in coef.tolist()]
+            assert len(rows) == len(set(rows)) == 13 and scale.shape == (13, 1)
+            assert sum(len(CAT.v_cells[(k, s + 1)]._ints) for k in range(1, 7)) == 54
+            for k, ref in enumerate(refs.tolist(), 1):
+                # every row of the cell, found up to sign, and nothing else
+                want = set()
+                for qq, bx, by, dd, _ in CAT.v_cells[(k, s + 1)]._ints:
+                    if (qq, bx, by, dd) in rows:
+                        want.add(rows.index((qq, bx, by, dd)))
+                    else:
+                        want.add(13 + rows.index((-qq, -bx, -by, -dd)))
+                assert set(ref) == want
+                assert cells[7 - k] == 6 * (k - 1) + s
+            assert cells[0] == -1
+
+    def test_tables_are_read_only(self):
+        for table in _sextant_tables():
+            for a in table:
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 0
+
+    def test_orbit_points_match_all_cells(self):
+        from eisencf.ergodic import simulate_orbits
+        z = simulate_orbits(8, 2000, 7).points.ravel()
+        got = classify_cells_complex(z, CAT)
+        assert np.array_equal(got, classify_cells_loop(z)) and (got >= 0).all()
+        # finite, but x^2 + 3y^2 overflows
+        huge = np.array([complex(1e200, 1e200), complex(-1e200, 1e100)])
+        assert (classify_cells_complex(huge) == -1).all()
+
+    def test_only_the_built_catalog(self):
+        with pytest.raises(ValueError):
+            classify_cells_complex(np.zeros(3, complex), CAT._replace(u0=CAT.u0.rotate(1)))
 
 
 class TestBoundary:
