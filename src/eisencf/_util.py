@@ -1,9 +1,8 @@
 """Shared helpers: deterministic seed derivation, canonical JSON and the
-check report shared by the verifier and the ergodic code."""
+verifier's check report."""
 
 from __future__ import annotations
 
-import time
 from json.encoder import encode_basestring_ascii as _json_str
 
 
@@ -85,19 +84,10 @@ def _json_text(o, nl: str) -> str:
 
 
 class CheckReport:
-    """Outcome of one check; as a context manager it times its block into
-    ``elapsed``, which ``as_dict`` leaves out: artifacts stay byte-stable."""
+    """Outcome of one check."""
 
     def __init__(self, name: str):
-        self.name, self.samples, self.failures, self.elapsed, self.info = name, 0, [], 0.0, {}
-
-    def __enter__(self) -> CheckReport:
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.elapsed = time.perf_counter() - self._t0
-        return False
+        self.name, self.samples, self.failures, self.info = name, 0, [], {}
 
     @property
     def verdict(self) -> str:

@@ -1,8 +1,9 @@
 """Executable checks for the identities and classifications of the system.
 
 The finite range structure and the dual inclusions are proved on exact box
-trees (`Region.box_tree`); the other checks draw exact points from a stream
-derived deterministically from (master seed, check name).  Every check
+trees (`Region.box_tree`), once per process through `CHECKS`, as they depend
+on no input; the other checks draw exact points from a stream derived
+deterministically from (master seed, check name).  Every check
 returns a machine-readable CheckReport whose verdict is PASS exactly when no
 counterexample was found.
 
@@ -24,6 +25,7 @@ the symmetry.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -121,23 +123,23 @@ def verify_inversions(seed: int = 0) -> CheckReport:
     exact rational points on the source must land exactly on the target.
     """
     rng = random.Random(derive_seed(seed, "inversions"))
-    with CheckReport("inversions") as rep:
-        for name, src, tgt in _inversion_families():
-            inv = src.invert()
-            if (inv.qq, inv.bx, inv.by, inv.dd) != (tgt.qq, tgt.bx, tgt.by, tgt.dd):
-                rep.fail(family=name, kind="coefficients", got=str(inv))
-                continue
-            pts: list[FieldElement] = []
-            while len(pts) < _POINTS_PER_FAMILY:
-                t = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
-                for z in rational_points_on(src, [t]):
-                    if not z.is_zero():
-                        pts.append(z)
-            for z in pts:
-                w = z.inv()
-                rep.samples += 1
-                if tgt.value_int(w) != 0:
-                    rep.fail(family=name, kind="point", z=str(z), w=str(w))
+    rep = CheckReport("inversions")
+    for name, src, tgt in _inversion_families():
+        inv = src.invert()
+        if (inv.qq, inv.bx, inv.by, inv.dd) != (tgt.qq, tgt.bx, tgt.by, tgt.dd):
+            rep.fail(family=name, kind="coefficients", got=str(inv))
+            continue
+        pts: list[FieldElement] = []
+        while len(pts) < _POINTS_PER_FAMILY:
+            t = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
+            for z in rational_points_on(src, [t]):
+                if not z.is_zero():
+                    pts.append(z)
+        for z in pts:
+            w = z.inv()
+            rep.samples += 1
+            if tgt.value_int(w) != 0:
+                rep.fail(family=name, kind="point", z=str(z), w=str(w))
     return rep
 
 
@@ -301,11 +303,11 @@ def verify_frs() -> CheckReport:
     (`_frs_pairs`).  Deeper images follow by induction: T^n<b_1 ... b_n> =
     T(P & <b_n>) for the prefix image P = T^(n-1)<b_1 ... b_(n-1)>, and T is
     a Moebius map on each cylinder, so equalities up to null sets compose."""
-    with CheckReport("finite_range_structure") as rep:
-        entries = [_frs_entry(rep, source, alpha) for source, alpha in _frs_pairs()]
-        rep.info.update(claims=len(entries), digit_norm=FRS_NORM, symmetries=12,
-                        nulls=sum(e["target"] is None for e in entries))
-        _residue_info(rep, {e["name"]: e["residues"] for e in entries})
+    rep = CheckReport("finite_range_structure")
+    entries = [_frs_entry(rep, source, alpha) for source, alpha in _frs_pairs()]
+    rep.info.update(claims=len(entries), digit_norm=FRS_NORM, symmetries=12,
+                    nulls=sum(e["target"] is None for e in entries))
+    _residue_info(rep, {e["name"]: e["residues"] for e in entries})
     return rep
 
 
@@ -391,11 +393,11 @@ def verify_dual_inclusions() -> CheckReport:
     2 and 4 onto them (module docstring).  A term or an ordered pair of
     terms that recurs across blocks is proved once per call."""
     proofs = _dual_proofs()
-    with CheckReport("dual_inclusions") as rep:
-        rep.info["symmetries"] = 12
-        rep.info["mirrors"] = {str(k): j for k, j in MIRROR_PAIRS.items()}
-        _residue_info(rep, {str(tgt_k): _certify_block(rep, tgt_k, terms, proofs)
-                            for tgt_k, terms in dual_inclusion_blocks().items()})
+    rep = CheckReport("dual_inclusions")
+    rep.info["symmetries"] = 12
+    rep.info["mirrors"] = {str(k): j for k, j in MIRROR_PAIRS.items()}
+    _residue_info(rep, {str(tgt_k): _certify_block(rep, tgt_k, terms, proofs)
+                        for tgt_k, terms in dual_inclusion_blocks().items()})
     return rep
 
 
@@ -403,27 +405,27 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
     """Along exact orbits, -q_n/q_{n-1} lies in the closed dual cell of z_n."""
     cat = build_catalog()
     rng = random.Random(derive_seed(seed, "dualorbit"))
-    with CheckReport("dual_orbit") as rep:
-        done = 0
-        while done < samples:
-            z = random_orbit_seed(rng, max(12, depth))
-            e = expand(z, depth)
-            if not isinstance(e.terminal, Truncated):
-                continue  # terminated early; resample (special orbits are
-                # covered by the special-point check)
-            convs = convergents(e.digits)
-            done += 1
-            for n in range(1, depth + 1):
-                try:  # 0, -zeta and conj(zeta), only ever the last point, are boundary points
-                    kl = cell_of(e.points[n])
-                except BoundaryPoint:
-                    continue
-                if convs[n].q_prev.is_zero():
-                    continue
-                ratio = convs[n].dual_ratio()
-                rep.samples += 1
-                if not cat.v_star[kl].contains(ratio, closed=True):
-                    rep.fail(z=str(z), n=n, cell=kl, ratio=str(ratio))
+    rep = CheckReport("dual_orbit")
+    done = 0
+    while done < samples:
+        z = random_orbit_seed(rng, max(12, depth))
+        e = expand(z, depth)
+        if not isinstance(e.terminal, Truncated):
+            continue  # terminated early; resample (special orbits are
+            # covered by the special-point check)
+        convs = convergents(e.digits)
+        done += 1
+        for n in range(1, depth + 1):
+            try:  # 0, -zeta and conj(zeta), only ever the last point, are boundary points
+                kl = cell_of(e.points[n])
+            except BoundaryPoint:
+                continue
+            if convs[n].q_prev.is_zero():
+                continue
+            ratio = convs[n].dual_ratio()
+            rep.samples += 1
+            if not cat.v_star[kl].contains(ratio, closed=True):
+                rep.fail(z=str(z), n=n, cell=kl, ratio=str(ratio))
     return rep
 
 
@@ -496,21 +498,21 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
     on every boundary segment/arc, and preimages of the special vertices."""
     cat = build_catalog()
     rng = random.Random(derive_seed(seed, "monotone"))
-    with CheckReport("monotonicity") as rep:
-        digits10 = max(20, int(0.65 * depth))
-        done = 0
-        while done < samples:
-            z = random_orbit_seed(rng, digits10)
-            e = expand(z, depth)
-            _check_monotone(rep, list(e.digits), "generic")
-            done += 1
-        for j in range(1, 13):
-            for z in _segment_points(rep, cat, j, rng, max(3, samples // 50)):
-                e = expand(z, min(depth, 40))
-                _check_monotone(rep, list(e.digits), f"L{j}")
-        for _, z, _ in special_preimages(rng, max(3, samples // 20)):
+    rep = CheckReport("monotonicity")
+    digits10 = max(20, int(0.65 * depth))
+    done = 0
+    while done < samples:
+        z = random_orbit_seed(rng, digits10)
+        e = expand(z, depth)
+        _check_monotone(rep, list(e.digits), "generic")
+        done += 1
+    for j in range(1, 13):
+        for z in _segment_points(rep, cat, j, rng, max(3, samples // 50)):
             e = expand(z, min(depth, 40))
-            _check_monotone(rep, list(e.digits), "special_preimage")
+            _check_monotone(rep, list(e.digits), f"L{j}")
+    for _, z, _ in special_preimages(rng, max(3, samples // 20)):
+        e = expand(z, min(depth, 40))
+        _check_monotone(rep, list(e.digits), "special_preimage")
     return rep
 
 
@@ -532,75 +534,75 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
     """
     cat = build_catalog()
     rng = random.Random(derive_seed(seed, "special"))
-    with CheckReport("special_points") as rep:
-        rep.info["zeta_bar_digits"] = [str(d) for d in SPECIAL_PERIOD[ZETA_BAR]]
-        rep.info["zeta_bar_rejected"] = [str(d) for d in REJECTED_ZETA_BAR_PERIOD]
-        # (a) exact error law and (b) ratio-track membership, one pass per vertex
-        for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
-            cs = convergents(special_digits(point, _SPECIAL_DEPTH))
-            prev_norm = 0
-            for n in range(1, _SPECIAL_DEPTH + 1):
-                rep.samples += 1
-                qn = cs[n].q.norm()
-                if qn <= prev_norm:
-                    rep.fail(kind="q_growth", point=tag, n=n)
-                prev_norm = qn
-                if (point - cs[n].ratio()).abs_sq() * qn != 1:
-                    rep.fail(kind="error_law", point=tag, n=n)
-                if cs[n].q_prev.is_zero():
-                    continue
-                ratio = cs[n].dual_ratio()
-                rep.samples += 1
-                if not cat.s_sets[(tag, n % 4)].contains(ratio):
-                    rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
-            rep.info[f"{tag}_err_at_{_SPECIAL_DEPTH}"] = float(
-                math.sqrt(1.0 / cs[_SPECIAL_DEPTH].q.norm()))
-        # oracle: the rejected candidate misses conj(zeta)
-        rej = convergents([REJECTED_ZETA_BAR_PERIOD[i % 4] for i in range(_SPECIAL_DEPTH)])
-        rej_err = abs(rej[_SPECIAL_DEPTH].ratio().approx() - ZETA_BAR.approx())
-        rep.info["zeta_bar_rejected_err"] = rej_err
-        if rej_err < 1e-3:
-            rep.fail(kind="oracle", msg="rejected digit list reaches conj(zeta)")
-        # (c) forced cycles along the boundary segments
-        chains = {1: (ETAS[5], 7, ETAS[5], 10),
-                  2: (ETAS[3], 9, ETAS[1], 11),
-                  3: (ETAS[1], 8, ETAS[3], 12)}
-        for j, (d1e, arc1, d2e, arc2) in chains.items():
-            for z in _segment_points(rep, cat, j, rng, max(4, samples // 10)):
-                rep.samples += 1
-                try:
-                    d1, z1 = step_T(z)
-                    if d1 != d1e or not cat.segments[arc1].contains(z1):
-                        rep.fail(kind="cycle", frm=f"L{j}", z=str(z))
-                        continue
-                    d2, z2 = step_T(z1)
-                    if d2 != d2e or not cat.segments[arc2].contains(z2):
-                        rep.fail(kind="cycle2", frm=f"L{j}", z=str(z1))
-                except OrbitSignal:
-                    continue
-        # closure of the twelve-curve track
-        for j in range(1, 13):
-            for z in _segment_points(rep, cat, j, rng, max(3, samples // 20)):
-                cur = z
-                for _ in range(6):
-                    try:
-                        _, cur = step_T(cur)
-                    except OrbitSignal:
-                        break
-                    if cur.is_zero() or cur == MINUS_ZETA or cur == ZETA_BAR:
-                        break
-                    rep.samples += 1
-                    if not any(r.contains(cur) for r in cat.segments.values()):
-                        rep.fail(kind="track_escape", frm=f"L{j}", z=str(cur))
-                        break
-        # (d) special preimages: ratio lands in cl(Vstar_6_5)
-        tgt = cat.v_star[(6, 5)]
-        for point, _, digs in special_preimages(rng, max(4, samples // 8)):
-            ratio = convergents(digs)[-1].dual_ratio()
+    rep = CheckReport("special_points")
+    rep.info["zeta_bar_digits"] = [str(d) for d in SPECIAL_PERIOD[ZETA_BAR]]
+    rep.info["zeta_bar_rejected"] = [str(d) for d in REJECTED_ZETA_BAR_PERIOD]
+    # (a) exact error law and (b) ratio-track membership, one pass per vertex
+    for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
+        cs = convergents(special_digits(point, _SPECIAL_DEPTH))
+        prev_norm = 0
+        for n in range(1, _SPECIAL_DEPTH + 1):
             rep.samples += 1
-            if not tgt.contains(ratio, closed=True):
-                rep.fail(kind="preimage_ratio", point=str(point),
-                         digits=[str(d) for d in digs], ratio=str(ratio))
+            qn = cs[n].q.norm()
+            if qn <= prev_norm:
+                rep.fail(kind="q_growth", point=tag, n=n)
+            prev_norm = qn
+            if (point - cs[n].ratio()).abs_sq() * qn != 1:
+                rep.fail(kind="error_law", point=tag, n=n)
+            if cs[n].q_prev.is_zero():
+                continue
+            ratio = cs[n].dual_ratio()
+            rep.samples += 1
+            if not cat.s_sets[(tag, n % 4)].contains(ratio):
+                rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
+        rep.info[f"{tag}_err_at_{_SPECIAL_DEPTH}"] = float(
+            math.sqrt(1.0 / cs[_SPECIAL_DEPTH].q.norm()))
+    # oracle: the rejected candidate misses conj(zeta)
+    rej = convergents([REJECTED_ZETA_BAR_PERIOD[i % 4] for i in range(_SPECIAL_DEPTH)])
+    rej_err = abs(rej[_SPECIAL_DEPTH].ratio().approx() - ZETA_BAR.approx())
+    rep.info["zeta_bar_rejected_err"] = rej_err
+    if rej_err < 1e-3:
+        rep.fail(kind="oracle", msg="rejected digit list reaches conj(zeta)")
+    # (c) forced cycles along the boundary segments
+    chains = {1: (ETAS[5], 7, ETAS[5], 10),
+              2: (ETAS[3], 9, ETAS[1], 11),
+              3: (ETAS[1], 8, ETAS[3], 12)}
+    for j, (d1e, arc1, d2e, arc2) in chains.items():
+        for z in _segment_points(rep, cat, j, rng, max(4, samples // 10)):
+            rep.samples += 1
+            try:
+                d1, z1 = step_T(z)
+                if d1 != d1e or not cat.segments[arc1].contains(z1):
+                    rep.fail(kind="cycle", frm=f"L{j}", z=str(z))
+                    continue
+                d2, z2 = step_T(z1)
+                if d2 != d2e or not cat.segments[arc2].contains(z2):
+                    rep.fail(kind="cycle2", frm=f"L{j}", z=str(z1))
+            except OrbitSignal:
+                continue
+    # closure of the twelve-curve track
+    for j in range(1, 13):
+        for z in _segment_points(rep, cat, j, rng, max(3, samples // 20)):
+            cur = z
+            for _ in range(6):
+                try:
+                    _, cur = step_T(cur)
+                except OrbitSignal:
+                    break
+                if cur.is_zero() or cur == MINUS_ZETA or cur == ZETA_BAR:
+                    break
+                rep.samples += 1
+                if not any(r.contains(cur) for r in cat.segments.values()):
+                    rep.fail(kind="track_escape", frm=f"L{j}", z=str(cur))
+                    break
+    # (d) special preimages: ratio lands in cl(Vstar_6_5)
+    tgt = cat.v_star[(6, 5)]
+    for point, _, digs in special_preimages(rng, max(4, samples // 8)):
+        ratio = convergents(digs)[-1].dual_ratio()
+        rep.samples += 1
+        if not tgt.contains(ratio, closed=True):
+            rep.fail(kind="preimage_ratio", point=str(point),
+                     digits=[str(d) for d in digs], ratio=str(ratio))
     return rep
 
 
@@ -608,10 +610,19 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
 # orchestration
 # --------------------------------------------------------------------------
 
+@cache
+def _proved(check: Callable[[], CheckReport]) -> CheckReport:
+    """The report of a proof that depends on no input, proved on its first
+    call in a process, as the catalogue is built.  The CHECKS entries hand
+    out copies, so no caller changes what the next one reads; `check` itself
+    proves afresh on every direct call."""
+    return check()
+
+
 CHECKS: dict[str, Callable[..., CheckReport]] = {
     "inversions": lambda samples, depth, seed: verify_inversions(seed=seed),
-    "frs": lambda samples, depth, seed: verify_frs(),
-    "dual": lambda samples, depth, seed: verify_dual_inclusions(),
+    "frs": lambda samples, depth, seed: copy.deepcopy(_proved(verify_frs)),
+    "dual": lambda samples, depth, seed: copy.deepcopy(_proved(verify_dual_inclusions)),
     "orbit": lambda samples, depth, seed: verify_dual_orbit(
         samples=max(10, samples // 100), depth=depth, seed=seed),
     "monotonic": lambda samples, depth, seed: verify_monotonicity(

@@ -71,28 +71,28 @@ def invariance_check(quad, orbits: int = 64, length: int = 20000,
     PASS when every cell discrepancy is below max(3 * stderr, 0.01), the
     stderr of the occupation; the masses are exact to about 1e-10.
     """
-    with CheckReport("invariance") as rep:
-        freq, mean_freq = occupation_frequencies(simulate_orbits(orbits, length, seed))
-        rep.samples = orbits * length
-        masses = quad.cell_masses()
-        sum_f = float(mean_freq.sum())
-        rep.info["frequency_sum"] = sum_f
-        if abs(sum_f - 1.0) > 0.02:
-            rep.fail(kind="band_loss", frequency_sum=sum_f)
-        worst = 0.0
-        for ci, kl in enumerate(CELLS):
-            f = float(mean_freq[ci])
-            sf = float(freq[:, ci].std(ddof=1) / math.sqrt(len(freq)))
-            mu = masses[kl]
-            tol_cell = max(3.0 * sf, 0.01)
-            worst = max(worst, abs(f - mu))
-            if abs(f - mu) > tol_cell:
-                rep.fail(cell=kl, empirical=f, quadrature=mu, tolerance=tol_cell)
-        rep.info["max_discrepancy"] = worst
-        # rotation symmetry of the construction: occupation of V_{k,l}
-        # should not depend on l
-        by_k = mean_freq.reshape(6, 6)
-        rep.info["rotation_spread"] = float(np.max(by_k.max(axis=1) - by_k.min(axis=1)))
+    rep = CheckReport("invariance")
+    freq, mean_freq = occupation_frequencies(simulate_orbits(orbits, length, seed))
+    rep.samples = orbits * length
+    masses = quad.cell_masses()
+    sum_f = float(mean_freq.sum())
+    rep.info["frequency_sum"] = sum_f
+    if abs(sum_f - 1.0) > 0.02:
+        rep.fail(kind="band_loss", frequency_sum=sum_f)
+    worst = 0.0
+    for ci, kl in enumerate(CELLS):
+        f = float(mean_freq[ci])
+        sf = float(freq[:, ci].std(ddof=1) / math.sqrt(len(freq)))
+        mu = masses[kl]
+        tol_cell = max(3.0 * sf, 0.01)
+        worst = max(worst, abs(f - mu))
+        if abs(f - mu) > tol_cell:
+            rep.fail(cell=kl, empirical=f, quadrature=mu, tolerance=tol_cell)
+    rep.info["max_discrepancy"] = worst
+    # rotation symmetry of the construction: occupation of V_{k,l}
+    # should not depend on l
+    by_k = mean_freq.reshape(6, 6)
+    rep.info["rotation_spread"] = float(np.max(by_k.max(axis=1) - by_k.min(axis=1)))
     return rep
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import eisencf
-from eisencf import ergodic
+from eisencf import ergodic, verifier
 from eisencf.cli import RunConfig, _ratio, build_parser, main
 from eisencf.exact import BAND, EisensteinInt, embed
 from eisencf.verifier import CHECKS
@@ -276,6 +276,25 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
             "1dec91d4b920c4c580a08dc17730a7e7d389beeb9f0afc849d34817a0a65a542")
+
+    def test_repeated_requests_have_the_bytes_of_a_fresh_process(self, capsys):
+        # the first request in this process proves `frs` and `dual`, the
+        # second reads them from the cache
+        argv = ("verify", "all", "--seed", "42", "--samples", "300")
+        fresh = fresh_python("-m", "eisencf.cli", *argv)
+        verifier._proved.cache_clear()
+        for _ in range(2):
+            assert run(capsys, *argv) == (0, fresh, "")
+
+    @pytest.mark.parametrize("name", ["frs", "dual"])
+    def test_a_changed_report_leaves_the_next_artifact_as_it_was(self, capsys, name):
+        _, before, _ = run(capsys, "verify", name)
+        rep = CHECKS[name](10000, 20, 0)
+        rep.info["residues"].clear()
+        rep.failures.append({"kind": "planted"})
+        rep.samples += 1
+        rep.as_dict()["info"]["symmetries"] = 0
+        assert run(capsys, "verify", name) == (0, before, "")
 
 
 class TestLevyDensityRender:

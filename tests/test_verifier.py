@@ -189,12 +189,12 @@ def _listed_inversion_families():
 
 class TestReports:
     def test_verdict_logic(self):
-        with CheckReport("x") as rep:
-            assert rep.verdict == "PASS"
-            rep.fail(reason="boom")
+        rep = CheckReport("x")
+        assert rep.verdict == "PASS"
+        rep.fail(reason="boom")
         assert rep.verdict == "FAIL"
-        assert rep.elapsed > 0
-        assert rep.as_dict()["failures"] == [{"reason": "boom"}]
+        assert rep.as_dict() == {"name": "x", "verdict": "FAIL", "samples": 0,
+                                 "failures": [{"reason": "boom"}], "info": {}}
 
     def test_seed_derivation_stable(self):
         assert derive_seed(42, "frs") == derive_seed(42, "frs")
@@ -318,11 +318,41 @@ class TestDeterminism:
         assert a.verdict == b.verdict == "PASS"
 
     def test_frs_and_dual_identical_for_identical_seeds(self):
-        def run():
-            return canonical_json([r.as_dict() for r in run_checks(
-                ["frs", "dual"], samples=300, depth=10, seed=42)])
+        # the dispatch hands out what a fresh direct proof reports
+        dispatched = run_checks(["frs", "dual"], samples=300, depth=10, seed=42)
+        fresh = [verify_frs(), verify_dual_inclusions()]
+        assert (canonical_json([r.as_dict() for r in dispatched])
+                == canonical_json([r.as_dict() for r in fresh]))
 
-        assert run() == run()
+
+class TestProvedOnce:
+    """`frs` and `dual` depend on no input: the CHECKS entries prove each once
+    per process and hand out copies (see also `tests/test_cli.py::TestVerify`)."""
+
+    def test_two_requests_prove_the_table_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _frs_entry(*args)
+
+        verifier._proved.cache_clear()
+        monkeypatch.setattr(verifier, "_frs_entry", counted)
+        for _ in range(2):
+            assert all(r.verdict == "PASS" for r in run_checks(["all"], samples=300))
+        assert len(calls) == len(PAIRS) == 54
+
+    def test_direct_proofs_still_prove_afresh(self, monkeypatch):
+        # the dispatch holds a PASS; the functions it wraps do not read it
+        assert all(r.verdict == "PASS" for r in run_checks(["frs", "dual"]))
+
+        def pullback_plus(reg, chain):
+            for d in chain:
+                reg = reg.invert().translate(embed(d))
+            return reg
+
+        monkeypatch.setattr(verifier, "_pullback", pullback_plus)
+        assert verify_frs().verdict == verify_dual_inclusions().verdict == "FAIL"
 
 
 def _claim(name: str) -> dict:
