@@ -145,10 +145,9 @@ def cmd_levy(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .ergodic import estimate_C0_and_levy_integral
+    from .ergodic import quadrature
 
-    # the density needs C0 and the flux rules; the pair check runs at its floor
-    xs, ys, vals = estimate_C0_and_levy_integral(0, 0).density_grid(cfg.grid)
+    xs, ys, vals = quadrature().density_grid(cfg.grid)
     lines = ["x,y,h"]
     for i in range(cfg.grid):
         for j in range(cfg.grid):

@@ -26,8 +26,9 @@ mirror images of V_{2,1} and V_{4,1} with theirs under z -> zeta*conj(z),
 which leaves the kernel's integrals unchanged; so only four base cells are
 integrated.  Each integral comes from a coarse and a fine rule; the fine
 value is reported with their difference as its error.  These integrals and
-the flux rules depend on no input, so they are built once per process
-(`_base_quadrature`); only the seeded pair check below runs per request.
+the flux rules depend on no input, so their one read-only record,
+`Quadrature`, is built once per process (`quadrature()`): `density` reads it
+as it is, and a `levy` request adds only the seeded pair check below.
 
 For the growth rate two independent routes are produced: the Birkhoff
 average above, and the space average
@@ -51,7 +52,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -387,71 +389,35 @@ def _pair_check(kl: tuple[int, int], cell: tuple[Region, Region, tuple, tuple],
             float(dist[both].min()) if both.any() else math.inf)
 
 
-class _Base(NamedTuple):
-    """The input-free part of a `Quadrature`, and per base cell V_{k,1} what
-    `_pair_check` samples from."""
-    c0: float
-    c0_err: float
-    levy_integral: float
-    levy_err: float
-    masses: dict[int, float]
-    arcs: dict[int, ArcQuadrature]
-    pair_cells: dict[int, tuple[Region, Region, tuple, tuple]]
-
-
 @functools.cache
-def _base_quadrature() -> _Base:
-    """The cell integrals, flux rules and pair-check regions, which depend
-    on no input, built once per process like the catalogue.
-
-    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
-    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
-    their mirror images, and every V_{k,l} those of V_{k,1}.
-    """
+def _pair_cells() -> dict[int, tuple[Region, Region, tuple, tuple]]:
+    """Per base cell V_{k,1} what `_pair_check` samples from: V_{k,1},
+    (Vstar_{k,1})^-1 and their bounding boxes, built once per process."""
     cat = build_catalog()
-    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
-    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
-    duals = {k: cat.v_star[(k, 1)].invert() for k in range(1, 7)}
-
-    # an integrated cell stands for its rotations and its mirror image's
-    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
-
-    def c0_and_levy(rule):
-        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
-        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
-
-    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
-    return _Base(
-        c0=c0,
-        c0_err=abs(c0 - c0_coarse),
-        levy_integral=levy,
-        levy_err=abs(levy - levy_coarse),
-        masses={k: fine[MIRROR_PAIRS.get(k, k)][0] for k in range(1, 7)},
-        arcs={k: fine[k][2] if k in fine else region_arc_quadrature(duals[k])
-              for k in range(1, 7)},
-        pair_cells={k: (cat.v_cells[(k, 1)], u, cat.v_cells[(k, 1)].bbox_real(),
-                        u.bbox_real()) for k, u in duals.items()},
-    )
+    cells = {k: (cat.v_cells[(k, 1)], cat.v_star[(k, 1)].invert()) for k in range(1, 7)}
+    return {k: (v, u, v.bbox_real(), u.bbox_real()) for k, (v, u) in cells.items()}
 
 
 # --------------------------------------------------------------------------
 # invariant density
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Quadrature:
-    """The invariant measure: C0, the growth-rate integral and its
-    pair-sampled cross-check, and per base cell V_{k,1} its mass and the
-    fine flux rule of its dual, from which it evaluates the density."""
+    """The invariant measure: C0, the growth-rate integral, and per base cell
+    V_{k,1} its mass and the fine flux rule of its dual, from which it
+    evaluates the density; read-only, because `quadrature()` builds one per
+    process.  The pair-sampled cross-check of the growth-rate integral is NaN
+    there, and set on each copy `estimate_C0_and_levy_integral` returns."""
     c0: float
     c0_err: float
     levy_integral: float
     levy_err: float
-    levy_integral_pairs: float
-    levy_pairs_err: float
-    min_kernel_dist: float
-    masses: dict[int, float]           # integral of g over V_{k,1}
-    arcs: dict[int, ArcQuadrature]     # fine flux rule of (Vstar_{k,1})^-1
+    masses: MappingProxyType[int, float]         # integral of g over V_{k,1}
+    arcs: MappingProxyType[int, ArcQuadrature]   # fine flux rule of (Vstar_{k,1})^-1
+    levy_integral_pairs: float = math.nan
+    levy_pairs_err: float = math.nan
+    min_kernel_dist: float = math.nan
 
     def cell_masses(self) -> dict[tuple[int, int], float]:
         return {(k, l): self.c0 * self.masses[k] for k, l in CELLS}
@@ -486,29 +452,48 @@ class Quadrature:
         return xs, ys, np.nan_to_num(vals, nan=0.0)
 
 
+@functools.cache
+def quadrature() -> Quadrature:
+    """The cell integrals and flux rules, which depend on no input, built
+    once per process like the catalogue.
+
+    The four base cells V_{k,1}, k not in MIRROR_PAIRS, are integrated by
+    the coarse and the fine rule; V_{3,1} and V_{5,1} have the integrals of
+    their mirror images, and every V_{k,l} those of V_{k,1}.
+    """
+    cat = build_catalog()
+    base = [k for k in range(1, 7) if k not in MIRROR_PAIRS]
+    coarse, fine = ({k: _cell_integrals(cat, (k, 1), n) for k in base} for n in _RULES)
+
+    # an integrated cell stands for its rotations and its mirror image's
+    copies = {k: 1 + (k in MIRROR_PAIRS.values()) for k in base}
+
+    def c0_and_levy(rule):
+        mass = 6 * sum(copies[k] * rule[k][0] for k in base)
+        return 1.0 / mass, 6 * sum(copies[k] * rule[k][1] for k in base) / mass
+
+    (c0_coarse, levy_coarse), (c0, levy) = c0_and_levy(coarse), c0_and_levy(fine)
+    return Quadrature(
+        c0=c0, c0_err=abs(c0 - c0_coarse),
+        levy_integral=levy, levy_err=abs(levy - levy_coarse),
+        masses=MappingProxyType({k: fine[MIRROR_PAIRS.get(k, k)][0] for k in range(1, 7)}),
+        arcs=MappingProxyType({k: fine[k][2] if k in fine else
+                               region_arc_quadrature(cat.v_star[(k, 1)].invert())
+                               for k in range(1, 7)}),
+    )
+
+
 def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
                                   tol: float = BAND) -> Quadrature:
-    """Normalizing constant and the invariant growth-rate integral.
-
-    Both come from `_base_quadrature`, built on the first call.
-    quad_samples sizes only the pair-sampled cross-check: a third of it in
-    (z, u) pairs over the six base cells, drawn from seed and banded by tol.
-    """
-    b = _base_quadrature()
+    """`quadrature()` with its pair-sampled cross-check: a third of
+    quad_samples in (z, u) pairs over the six base cells, drawn from seed
+    and banded by tol."""
+    quad = quadrature()
     logu, logu_err, dist = zip(*(_pair_check((k, 1), cell, max(200, quad_samples // 18),
-                                             seed, tol) for k, cell in b.pair_cells.items()))
-    return Quadrature(
-        c0=b.c0,
-        c0_err=b.c0_err,
-        levy_integral=b.levy_integral,
-        levy_err=b.levy_err,
-        levy_integral_pairs=6 * b.c0 * sum(logu),
-        levy_pairs_err=6 * b.c0 * math.sqrt(sum(e**2 for e in logu_err)),
-        min_kernel_dist=min(dist),
-        # the caller's own dicts, of the shared read-only rules
-        masses=dict(b.masses),
-        arcs=dict(b.arcs),
-    )
+                                             seed, tol) for k, cell in _pair_cells().items()))
+    return replace(quad, levy_integral_pairs=6 * quad.c0 * sum(logu),
+                   levy_pairs_err=6 * quad.c0 * math.sqrt(sum(e**2 for e in logu_err)),
+                   min_kernel_dist=min(dist))
 
 
 # --------------------------------------------------------------------------

@@ -376,7 +376,7 @@ class Region:
         B = other (None: the empty set), within box = (x0, x1, y0, y1), by
         branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
         1966): the residue and the counterexamples of `box_tree`."""
-        den, (u0, u1, v0, v1), tree = self.box_tree(other, box, depth)
+        den, unit, tree = self.box_tree(other, box, depth)
         count = fails = 0
         example = None
         for _, u, v, weight, bad in tree:
@@ -384,17 +384,16 @@ class Region:
             if bad and example is None:
                 example = FieldElement(u, v, den)
             fails += bad
-        return Excess(Fraction(count * (u1 - u0) * (v1 - v0), den * den << 2 * depth),
-                      fails, example)
+        return Excess(count * unit, fails, example)
 
     def box_tree(self, other: Region | None, box, depth: int
-                 ) -> tuple[int, tuple[int, ...], Iterator[tuple[int, int, int, int, int]]]:
-        """The box tree of `excess`, as den, the box's corners (u0, u1, v0, v1)
-        over den, and a lazy breadth-first stream of (verdict, u, v, weight,
-        bad): the box centred at (u, v) / den gets a verdict (OUTSIDE, INSIDE
-        or UNDECIDED) and adds weight final-depth boxes to the residue, bad of
-        them counterexamples.  A box with no verdict and no weight is not
-        emitted.
+                 ) -> tuple[int, Fraction, Iterator[tuple[int, int, int, int, int]]]:
+        """The box tree of `excess`, as den, the area of one final-depth box
+        (the residue's unit), and a lazy breadth-first stream of (verdict, u,
+        v, weight, bad): the box centred at (u, v) / den gets a verdict
+        (OUTSIDE, INSIDE or UNDECIDED) and adds weight final-depth boxes to the
+        residue, bad of them counterexamples.  A box with no verdict and no
+        weight is not emitted.
 
         The box is split in four, `depth` times.  A box is dropped when a row
         of A is positive on it, or when every row of B left is <= 0 on it; a
@@ -408,10 +407,11 @@ class Region:
         """
         box = [Fraction(v) for v in box]
         den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
-        corners = tuple(v.numerator * (den // v.denominator) for v in box)
+        corners = u0, u1, v0, v1 = tuple(v.numerator * (den // v.denominator) for v in box)
+        unit = Fraction((u1 - u0) * (v1 - v0), den * den << 2 * depth)
         a_set = dict.fromkeys(r[:4] for r in self._ints)
         if any((-qq, -bx, -by, -dd) in a_set for qq, bx, by, dd in a_set):
-            return den, corners, iter(())
+            return den, unit, iter(())
         root = (*corners, [_box_row(r, den) for r in a_set], None if other is None else
                 [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])
 
@@ -442,7 +442,7 @@ class Region:
                     if verdict or weight:
                         yield verdict, um, vm, weight, bad
 
-        return den, corners, walk()
+        return den, unit, walk()
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(name or f"zeta^{times}*{self.name}",
@@ -453,12 +453,12 @@ class Region:
         return Region(name or f"mirror({self.name})",
                       tuple(p.mirror() for p in self.prims))
 
-    def translate(self, t: FieldElement, name: str | None = None) -> Region:
-        return Region(name or f"{self.name}+t", tuple(p.translate(t) for p in self.prims))
+    def translate(self, t: FieldElement) -> Region:
+        return Region(f"{self.name}+t", tuple(p.translate(t) for p in self.prims))
 
-    def invert(self, name: str | None = None) -> Region:
+    def invert(self) -> Region:
         """Primitive-wise image under z -> 1/z (valid for our dual cells)."""
-        return Region(name or f"({self.name})^-1", tuple(p.invert() for p in self.prims))
+        return Region(f"({self.name})^-1", tuple(p.invert() for p in self.prims))
 
     # -- float path -------------------------------------------------------
     def inside_xy(self, x: np.ndarray, y: np.ndarray, tol: float = BAND) -> np.ndarray:

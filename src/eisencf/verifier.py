@@ -256,13 +256,13 @@ def _coverage(target: Region, table: Region) -> Fraction | None:
     """The residue of target \\ cl(table) over U0 that `Region.excess` bounds,
     from one walk of their box tree; None at its first counterexample.  The
     target, U0 or a U-cell, carries U0's six rows."""
-    den, (u0, u1, v0, v1), tree = target.box_tree(table, U0_BOX, DEPTH)
+    _, unit, tree = target.box_tree(table, U0_BOX, DEPTH)
     count = 0
     for _, _, _, weight, bad in tree:
         if bad:
             return None
         count += weight
-    return Fraction(count * (u1 - u0) * (v1 - v0), den * den << 2 * DEPTH)
+    return count * unit
 
 
 def _frs_entry(rep: CheckReport, source: Region | None, alpha: EisensteinInt) -> dict:

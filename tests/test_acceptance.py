@@ -74,11 +74,10 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def ergodic_bundle():
-    from eisencf.ergodic import (_base_quadrature, estimate_C0_and_levy_integral,
-                                 levy_birkhoff)
+    from eisencf.ergodic import estimate_C0_and_levy_integral, levy_birkhoff, quadrature
 
     # time a cold quadrature, whatever built the rules earlier in the session
-    _base_quadrature.cache_clear()
+    quadrature.cache_clear()
     t0 = time.perf_counter()
     quad = estimate_C0_and_levy_integral(quad_samples=3000000, seed=SEED)
     birkhoff = levy_birkhoff(orbits=64, length=20000, seed=SEED)

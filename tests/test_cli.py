@@ -51,6 +51,8 @@ EXPAND_PINS = {
     ("--z", "123456789012345678901/300000000000000000000+1/7r", "--digits", "60"):
     "f504f8aec3ee962da68e563eb89fdfdc2fcd72f3ae8f6ab289a5997d3fc167a7",
 }
+# the bytes of a 16 x 16 density grid
+DENSITY_16 = "dce9d885ffd6df63fbb331078a8f0a47ba7a6faec688346d5d8885ae101cfb3a"
 
 # command lines that together run every def in src/eisencf but those below
 TRACED_COMMANDS = [
@@ -305,18 +307,29 @@ class TestLevyDensityRender:
                 "--seed", "7")
         pins = {
             levy: "b7b34d4ab496d0808551ac9709df626609d91f6233e576f2d28acc10d13bae4e",
-            ("density", "--grid", "16"):
-            "dce9d885ffd6df63fbb331078a8f0a47ba7a6faec688346d5d8885ae101cfb3a",
+            ("density", "--grid", "16"): DENSITY_16,
         }
         # the first levy builds the quadrature's rules, and the second levy
         # and density read them from the cache: each has the cold bytes
-        ergodic._base_quadrature.cache_clear()
+        ergodic.quadrature.cache_clear()
         for argv in (levy, levy, ("density", "--grid", "16")):
             digest = pins[argv]
             out_file = tmp_path / f"{argv[0]}.out"
             code, _, _ = run(capsys, *argv, "--out", str(out_file))
             assert code == 0
             assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest, argv[0]
+
+    def test_density_runs_no_pair_check(self, capsys, tmp_path, monkeypatch):
+        # the density reads C0 and the flux rules, which the pair check
+        # leaves as they are
+        def refuse(*args):
+            raise AssertionError("density ran the pair check")
+
+        monkeypatch.setattr(ergodic, "_pair_check", refuse)
+        ergodic.quadrature.cache_clear()
+        out_file = tmp_path / "density.csv"
+        assert run(capsys, "density", "--grid", "16", "--out", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == DENSITY_16
 
     def test_levy_artifact(self, capsys, tmp_path):
         out_file = tmp_path / "levy.json"

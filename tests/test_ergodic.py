@@ -346,13 +346,13 @@ class TestQuadrature:
             return _cell_integrals(cat, kl, n)
 
         monkeypatch.setattr(ergodic, "_cell_integrals", counted)
-        ergodic._base_quadrature.cache_clear()
+        ergodic.quadrature.cache_clear()
         first = estimate_C0_and_levy_integral(quad_samples=1000, seed=31)
         second = estimate_C0_and_levy_integral(quad_samples=4000, seed=32)
         ergodic_report(orbits=2, length=10, quad_samples=200, seed=33)
         # one build: the four base cells, each by the coarse and the fine rule
         assert sorted(calls) == sorted(((k, 1), n) for k in (1, 2, 4, 6) for n in _RULES)
-        ergodic._base_quadrature.cache_clear()
+        ergodic.quadrature.cache_clear()
         cold = estimate_C0_and_levy_integral(quad_samples=1000, seed=31)
         assert len(calls) == 2 * 4 * len(_RULES)
         pair_fields = {"levy_integral_pairs", "levy_pairs_err", "min_kernel_dist"}
@@ -365,11 +365,20 @@ class TestQuadrature:
                                for a, b in zip(got[k], ref[k]))
                 elif f.name not in pair_fields or quad is first:
                     assert got == ref, f.name
-        # every request gets its own dicts of the one set of read-only rules
-        assert first.arcs[4] is second.arcs[4] and first.arcs is not second.arcs
-        mass = cold.masses[4]
-        cold.masses[4] = 0.0
-        assert estimate_C0_and_levy_integral(1000, 31).masses[4] == mass > 0
+        # every request reads the one record, which is read-only by type;
+        # only the pair check is its own
+        assert first.arcs is second.arcs
+        shared = ergodic.quadrature()
+        assert cold.arcs is shared.arcs and cold.masses is shared.masses
+        assert all(math.isnan(getattr(shared, f)) for f in pair_fields)
+        assert all(math.isfinite(getattr(quad, f))
+                   for quad in (first, second, cold) for f in pair_fields)
+        for mapping in (shared.masses, shared.arcs):
+            with pytest.raises(TypeError):
+                mapping[4] = mapping[4]
+        for name in ("c0", "masses", "min_kernel_dist"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(shared, name, getattr(shared, name))
         for a in cold.arcs[3]:
             with pytest.raises(ValueError):
                 a[0] = 0.0

@@ -162,8 +162,7 @@ def _listed_term_region(cat, kl, alpha, rot):
     """A dual term at rotation rot, built as the reference for the term
     `_pullback(cat.v_star[kl], [alpha])` rotated by zeta^rot."""
     shift = embed((ZETA ** rot) * alpha)
-    return cat.v_star[kl].invert().rotate(rot).translate(
-        -shift, f"(Vstar_{kl[0]}_{kl[1]})^-1 rot{rot} -{alpha}")
+    return cat.v_star[kl].invert().rotate(rot).translate(-shift)
 
 
 def _listed_inversion_families():
