@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+# _ratio divides floats while every part of p and q is below this
+_RATIO_SAFE = 2**1020
 
 
 class RunConfig:
@@ -73,7 +75,7 @@ def _eint_json(e) -> dict:
 def _ratio(p, q) -> complex:
     """p/q as the quotient of the floats of p and q, or as the exact
     quotient rounded once p or q nears the end of float range."""
-    if max(abs(p.a), abs(p.b), abs(q.a), abs(q.b)) < 2**1020:
+    if max(abs(p.a), abs(p.b), abs(q.a), abs(q.b)) < _RATIO_SAFE:
         return p.approx() / q.approx()
     return (embed(p) / embed(q)).approx()
 

@@ -15,6 +15,9 @@ from fractions import Fraction
 SQRT3 = math.sqrt(3.0)
 # the float layer's band: a point this near a constraint lies on neither side
 BAND = 1e-12
+# b * SQRT3 stays a finite float for |b| below this; a constant, since the
+# compiler folds no power this large and would rebuild it on every call
+_FLOAT_SAFE = 2**1023
 
 
 class EisensteinInt:
@@ -205,7 +208,7 @@ class FieldElement:
 
     def approx(self) -> complex:
         # b * SQRT3 turns b into a float, which overflows where b / c need not
-        y = self.b * SQRT3 / self.c if max(abs(self.b), self.c) < 2**1023 else (
+        y = self.b * SQRT3 / self.c if max(abs(self.b), self.c) < _FLOAT_SAFE else (
             self.b / self.c * SQRT3)
         return complex(self.a / self.c, y)
 

@@ -727,32 +727,39 @@ def classify_cells_complex(
 
 
 def rational_points_on(prim: Primitive, ts: Iterable[Fraction]) -> list[FieldElement]:
-    """Rational points on a circle/line primitive, one per parameter t.
+    """Rational points on a circle/line primitive, one per rational t (an int
+    or a Fraction) that `rational_point` maps to a point."""
+    pts = (rational_point(prim, t.numerator, t.denominator) for t in ts)
+    return [z for z in pts if z is not None]
 
-    Circles are swept by chords of rational slope through a rational base
-    point; lines are parametrized directly.
+
+def rational_point(prim: Primitive, tn: int, td: int) -> FieldElement | None:
+    """The point with parameter t = tn/td (td != 0) on a circle/line
+    primitive, formed from integers.
+
+    A line bx*x + by*y + dd = 0 is parametrized by x = t (by y = t if by = 0).
+    A circle is swept by the chord (x0 + s, y0 + t*s) through its rational
+    base point (x0, y0) = (X0, Y0)/D: with A = 2 qq (X0 td + 3 tn Y0)
+    + D (bx td + by tn) and B = qq (td^2 + 3 tn^2) one has s = -A td/(D B),
+    and a chord tangent at the base point (A = 0) gives None.
     """
-    pts: list[FieldElement] = []
-    if prim.qq == 0:
-        # line bx*x + by*y + dd = 0
-        bx, by, dd = Fraction(prim.bx), Fraction(prim.by), Fraction(prim.dd)
-        for t in map(Fraction, ts):
-            x, y = (t, -(bx * t + dd) / by) if by else (-dd / bx, t)
-            pts.append(FieldElement.from_xy(x, y))
-        return pts
-    x0, y0 = _rational_base_point(prim)
-    qq, bx, by, dd = (Fraction(v) for v in (prim.qq, prim.bx, prim.by, prim.dd))
-    for t in map(Fraction, ts):
-        # chord (x0 + s, y0 + t*s): qq((x0+s)^2 + 3(y0+t s)^2) + ... = 0
-        s = -(2 * qq * (x0 + 3 * t * y0) + bx + by * t) / (qq * (1 + 3 * t * t))
-        if s != 0:
-            pts.append(FieldElement.from_xy(x0 + s, y0 + t * s))
-    return pts
+    qq, bx, by, dd = prim.qq, prim.bx, prim.by, prim.dd
+    if qq == 0:
+        if by:
+            return FieldElement(tn * by, -(bx * tn + dd * td), by * td)
+        return FieldElement(-dd * td, tn * bx, bx * td)
+    x0, y0, d = _rational_base_point(prim)
+    a = 2 * qq * (x0 * td + 3 * tn * y0) + d * (bx * td + by * tn)
+    if a == 0:
+        return None
+    b = qq * (td * td + 3 * tn * tn)
+    return FieldElement(x0 * b - a * td, y0 * b - tn * a, d * b)
 
 
 @lru_cache(maxsize=64)
-def _rational_base_point(prim: Primitive) -> tuple[Fraction, Fraction]:
-    """Some rational point on the circle primitive."""
+def _rational_base_point(prim: Primitive) -> tuple[int, int, int]:
+    """Some rational point (X0, Y0)/D on the circle primitive, as the
+    integers (X0, Y0, D), D > 0."""
     cx, cy, r_sq = prim.circle_data()
     # try intersections with horizontal rational lines y = cy + u
     for num in range(0, 200):
@@ -764,5 +771,7 @@ def _rational_base_point(prim: Primitive) -> tuple[Fraction, Fraction]:
                     continue
                 root = Fraction(math.isqrt(rem.numerator), math.isqrt(rem.denominator))
                 if root * root == rem:
-                    return cx + root, cy + u
+                    x, y = cx + root, cy + u
+                    d = math.lcm(x.denominator, y.denominator)
+                    return x.numerator * d // x.denominator, y.numerator * d // y.denominator, d
     raise ValueError(f"no rational point found on {prim}")

@@ -70,6 +70,7 @@ from .regions import (
     cell_of,
     circle,
     half_plane,
+    rational_point,
     rational_points_on,
 )
 
@@ -444,12 +445,12 @@ def _segment_points(rep: CheckReport, cat: Catalog, j: int, rng: random.Random,
     tries = 0
     while len(pts) < n and tries < 400 * n:
         tries += 1
-        t = Fraction(rng.randint(-8000, 8000), 8001)
-        if t and rng.random() < 0.5:
-            t = 1 / t
-        for z in rational_points_on(eq, [t]):
-            if reg.contains(z):
-                pts.append(z)
+        k = rng.randint(-8000, 8000)
+        # t = k/8001, or 1/t half the time
+        tn, td = (8001, k) if k and rng.random() < 0.5 else (k, 8001)
+        z = rational_point(eq, tn, td)
+        if z is not None and reg.contains(z):
+            pts.append(z)
     if len(pts) < n:
         rep.fail(curve=f"L{j}", kind="sampling_starved", valid=len(pts))
     return pts[:n]

@@ -14,6 +14,7 @@ from eisencf.ergodic import (_ROOTS, _RULES, CELLS, ArcQuadrature, _graded_rule,
                              occupation_frequencies, simulate_orbits)
 from eisencf.exact import EisensteinInt, FieldElement, embed, j_element
 from eisencf.hexdomain import _OFFSETS, DomainError, in_U
+from eisencf.regions import Catalog, Primitive, _rational_base_point
 
 
 def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:
@@ -61,6 +62,47 @@ def inverse_branch_derivative(c: ConvergentPair, z_n: FieldElement) -> FieldElem
 def field_element_from_json(d: dict) -> FieldElement:
     """The inverse of `exact.field_element_to_json`."""
     return FieldElement.from_xy(Fraction(d["x"]), Fraction(d["y"]))
+
+
+def rational_points_on_reference(prim: Primitive, ts) -> list[FieldElement]:
+    """`regions.rational_points_on` in Fraction arithmetic: a line solved for
+    y (for x where by = 0), a circle's chord (x0 + s, y0 + t*s) of slope t
+    through its base point solved for s, and the tangent (s = 0) skipped."""
+    pts: list[FieldElement] = []
+    if prim.qq == 0:
+        bx, by, dd = Fraction(prim.bx), Fraction(prim.by), Fraction(prim.dd)
+        for t in map(Fraction, ts):
+            x, y = (t, -(bx * t + dd) / by) if by else (-dd / bx, t)
+            pts.append(FieldElement.from_xy(x, y))
+        return pts
+    x0, y0, d = _rational_base_point(prim)
+    x0, y0 = Fraction(x0, d), Fraction(y0, d)
+    qq, bx, by, dd = (Fraction(v) for v in (prim.qq, prim.bx, prim.by, prim.dd))
+    for t in map(Fraction, ts):
+        # qq((x0+s)^2 + 3(y0+t s)^2) + bx(x0+s) + by(y0+t s) + dd = 0, s != 0
+        s = -(2 * qq * (x0 + 3 * t * y0) + bx + by * t) / (qq * (1 + 3 * t * t))
+        if s != 0:
+            pts.append(FieldElement.from_xy(x0 + s, y0 + t * s))
+    return pts
+
+
+def segment_points_reference(rep: CheckReport, cat: Catalog, j: int, rng, n: int
+                             ) -> list[FieldElement]:
+    """`verifier._segment_points` with its parameter t a Fraction: k/8001,
+    or 1/t half the time, mapped by `rational_points_on_reference`."""
+    reg = cat.segments[j]
+    eq = next(p for p in reg.prims if p.rel == "==")
+    pts: list[FieldElement] = []
+    tries = 0
+    while len(pts) < n and tries < 400 * n:
+        tries += 1
+        t = Fraction(rng.randint(-8000, 8000), 8001)
+        if t and rng.random() < 0.5:
+            t = 1 / t
+        pts += (z for z in rational_points_on_reference(eq, [t]) if reg.contains(z))
+    if len(pts) < n:
+        rep.fail(curve=f"L{j}", kind="sampling_starved", valid=len(pts))
+    return pts[:n]
 
 
 def invariance_check(quad, orbits: int = 64, length: int = 20000,

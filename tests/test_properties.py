@@ -18,11 +18,11 @@ from eisencf.hexdomain import (
     DomainError, _in_U, _nearest, floor_J, in_U, in_U0,
 )
 from eisencf.regions import (
-    BoundaryPoint, Primitive, _box_range, _box_row, build_catalog, cell_of,
-    rational_points_on,
+    BoundaryPoint, Primitive, _box_range, _box_row, _rational_base_point, build_catalog,
+    cell_of, rational_points_on,
 )
 from eisencf.verifier import _claim_table, _pullback, dual_inclusion_blocks
-from oracles import floor_J_candidates
+from oracles import floor_J_candidates, rational_points_on_reference
 from test_verifier import HAND_CLAIMS
 
 CAT = build_catalog()
@@ -131,6 +131,47 @@ def test_region_contains_matches_primitive_signs(z, t):
                 want = all(_sign_holds(p.value_int(w), p.rel, closed)
                            for p in reg.prims)
                 assert reg.contains(w, closed) == want
+
+
+# every curve that cuts a catalogue region, as an equation: circles, lines and
+# lines with by = 0
+CURVES = sorted({Primitive(p.qq, p.bx, p.by, p.dd, "==") for reg in REGIONS for p in reg.prims},
+                key=lambda p: (p.qq, p.bx, p.by, p.dd))
+rationals = st.one_of(st.fractions(-50, 50, max_denominator=60), st.integers(-10**40, 10**40),
+                      st.fractions(max_denominator=10**30))
+
+
+def _tangent_slope(p):
+    """The slope t of p's chord that touches the circle only at its base point
+    (None where that chord is vertical)."""
+    x0, y0, d = _rational_base_point(p)
+    den = 6 * p.qq * y0 + p.by * d
+    return Fraction(-(2 * p.qq * x0 + p.bx * d), den) if den else None
+
+
+def test_curves_hold_circles_lines_and_lines_without_y():
+    kinds = {"circle" if p.qq else "line" if p.by else "line by = 0" for p in CURVES}
+    assert kinds == {"circle", "line", "line by = 0"}
+
+
+@settings(exact, max_examples=100)
+@given(st.lists(rationals, max_size=4), st.booleans())
+@example([0, Fraction(-3, 7), 5, -(10**40 + 1)], False)
+@example([Fraction(-3, 7), 5, Fraction(10**40 + 1, 3)], True)
+def test_rational_points_on_matches_the_fraction_reference(ts, reciprocal):
+    # the integer chord formula against the Fraction one: the same points in
+    # the same order, each on its curve, the tangent chord skipped by both
+    if reciprocal:
+        ts = [1 / Fraction(t) if t else t for t in ts]
+    for p in CURVES:
+        ts_p = list(ts)
+        if p.qq and (tangent := _tangent_slope(p)) is not None:
+            assert rational_points_on(p, [tangent]) == []
+            ts_p.append(tangent)
+        got = rational_points_on(p, ts_p)
+        want = rational_points_on_reference(p, ts_p)
+        assert [(z.a, z.b, z.c) for z in got] == [(z.a, z.b, z.c) for z in want], p
+        assert all(p.value_int(z) == 0 for z in got), p
 
 
 # the translated and inverted dual cells whose inclusions verify_dual_inclusions

@@ -43,12 +43,25 @@ from eisencf.verifier import (
     verify_monotonicity,
     verify_special,
 )
+from oracles import segment_points_reference
 
 CAT = build_catalog()
 PAIRS = _frs_pairs()
 # the derived table: one entry per dihedral class, its target found
 ENTRIES = [_frs_entry(CheckReport("frs"), source, alpha) for source, alpha in PAIRS]
 IMAGES = [e for e in ENTRIES if e["target"] is not None]
+
+
+class _ZeroEvery7(random.Random):
+    """A Random whose every 7th randint returns 0, its other draws unchanged."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def randint(self, a, b):
+        self.calls += 1
+        return 0 if self.calls % 7 == 0 else super().randint(a, b)
 
 
 def _listed_claim(source, chain, target):
@@ -296,6 +309,22 @@ class TestChecksPass:
             pts = _segment_points(rep, CAT, j, random.Random(j), 20)
             assert len(pts) == 20 and rep.failures == [], f"L{j}"
             assert all(CAT.segments[j].contains(z) for z in pts)
+
+    def test_segment_points_match_the_fraction_sampler(self):
+        # the pinned artifact records only counts and verdicts, so the points
+        # themselves, and the rng state they leave, are pinned here against
+        # the Fraction sampler; _ZeroEvery7 makes sure k = 0 is drawn
+        for j in range(1, 13):
+            for rng_type in (random.Random, _ZeroEvery7):
+                for seed in (5, 29):
+                    rng, ref_rng = rng_type(seed), rng_type(seed)
+                    rep, ref_rep = CheckReport("segments"), CheckReport("segments")
+                    got = _segment_points(rep, CAT, j, rng, 25)
+                    want = segment_points_reference(ref_rep, CAT, j, ref_rng, 25)
+                    assert [(z.a, z.b, z.c) for z in got] == [
+                        (z.a, z.b, z.c) for z in want], (f"L{j}", rng_type, seed)
+                    assert rng.getstate() == ref_rng.getstate(), (f"L{j}", rng_type, seed)
+                    assert len(got) == 25 and rep.failures == ref_rep.failures == []
 
     def test_block_table_shape(self):
         blocks = dual_inclusion_blocks()
