@@ -53,15 +53,13 @@ INF = Infinity()
 # Period-4 digit cycles of the two special vertices.  The cycle for -zeta is
 # (sqrt(-3), sqrt(-3), -conj(eta), eta); the one for conj(zeta) is its image
 # under z -> -conj(z) and is the unique candidate whose convergents actually
-# reach conj(zeta) (pinned by an oracle test against the sign-flipped
-# alternative (sqrt(-3), sqrt(-3), -eta, conj(eta)), which converges
+# reach conj(zeta) (the tests pin it against the sign-flipped alternative
+# (sqrt(-3), sqrt(-3), -eta, conj(eta)) of tests/oracles.py, which converges
 # elsewhere).
 SPECIAL_PERIOD: dict[FieldElement, tuple[EisensteinInt, ...]] = {
     MINUS_ZETA: (SQRT_M3, SQRT_M3, -ETA_BAR, ETA),
     ZETA_BAR: (SQRT_M3, SQRT_M3, ETA, -ETA_BAR),
 }
-
-REJECTED_ZETA_BAR_PERIOD: tuple[EisensteinInt, ...] = (SQRT_M3, SQRT_M3, -ETA, ETA_BAR)
 
 
 def special_digits(point: FieldElement, count: int) -> list[EisensteinInt]:

@@ -93,12 +93,9 @@ def cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_DOMAIN
     e = expand(z, cfg.digits)
     convs = convergents(e.digits)
-    terminal: dict = {"type": type(e.terminal).__name__}
-    if hasattr(e.terminal, "step"):
-        terminal["step"] = e.terminal.step
-    if hasattr(e.terminal, "entry_index"):
-        terminal["entry_index"] = e.terminal.entry_index
-        terminal["point"] = field_element_to_json(e.terminal.point)
+    terminal = {**e.terminal._asdict(), "type": type(e.terminal).__name__}
+    if "point" in terminal:
+        terminal["point"] = field_element_to_json(terminal["point"])
     zf = z.approx()
     errors = [None if c.q.is_zero() else abs(zf - _ratio(c.p, c.q)) for c in convs[1:]]
     doc = {

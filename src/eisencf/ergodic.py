@@ -503,13 +503,9 @@ def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
 def occupation_frequencies(batch: OrbitBatch, tol: float = BAND) -> tuple[np.ndarray, np.ndarray]:
     """Empirical cell frequencies per orbit: (orbits x 36 matrix, means)."""
     orbits, length = batch.points.shape
-    counts = np.zeros((orbits, 37), dtype=np.int64)   # column 0 counts no cell
-    chunk = max(1, 400000 // max(length, 1))
-    for lo in range(0, orbits, chunk):
-        sl = batch.points[lo:lo + chunk]
-        key = classify_cells_complex(sl.ravel(), tol=tol) + 1
-        key += np.repeat(37 * np.arange(len(sl)), length)
-        counts[lo:lo + chunk] = np.bincount(key, minlength=37 * len(sl)).reshape(-1, 37)
+    key = classify_cells_complex(batch.points, tol=tol)
+    key += 1 + 37 * np.arange(orbits)[:, None]        # column 0 counts no cell
+    counts = np.bincount(key.ravel(), minlength=37 * orbits).reshape(orbits, 37)
     freq = counts[:, 1:] / length
     return freq, freq.mean(axis=0)
 

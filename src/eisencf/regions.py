@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .exact import BAND, ETAS, SQRT3, FieldElement, embed
 from .hexdomain import DomainError, in_U
@@ -90,11 +90,7 @@ class Primitive:
         """Gradient-magnitude scale so |P|/scale approximates real distance."""
         if self.qq == 0:
             return math.hypot(self.bx, self.by / SQRT3)
-        cx = -self.bx / (2.0 * self.qq)
-        cy = -self.by / (6.0 * self.qq)
-        r_sq = cx * cx + 3.0 * cy * cy - self.dd / self.qq
-        r = math.sqrt(max(r_sq, 1e-18))
-        return 2.0 * abs(self.qq) * r
+        return 2.0 * abs(self.qq) * _curve(self)[1]
 
     # -- exact transforms ---------------------------------------------------
     def invert(self) -> Primitive:
@@ -724,13 +720,6 @@ def classify_cells_complex(
             hits = band[refs].all(axis=1) & finite
             out[at] = cells[(hits * _FIRST).max(axis=0)]
     return idx.reshape(z.shape)
-
-
-def rational_points_on(prim: Primitive, ts: Iterable[Fraction]) -> list[FieldElement]:
-    """Rational points on a circle/line primitive, one per rational t (an int
-    or a Fraction) that `rational_point` maps to a point."""
-    pts = (rational_point(prim, t.numerator, t.denominator) for t in ts)
-    return [z for z in pts if z is not None]
 
 
 def rational_point(prim: Primitive, tn: int, td: int) -> FieldElement | None:

@@ -12,9 +12,14 @@ from eisencf._util import CheckReport
 from eisencf.cf import ConvergentPair, Truncated, convergents, expand, step_T
 from eisencf.ergodic import (_ROOTS, _RULES, CELLS, ArcQuadrature, _graded_rule,
                              occupation_frequencies, simulate_orbits)
-from eisencf.exact import EisensteinInt, FieldElement, embed, j_element
+from eisencf.exact import (ETA, ETA_BAR, SQRT3, SQRT_M3, EisensteinInt, FieldElement, embed,
+                           j_element)
 from eisencf.hexdomain import _OFFSETS, DomainError, in_U
-from eisencf.regions import Catalog, Primitive, _rational_base_point
+from eisencf.regions import Catalog, Primitive, _rational_base_point, rational_point
+
+# the sign-flipped alternative to cf.SPECIAL_PERIOD[ZETA_BAR]: its
+# convergents converge, but not to conj(zeta)
+REJECTED_ZETA_BAR_PERIOD: tuple[EisensteinInt, ...] = (SQRT_M3, SQRT_M3, -ETA, ETA_BAR)
 
 
 def error_product_check(z: FieldElement, n: int) -> tuple[Fraction, Fraction]:
@@ -64,8 +69,26 @@ def field_element_from_json(d: dict) -> FieldElement:
     return FieldElement.from_xy(Fraction(d["x"]), Fraction(d["y"]))
 
 
+def scale_float_reference(prim: Primitive) -> float:
+    """`Primitive.scale_float` with a circle's centre and radius computed
+    in floats from its coefficients: 2 |qq| r, or |grad P| of a line."""
+    if prim.qq == 0:
+        return math.hypot(prim.bx, prim.by / SQRT3)
+    cx = -prim.bx / (2.0 * prim.qq)
+    cy = -prim.by / (6.0 * prim.qq)
+    r_sq = cx * cx + 3.0 * cy * cy - prim.dd / prim.qq
+    return 2.0 * abs(prim.qq) * math.sqrt(max(r_sq, 1e-18))
+
+
+def rational_points_on(prim: Primitive, ts) -> list[FieldElement]:
+    """Rational points on a circle/line primitive, one per rational t (an int
+    or a Fraction) that `regions.rational_point` maps to a point."""
+    pts = (rational_point(prim, t.numerator, t.denominator) for t in ts)
+    return [z for z in pts if z is not None]
+
+
 def rational_points_on_reference(prim: Primitive, ts) -> list[FieldElement]:
-    """`regions.rational_points_on` in Fraction arithmetic: a line solved for
+    """`rational_points_on` in Fraction arithmetic: a line solved for
     y (for x where by = 0), a circle's chord (x0 + s, y0 + t*s) of slope t
     through its base point solved for s, and the tangent (s = 0) skipped."""
     pts: list[FieldElement] = []
@@ -103,6 +126,21 @@ def segment_points_reference(rep: CheckReport, cat: Catalog, j: int, rng, n: int
     if len(pts) < n:
         rep.fail(curve=f"L{j}", kind="sampling_starved", valid=len(pts))
     return pts[:n]
+
+
+def inversion_points_reference(rng) -> list[FieldElement]:
+    """The points `verifier.verify_inversions` checks, in its order: per
+    family, t = k/m a Fraction mapped by `rational_points_on_reference`
+    until it has _POINTS_PER_FAMILY nonzero points."""
+    from eisencf.verifier import _POINTS_PER_FAMILY, _inversion_families
+    pts: list[FieldElement] = []
+    for _, src, _ in _inversion_families():
+        fam: list[FieldElement] = []
+        while len(fam) < _POINTS_PER_FAMILY:
+            t = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
+            fam += (z for z in rational_points_on_reference(src, [t]) if not z.is_zero())
+        pts += fam
+    return pts
 
 
 def invariance_check(quad, orbits: int = 64, length: int = 20000,

@@ -20,7 +20,6 @@ from eisencf.cf import (
     eval_cf,
     expand,
     special_digits,
-    REJECTED_ZETA_BAR_PERIOD,
 )
 from eisencf.exact import (
     EisensteinInt,
@@ -41,7 +40,8 @@ from eisencf.verifier import (
     verify_monotonicity,
 )
 from oracles import (
-    density_integral, error_product_check, floor_J_candidates, invariance_check,
+    REJECTED_ZETA_BAR_PERIOD, density_integral, error_product_check, floor_J_candidates,
+    invariance_check,
 )
 
 SEED = 42

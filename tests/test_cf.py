@@ -7,7 +7,6 @@ from eisencf.cf import (
     INF,
     INITIAL_CONVERGENT,
     Infinity,
-    REJECTED_ZETA_BAR_PERIOD,
     SPECIAL_PERIOD,
     SpecialPeriodic,
     SpecialPoint,
@@ -36,7 +35,9 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import in_U
 from eisencf.verifier import random_orbit_seed
-from oracles import error_product_check, inverse_branch_derivative, jump_map
+from oracles import (
+    REJECTED_ZETA_BAR_PERIOD, error_product_check, inverse_branch_derivative, jump_map,
+)
 
 
 class TestStep:

@@ -277,7 +277,7 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "1dec91d4b920c4c580a08dc17730a7e7d389beeb9f0afc849d34817a0a65a542")
+            "1126ec693ef369bbd22bab0444e87bbbc06da4ffcd3033be6163380364d886e8")
 
     def test_repeated_requests_have_the_bytes_of_a_fresh_process(self, capsys):
         # the first request in this process proves `frs` and `dual`, the

@@ -449,8 +449,9 @@ class TestInvariance:
         assert rep.info["rotation_spread"] < 0.02
 
     def test_frequencies_are_per_cell_means(self):
-        # one bincount per chunk gives the bits of 36 per-cell means; rows
-        # of 7000 points span two chunks of 57 orbits
+        # one bincount over the batch gives the bits of 36 per-cell means;
+        # its 420,000 points cross 13 lookup blocks, whose edges fall inside
+        # orbits of 7000 points
         batch = simulate_orbits(60, 7000, seed=23)
         freq, mean_freq = occupation_frequencies(batch)
         idx = classify_cells_complex(batch.points)

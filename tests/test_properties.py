@@ -19,10 +19,10 @@ from eisencf.hexdomain import (
 )
 from eisencf.regions import (
     BoundaryPoint, Primitive, _box_range, _box_row, _rational_base_point, build_catalog,
-    cell_of, rational_points_on,
+    cell_of, rational_point,
 )
 from eisencf.verifier import _claim_table, _pullback, dual_inclusion_blocks
-from oracles import floor_J_candidates, rational_points_on_reference
+from oracles import floor_J_candidates, rational_points_on, rational_points_on_reference
 from test_verifier import HAND_CLAIMS
 
 CAT = build_catalog()
@@ -154,13 +154,21 @@ def test_curves_hold_circles_lines_and_lines_without_y():
     assert kinds == {"circle", "line", "line by = 0"}
 
 
+def _triple(z):
+    return None if z is None else (z.a, z.b, z.c)
+
+
 @settings(exact, max_examples=100)
-@given(st.lists(rationals, max_size=4), st.booleans())
-@example([0, Fraction(-3, 7), 5, -(10**40 + 1)], False)
-@example([Fraction(-3, 7), 5, Fraction(10**40 + 1, 3)], True)
-def test_rational_points_on_matches_the_fraction_reference(ts, reciprocal):
+@given(st.lists(rationals, max_size=4), st.booleans(),
+       st.integers(-10**20, 10**20).filter(bool))
+@example([0, Fraction(-3, 7), 5, -(10**40 + 1)], False, 2)
+@example([Fraction(-3, 7), 5, Fraction(10**40 + 1, 3)], True, -1)
+@example([Fraction(2, 3), -7, Fraction(10**40 + 1, 3)], False, -6)
+def test_rational_points_on_matches_the_fraction_reference(ts, reciprocal, lam):
     # the integer chord formula against the Fraction one: the same points in
-    # the same order, each on its curve, the tangent chord skipped by both
+    # the same order, each on its curve, the tangent chord skipped by both;
+    # rational_point is homogeneous, so the unreduced pair (lam tn, lam td)
+    # gives the point of (tn, td), lam < 0 included
     if reciprocal:
         ts = [1 / Fraction(t) if t else t for t in ts]
     for p in CURVES:
@@ -172,6 +180,10 @@ def test_rational_points_on_matches_the_fraction_reference(ts, reciprocal):
         want = rational_points_on_reference(p, ts_p)
         assert [(z.a, z.b, z.c) for z in got] == [(z.a, z.b, z.c) for z in want], p
         assert all(p.value_int(z) == 0 for z in got), p
+        for t in map(Fraction, ts_p):
+            tn, td = t.numerator, t.denominator
+            assert _triple(rational_point(p, lam * tn, lam * td)) == _triple(
+                rational_point(p, tn, td)), (p, t, lam)
 
 
 # the translated and inverted dual cells whose inclusions verify_dual_inclusions

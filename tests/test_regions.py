@@ -30,11 +30,11 @@ from eisencf.regions import (
     circle,
     classify_cells_complex,
     half_plane,
-    rational_points_on,
     _disk,
     _sextant_tables,
 )
 from eisencf.verifier import DEPTH, U0_BOX
+from oracles import rational_points_on, scale_float_reference
 
 CAT = build_catalog()
 ZETA_F = FieldElement(1, 1, 2)
@@ -465,6 +465,18 @@ def xy(z):
 
 
 class TestFloatClassification:
+    def test_scale_float_matches_the_float_formula(self):
+        # the band scale 2|qq| r reads r from _curve; every distinct
+        # primitive of the catalogue and of its inversions matches the
+        # centre-and-radius float formula bit for bit, so no band edge moves
+        regions = [CAT.u0, *CAT.u_cells.values(), *CAT.v_cells.values(),
+                   *CAT.v_star.values(), *CAT.segments.values(), *CAT.s_sets.values()]
+        prims = {p for reg in regions for p in reg.prims}
+        prims |= {p.invert() for p in prims}
+        assert (len(prims), sum(1 for p in prims if p.qq)) == (105, 60)
+        for p in prims:
+            assert p.scale_float().hex() == scale_float_reference(p).hex(), p
+
     def test_band_reporting(self):
         reg = CAT.v_star[(6, 1)]
         z = np.array([3 + 0j, 1 + 0j, 0.999999 + 0j])

@@ -2,6 +2,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ import pytest
 import eisencf.verifier as verifier
 from eisencf._util import canonical_json
 import eisencf.cf as cf
-from eisencf.cf import REJECTED_ZETA_BAR_PERIOD
 from eisencf.exact import (
     ETAS, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, j_element, parse_field_element,
 )
 from eisencf.hexdomain import in_U0
 from eisencf.regions import (
-    INSIDE, MIRROR_PAIRS, OUTSIDE, Region, build_catalog, circle, half_plane,
+    INSIDE, MIRROR_PAIRS, OUTSIDE, Region, build_catalog, circle, half_plane, rational_point,
 )
 from eisencf.verifier import (
     CheckReport,
@@ -43,7 +43,9 @@ from eisencf.verifier import (
     verify_monotonicity,
     verify_special,
 )
-from oracles import segment_points_reference
+from oracles import (
+    REJECTED_ZETA_BAR_PERIOD, inversion_points_reference, segment_points_reference,
+)
 
 CAT = build_catalog()
 PAIRS = _frs_pairs()
@@ -291,6 +293,33 @@ class TestChecksPass:
         rep = verify_inversions(seed=1)
         assert rep.verdict == "FAIL"
         assert [(f["family"], f["kind"]) for f in rep.failures] == [(name, "coefficients")]
+
+    def test_inversion_points_match_the_fraction_loop(self, monkeypatch):
+        # the pinned artifact records only counts and verdicts, so the points
+        # verify_inversions checks, and the rng state they leave, are pinned
+        # here against the Fraction loop; it hands rational_point unreduced
+        # pairs such as (4, 6)
+        made, drawn = [], []
+
+        def recording_random(seed):
+            made.append(random.Random(seed))
+            return made[-1]
+
+        def recording_point(prim, tn, td):
+            drawn.append(z := rational_point(prim, tn, td))
+            return z
+
+        monkeypatch.setattr(verifier, "random", SimpleNamespace(Random=recording_random))
+        monkeypatch.setattr(verifier, "rational_point", recording_point)
+        for seed in range(4):
+            made.clear()
+            drawn.clear()
+            assert verify_inversions(seed).verdict == "PASS"
+            ref_rng = random.Random(derive_seed(seed, "inversions"))
+            want = inversion_points_reference(ref_rng)
+            got = [z for z in drawn if z is not None and not z.is_zero()]
+            assert [(z.a, z.b, z.c) for z in got] == [(z.a, z.b, z.c) for z in want], seed
+            assert len(made) == 1 and made[0].getstate() == ref_rng.getstate(), seed
 
     def test_rejected_zeta_bar_digits_fail(self, monkeypatch):
         # the error law and the S-set tracks both reject the digit list
