@@ -60,7 +60,7 @@ import numpy as np
 
 from ._util import derive_seed
 from .exact import BAND
-from .floatpath import SQRT3, U_BOX, _alive, _digit, _stacks, hex_margin
+from .floatpath import SQRT3, U_BOX, _alive, _stepper, hex_margin
 from .regions import (MIRROR_PAIRS, Catalog, Piece, Region, build_catalog,
                       classify_cells_complex)
 
@@ -99,10 +99,10 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
 
     Each round draws every unfinished batch's fresh starts from its own
     stream and steps them together.  The state is one (2, n) row per step,
-    z on top and w below, so one divide and one subtract of the digit serve
-    z -> 1/z - alpha and the dual recurrence w -> 1/w - alpha alike; the
-    alive mask, log|w| and the per-batch copies are then taken once per
-    block.  A batch whose orbits all survive keeps them without a copy.
+    z on top and w below, so one step (`floatpath._stepper`, bound once per
+    round) serves z -> 1/z - alpha and the dual recurrence w -> 1/w - alpha
+    alike; the alive mask, log|w| and the per-batch copies are then taken
+    once per block.  A batch whose orbits all survive keeps them uncopied.
     """
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
             for s in seeds]
@@ -121,20 +121,15 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
         # last block (row 0: the starts, and a w the first step overwrites)
         zw = np.zeros((_BLOCK + 1, 2, ends[-1]), dtype=np.complex128)
         zw[0, 0] = np.concatenate(z0)
-        # row views made once: indexing them anew each step took about a
-        # tenth of the loop's time
-        rows, stacks = list(zw), _stacks(zw.shape[2])
-        tops = [r[0] for r in rows]
+        step = _stepper(zw)
         alive = np.ones(zw.shape[2], dtype=bool)
         with np.errstate(all="ignore"):
             for k0 in range(0, length, _BLOCK):
                 n = min(_BLOCK, length - k0)
                 for j in range(n):
-                    np.divide(1.0, rows[j], out=rows[j + 1])
-                    alpha = _digit(tops[j + 1], stacks)
-                    np.subtract(rows[j + 1], alpha, out=rows[j + 1])
+                    alpha = step(j)
                     if not k0 + j:   # w_1 = -alpha: the start has no w
-                        np.negative(alpha, out=rows[1][1])
+                        np.negative(alpha, out=zw[1, 1])
                 # a dead orbit's column runs on as garbage and is never
                 # read, so its mask can wait for the end of the block: each
                 # test is elementwise, and the AND of a block's rows is the

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from eisencf.exact import (
     EisensteinInt,
@@ -11,7 +12,7 @@ from eisencf.exact import (
     embed,
     j_element,
 )
-from eisencf.floatpath import ETA_C, S3_C, SQRT3, hex_margin, t_step
+from eisencf.floatpath import ETA_C, S3_C, SQRT3, _alive, _stepper, hex_margin, t_step
 from eisencf.hexdomain import _nearest, floor_J, in_U, in_U0
 from oracles import floor_J_candidates
 
@@ -356,3 +357,30 @@ class TestStepBitwise:
             alive, z = self._same(z, 1e-3)
             dead += int((~alive).sum())
         assert dead > 1000
+
+    @pytest.mark.parametrize("width", [1, 64, 129])
+    def test_a_bound_step_keeps_nothing_of_its_last_call(self, width):
+        # a step reuses its buffers: on B after A it must give what the
+        # reference gives on B alone.  A's inverses round to both cosets of
+        # J, B's all to J's unshifted lattice, so a p, q or lattice choice
+        # that B's step failed to overwrite would be A's
+        rng = np.random.default_rng(85 + width)
+        u = rng.uniform(-1, 1, (2, 4 * width)) + 1j * rng.uniform(-SQRT3 / 2, SQRT3 / 2,
+                                                                   (2, 4 * width))
+        u = [v[hex_margin(v) < -1e-3][:width] for v in u]
+        m = rng.integers(-40, 40, (2, width))
+        n = rng.integers(-40, 40, (2, width))
+        a = 1.0 / (ETA_C + 0.5 * u[0] + m[0] * ETA_C + n[0] * S3_C)
+        b = 1.0 / (0.5 * u[1] + m[1] * 2 * ETA_C + n[1] * S3_C + 3.0)
+        for tol in (1e-12, 1e-16):
+            rows = np.empty((2, 1, width), dtype=np.complex128)
+            step = _stepper(rows)
+            with np.errstate(all="ignore"):
+                for z in (a, b):
+                    rows[0, 0] = z
+                    alpha = step(0)
+            alive = _alive(b, rows[1, 0], tol)
+            ref_alpha, ref_next, ref_alive = t_step_coordinatewise(b, tol)
+            assert np.array_equal(alive, ref_alive)
+            assert alpha[alive].tobytes() == ref_alpha[alive].tobytes()
+            assert np.where(alive, rows[1, 0], 0.0).tobytes() == ref_next.tobytes()
