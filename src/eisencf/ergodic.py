@@ -43,8 +43,12 @@ alongside as an independent cross-check.
 
 Denominators q_n are never materialized in floats (they overflow near
 n ~ 10^3); the ratio recurrence is the only tracked quantity.  The Birkhoff
-and the occupation batches are stepped side by side in one array, one numpy
-call serving both; every step is elementwise, so the bytes do not move.
+and the occupation batches are stepped side by side, one numpy call serving
+both; every step is elementwise, so the bytes do not move.  Each batch keeps
+only what its route reads: the Birkhoff batch log|w| per orbit-step, whose
+row means then have the bits of a separate run, and the occupation batch
+per-orbit cell counts, taken as its points are made, a lookup block at a
+time.  No orbit point is stored.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ import numpy as np
 from ._util import derive_seed
 from .exact import BAND
 from .floatpath import SQRT3, U_BOX, _alive, _stepper, hex_margin
-from .regions import (MIRROR_PAIRS, Catalog, Piece, Region, build_catalog,
-                      classify_cells_complex)
+from .regions import (_LOOKUP_BLOCK, MIRROR_PAIRS, Catalog, Piece, Region,
+                      build_catalog, classify_cells_complex)
 
 CELLS = [(k, l) for k in range(1, 7) for l in range(1, 7)]
 
@@ -93,34 +97,61 @@ class OrbitBatch:
     points: np.ndarray          # (orbits, length) z_k, k = 1..length
 
 
-def _simulate_batches(orbits: int, length: int, seeds: list[int],
-                      tol: float = BAND) -> list[OrbitBatch]:
-    """simulate_orbits for each seed, stepped side by side in one array.
+def _cell_counts(points: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of points (orbits, steps), how many lie in no cell (column 0)
+    and in each of CELLS (column 1 + ci): the one counting rule of the
+    occupation statistics, whole batches and streamed blocks alike."""
+    orbits = points.shape[0]
+    key = classify_cells_complex(points, tol=tol)
+    key += 1 + 37 * np.arange(orbits)[:, None]
+    return np.bincount(key.ravel(), minlength=37 * orbits).reshape(orbits, 37)
+
+
+def _simulate_batches(orbits: int, length: int, keeps: list[tuple[int, tuple[str, ...]]],
+                      tol: float = BAND) -> list[dict[str, np.ndarray]]:
+    """simulate_orbits for each (seed, names) of keeps, stepped side by side
+    in one array, each batch keeping only the arrays it names: "starts",
+    "log_w" and "points", the fields of OrbitBatch, and "counts", the
+    `_cell_counts` of its points, which it does not keep.
 
     Each round draws every unfinished batch's fresh starts from its own
     stream and steps them together.  The state is one (2, n) row per step,
     z on top and w below, so one step (`floatpath._stepper`, bound once per
     round) serves z -> 1/z - alpha and the dual recurrence w -> 1/w - alpha
-    alike; the alive mask, log|w| and the per-batch copies are then taken
-    once per block.  A batch whose orbits all survive keeps them uncopied.
+    alike; the alive mask is then taken once per block, and log|w| and z of
+    only the batches that keep them.  A counting batch stages its z rows
+    until they fill a block of the cell lookup, then counts them, so it
+    holds no more of its points than that.  A round's dead columns are
+    dropped with all they kept, counts included; a batch whose orbits all
+    survive keeps its arrays uncopied.
     """
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(s, "orbits")))
-            for s in seeds]
-    kept: list[list] = [[] for _ in seeds]   # [starts, log_w, points] per round
-    need = [orbits] * len(seeds)
+            for s, _ in keeps]
+    kept: list[list[dict]] = [[] for _ in keeps]   # per batch, one dict per round
+    need = [orbits] * len(keeps)
     while any(need):
         if max(map(len, kept)) == 20:   # rounds so far
             raise RuntimeError("orbit batch kept hitting the boundary band")
-        live = [b for b in range(len(seeds)) if need[b]]
-        z0 = [_uniform_in_u0(rngs[b], need[b]) for b in live]
+        live = [b for b in range(len(keeps)) if need[b]]
         ends = np.cumsum([need[b] for b in live])
         sls = [slice(hi - need[b], hi) for b, hi in zip(live, ends)]
-        lws = [np.empty((need[b], length)) for b in live]
-        zzs = [np.empty((need[b], length), dtype=np.complex128) for b in live]
+        outs, stages = [], []
+        for b in live:
+            m, names = need[b], keeps[b][1]
+            out = {"starts": _uniform_in_u0(rngs[b], m)}
+            if "log_w" in names:
+                out["log_w"] = np.empty((m, length))
+            if "points" in names:
+                out["points"] = np.empty((m, length), dtype=np.complex128)
+            if "counts" in names:
+                out["counts"] = np.zeros((m, 37), dtype=np.int64)
+            outs.append(out)
+            stages.append(np.empty((m, _BLOCK * max(1, _LOOKUP_BLOCK // (_BLOCK * m))),
+                                   dtype=np.complex128) if "counts" in names else None)
         # (z, w) of up to _BLOCK steps after the row carried in from the
         # last block (row 0: the starts, and a w the first step overwrites)
         zw = np.zeros((_BLOCK + 1, 2, ends[-1]), dtype=np.complex128)
-        zw[0, 0] = np.concatenate(z0)
+        zw[0, 0] = np.concatenate([out["starts"] for out in outs])
         step = _stepper(zw)
         alive = np.ones(zw.shape[2], dtype=bool)
         with np.errstate(all="ignore"):
@@ -135,18 +166,26 @@ def _simulate_batches(orbits: int, length: int, seeds: list[int],
                 # test is elementwise, and the AND of a block's rows is the
                 # AND taken step by step
                 alive &= _alive(zw[:n, 0], zw[1:n + 1, 0], tol).all(axis=0)
-                log_w = np.log(np.abs(zw[1:n + 1, 1]))
-                for sl, lw, zz in zip(sls, lws, zzs):
-                    lw[:, k0:k0 + n] = log_w[:, sl].T
-                    zz[:, k0:k0 + n] = zw[1:n + 1, 0, sl].T
+                for sl, out, stage in zip(sls, outs, stages):
+                    z = zw[1:n + 1, 0, sl].T
+                    if "log_w" in out:
+                        out["log_w"][:, k0:k0 + n] = np.log(np.abs(zw[1:n + 1, 1, sl])).T
+                    if "points" in out:
+                        out["points"][:, k0:k0 + n] = z
+                    if stage is not None:   # its width is a whole number of blocks
+                        r = k0 % stage.shape[1]
+                        stage[:, r:r + n] = z
+                        if r + n == stage.shape[1] or k0 + n == length:
+                            out["counts"] += _cell_counts(stage[:, :r + n], tol)
                 zw[0] = zw[n]
-        for b, sl, *arrays in zip(live, sls, z0, lws, zzs):
+        for b, sl, out in zip(live, sls, outs):
             ok = alive[sl]
-            kept[b].append(arrays if ok.all() else [a[ok] for a in arrays])
+            kept[b].append({name: out[name] if ok.all() else out[name][ok]
+                            for name in keeps[b][1]})
             need[b] -= int(ok.sum())
-    return [OrbitBatch(*(a[0] if len(a) == 1 else np.concatenate(a)
-                         for a in zip(*parts)))
-            for parts in kept]
+    return [{name: parts[0][name] if len(parts) == 1 else
+             np.concatenate([p[name] for p in parts]) for name in names}
+            for (_, names), parts in zip(keeps, kept)]
 
 
 def simulate_orbits(orbits: int, length: int, seed: int,
@@ -158,7 +197,8 @@ def simulate_orbits(orbits: int, length: int, seed: int,
     several seeds stepped side by side (`_simulate_batches`) have the bytes
     of separate runs: every operation is elementwise.
     """
-    return _simulate_batches(orbits, length, [seed], tol)[0]
+    fields = ("starts", "log_w", "points")
+    return OrbitBatch(**_simulate_batches(orbits, length, [(seed, fields)], tol)[0])
 
 
 @dataclass
@@ -173,11 +213,11 @@ class LevyEstimate:
 def levy_birkhoff(orbits: int = 64, length: int = 20000, seed: int = 0,
                   tol: float = BAND) -> LevyEstimate:
     """Growth rate lim (1/n) log|q_n| as a Birkhoff average of log|w|."""
-    return _birkhoff(simulate_orbits(orbits, length, seed, tol))
+    return _birkhoff(_simulate_batches(orbits, length, [(seed, ("log_w",))], tol)[0]["log_w"])
 
 
-def _birkhoff(batch: OrbitBatch) -> LevyEstimate:
-    per = batch.log_w.mean(axis=1)
+def _birkhoff(log_w: np.ndarray) -> LevyEstimate:
+    per = log_w.mean(axis=1)
     return LevyEstimate(float(per.mean()), float(per.std(ddof=1) / math.sqrt(len(per))))
 
 
@@ -375,12 +415,13 @@ def _pair_check(kl: tuple[int, int], cell: tuple[Region, Region, tuple, tuple],
     both = (v.inside_xy(zp.real, zp.imag / SQRT3, tol)
             & u_reg.inside_xy(u.real, u.imag / SQRT3, tol))
     dist = np.abs(zp * u - 1.0)
-    kern = np.where(both, 1.0 / np.maximum(dist, 1e-30) ** 4, 0.0)
-    logu = np.where(both, -np.log(np.maximum(np.abs(u), 1e-300)), 0.0)
+    # the kernel times the weight, formed once for the mean and the spread
+    integrand = np.where(both, 1.0 / np.maximum(dist, 1e-30) ** 4, 0.0)
+    integrand *= np.where(both, -np.log(np.maximum(np.abs(u), 1e-300)), 0.0)
     scale = ((box[1] - box[0]) * (box[3] - box[2])
              * (ub[1] - ub[0]) * (ub[3] - ub[2]))
-    return (scale * float((kern * logu).mean()),
-            scale * float((kern * logu).std(ddof=1)) / math.sqrt(m),
+    return (scale * float(integrand.mean()),
+            scale * float(integrand.std(ddof=1)) / math.sqrt(m),
             float(dist[both].min()) if both.any() else math.inf)
 
 
@@ -497,10 +538,11 @@ def estimate_C0_and_levy_integral(quad_samples: int = 1000000, seed: int = 0,
 
 def occupation_frequencies(batch: OrbitBatch, tol: float = BAND) -> tuple[np.ndarray, np.ndarray]:
     """Empirical cell frequencies per orbit: (orbits x 36 matrix, means)."""
-    orbits, length = batch.points.shape
-    key = classify_cells_complex(batch.points, tol=tol)
-    key += 1 + 37 * np.arange(orbits)[:, None]        # column 0 counts no cell
-    counts = np.bincount(key.ravel(), minlength=37 * orbits).reshape(orbits, 37)
+    return _frequencies(_cell_counts(batch.points, tol), batch.points.shape[1])
+
+
+def _frequencies(counts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """`occupation_frequencies` from the `_cell_counts` of orbits of length."""
     freq = counts[:, 1:] / length
     return freq, freq.mean(axis=0)
 
@@ -538,10 +580,11 @@ class ErgodicReport:
 def ergodic_report(orbits: int = 64, length: int = 20000,
                    quad_samples: int = 1000000, seed: int = 0) -> ErgodicReport:
     quad = estimate_C0_and_levy_integral(quad_samples, seed)
-    # the Birkhoff batch is dropped before the occupation pass
-    batches = _simulate_batches(orbits, length, [seed, derive_seed(seed, "occ")])
-    birkhoff = _birkhoff(batches.pop(0))
-    _, mean_freq = occupation_frequencies(batches.pop())
+    # the Birkhoff route reads only log|w|, the occupation route only counts
+    birk, occ = _simulate_batches(orbits, length, [(seed, ("log_w",)),
+                                                   (derive_seed(seed, "occ"), ("counts",))])
+    birkhoff = _birkhoff(birk["log_w"])
+    _, mean_freq = _frequencies(occ["counts"], length)
     masses = quad.cell_masses()
     return ErgodicReport(
         levy_birkhoff=birkhoff,

@@ -424,6 +424,7 @@ class TestParserReuse:
 # while all of them are the one constant
 BAND_PARAMETERS = {
     "ergodic._simulate_batches": True,
+    "ergodic._cell_counts": False,
     "ergodic.simulate_orbits": True,
     "ergodic.levy_birkhoff": True,
     "ergodic.estimate_C0_and_levy_integral": True,

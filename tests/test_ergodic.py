@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eisencf.ergodic import (
     Quadrature,
     _cell_integrals,
     _cell_rule,
+    _BLOCK,
     _ROOTS,
     _RULES,
     _simulate_batches,
@@ -145,30 +147,57 @@ def simulate_step_by_step(orbits, length, seed, tol=1e-12):
     return [np.concatenate(a) for a in zip(*parts)], len(parts)
 
 
+# every array a batch can keep
+EVERYTHING = ("starts", "log_w", "points", "counts")
+
+
+def cell_counts(points, tol=1e-12):
+    """Reference for the streamed counts: per orbit, its points in no cell
+    and in each of CELLS."""
+    idx = classify_cells_complex(points, tol=tol)
+    return np.stack([(idx == ci).sum(axis=1) for ci in range(-1, 36)], axis=1)
+
+
+def assert_matches_reference(batch, reference, tol=1e-12):
+    starts, log_w, points = reference
+    assert batch["starts"].tobytes() == starts.tobytes()
+    assert batch["log_w"].tobytes() == log_w.tobytes()
+    assert batch["points"].tobytes() == points.tobytes()
+    assert batch["counts"].tobytes() == cell_counts(points, tol).tobytes()
+
+
 class TestBlockedLoop:
     """The orbit loop takes the alive mask, |w| and the log once per block of
-    steps; its batches have the bytes of the step-by-step reference."""
+    steps, and counts cells once per staged lookup block; its batches have
+    the bytes of the step-by-step reference."""
 
-    @pytest.mark.parametrize("length", [1, 63, 64, 65, 133])
+    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
     def test_lengths_around_the_block(self, length):
-        batch = simulate_orbits(8, length, seed=length)
-        (starts, log_w, points), _ = simulate_step_by_step(8, length, length)
-        assert batch.starts.tobytes() == starts.tobytes()
-        assert batch.log_w.tobytes() == log_w.tobytes()
-        assert batch.points.tobytes() == points.tobytes()
+        (batch,) = _simulate_batches(8, length, [(length, EVERYTHING)])
+        reference, _ = simulate_step_by_step(8, length, length)
+        assert_matches_reference(batch, reference)
 
     # at tol 1e-3 orbits die on every step, and each seed resamples; at
-    # length 128 the last step, where no later death can hide a missed one,
-    # is the last row of a block
-    @pytest.mark.parametrize("length", [128, 200])
+    # length 2 * _BLOCK the last step, where no later death can hide a
+    # missed one, is the last row of a block
+    @pytest.mark.parametrize("length", [2 * _BLOCK, 3 * _BLOCK + 8])
     def test_orbits_dying_mid_block(self, length):
-        together = _simulate_batches(64, length, [11, 12], 1e-3)
+        together = _simulate_batches(64, length, [(11, EVERYTHING), (12, EVERYTHING)], 1e-3)
         for seed, batch in zip((11, 12), together):
-            (starts, log_w, points), rounds = simulate_step_by_step(64, length, seed, 1e-3)
+            reference, rounds = simulate_step_by_step(64, length, seed, 1e-3)
             assert rounds > 2
-            assert batch.starts.tobytes() == starts.tobytes()
-            assert batch.log_w.tobytes() == log_w.tobytes()
-            assert batch.points.tobytes() == points.tobytes()
+            assert_matches_reference(batch, reference, 1e-3)
+
+    # a stage of one block and, for the first round's 64 orbits, of two:
+    # the counts do not depend on where the stage is flushed
+    @pytest.mark.parametrize("lookup", [1, 2 * 64 * _BLOCK])
+    def test_counts_are_free_of_the_stage(self, monkeypatch, lookup):
+        monkeypatch.setattr(ergodic, "_LOOKUP_BLOCK", lookup)
+        length = 3 * _BLOCK + 8
+        (batch,) = _simulate_batches(64, length, [(13, EVERYTHING)], 1e-3)
+        reference, rounds = simulate_step_by_step(64, length, 13, 1e-3)
+        assert rounds > 2
+        assert_matches_reference(batch, reference, 1e-3)
 
 
     def test_forced_retry_at_the_band(self, monkeypatch):
@@ -184,13 +213,17 @@ class TestBlockedLoop:
             return z
 
         monkeypatch.setattr(ergodic, "_uniform_in_u0", poisoned)
-        together = _simulate_batches(32, 130, [21, 22])
+        together = _simulate_batches(32, 130, [(21, EVERYTHING), (22, EVERYTHING)])
         for seed, batch in zip((21, 22), together):
-            (starts, log_w, points), rounds = simulate_step_by_step(32, 130, seed)
+            reference, rounds = simulate_step_by_step(32, 130, seed)
             assert rounds == 2
-            assert batch.starts.tobytes() == starts.tobytes()
-            assert batch.log_w.tobytes() == log_w.tobytes()
-            assert batch.points.tobytes() == points.tobytes()
+            assert_matches_reference(batch, reference)
+
+    def test_each_batch_keeps_only_what_it_names(self):
+        birk, occ = _simulate_batches(8, 100, [(4, ("log_w",)), (9, ("counts",))])
+        assert set(birk) == {"log_w"} and set(occ) == {"counts"}
+        assert birk["log_w"].tobytes() == simulate_orbits(8, 100, 4).log_w.tobytes()
+        assert occ["counts"].tobytes() == cell_counts(simulate_orbits(8, 100, 9).points).tobytes()
 
 
 class TestSideBySide:
@@ -205,9 +238,10 @@ class TestSideBySide:
     @pytest.mark.parametrize("seeds,length,tol", [((4, 9), 300, 1e-12),
                                                   ((11, 12), 200, 1e-3)])
     def test_batches_equal_separate_runs(self, seeds, length, tol):
-        together = _simulate_batches(64, length, list(seeds), tol)
+        fields = ("starts", "log_w", "points")
+        together = _simulate_batches(64, length, [(s, fields) for s in seeds], tol)
         for seed, batch in zip(seeds, together):
-            assert self._bytes(batch) == self._bytes(
+            assert self._bytes(ergodic.OrbitBatch(**batch)) == self._bytes(
                 simulate_orbits(64, length, seed, tol))
 
     def test_report_equals_replay(self):
@@ -220,6 +254,50 @@ class TestSideBySide:
             birk.value, birk.stderr)
         assert np.array([o["frequency"] for o in rep.occupation]).tobytes() == (
             freq.tobytes())
+
+    def test_report_equals_replay_after_a_resample(self, monkeypatch):
+        # each batch's first draw starts one orbit at 1/(1 + eta), which dies
+        # on the first step (test_forced_retry_at_the_band), so the report
+        # drops that column's log|w| and counts and resamples it; a stage of
+        # two blocks is flushed mid-orbit and the length ends mid-block
+        draw = ergodic._uniform_in_u0
+
+        def poisoned(rng, n):
+            z = draw(rng, n)
+            if n == 6:
+                z[5] = 1.0 / (1.0 + ETA_C)
+            return z
+
+        monkeypatch.setattr(ergodic, "_uniform_in_u0", poisoned)
+        monkeypatch.setattr(ergodic, "_LOOKUP_BLOCK", 6 * 2 * _BLOCK)
+        length = 5 * _BLOCK + 7
+        rep = ergodic_report(orbits=6, length=length, quad_samples=200, seed=3)
+        birk = levy_birkhoff(6, length, 3)
+        occ = simulate_orbits(6, length, derive_seed(3, "occ"))
+        assert (occ.starts != 1.0 / (1.0 + ETA_C)).all()
+        _, freq = occupation_frequencies(occ)
+        assert (rep.levy_birkhoff.value, rep.levy_birkhoff.stderr) == (
+            birk.value, birk.stderr)
+        assert np.array([o["frequency"] for o in rep.occupation]).tobytes() == (
+            freq.tobytes())
+
+
+class TestMemory:
+    def test_report_holds_no_orbit_points(self):
+        # the report keeps the Birkhoff log|w| (8 bytes per orbit-step) and
+        # per-orbit counts; its peak stays below one (orbits, length)
+        # complex array, the size of the points it no longer stores.  The
+        # per-process records (catalogue, quadrature, lookup tables) are
+        # built before tracing, as every request after a process's first
+        # finds them built
+        ergodic_report(orbits=2, length=10, quad_samples=200, seed=1)
+        tracemalloc.start()
+        try:
+            ergodic_report(orbits=64, length=16000, quad_samples=200, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 16000 * np.dtype(np.complex128).itemsize
 
 
 class TestArcFlux:
