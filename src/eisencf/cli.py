@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/configuration error,
-3 domain error.  With a fixed seed every artifact is byte-identical across
-runs.
+Exit codes: 0 success, 1 verification failure, 2 usage/configuration error
+(an unwritable --out included), 3 domain error.  With a fixed seed every
+artifact is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -230,7 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except OSError as exc:  # the output could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

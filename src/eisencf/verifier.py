@@ -20,7 +20,8 @@ blocks 2 and 4 under R = zeta*M (`regions.MIRROR_PAIRS`).  A residue bounds
 an area, which the symmetries preserve, so each proof holds for its twelve
 images, as the reports' `symmetries` entry states.  The sampled checks seed
 on every boundary curve: on the edges of U the half-open convention breaks
-the symmetry.
+the symmetry.  Every exact orbit is walked by `cf.expand`, and a step counts
+only while the walk is `Truncated`: T stops at 0 and at the special vertices.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ from .exact import (
 )
 from .cf import (
     INF,
-    OrbitSignal,
     SpecialPeriodic,
     Truncated,
     convergents,
     eval_cf,
     expand,
     special_digits,
-    step_T,
     SPECIAL_PERIOD,
 )
 from .hexdomain import _in_U0, in_U, in_U0
@@ -197,24 +196,19 @@ def _claim_table(claim: dict) -> Region:
 
 def _accepted_exact(claim: dict, w: FieldElement) -> bool:
     """The scalar path: whether the chain preimage z of w lies in U and in
-    the source cell, if any, and steps through the chain's digits."""
+    the source cell, if any, and T steps it through the chain's digits, with
+    no stop at 0 or a special vertex before the last (no spliced digit)."""
     chain, source = claim["chain"], claim["source"]
-    z = cur = eval_cf(chain, w)
+    z = eval_cf(chain, w)
     if z is INF or not in_U(z) or source is not None and not source.contains(z):
         return False
-    for d in chain:
-        try:
-            got, cur = step_T(cur)
-        except OrbitSignal:
-            return False
-        if got != d:
-            return False
-    return True
+    e = expand(z, len(chain))
+    return isinstance(e.terminal, Truncated) and e.digits == tuple(chain)
 
 
 DEPTH = 10  # levels of every certificate's box tree
-_WITNESS_DEPTH = 3  # levels of the tree the step_T witnesses are taken from
-_WITNESSES = 8  # box centres per verdict and entry re-run through step_T
+_WITNESS_DEPTH = 3  # levels of the tree the exact witnesses are taken from
+_WITNESSES = 8  # box centres per verdict and entry re-run through `_accepted_exact`
 U0_BOX = (-1, 1, Fraction(-1, 2), Fraction(1, 2))  # the bounding box of U0
 
 
@@ -270,8 +264,8 @@ def _frs_entry(rep: CheckReport, source: Region | None, alpha: EisensteinInt) ->
     are all rows of the table, which so lies in each.  The image is the
     first, by decreasing row count, whose coverage walk finds no
     counterexample; a table none covers is proved null by `Region.excess`,
-    or fails at an exact point.  step_T must accept the witnesses inside the
-    table and reject those outside, or the first mismatch is recorded."""
+    or fails at an exact point.  `_accepted_exact` must accept the witnesses
+    inside the table, reject those outside, or the first mismatch is recorded."""
     cat = build_catalog()
     claim = dict(chain=[alpha], source=source)
     table = _claim_table(claim)
@@ -498,19 +492,13 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
     rng = random.Random(derive_seed(seed, "monotone"))
     rep = CheckReport("monotonicity")
     digits10 = max(20, int(0.65 * depth))
-    done = 0
-    while done < samples:
-        z = random_orbit_seed(rng, digits10)
-        e = expand(z, depth)
-        _check_monotone(rep, list(e.digits), "generic")
-        done += 1
+    for _ in range(samples):
+        _check_monotone(rep, expand(random_orbit_seed(rng, digits10), depth).digits, "generic")
     for j in range(1, 13):
         for z in _segment_points(rep, cat, j, rng, max(3, samples // 50)):
-            e = expand(z, min(depth, 40))
-            _check_monotone(rep, list(e.digits), f"L{j}")
+            _check_monotone(rep, expand(z, min(depth, 40)).digits, f"L{j}")
     for _, z, _ in special_preimages(rng, max(3, samples // 20)):
-        e = expand(z, min(depth, 40))
-        _check_monotone(rep, list(e.digits), "special_preimage")
+        _check_monotone(rep, expand(z, min(depth, 40)).digits, "special_preimage")
     return rep
 
 
@@ -561,25 +549,17 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
     for j, (d1e, arc1, d2e, arc2) in chains.items():
         for z in _segment_points(rep, cat, j, rng, max(4, samples // 10)):
             rep.samples += 1
-            try:
-                d1, z1 = step_T(z)
-                if d1 != d1e or not cat.segments[arc1].contains(z1):
-                    rep.fail(kind="cycle", frm=f"L{j}", z=str(z))
-                    continue
-                d2, z2 = step_T(z1)
-                if d2 != d2e or not cat.segments[arc2].contains(z2):
-                    rep.fail(kind="cycle2", frm=f"L{j}", z=str(z1))
-            except OrbitSignal:
-                continue
+            # z is on an edge of U, never 0 or a vertex, so e has a first step
+            e = expand(z, 2)
+            if e.digits[0] != d1e or not cat.segments[arc1].contains(e.points[1]):
+                rep.fail(kind="cycle", frm=f"L{j}", z=str(z))
+            elif isinstance(e.terminal, Truncated) and (
+                    e.digits[1] != d2e or not cat.segments[arc2].contains(e.points[2])):
+                rep.fail(kind="cycle2", frm=f"L{j}", z=str(e.points[1]))
     # closure of the twelve-curve track
     for j in range(1, 13):
         for z in _segment_points(rep, cat, j, rng, max(3, samples // 20)):
-            cur = z
-            for _ in range(6):
-                try:
-                    _, cur = step_T(cur)
-                except OrbitSignal:
-                    break
+            for cur in expand(z, 6).points[1:]:
                 if cur.is_zero() or cur == MINUS_ZETA or cur == ZETA_BAR:
                     break
                 rep.samples += 1

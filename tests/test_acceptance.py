@@ -208,7 +208,7 @@ def test_c08_finite_range_structure():
            "images, "
            f"proved on box trees of depth {rep.info['depth']}, "
            f"worst residue {float(Fraction(rep.info['worst_residue'])):.2g}, "
-           f"{rep.samples} step_T witnesses")
+           f"{rep.samples} exact witnesses")
     assert rep.verdict == "PASS", rep.failures[:3]
 
 

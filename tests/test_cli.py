@@ -227,6 +227,11 @@ class TestExpand:
         assert doc["schema"] == 1
         assert doc["z"] == {"x": "1/5", "y": "1/9"}
 
+    def test_out_at_a_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "expand", "--z", "1/5+1/9r", "--out", str(tmp_path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert str(tmp_path) in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_single_check(self, capsys):
@@ -381,6 +386,13 @@ class TestLevyDensityRender:
         assert run(capsys, "render", "regions", "--out", str(again))[0] == 0
         for f in files:
             assert (again / f.name).read_bytes() == f.read_bytes()
+
+    def test_render_into_a_file_is_a_usage_error(self, capsys, tmp_path):
+        taken = tmp_path / "figs"
+        taken.write_text("")
+        code, out, err = run(capsys, "render", "regions", "--out", str(taken))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert str(taken) in err and taken.read_text() == ""
 
 
 class TestParserReuse:

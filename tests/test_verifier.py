@@ -11,7 +11,8 @@ import eisencf.verifier as verifier
 from eisencf._util import canonical_json
 import eisencf.cf as cf
 from eisencf.exact import (
-    ETAS, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, j_element, parse_field_element,
+    ETAS, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement, embed, j_element,
+    parse_field_element,
 )
 from eisencf.hexdomain import in_U0
 from eisencf.regions import (
@@ -146,7 +147,7 @@ def _certify_claim(rep: CheckReport, claim: dict) -> dict:
 
     Inclusion: the table lies in the closed target.  Coverage: the target,
     U0 or a U-cell, lies in the closed table.  The witnesses, from a tree of
-    depth 5 and 32 per verdict, must get the table's verdict from step_T."""
+    depth 5 and 32 per verdict, must get the table's verdict from `expand`."""
     name, target, table = claim["name"], claim["target"], _claim_table(claim)
     residues = {"inclusion": _record(rep, table.excess(target, U0_BOX, verifier.DEPTH),
                                      claim=name, kind="inclusion"),
@@ -237,7 +238,7 @@ class TestChecksPass:
         assert all(set(res) == {"coverage"} for name, res in residues.items() if name not in nulls)
         assert all(len(e["chain"]) == 1 for e in ENTRIES)
         assert [e["name"] for e in ENTRIES] == list(residues)
-        # witnesses of both verdicts ran through step_T, 8 per verdict
+        # witnesses of both verdicts ran through `expand`, 8 per verdict
         assert rep.samples == 368
 
     def test_every_target_carries_the_rows_of_U0(self):
@@ -330,6 +331,20 @@ class TestChecksPass:
         tracked = [f for f in rep.failures if f["kind"] in ("error_law", "s_set")]
         assert {f["kind"] for f in tracked} == {"error_law", "s_set"}
         assert {f["point"] for f in tracked} == {"zeta_bar"}
+
+    @pytest.mark.parametrize("put, failures", [
+        ({7: 10, 10: 7}, {"cycle": 4}),
+        ({10: 12, 12: 10}, {"cycle2": 8}),
+        ({9: 8}, {"track_escape": 13, "cycle": 4}),
+    ])
+    def test_wrong_boundary_track_fails(self, monkeypatch, put, failures):
+        # the forced cycles and the track closure each fail on a catalogue
+        # whose curve L_i is L_j for each i: j of put
+        segments = {**CAT.segments, **{i: CAT.segments[j] for i, j in put.items()}}
+        monkeypatch.setattr(verifier, "build_catalog", lambda: CAT._replace(segments=segments))
+        rep = verify_special(samples=30, seed=1)
+        assert rep.verdict == "FAIL"
+        assert Counter(f["kind"] for f in rep.failures) == failures
 
     def test_every_curve_yields_its_points(self):
         # chord slopes over all of Q reach every curve, L7 included
@@ -455,6 +470,15 @@ class TestCertificate:
         w = parse_field_element(example)
         assert CAT.u0.contains(w) and not _claim_table(claim).contains(w, closed=True)
         assert not _accepted_exact(claim, w)
+
+    def test_no_chain_steps_past_a_special_vertex(self):
+        # T stops at -zeta and conj(zeta): [d] reaches the vertex on its last
+        # digit; [d, sqrt(-3)] reaches it a digit early, where `expand`
+        # splices sqrt(-3), so only the Truncated guard rejects it
+        d = EisensteinInt(3, 0)
+        for w in (MINUS_ZETA, ZETA_BAR):
+            assert _accepted_exact(dict(chain=[d], source=None), w)
+            assert not _accepted_exact(dict(chain=[d, SQRT_M3], source=None), w)
 
     def test_table_claims_without_source_fail(self):
         # in the digit-transition table every source cell restricts its
