@@ -4,7 +4,10 @@ T(z) = 1/z - [1/z] on U \\ {0}, T(0) = 0, with digits [1/z] in the module
 J = eta*Z[zeta].  The two hexagon vertices -zeta and conj(zeta) that belong
 to U are fixed points of T whose raw digit sequence (sqrt(-3) forever) does
 not converge; they carry hand-defined period-4 expansions instead, which
-``expand`` splices in whenever an orbit reaches them.
+``expand`` splices in whenever an orbit reaches them.  ``step_T`` alone
+decides where T is defined and where it stops: it raises ``OrbitSignal`` at
+the points of ``STOPS`` (0 and the two vertices) and ``DomainError`` outside
+U, so ``expand`` raises that error at its first step.
 """
 
 from __future__ import annotations
@@ -28,18 +31,10 @@ from .hexdomain import DomainError, _round_J, in_U
 
 
 class OrbitSignal(Exception):
-    pass
-
-
-class ZeroOrbit(OrbitSignal):
-    """The orbit reached 0; the expansion terminates."""
-
-
-class SpecialPoint(OrbitSignal):
-    """The orbit reached -zeta or conj(zeta)."""
+    """The orbit reached a point of STOPS, kept as ``point``."""
 
     def __init__(self, point: FieldElement):
-        super().__init__(f"special point {point}")
+        super().__init__(f"the orbit stops at {point}")
         self.point = point
 
 
@@ -60,6 +55,8 @@ SPECIAL_PERIOD: dict[FieldElement, tuple[EisensteinInt, ...]] = {
     MINUS_ZETA: (SQRT_M3, SQRT_M3, -ETA_BAR, ETA),
     ZETA_BAR: (SQRT_M3, SQRT_M3, ETA, -ETA_BAR),
 }
+# where T stops: 0, where an expansion terminates, and the two vertices
+STOPS = frozenset((F_ZERO, *SPECIAL_PERIOD))
 
 
 def special_digits(point: FieldElement, count: int) -> list[EisensteinInt]:
@@ -70,11 +67,10 @@ def special_digits(point: FieldElement, count: int) -> list[EisensteinInt]:
 
 
 def step_T(z: FieldElement) -> tuple[EisensteinInt, FieldElement]:
-    """One step of the map: digit [1/z] and the image 1/z - [1/z]."""
-    if z.is_zero():
-        raise ZeroOrbit()
-    if z == MINUS_ZETA or z == ZETA_BAR:
-        raise SpecialPoint(z)
+    """One step of the map: digit [1/z] and the image 1/z - [1/z]; raises
+    OrbitSignal(z) at a point of STOPS and DomainError outside U."""
+    if z in STOPS:
+        raise OrbitSignal(z)
     if not in_U(z):
         raise DomainError(f"{z} is not in U")
     # 1/z = (c*a - c*b*sqrt(-3))/(a^2 + 3b^2), rounded without reducing it
@@ -111,28 +107,28 @@ class Expansion(NamedTuple):
 
 def expand(z: FieldElement, max_digits: int = 256) -> Expansion:
     """Digit expansion of z in U, splicing special expansions when needed.
+    A point outside U raises DomainError at its first step.
 
     Exact-value growth is roughly geometric in the digit count, which is why
     the depth is capped.
     """
-    if not in_U(z):
-        raise DomainError(f"{z} is not in U")
     digits: list[EisensteinInt] = []
     points: list[FieldElement] = [z]
     cur = z
     while len(digits) < max_digits:
         try:
             d, cur = step_T(cur)
-        except ZeroOrbit:
-            return Expansion(tuple(digits), TerminatedAtZero(len(digits)), tuple(points))
-        except SpecialPoint as sp:
+        except OrbitSignal as stop:
             entry = len(digits)
-            # cur is the special vertex; the spliced digits walk its 4-cycle
-            for d in special_digits(sp.point, max_digits - entry):
+            if stop.point == F_ZERO:
+                return Expansion(tuple(digits), TerminatedAtZero(entry), tuple(points))
+            # the spliced digits walk the vertex's 4-cycle and rebind cur,
+            # so the terminal names stop.point
+            for d in special_digits(stop.point, max_digits - entry):
                 cur = cur.inv() - embed(d)
                 digits.append(d)
                 points.append(cur)
-            return Expansion(tuple(digits), SpecialPeriodic(sp.point, entry), tuple(points))
+            return Expansion(tuple(digits), SpecialPeriodic(stop.point, entry), tuple(points))
         digits.append(d)
         points.append(cur)
     return Expansion(tuple(digits), Truncated(), tuple(points))

@@ -13,15 +13,8 @@ import sys
 from pathlib import Path
 
 from ._util import canonical_json
-from .cf import convergents, expand
-from .exact import (
-    BAND,
-    embed,
-    field_element_to_json,
-    format_field_element,
-    parse_field_element,
-)
-from .hexdomain import in_U
+from .cf import DomainError, convergents, expand
+from .exact import BAND, embed, field_element_to_json, parse_field_element
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -86,12 +79,12 @@ def cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not in_U(z):
-        print(f"error: {format_field_element(z)} is not in the fundamental "
-              "domain (violates the half-open hexagon constraints)",
-              file=sys.stderr)
+    try:
+        e = expand(z, cfg.digits)
+    except DomainError:
+        print(f"error: {z} is not in the fundamental domain (violates the "
+              "half-open hexagon constraints)", file=sys.stderr)
         return EXIT_DOMAIN
-    e = expand(z, cfg.digits)
     convs = convergents(e.digits)
     terminal = {**e.terminal._asdict(), "type": type(e.terminal).__name__}
     if "point" in terminal:

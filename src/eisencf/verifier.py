@@ -21,7 +21,7 @@ an area, which the symmetries preserve, so each proof holds for its twelve
 images, as the reports' `symmetries` entry states.  The sampled checks seed
 on every boundary curve: on the edges of U the half-open convention breaks
 the symmetry.  Every exact orbit is walked by `cf.expand`, and a step counts
-only while the walk is `Truncated`: T stops at 0 and at the special vertices.
+only while the walk is `Truncated`: T stops at the points of `cf.STOPS`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .exact import (
 )
 from .cf import (
     INF,
+    STOPS,
     SpecialPeriodic,
     Truncated,
     convergents,
@@ -408,7 +409,7 @@ def verify_dual_orbit(samples: int = 100, depth: int = 20, seed: int = 0) -> Che
         convs = convergents(e.digits)
         done += 1
         for n in range(1, depth + 1):
-            try:  # 0, -zeta and conj(zeta), only ever the last point, are boundary points
+            try:  # a point of STOPS, only ever the last point, is a boundary point
                 kl = cell_of(e.points[n])
             except BoundaryPoint:
                 continue
@@ -560,7 +561,7 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
     for j in range(1, 13):
         for z in _segment_points(rep, cat, j, rng, max(3, samples // 20)):
             for cur in expand(z, 6).points[1:]:
-                if cur.is_zero() or cur == MINUS_ZETA or cur == ZETA_BAR:
+                if cur in STOPS:
                     break
                 rep.samples += 1
                 if not any(r.contains(cur) for r in cat.segments.values()):

@@ -189,6 +189,39 @@ def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:
     ]
 
 
+# the vertices 1, zeta, -conj(zeta), -1, -zeta, conj(zeta) of cl(U0), doubled
+_U0_VERTICES2 = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
+
+
+def row_max_sign(row: tuple[int, ...]) -> int:
+    """The exact sign of the maximum over the closed hexagon cl(U0) of the
+    row P = qq(x^2 + 3y^2) + bx x + by y + dd, with no box tree.  For qq >= 0
+    P is convex, and its maximum is at a vertex, where 4P is an integer.
+    For qq < 0 P is concave: its maximum is at its centre if that lies in
+    cl(U0), and otherwise on an edge, at an end or at the edge's critical
+    point."""
+    qq, bx, by, dd = row[:4]
+    best = max(qq * (x * x + 3 * y * y) + 2 * bx * x + 2 * by * y + 4 * dd
+               for x, y in _U0_VERTICES2)
+    if qq < 0:
+        def p4(x: Fraction, y: Fraction) -> Fraction:
+            return 4 * (qq * (x * x + 3 * y * y) + bx * x + by * y + dd)
+
+        cx, cy = Fraction(-bx, 2 * qq), Fraction(-by, 6 * qq)
+        if 2 * abs(cy) <= 1 and abs(cx + cy) <= 1 and abs(cx - cy) <= 1:
+            best = p4(cx, cy)
+        else:
+            ends = [(Fraction(x, 2), Fraction(y, 2)) for x, y in _U0_VERTICES2]
+            for (x0, y0), (x1, y1) in zip(ends, ends[1:] + ends[:1]):
+                # P(x0 + t dx, y0 + t dy) = A t^2 + B t + C, A < 0
+                dx, dy = x1 - x0, y1 - y0
+                t = -(2 * qq * (x0 * dx + 3 * y0 * dy) + bx * dx + by * dy) / (
+                    2 * qq * (dx * dx + 3 * dy * dy))
+                if 0 < t < 1:
+                    best = max(best, p4(x0 + t * dx, y0 + t * dy))
+    return (best > 0) - (best < 0)
+
+
 def region_area_flux(arcs: ArcQuadrature) -> float:
     """Exact-area cross-check: the field u/2 has divergence one."""
     return float(np.sum(np.real(arcs.nodes / 2 * np.conj(arcs.normals))

@@ -125,7 +125,7 @@ def test_c03_reconstruction(corpus):
 
 
 def test_c04_error_product_identity():
-    from eisencf.cf import SpecialPoint
+    from eisencf.cf import OrbitSignal
 
     rng = random.Random(SEED + 4)
     done = 0
@@ -137,7 +137,7 @@ def test_c04_error_product_identity():
                 lhs, rhs = error_product_check(z, n)
                 if lhs != rhs:
                     bad += 1
-        except (ValueError, SpecialPoint):  # orbit too short: resample
+        except (ValueError, OrbitSignal):  # orbit too short: resample
             continue
         done += 1
     report("4 (error identity)", bad == 0,

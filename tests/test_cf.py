@@ -7,12 +7,11 @@ from eisencf.cf import (
     INF,
     INITIAL_CONVERGENT,
     Infinity,
+    OrbitSignal,
     SPECIAL_PERIOD,
     SpecialPeriodic,
-    SpecialPoint,
     TerminatedAtZero,
     Truncated,
-    ZeroOrbit,
     DomainError,
     convergents,
     eval_cf,
@@ -52,14 +51,14 @@ class TestStep:
         assert nxt.is_zero()
 
     def test_signals(self):
-        with pytest.raises(ZeroOrbit):
-            step_T(F_ZERO)
-        with pytest.raises(SpecialPoint):
-            step_T(MINUS_ZETA)
-        with pytest.raises(SpecialPoint):
-            step_T(ZETA_BAR)
-        with pytest.raises(DomainError):
+        # one signal at each point where T stops, carrying that point
+        for point in (F_ZERO, MINUS_ZETA, ZETA_BAR):
+            with pytest.raises(OrbitSignal) as stop:
+                step_T(point)
+            assert stop.value.point == point
+        with pytest.raises(DomainError) as exc:
             step_T(FieldElement(5, 0))
+        assert not isinstance(exc.value, OrbitSignal)
 
     def test_digit_validity_and_orbit_stays_in_u(self):
         rng = random.Random(21)
@@ -69,7 +68,7 @@ class TestStep:
             for _ in range(12):
                 try:
                     d, cur = step_T(cur)
-                except (ZeroOrbit, SpecialPoint):
+                except OrbitSignal:
                     break
                 assert in_J(d) and d.norm() >= 3
                 assert in_U(cur)
@@ -141,6 +140,25 @@ class TestExpand:
     def test_outside_domain(self):
         with pytest.raises(DomainError):
             expand(FieldElement(3, 0))
+
+    def test_splice_names_its_vertex_at_every_budget(self):
+        # the splice rebinds the current point (after three spliced digits
+        # it is 1, not the vertex), so the terminal must not be read from it
+        for n in range(1, 9):
+            for v in (MINUS_ZETA, ZETA_BAR):
+                assert expand(v, n).terminal == SpecialPeriodic(v, 0)
+            e = expand(FieldElement(1, 1, 4), n)
+            if n == 1:
+                assert e.terminal == Truncated() and e.points[-1] == MINUS_ZETA
+            else:
+                assert e.terminal == SpecialPeriodic(MINUS_ZETA, 1)
+
+    def test_a_stop_ends_a_truncated_walk_only_as_its_last_point(self):
+        # a budget that runs out on 0 or a vertex leaves it as the last point
+        # of a Truncated walk; one more digit reports the stop
+        e = expand(FieldElement(0, -1, 3), 1)
+        assert e.terminal == Truncated() and e.points[-1] == F_ZERO
+        assert expand(FieldElement(0, -1, 3), 2).terminal == TerminatedAtZero(1)
 
     def test_truncation(self):
         rng = random.Random(22)
@@ -228,7 +246,7 @@ class TestErrorProduct:
                 for n in range(1, 21):
                     lhs, rhs = error_product_check(z, n)
                     assert lhs == rhs
-            except (ValueError, SpecialPoint):
+            except (ValueError, OrbitSignal):
                 continue
             done += 1
 
@@ -253,7 +271,7 @@ class TestJumpMap:
         assert out == expected
 
     def test_special_point_signals(self):
-        with pytest.raises(SpecialPoint):
+        with pytest.raises(OrbitSignal):
             jump_map(MINUS_ZETA)
 
     def test_budget_marker_near_special_vertex(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eisencf._util import canonical_json
-from eisencf.cf import INF, TerminatedAtZero, eval_cf, expand, step_T
+from eisencf.cf import (
+    INF, STOPS, OrbitSignal, SpecialPeriodic, TerminatedAtZero, Truncated, eval_cf, expand,
+    step_T,
+)
 from eisencf.exact import (
     ETAS, F_ONE, F_ZERO, MINUS_ZETA, SQRT_M3, ZETA, ZETA_BAR, EisensteinInt, FieldElement,
     embed, j_element,
@@ -21,7 +25,9 @@ from eisencf.regions import (
     BoundaryPoint, Primitive, _box_range, _box_row, _rational_base_point, build_catalog,
     cell_of, rational_point,
 )
-from eisencf.verifier import _claim_table, _pullback, dual_inclusion_blocks
+from eisencf.verifier import (
+    _claim_table, _pullback, dual_inclusion_blocks, special_preimages,
+)
 from oracles import floor_J_candidates, rational_points_on, rational_points_on_reference
 from test_verifier import HAND_CLAIMS
 
@@ -97,6 +103,51 @@ def test_terminating_expansion_evaluates_back(a, b, c):
     e = expand(z, 256)
     assume(isinstance(e.terminal, TerminatedAtZero))
     assert eval_cf(e.digits) == z
+
+
+def _vertex_preimage(seed: int, second: bool) -> FieldElement:
+    """A preimage of -zeta, or of conj(zeta) if second, from the verifier's
+    inverse-branch walk."""
+    return [z for _, z, _ in special_preimages(random.Random(seed), 1)][second]
+
+
+# points of U whose orbits stop: at 0 for small denominators, at a vertex
+# for its preimages
+stopping_points = st.one_of(
+    st.builds(FieldElement, st.integers(-1000, 1000), st.integers(-1000, 1000),
+              st.integers(1, 1000)).map(lambda w: w - embed(floor_J(w))),
+    st.builds(_vertex_preimage, st.integers(0, 10**6), st.booleans()),
+)
+
+
+@settings(exact, max_examples=300)
+@given(stopping_points, st.integers(1, 12))
+@example(FieldElement(0, -1, 3), 2)  # T(z) = 0
+@example(FieldElement(1, 1, 4), 2)   # T(z) = -zeta
+def test_expand_stops_at_the_first_point_of_STOPS(z, n):
+    e = expand(z, n)
+    k = next((k for k, point in enumerate(e.points[:n]) if point in STOPS), None)
+    if k is None:
+        assert e.terminal == Truncated()
+    elif e.points[k] == F_ZERO:
+        assert e.terminal == TerminatedAtZero(k)
+    else:
+        assert e.terminal == SpecialPeriodic(e.points[k], k)
+
+
+@settings(exact, max_examples=300)
+@given(stopping_points, st.integers(1, 12))
+def test_step_T_signals_exactly_at_STOPS(z, n):
+    # the orbit's points up to its first stop; the spliced ones after it
+    # (1 and -1 among them) are not points of U
+    for point in expand(z, n).points:
+        assert in_U(point)
+        try:
+            step_T(point)
+        except OrbitSignal as stop:
+            assert point in STOPS and stop.point == point
+            break
+        assert point not in STOPS
 
 
 @settings(exact, max_examples=400)

@@ -16,7 +16,8 @@ from eisencf.exact import (
 )
 from eisencf.hexdomain import in_U0
 from eisencf.regions import (
-    INSIDE, MIRROR_PAIRS, OUTSIDE, Region, build_catalog, circle, half_plane, rational_point,
+    INSIDE, MIRROR_PAIRS, OUTSIDE, Primitive, Region, build_catalog, circle, half_plane,
+    rational_point,
 )
 from eisencf.verifier import (
     CheckReport,
@@ -45,7 +46,8 @@ from eisencf.verifier import (
     verify_special,
 )
 from oracles import (
-    REJECTED_ZETA_BAR_PERIOD, inversion_points_reference, segment_points_reference,
+    REJECTED_ZETA_BAR_PERIOD, inversion_points_reference, row_max_sign,
+    segment_points_reference,
 )
 
 CAT = build_catalog()
@@ -624,6 +626,31 @@ class TestFoundTargets:
         assert len(nulls) == 17
         for entry in nulls:
             assert not any(_accepted_exact(entry, w) for w in points), entry["name"]
+
+    def test_closed_form_maxima_name_52_entries_without_a_tree(self):
+        # a row whose maximum over cl(U0) is <= 0 holds on all of U0, and a
+        # table with a row >= 0 on all of cl(U0) is null; `row_max_sign`
+        # decides both with no box tree
+        u0 = set(CAT.u0._ints)
+        named = 0
+        for entry in ENTRIES:
+            rows = set(_claim_table(entry)._ints)
+            null = any(row_max_sign(tuple(-v for v in row[:4])) <= 0 for row in rows)
+            assert null == (entry["target"] is None), entry["name"]
+            if null:
+                continue
+            kept = u0 | {row for row in rows if row_max_sign(row) > 0}
+            target = set(entry["target"]._ints)
+            if kept == target:
+                named += 1
+                continue
+            # the other rows imply the one row left, which U0's do not
+            assert entry["name"] in ("U_1_1 ---2+1z--> U_2_3", "U_4_1 ---2+1z--> U_2_3")
+            ((qq, bx, by, dd, strict),) = kept - target
+            assert target < kept
+            extra = Region("extra", (Primitive(qq, bx, by, dd, "<" if strict else "<="),))
+            assert entry["target"].excess(extra, U0_BOX, verifier.DEPTH).fails == 0
+        assert named == 35
 
     def test_a_missing_image_fails_coverage(self, monkeypatch):
         # without an image in the catalogue, every candidate left fails its
