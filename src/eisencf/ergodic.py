@@ -39,7 +39,8 @@ which equals the invariant integral of log|w| (chain both sides of the
 convergent error identity |q_n z - p_n| = |z_0 ... z_n| through the ergodic
 theorem: (1/n) log|q_n| -> -mean(log|z|) almost everywhere).  A
 pair-sampled Monte Carlo estimate of the log|w| integral is recorded
-alongside as an independent cross-check.
+alongside as an independent cross-check; it tests its pairs a lookup block
+at a time and forms its integrand only on the pairs inside.
 
 Denominators q_n are never materialized in floats (they overflow near
 n ~ 10^3); the ratio recurrence is the only tracked quantity.  The Birkhoff
@@ -407,22 +408,29 @@ def _pair_check(kl: tuple[int, int], cell: tuple[Region, Region, tuple, tuple],
     -log|u| = log|w| over V_kl x (Vstar_kl)^-1, from m uniform pairs in the
     two boxes drawn from the cell's own stream of seed: (value, stderr,
     smallest |z*u - 1| of a pair inside).  `cell` is (V_kl, (Vstar_kl)^-1,
-    and their two bounding boxes)."""
+    and their two bounding boxes).  The pairs are tested a lookup block at a
+    time, u only where z lies in V_kl, and the integrand is formed only on
+    the pairs inside."""
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
     v, u_reg, box, ub = cell
-    zp = rng.uniform(box[0], box[1], m) + 1j * rng.uniform(box[2], box[3], m)
-    u = rng.uniform(ub[0], ub[1], m) + 1j * rng.uniform(ub[2], ub[3], m)
-    both = (v.inside_xy(zp.real, zp.imag / SQRT3, tol)
-            & u_reg.inside_xy(u.real, u.imag / SQRT3, tol))
-    dist = np.abs(zp * u - 1.0)
-    # the kernel times the weight, formed once for the mean and the spread
-    integrand = np.where(both, 1.0 / np.maximum(dist, 1e-30) ** 4, 0.0)
-    integrand *= np.where(both, -np.log(np.maximum(np.abs(u), 1e-300)), 0.0)
+    zx, zy = rng.uniform(box[0], box[1], m), rng.uniform(box[2], box[3], m)
+    ux, uy = rng.uniform(ub[0], ub[1], m), rng.uniform(ub[2], ub[3], m)
+    # the kernel times the weight on the pairs inside, 0 elsewhere
+    integrand, dist_mins = np.zeros(m), [math.inf]
+    for lo in range(0, m, _LOOKUP_BLOCK):
+        blk = slice(lo, lo + _LOOKUP_BLOCK)
+        kept = lo + np.flatnonzero(v.inside_xy(zx[blk], zy[blk] / SQRT3, tol))
+        kept = kept[u_reg.inside_xy(ux[kept], uy[kept] / SQRT3, tol)]
+        u = ux[kept] + 1j * uy[kept]
+        dist = np.abs((zx[kept] + 1j * zy[kept]) * u - 1.0)
+        integrand[kept] = (1.0 / np.maximum(dist, 1e-30) ** 4
+                           * -np.log(np.maximum(np.abs(u), 1e-300)))
+        dist_mins.append(dist.min(initial=math.inf))
     scale = ((box[1] - box[0]) * (box[3] - box[2])
              * (ub[1] - ub[0]) * (ub[3] - ub[2]))
     return (scale * float(integrand.mean()),
             scale * float(integrand.std(ddof=1)) / math.sqrt(m),
-            float(dist[both].min()) if both.any() else math.inf)
+            float(np.min(dist_mins)))
 
 
 @functools.cache

@@ -654,9 +654,9 @@ def cell_of(z: FieldElement) -> tuple[int, int]:
     raise DomainError(f"{z} is not in U")
 
 
-# points per block of the cell lookup, which keeps its row values in cache
-# and its working memory flat; weights that make a point's largest weighted
-# cell hit its first hit
+# points per block of every float membership pass, the cell lookup's and the
+# pair check's, which keeps its row values in cache and its working memory
+# flat; weights that make a point's largest weighted cell hit its first hit
 _LOOKUP_BLOCK, _FIRST = 32768, ((6,), (5,), (4,), (3,), (2,), (1,))
 
 

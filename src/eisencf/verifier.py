@@ -38,7 +38,6 @@ from .exact import (
     ETAS,
     EisensteinInt,
     FieldElement,
-    MINUS_ZETA,
     ZETA_BAR,
     embed,
     in_J,
@@ -459,7 +458,7 @@ def _check_monotone(rep: CheckReport, digits: Sequence[EisensteinInt], tag: str)
 
 def special_preimages(rng: random.Random, count: int
                       ) -> Iterator[tuple[FieldElement, FieldElement, list[EisensteinInt]]]:
-    """count exact preimages of each special vertex, -zeta then conj(zeta), as
+    """count exact preimages of each special vertex of SPECIAL_PERIOD, as
     (point, z, digits): T^depth(z) = point and |T^(depth-1)(z)| < 1 for a depth
     drawn from 1..4, built by inverse branches; a draw that the exact
     expansion of z does not confirm is drawn again."""
@@ -469,7 +468,7 @@ def special_preimages(rng: random.Random, count: int
             if ok(alpha):
                 return alpha
 
-    for point in (MINUS_ZETA, ZETA_BAR):
+    for point in SPECIAL_PERIOD:
         made = 0
         while made < count:
             depth = rng.randint(1, 4)
@@ -524,7 +523,7 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
     rep = CheckReport("special_points")
     rep.info["zeta_bar_digits"] = [str(d) for d in SPECIAL_PERIOD[ZETA_BAR]]
     # (a) exact error law and (b) ratio-track membership, one pass per vertex
-    for point, tag in ((MINUS_ZETA, "minus_zeta"), (ZETA_BAR, "zeta_bar")):
+    for point, tag in zip(SPECIAL_PERIOD, ("minus_zeta", "zeta_bar")):
         cs = convergents(special_digits(point, _SPECIAL_DEPTH))
         prev_norm = 0
         for n in range(1, _SPECIAL_DEPTH + 1):

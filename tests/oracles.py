@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from eisencf._util import CheckReport
+from eisencf._util import CheckReport, derive_seed
 from eisencf.cf import ConvergentPair, Truncated, convergents, expand, step_T
 from eisencf.ergodic import (_ROOTS, _RULES, CELLS, ArcQuadrature, _graded_rule,
                              occupation_frequencies, simulate_orbits)
 from eisencf.exact import (ETA, ETA_BAR, SQRT3, SQRT_M3, EisensteinInt, FieldElement, embed,
                            j_element)
 from eisencf.hexdomain import _OFFSETS, DomainError, in_U
-from eisencf.regions import Catalog, Primitive, _rational_base_point, rational_point
+from eisencf.regions import Catalog, Primitive, Region, _rational_base_point, rational_point
 
 # the sign-flipped alternative to cf.SPECIAL_PERIOD[ZETA_BAR]: its
 # convergents converge, but not to conj(zeta)
@@ -174,6 +174,27 @@ def invariance_check(quad, orbits: int = 64, length: int = 20000,
     by_k = mean_freq.reshape(6, 6)
     rep.info["rotation_spread"] = float(np.max(by_k.max(axis=1) - by_k.min(axis=1)))
     return rep
+
+
+def pair_check_reference(kl: tuple[int, int], cell: tuple[Region, Region, tuple, tuple],
+                         m: int, seed: int, tol: float) -> tuple[float, float, float]:
+    """`ergodic._pair_check` in one whole-array pass: every pair's
+    membership, distance and integrand at once."""
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"quad:{kl}")))
+    v, u_reg, box, ub = cell
+    zp = rng.uniform(box[0], box[1], m) + 1j * rng.uniform(box[2], box[3], m)
+    u = rng.uniform(ub[0], ub[1], m) + 1j * rng.uniform(ub[2], ub[3], m)
+    both = (v.inside_xy(zp.real, zp.imag / SQRT3, tol)
+            & u_reg.inside_xy(u.real, u.imag / SQRT3, tol))
+    dist = np.abs(zp * u - 1.0)
+    # the kernel times the weight, formed once for the mean and the spread
+    integrand = np.where(both, 1.0 / np.maximum(dist, 1e-30) ** 4, 0.0)
+    integrand *= np.where(both, -np.log(np.maximum(np.abs(u), 1e-300)), 0.0)
+    scale = ((box[1] - box[0]) * (box[3] - box[2])
+             * (ub[1] - ub[0]) * (ub[3] - ub[2]))
+    return (scale * float(integrand.mean()),
+            scale * float(integrand.std(ddof=1)) / math.sqrt(m),
+            float(dist[both].min()) if both.any() else math.inf)
 
 
 def floor_J_candidates(z: FieldElement) -> list[EisensteinInt]:

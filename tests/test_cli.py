@@ -307,17 +307,22 @@ class TestVerify:
 class TestLevyDensityRender:
     def test_levy_and_density_artifacts_are_pinned(self, capsys, tmp_path):
         # the bytes of the orbit and cell-lookup layers: a leaner step or
-        # lookup must leave every digit, point and frequency as it is
+        # lookup must leave every digit, point and frequency as it is.  The
+        # benchmark's 1,600,000 samples draw 88,888 pairs per cell, which the
+        # pair check walks in three lookup blocks
         levy = ("levy", "--orbits", "8", "--length", "2000", "--samples", "40000",
                 "--seed", "7")
+        levy_blocks = ("levy", "--orbits", "8", "--length", "200", "--samples", "1600000",
+                       "--seed", "7")
         pins = {
             levy: "b7b34d4ab496d0808551ac9709df626609d91f6233e576f2d28acc10d13bae4e",
+            levy_blocks: "62537b0142a99fff45c4b16250ccc5a317c1b84b82bb8a291b9cd127549e9324",
             ("density", "--grid", "16"): DENSITY_16,
         }
-        # the first levy builds the quadrature's rules, and the second levy
+        # the first levy builds the quadrature's rules, and the later ones
         # and density read them from the cache: each has the cold bytes
         ergodic.quadrature.cache_clear()
-        for argv in (levy, levy, ("density", "--grid", "16")):
+        for argv in (levy, levy, levy_blocks, ("density", "--grid", "16")):
             digest = pins[argv]
             out_file = tmp_path / f"{argv[0]}.out"
             code, _, _ = run(capsys, *argv, "--out", str(out_file))

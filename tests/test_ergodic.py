@@ -26,11 +26,11 @@ from eisencf.ergodic import (
     region_arc_quadrature,
     simulate_orbits,
 )
-from eisencf.exact import SQRT3, FieldElement, embed
+from eisencf.exact import BAND, SQRT3, FieldElement, embed
 from eisencf.floatpath import ETA_C, t_step
 from eisencf.regions import MIRROR_PAIRS, build_catalog, classify_cells_complex
 from eisencf.verifier import random_orbit_seed
-from oracles import density_integral, invariance_check, region_area_flux
+from oracles import density_integral, invariance_check, pair_check_reference, region_area_flux
 
 CAT = build_catalog()
 
@@ -286,18 +286,20 @@ class TestMemory:
     def test_report_holds_no_orbit_points(self):
         # the report keeps the Birkhoff log|w| (8 bytes per orbit-step) and
         # per-orbit counts; its peak stays below one (orbits, length)
-        # complex array, the size of the points it no longer stores.  The
-        # per-process records (catalogue, quadrature, lookup tables) are
-        # built before tracing, as every request after a process's first
-        # finds them built
+        # complex array, the size of the points it no longer stores, also
+        # at the benchmark's pair budget, whose check holds its draws and
+        # integrand and one lookup block of the rest.  The per-process
+        # records (catalogue, quadrature, lookup tables) are built before
+        # tracing, as every request after a process's first finds them built
         ergodic_report(orbits=2, length=10, quad_samples=200, seed=1)
-        tracemalloc.start()
-        try:
-            ergodic_report(orbits=64, length=16000, quad_samples=200, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 16000 * np.dtype(np.complex128).itemsize
+        for quad_samples in (200, 1600000):
+            tracemalloc.start()
+            try:
+                ergodic_report(orbits=64, length=16000, quad_samples=quad_samples, seed=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 16000 * np.dtype(np.complex128).itemsize, quad_samples
 
 
 class TestArcFlux:
@@ -462,6 +464,20 @@ class TestQuadrature:
                 a[0] = 0.0
         with pytest.raises(AttributeError):
             cold.arcs[3].nodes = cold.arcs[3].nodes.copy()
+
+    def test_pair_check_blocks_equal_one_pass(self):
+        # the blocked pair check against the whole-array reference, on pair
+        # counts that end inside, at and just past a lookup block; m = 3
+        # keeps no pair in some cells, where the smallest distance is inf
+        block, empty = ergodic._LOOKUP_BLOCK, 0
+        for seed in (1, 2):
+            for m in (3, 200, block - 1, block, block + 1, 88888):
+                for k, cell in ergodic._pair_cells().items():
+                    got = ergodic._pair_check((k, 1), cell, m, seed, BAND)
+                    assert got == pair_check_reference((k, 1), cell, m, seed, BAND), (
+                        seed, m, k)
+                    empty += got[2] == math.inf
+        assert empty > 0
 
     def test_cell_integrals_against_refined_rules(self):
         # both rules with four times the nodes per panel
