@@ -15,11 +15,14 @@ x -> -x) and z -> z + t act on coefficient vectors:
     mirror        (qq, bx, by, dd) -> (qq, -bx, by, dd)
     translation   substitute z - t and clear denominators.
 
-Every membership test (exact `contains`, float `inside_xy`, the box tree of
-`excess`) reads a region in one row form, built once: rows (qq, bx, by, dd)
-meaning "P <= 0", or "P < 0" where the row is strict and the region open.  A
-">" or ">=" primitive becomes its negated row, "==" the two rows P and -P, and
-each row keeps its primitive's float scale for the boundary band.  The float
+Every membership test (exact `contains`, float `inside_xy`) and the exact
+emptiness decision `interior_points` read a region in one row form, built
+once: rows (qq, bx, by, dd) meaning "P <= 0", or "P < 0" where the row is
+strict and the region open.  A ">" or ">=" primitive becomes its negated
+row, "==" the two rows P and -P, and each row keeps its primitive's float
+scale for the boundary band.  The curves of the construction, and their
+images under Moebius maps over Q(sqrt(-3)), meet at points of Q(sqrt(-3))
+(`_meets`), so inclusions and disjointness are decided exactly.  The float
 half (`Piece.at`, `inside_xy`, `classify_cells_complex`) imports numpy when it
 first runs, so the exact layer and `verify` load without it.
 
@@ -254,60 +257,106 @@ def _cuts(ci: tuple[complex, float, complex], cj: tuple[complex, float, complex]
     return [] if a is None else [(phi - a) % (2 * math.pi), (phi + a) % (2 * math.pi)]
 
 
-def _box_row(row: tuple[int, int, int, int], s: int) -> tuple[int, ...]:
-    """A row (qq, bx, by, dd) at the scale x = u/s, y = v/s, as `_box_range`
-    reads it: (0, BX, BY, DD) for a line, P s^2 = BX u + BY v + DD, and
-    (g, 2q, g BX, 6q, g BY, K) for a circle, q = |qq|, g = sign(qq), where
-    12 q g P s^2 = 3 (2q u + g BX)^2 + (6q v + g BY)^2 - K."""
-    qq, bx, by, dd = row
-    bx, by, dd = bx * s, by * s, dd * s * s
-    if not qq:
-        return (0, bx, by, dd)
-    g = 1 if qq > 0 else -1
-    return (g, 2 * g * qq, g * bx, 6 * g * qq, g * by, 3 * bx * bx + by * by - 12 * qq * dd)
+def _meets(p: tuple[int, ...], q: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The points (a, b, c), z = (a + b*sqrt(-3))/c, where the distinct
+    curves of the rows p and q meet: none, one where they touch, two where
+    they cross.  Two lines meet by Cramer's rule; else the points lie on a
+    line, the line of the pair or the radical line of two circles, at the
+    roots t of P(l + t*e) = 0 for a circle P, l a point of the line and e
+    its direction.  An irrational root raises ValueError."""
+    (q1, x1, y1, d1), (q2, x2, y2, d2) = p, q
+    if not (q1 or q2):
+        det = x1 * y2 - x2 * y1
+        return [(y1 * d2 - y2 * d1, x2 * d1 - x1 * d2, det)] if det else []
+    u, v, w = q2 * x1 - q1 * x2, q2 * y1 - q1 * y2, q2 * d1 - q1 * d2
+    if not (u or v):
+        return []  # concentric circles
+    qq, bx, by, dd = p if q1 else q
+    (x0, y0, d0), ex, ey = (0, -w, v) if v else (-w, 0, u), -v, u  # l = (x0, y0)/d0
+    # k2 t^2 + k1 t + k0 = d0^2 P(l + t*e)
+    k2 = qq * (ex * ex + 3 * ey * ey) * d0 * d0
+    k1 = d0 * (2 * qq * (x0 * ex + 3 * y0 * ey) + d0 * (bx * ex + by * ey))
+    k0 = qq * (x0 * x0 + 3 * y0 * y0) + d0 * (bx * x0 + by * y0 + dd * d0)
+    disc = k1 * k1 - 4 * k2 * k0
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        raise ValueError(f"the curves of the rows {p} and {q} meet at irrational points")
+    return [(2 * k2 * x0 + d0 * ex * t, 2 * k2 * y0 + d0 * ey * t, 2 * k2 * d0)
+            for t in ((-k1 - root, -k1 + root) if root else (-k1,))]  # t = 2 k2 t
 
 
-def _box_range(row: tuple[int, ...], u0: int, u1: int, v0: int, v1: int) -> tuple[int, int]:
-    """The exact (min, max) of a `_box_row` over [u0, u1] x [v0, v1], times its
-    positive weight (1 for a line, 12 |qq| for a circle): P is a quadratic in
-    u plus one in v, so each extreme lies at a corner coordinate or at the
-    vertex, where a square's base changes sign."""
-    if not row[0]:
-        _, bx, by, dd = row
-        lo, hi = (dd + bx * u0, dd + bx * u1) if bx > 0 else (dd + bx * u1, dd + bx * u0)
-        return (lo + by * v0, hi + by * v1) if by > 0 else (lo + by * v1, hi + by * v0)
-    g, q2, bx, q6, by, k = row
-    p0, p1, r0, r1 = q2 * u0 + bx, q2 * u1 + bx, q6 * v0 + by, q6 * v1 + by
-    a, b, c, d = p0 * p0, p1 * p1, r0 * r0, r1 * r1  # p0 <= p1 and r0 <= r1
-    lo = 3 * (a if p0 > 0 else b if p1 < 0 else 0) + (c if r0 > 0 else d if r1 < 0 else 0) - k
-    hi = 3 * (a if a > b else b) + (c if c > d else d) - k
-    return (lo, hi) if g > 0 else (-hi, -lo)
+def _param(n: int, d: int) -> tuple[int, int]:
+    """n/d on the projective line in lowest terms, (1, 0) for infinity."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return (n // g, d // g) if d else (1, 0)
 
 
-def _sift(rows, u0: int, u1: int, v0: int, v1: int, hold: int) -> list | None:
-    """None when a row is positive on the box, else the rows not decided on
-    it: those whose maximum is >= hold."""
-    left = []
-    for r in rows:
-        lo, hi = _box_range(r, u0, u1, v0, v1)
-        if lo > 0:
-            return None
-        if hi >= hold:
-            left.append(r)
-    return left
+class _Sweep(NamedTuple):
+    """A curve as `rational_point` sweeps it by t = n/d: x, or y where by =
+    0, on a line, whose point is at t = 0 and pole at infinity; on a circle
+    the slope of the chord from its point, the base point, whose own
+    parameter, the tangent slope, is the pole.  meets holds `cut_by` of
+    each other row."""
+
+    prim: Primitive
+    point: tuple[int, int, int]
+    pole: tuple[int, int]
+    meets: dict
+
+    def param(self, a: int, b: int, c: int) -> tuple[int, int]:
+        """The parameter of the point (a + b*sqrt(-3))/c of the curve."""
+        if not self.prim.qq:
+            return _param(a if self.prim.by else b, c)
+        x0, y0, d0 = self.point
+        n, d = b * d0 - y0 * c, a * d0 - x0 * c
+        return _param(n, d) if n or d else self.pole
+
+    def cut_by(self, other: tuple[int, ...]) -> tuple[tuple[tuple[int, int], bool], ...]:
+        """The parameters where the curve of the row other meets this one,
+        each with whether other's row changes sign there: where two lines
+        meet or two curves cross, not where they touch."""
+        p = self.prim
+        pts = _meets((p.qq, p.bx, p.by, p.dd), other)
+        crossing = len(pts) == 2 or not (p.qq or other[0])
+        return tuple((self.param(*z), crossing) for z in pts)
 
 
-class Excess(NamedTuple):
-    """What `Region.excess` proved."""
+def _sweep(row: tuple[int, int, int, int]) -> _Sweep:
+    prim = Primitive(*row, "==")
+    if not prim.qq:
+        z = rational_point(prim, 0, 1)
+        return _Sweep(prim, (z.a, z.b, z.c), (1, 0), {})
+    x0, y0, d0 = base = _rational_base_point(prim)
+    # the slope where rational_point's A vanishes
+    return _Sweep(prim, base, _param(-(2 * prim.qq * x0 + d0 * prim.bx),
+                                     6 * prim.qq * y0 + d0 * prim.by), {})
 
-    residue: Fraction   # upper bound on the area of A \ cl(B), in (x, y)
-    fails: int          # final-depth box centres strictly in A, outside cl(B)
-    example: FieldElement | None   # the first of them
+
+def _arcs(cuts) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The arcs between the cuts of the projective line in order, each as
+    the cut that opens it and a parameter inside it.  Where infinity is a
+    cut the first arc starts there, so that no walk crosses it: a line's
+    row changes sign at infinity on another line."""
+    ends = sorted((c for c in cuts if c[1]), key=lambda c: c[0] / c[1])
+    if any(n1 * d2 > n2 * d1 for (n1, d1), (n2, d2) in zip(ends, ends[1:])):
+        ends.sort(key=lambda c: Fraction(*c))  # floats that tie or misorder
+    arcs = [((n1, d1), (n1 * d2 + n2 * d1, 2 * d1 * d2))
+            for (n1, d1), (n2, d2) in zip(ends, ends[1:])]
+    if (1, 0) not in cuts:
+        return arcs + [(ends[-1], (1, 0))]
+    if not ends:
+        return [((1, 0), (0, 1))]
+    (n1, d1), (n2, d2) = ends[0], ends[-1]
+    return [((1, 0), (n1 - d1, d1))] + arcs + [((n2, d2), (n2 + d2, d2))]
 
 
-# the verdicts of `Region.box_tree`: a box dropped as outside A, a box proved
-# strictly inside A whose parent was not, or neither
-OUTSIDE, INSIDE, UNDECIDED = -1, 1, 0
+def _positive(rows, a: int, b: int, c: int) -> set[int]:
+    """The indices of the rows (qq, bx, by, dd) >= 0 at (a + b*sqrt(-3))/c."""
+    n, ac, bc, cc = a * a + 3 * b * b, a * c, b * c, c * c
+    return {j for j, (qq, bx, by, dd) in enumerate(rows)
+            if qq * n + bx * ac + by * bc + dd * cc >= 0}
 
 
 def _row_values(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -318,6 +367,58 @@ def _row_values(coef: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     with np.errstate(invalid="ignore", over="ignore"):
         r = x * x + 3.0 * y * y
         return qq * r + bx * x + by * y + dd, np.isfinite(r)
+
+
+def _interior(rows: list, cache: dict) -> Iterator[FieldElement]:
+    """The walk of `Region.interior_points` over its distinct rows."""
+    if any((-qq, -bx, -by, -dd) in rows for qq, bx, by, dd in rows):
+        return
+    kept = []
+    for row in rows:
+        qq, bx, by, dd = row
+        r2 = 3 * bx * bx + by * by - 12 * qq * dd  # 12 qq^2 r^2 on a circle
+        if r2 > 0 or qq < 0 and r2 == 0:
+            kept.append(row)
+        elif qq > 0 or not qq and dd >= 0:  # P >= 0 everywhere
+            return
+    for i, row in enumerate(kept):
+        if row not in cache:
+            cache[row] = cache[tuple(-v for v in row)] = _sweep(row)
+        curve, others = cache[row], kept[:i] + kept[i + 1:]
+        cuts = {curve.pole: set()}  # parameter -> the other rows that change sign there
+        a, b, c = curve.point
+        n, ac, bc, cc = a * a + 3 * b * b, a * c, b * c, c * c
+        for j, other in enumerate(others):
+            got = curve.meets.get(other)
+            if got is None:  # the same for the row and its negation
+                got = curve.meets[other] = curve.meets[tuple(-v for v in other)] = (
+                    curve.cut_by(other))
+            qq, bx, by, dd = other
+            if not got and qq * n + bx * ac + by * bc + dd * cc > 0:
+                break  # the other row is positive all along the curve
+            for t, crossing in got:
+                cuts.setdefault(t, set()).update((j,) if crossing else ())
+        else:
+            arcs = _arcs(cuts)
+            z = rational_point(curve.prim, *arcs[0][1])
+            if z is None:
+                continue  # a circle of radius 0
+            positive = _positive(others, z.a, z.b, z.c)
+            for m, (cut, t) in enumerate(arcs):
+                positive ^= cuts[cut] if m else set()
+                if not positive:
+                    z, (qq, bx, by, _) = rational_point(curve.prim, *t), row
+                    a, b, c = z.a, z.b, z.c
+                    gx, gy = 2 * qq * a + bx * c, 6 * qq * b + by * c
+                    e = max(0, max(abs(gx), abs(gy)).bit_length() - c.bit_length())
+                    while _positive(kept, (a << e) - gx, (b << e) - gy, c << e):
+                        e += 1
+                    yield FieldElement((a << e) - gx, (b << e) - gy, c << e)
+                    break
+    if all(3 * bx * bx + by * by == 12 * qq * dd for qq, bx, by, dd in kept):
+        # no curve is left, only the centres of circles of radius 0
+        yield next(FieldElement(k, 0) for k in range(len(kept) + 1)
+                   if not _positive(kept, k, 0, 1))
 
 
 class BoundaryPoint(Exception):
@@ -366,79 +467,27 @@ class Region:
                 return False
         return True
 
-    # -- exact box tree ---------------------------------------------------
-    def excess(self, other: Region | None, box, depth: int) -> Excess:
-        """An exact dyadic bound on the area of A \\ cl(B), A = self and
-        B = other (None: the empty set), within box = (x0, x1, y0, y1), by
-        branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
-        1966): the residue and the counterexamples of `box_tree`."""
-        den, unit, tree = self.box_tree(other, box, depth)
-        count = fails = 0
-        example = None
-        for _, u, v, weight, bad in tree:
-            count += weight
-            if bad and example is None:
-                example = FieldElement(u, v, den)
-            fails += bad
-        return Excess(count * unit, fails, example)
+    # -- exact emptiness -------------------------------------------------
+    def interior_points(self, cache: dict | None = None) -> Iterator[FieldElement]:
+        """Exact points of the open set {every row < 0}, at most one per
+        constraint curve: none exactly when the set is empty.
 
-    def box_tree(self, other: Region | None, box, depth: int
-                 ) -> tuple[int, Fraction, Iterator[tuple[int, int, int, int, int]]]:
-        """The box tree of `excess`, as den, the area of one final-depth box
-        (the residue's unit), and a lazy breadth-first stream of (verdict, u,
-        v, weight, bad): the box centred at (u, v) / den gets a verdict
-        (OUTSIDE, INSIDE or UNDECIDED) and adds weight final-depth boxes to the
-        residue, bad of them counterexamples.  A box with no verdict and no
-        weight is not emitted.
-
-        The box is split in four, `depth` times.  A box is dropped when a row
-        of A is positive on it, or when every row of B left is <= 0 on it; a
-        row of A negative on a box, or of B <= 0, is not evaluated on its
-        children.  A row of B equal to a row of A holds on all of A and is
-        dropped up front; an A with two opposite rows lies on a curve, and
-        emits nothing.  A box strictly inside A where a row of B is positive
-        is all counterexample; any other box left at the final depth adds to
-        the residue, and its centre is a counterexample when strictly inside A
-        and outside cl(B).
+        Each curve is cut where the others meet it (`_meets`) and at its
+        pole, in the order of its `_Sweep` parameter.  The other rows change
+        sign only where they cross it, so their signs at one point of the
+        first arc, flipped at each crossing, are their signs on every arc.
+        A nonempty set that is not the plane has a boundary arc where every
+        other row is negative; from a point of a curve's first such arc the
+        walk steps by 2^-k along -grad P until every row is.  It is lazy;
+        calls that share a cache, those of one proof, share curves and meets
+        and walk each distinct row set once, in full.
         """
-        box = [Fraction(v) for v in box]
-        den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
-        corners = u0, u1, v0, v1 = tuple(v.numerator * (den // v.denominator) for v in box)
-        unit = Fraction((u1 - u0) * (v1 - v0), den * den << 2 * depth)
-        a_set = dict.fromkeys(r[:4] for r in self._ints)
-        if any((-qq, -bx, -by, -dd) in a_set for qq, bx, by, dd in a_set):
-            return den, unit, iter(())
-        root = (*corners, [_box_row(r, den) for r in a_set], None if other is None else
-                [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])
-
-        def walk():
-            level = [root]
-            for d in range(depth + 1):
-                level, boxes = [], level
-                for u0, u1, v0, v1, a_rows, b_rows in boxes:
-                    um, vm = (u0 + u1) >> 1, (v0 + v1) >> 1
-                    keep_a = _sift(a_rows, u0, u1, v0, v1, 0)
-                    if keep_a is None:
-                        yield OUTSIDE, um, vm, 0, 0
-                        continue
-                    verdict = INSIDE if a_rows and not keep_a else UNDECIDED
-                    keep_b = b_rows and _sift(b_rows, u0, u1, v0, v1, 1)
-                    if keep_b == []:
-                        weight = bad = 0
-                    elif keep_b is None and not keep_a:
-                        weight = bad = 4 ** (depth - d)
-                    elif d < depth:
-                        level += [(x, xx, y, yy, keep_a, keep_b) for x, xx in ((u0, um), (um, u1))
-                                  for y, yy in ((v0, vm), (vm, v1))]
-                        weight = bad = 0
-                    else:  # the centre decides
-                        c = (um, um, vm, vm)
-                        weight, bad = 1, int(all(_box_range(r, *c)[0] < 0 for r in keep_a) and (
-                            keep_b is None or any(_box_range(r, *c)[0] > 0 for r in keep_b)))
-                    if verdict or weight:
-                        yield verdict, um, vm, weight, bad
-
-        return den, unit, walk()
+        rows = sorted({r[:4] for r in self._ints})
+        if cache is None:
+            return _interior(rows, {})
+        if frozenset(rows) not in cache:
+            cache[frozenset(rows)] = list(_interior(rows, cache))
+        return iter(cache[frozenset(rows)])
 
     def rotate(self, times: int, name: str | None = None) -> Region:
         return Region(name or f"zeta^{times}*{self.name}",
@@ -723,8 +772,8 @@ def classify_cells_complex(
 
 
 def rational_point(prim: Primitive, tn: int, td: int) -> FieldElement | None:
-    """The point with parameter t = tn/td (td != 0) on a circle/line
-    primitive, formed from integers.
+    """The point with parameter t = tn/td on a circle/line primitive,
+    formed from integers (td = 0, the vertical chord, on a circle only).
 
     A line bx*x + by*y + dd = 0 is parametrized by x = t (by y = t if by = 0).
     A circle is swept by the chord (x0 + s, y0 + t*s) through its rational
@@ -748,19 +797,26 @@ def rational_point(prim: Primitive, tn: int, td: int) -> FieldElement | None:
 @lru_cache(maxsize=64)
 def _rational_base_point(prim: Primitive) -> tuple[int, int, int]:
     """Some rational point (X0, Y0)/D on the circle primitive, as the
-    integers (X0, Y0, D), D > 0."""
-    cx, cy, r_sq = prim.circle_data()
-    # try intersections with horizontal rational lines y = cy + u
-    for num in range(0, 200):
-        for den in (1, 2, 3, 4, 6, 12):
-            for sgn in (1, -1):
-                u = Fraction(sgn * num, den)
-                rem = r_sq - 3 * u * u
-                if rem < 0:
-                    continue
-                root = Fraction(math.isqrt(rem.numerator), math.isqrt(rem.denominator))
-                if root * root == rem:
-                    x, y = cx + root, cy + u
-                    d = math.lcm(x.denominator, y.denominator)
-                    return x.numerator * d // x.denominator, y.numerator * d // y.denominator, d
-    raise ValueError(f"no rational point found on {prim}")
+    integers (X0, Y0, D), D > 0 and gcd 1: the first (cx + root, cy + u),
+    u = num/den, where r^2 - 3 u^2 = M / (12 |qq| den)^2 is a square, M =
+    12 (K den^2 - 36 qq^2 num^2) and K = 12 qq^2 r^2; else the point above
+    the centre, where r^2/3 = K / (6 qq)^2 is a square.  The construction's
+    circles have r^2 = 1/4, 1/3 or 1, and a Moebius map over Q(sqrt(-3))
+    scales r^2 by a rational square."""
+    qq, bx, by, dd = prim.qq, prim.bx, prim.by, prim.dd
+    g = 1 if qq > 0 else -1
+    k = 3 * bx * bx + by * by - 12 * qq * dd
+    for num, den in product(range(200), (1, 2, 3, 4, 6, 12)):
+        m = 12 * (k * den * den - 36 * qq * qq * num * num)
+        root = math.isqrt(m) if m >= 0 else -1
+        if root * root == m:
+            x, y = root - 6 * g * bx * den, 12 * g * qq * num - 2 * g * by * den
+            big = 12 * g * qq * den
+            break
+    else:
+        root = math.isqrt(k) if k >= 0 else -1
+        if root * root != k:
+            raise ValueError(f"no rational point found on {prim}")
+        x, y, big = -3 * g * bx, root - g * by, 6 * g * qq
+    h = math.gcd(x, y, big)
+    return x // h, y // h, big // h

@@ -1,11 +1,11 @@
 """Executable checks for the identities and classifications of the system.
 
-The finite range structure and the dual inclusions are proved on exact box
-trees (`Region.box_tree`), once per process through `CHECKS`, as they depend
-on no input; the other checks draw exact points from a stream derived
-deterministically from (master seed, check name).  Every check
-returns a machine-readable CheckReport whose verdict is PASS exactly when no
-counterexample was found.
+The finite range structure and the dual inclusions are set identities,
+decided exactly by `Region.interior_points` once per process through
+`CHECKS`, as they depend on no input; the other checks draw exact points
+from a stream derived deterministically from (master seed, check name).
+Every check returns a machine-readable CheckReport whose verdict is PASS
+exactly when no counterexample was found.
 
 Both proofs take one representative per dihedral class: `frs` one entry of
 its table of one-step images (`_frs_pairs`), `dual` one block.  J and U0
@@ -16,12 +16,13 @@ d_3, ...) rotates to (zeta^m d_1, zeta^-m d_2, zeta^m d_3, ...).  M(z) =
 Under each of the twelve symmetries a chain's w-space table, source and
 target map exactly, as sets of primitives, as do a dual block's terms
 (Vstar_kl)^-1 - alpha and its target; dual blocks 3 and 5 are the images of
-blocks 2 and 4 under R = zeta*M (`regions.MIRROR_PAIRS`).  A residue bounds
-an area, which the symmetries preserve, so each proof holds for its twelve
-images, as the reports' `symmetries` entry states.  The sampled checks seed
-on every boundary curve: on the edges of U the half-open convention breaks
-the symmetry.  Every exact orbit is walked by `cf.expand`, and a step counts
-only while the walk is `Truncated`: T stops at the points of `cf.STOPS`.
+blocks 2 and 4 under R = zeta*M (`regions.MIRROR_PAIRS`).  An inclusion or
+an empty intersection is a set identity, which the symmetries preserve, so
+each proof holds for its twelve images, as the reports' `symmetries` entry
+states.  The sampled checks seed on every boundary curve: on the edges of U
+the half-open convention breaks the symmetry.  Every exact orbit is walked
+by `cf.expand`, and a step counts only while the walk is `Truncated`: T
+stops at the points of `cf.STOPS`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._util import CheckReport, derive_seed
@@ -54,14 +56,11 @@ from .cf import (
     special_digits,
     SPECIAL_PERIOD,
 )
-from .hexdomain import _in_U0, in_U, in_U0
+from .hexdomain import in_U, in_U0
 from .regions import (
-    INSIDE,
     MIRROR_PAIRS,
-    OUTSIDE,
     BoundaryPoint,
     Catalog,
-    Excess,
     Primitive,
     Region,
     build_catalog,
@@ -206,100 +205,66 @@ def _accepted_exact(claim: dict, w: FieldElement) -> bool:
     return isinstance(e.terminal, Truncated) and e.digits == tuple(chain)
 
 
-DEPTH = 10  # levels of every certificate's box tree
-_WITNESS_DEPTH = 3  # levels of the tree the exact witnesses are taken from
-_WITNESSES = 8  # box centres per verdict and entry re-run through `_accepted_exact`
-U0_BOX = (-1, 1, Fraction(-1, 2), Fraction(1, 2))  # the bounding box of U0
+_WITNESSES = 8  # exact points per verdict and entry re-run through `_accepted_exact`
 
 
-def _residue_info(rep: CheckReport, residues: dict[str, dict[str, Fraction]]) -> None:
-    rep.info["depth"] = DEPTH
-    rep.info["residues"] = {key: {k: str(v) for k, v in res.items()}
-                            for key, res in residues.items()}
-    rep.info["worst_residue"] = str(max(v for res in residues.values() for v in res.values()))
+def _escapes(region: Region, cover: Region, memo: dict) -> Iterator[FieldElement]:
+    """Exact points of region outside cl(cover), every row of cover <= 0:
+    the `interior_points` of region & {r > 0}, lazily, for each row r of
+    cover not a row of region; memo is the proof's cache for them."""
+    own = {r[:4] for r in region._ints}
+    for qq, bx, by, dd in dict.fromkeys(r[:4] for r in cover._ints):
+        if (qq, bx, by, dd) not in own:
+            outside = Primitive(-qq, -bx, -by, -dd, "<")
+            yield from Region("escape", region.prims + (outside,)).interior_points(memo)
 
 
-def _record(rep: CheckReport, res: Excess, **where) -> Fraction:
-    """Record a bound on the area of A \\ cl(B) into rep: an exact
-    counterexample fails the report; returns the residue."""
-    if res.fails:
-        rep.fail(**where, counterexamples=res.fails, example=str(res.example))
-    return res.residue
-
-
-def _witnesses(table: Region) -> tuple[list[FieldElement], list[FieldElement]]:
-    """The centres of the first _WITNESSES boxes a tree of depth
-    _WITNESS_DEPTH proves inside the table, and of the first _WITNESSES in U0
-    it drops outside, in traversal order; the walk stops once it holds both."""
-    den, _, tree = table.box_tree(None, U0_BOX, _WITNESS_DEPTH)
-    inside: list[FieldElement] = []
-    outside: list[FieldElement] = []
-    for verdict, u, v, _, _ in tree:
-        if verdict == INSIDE and len(inside) < _WITNESSES:
-            inside.append(FieldElement(u, v, den))
-        elif verdict == OUTSIDE and len(outside) < _WITNESSES and _in_U0(u, v, den):
-            outside.append(FieldElement(u, v, den))
-        if len(inside) == len(outside) == _WITNESSES:
-            break
-    return inside, outside
-
-
-def _coverage(target: Region, table: Region) -> Fraction | None:
-    """The residue of target \\ cl(table) over U0 that `Region.excess` bounds,
-    from one walk of their box tree; None at its first counterexample.  The
-    target, U0 or a U-cell, carries U0's six rows."""
-    _, unit, tree = target.box_tree(table, U0_BOX, DEPTH)
-    count = 0
-    for _, _, _, weight, bad in tree:
-        if bad:
-            return None
-        count += weight
-    return count * unit
-
-
-def _frs_entry(rep: CheckReport, source: Region | None, alpha: EisensteinInt) -> dict:
+def _frs_entry(rep: CheckReport, source: Region | None, alpha: EisensteinInt,
+               memo: dict) -> dict:
     """Find and prove T(source & <alpha>) on one build of its table into rep;
-    returns the entry: its claim, name, target (None: null) and residues.
-    The candidates are U0 and the U-cells whose rows, strictness included,
-    are all rows of the table, which so lies in each.  The image is the
-    first, by decreasing row count, whose coverage walk finds no
-    counterexample; a table none covers is proved null by `Region.excess`,
-    or fails at an exact point.  `_accepted_exact` must accept the witnesses
-    inside the table, reject those outside, or the first mismatch is recorded."""
+    returns the entry: its claim, name and target (None: null).  The
+    candidates are U0 and the U-cells whose rows, strictness included, are
+    all rows of the table, which so lies in each.  The image is the first,
+    by decreasing row count, in the closed table (`_escapes`, memo); a
+    table none covers must be empty, or fails at an exact point of it.  Up
+    to _WITNESSES exact points of the table, and of U0 outside it, must get
+    that verdict from `_accepted_exact`, or the first mismatch is recorded."""
     cat = build_catalog()
     claim = dict(chain=[alpha], source=source)
     table = _claim_table(claim)
     rows = set(table._ints)
     candidates = sorted((reg for reg in (cat.u0, *cat.u_cells.values())
                          if rows.issuperset(reg._ints)), key=lambda reg: -len(reg._ints))
-    target, residue = next(((reg, res) for reg in candidates
-                            if (res := _coverage(reg, table)) is not None), (None, None))
+    target = next((reg for reg in candidates
+                   if next(_escapes(reg, table, memo), None) is None), None)
     name = f"{(source or cat.u0).name} --{alpha}--> {target.name if target else 'null'}"
-    residues = {"coverage": residue} if target else {
-        "null": _record(rep, table.excess(None, U0_BOX, DEPTH), entry=name, kind="null")}
-    witnesses = _witnesses(table)
+    witnesses = (list(islice(table.interior_points(memo), _WITNESSES)),
+                 list(islice(_escapes(cat.u0, table, memo), _WITNESSES)))
+    if target is None and witnesses[0]:
+        rep.fail(entry=name, kind="null", example=str(witnesses[0][0]))
     wrong = [(str(w), verdict) for verdict, ws in zip((True, False), witnesses) for w in ws
              if _accepted_exact(claim, w) != verdict]
     rep.samples += sum(map(len, witnesses))
     if wrong:
         rep.fail(entry=name, kind="witness_mismatch", mismatches=len(wrong), w=wrong[0][0],
                  table=wrong[0][1])
-    return dict(claim, name=name, target=target, residues=residues)
+    return dict(claim, name=name, target=target)
 
 
 def verify_frs() -> CheckReport:
     """Finite range structure: the image T(source & <alpha>) of each source,
     U0 or a U-cell, and each digit of norm <= FRS_NORM is U0, a U-cell or
-    null, found from its w-space table (`_claim_table`) and proved on exact
-    box trees (`_frs_entry`).  One entry stands for its dihedral class
+    null, found from its w-space table (`_claim_table`) and proved by exact
+    set decisions (`_frs_entry`).  One entry stands for its dihedral class
     (`_frs_pairs`).  Deeper images follow by induction: T^n<b_1 ... b_n> =
     T(P & <b_n>) for the prefix image P = T^(n-1)<b_1 ... b_(n-1)>, and T is
     a Moebius map on each cylinder, so equalities up to null sets compose."""
     rep = CheckReport("finite_range_structure")
-    entries = [_frs_entry(rep, source, alpha) for source, alpha in _frs_pairs()]
+    memo: dict = {}
+    entries = [_frs_entry(rep, source, alpha, memo) for source, alpha in _frs_pairs()]
     rep.info.update(claims=len(entries), digit_norm=FRS_NORM, symmetries=12,
-                    nulls=sum(e["target"] is None for e in entries))
-    _residue_info(rep, {e["name"]: e["residues"] for e in entries})
+                    nulls=sum(e["target"] is None for e in entries),
+                    entries=[e["name"] for e in entries])
     return rep
 
 
@@ -326,70 +291,46 @@ def dual_inclusion_blocks() -> dict[int, list[tuple[tuple[int, int], EisensteinI
     }
 
 
-def _disk_box(reg: Region) -> tuple[Fraction, ...]:
-    """The box around the region's "<" disk (the image of |z| > 1 under
-    inversion), rounded outward to sixteenths."""
-    cx, cy, r_sq = next(p for p in reg.prims if p.qq and p.rel == "<").circle_data()
-    # half-widths sqrt(r_sq) and sqrt(r_sq / 3) in sixteenths; isqrt(m - 1) + 1 = ceil(sqrt(m))
-    hx, hy = (math.isqrt(math.ceil(256 * h) - 1) + 1 for h in (r_sq, r_sq / 3))
-    return tuple(Fraction(e, 16) for e in (math.floor(16 * cx) - hx, math.ceil(16 * cx) + hx,
-                                             math.floor(16 * cy) - hy, math.ceil(16 * cy) + hy))
-
-
-def _dual_proofs() -> tuple[Callable, Callable]:
+def _dual_proofs() -> tuple[Callable, dict]:
     """term(kl, alpha): the term (Vstar_kl)^-1 - alpha, the image of Vstar_kl
     under the dual step w -> 1/w - alpha and so the set `_pullback` builds,
-    with its disk box; overlap(t, s): the tree on the intersection of terms
-    t and s over the box of t.  Each is computed once per distinct argument,
-    for the calls that share them."""
-    cat = build_catalog()
-
-    @cache
-    def term(kl, alpha):
-        reg = _pullback(cat.v_star[kl], [alpha])
-        return reg, _disk_box(reg)
-
-    @cache
-    def overlap(first, second):
-        (a, box), (b, _) = term(*first), term(*second)
-        return Region("overlap", a.prims + b.prims).excess(None, box, DEPTH)
-
-    return term, overlap
+    once per distinct argument; and a memo of `Region.interior_points`: both
+    for the blocks of one proof to share."""
+    v_star = build_catalog().v_star
+    return cache(lambda kl, alpha: _pullback(v_star[kl], [alpha])), {}
 
 
-def _certify_block(rep: CheckReport, tgt_k: int, terms, proofs) -> dict[str, Fraction]:
-    """Prove block tgt_k into rep; returns its residues.
-
-    Each term lies in the closed target dual cell, and the terms are
-    pairwise disjoint: a pair is decided by opposite rows, or by a tree on
-    the intersection of the two, which must hold no box centre.  proofs
-    (from `_dual_proofs`) shares terms and overlap trees with other blocks."""
-    term, overlap = proofs
+def _certify_block(rep: CheckReport, tgt_k: int, terms, proofs) -> None:
+    """Prove block tgt_k into rep: each term lies in the closed target dual
+    cell (`_escapes`), and the terms are pairwise disjoint, the intersection
+    of each two empty; a failure carries an exact point.  proofs (from
+    `_dual_proofs`) shares terms and the memo with other blocks."""
+    term, memo = proofs
     target = build_catalog().v_star[(tgt_k, 1)]
-    residues = {"inclusion": Fraction(0), "overlap": Fraction(0)}
     for i, key in enumerate(terms):
-        reg, box = term(*key)
-        residues["inclusion"] += _record(rep, reg.excess(target, box, DEPTH), block=tgt_k,
-                                         kind="inclusion", terms=[str(key)])
+        z = next(_escapes(term(*key), target, memo), None)
+        if z is not None:
+            rep.fail(block=tgt_k, kind="inclusion", terms=[str(key)], example=str(z))
         for other in terms[i + 1:]:
-            residues["overlap"] += _record(rep, overlap(key, other), block=tgt_k,
-                                           kind="overlap", terms=[str(key), str(other)])
-    return residues
+            both = Region("overlap", term(*key).prims + term(*other).prims)
+            z = next(both.interior_points(memo), None)
+            if z is not None:
+                rep.fail(block=tgt_k, kind="overlap", terms=[str(key), str(other)],
+                         example=str(z))
 
 
 def verify_dual_inclusions() -> CheckReport:
     """Transfer terms embed in their dual cells and are pairwise disjoint,
-    proved on exact box trees over each term's disk box (`_certify_block`);
-    the residues are summed per block, each block standing for its twelve
-    dihedral images: blocks 3 and 5 are not proved apart, as R maps blocks
-    2 and 4 onto them (module docstring).  A term or an ordered pair of
-    terms that recurs across blocks is proved once per call."""
-    proofs = _dual_proofs()
+    proved by exact set decisions (`_certify_block`), each block standing
+    for its twelve dihedral images: blocks 3 and 5 are not proved apart, as
+    R maps blocks 2 and 4 onto them (module docstring).  A term that recurs
+    across blocks is built once per call."""
+    proofs, blocks = _dual_proofs(), dual_inclusion_blocks()
     rep = CheckReport("dual_inclusions")
-    rep.info["symmetries"] = 12
-    rep.info["mirrors"] = {str(k): j for k, j in MIRROR_PAIRS.items()}
-    _residue_info(rep, {str(tgt_k): _certify_block(rep, tgt_k, terms, proofs)
-                        for tgt_k, terms in dual_inclusion_blocks().items()})
+    rep.info.update(symmetries=12, mirrors={str(k): j for k, j in MIRROR_PAIRS.items()},
+                    terms={str(k): len(terms) for k, terms in blocks.items()})
+    for tgt_k, terms in blocks.items():
+        _certify_block(rep, tgt_k, terms, proofs)
     return rep
 
 
@@ -502,7 +443,7 @@ def verify_monotonicity(samples: int = 200, depth: int = 50, seed: int = 0) -> C
     return rep
 
 
-_SPECIAL_DEPTH = 60  # convergents checked per special vertex
+_SPECIAL_TERMS = 60  # convergents checked per special vertex
 
 
 def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
@@ -524,9 +465,9 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
     rep.info["zeta_bar_digits"] = [str(d) for d in SPECIAL_PERIOD[ZETA_BAR]]
     # (a) exact error law and (b) ratio-track membership, one pass per vertex
     for point, tag in zip(SPECIAL_PERIOD, ("minus_zeta", "zeta_bar")):
-        cs = convergents(special_digits(point, _SPECIAL_DEPTH))
+        cs = convergents(special_digits(point, _SPECIAL_TERMS))
         prev_norm = 0
-        for n in range(1, _SPECIAL_DEPTH + 1):
+        for n in range(1, _SPECIAL_TERMS + 1):
             rep.samples += 1
             qn = cs[n].q.norm()
             if qn <= prev_norm:
@@ -540,8 +481,8 @@ def verify_special(samples: int = 60, seed: int = 0) -> CheckReport:
             rep.samples += 1
             if not cat.s_sets[(tag, n % 4)].contains(ratio):
                 rep.fail(kind="s_set", point=tag, n=n, ratio=str(ratio))
-        rep.info[f"{tag}_err_at_{_SPECIAL_DEPTH}"] = float(
-            math.sqrt(1.0 / cs[_SPECIAL_DEPTH].q.norm()))
+        rep.info[f"{tag}_err_at_{_SPECIAL_TERMS}"] = float(
+            math.sqrt(1.0 / cs[_SPECIAL_TERMS].q.norm()))
     # (c) forced cycles along the boundary segments
     chains = {1: (ETAS[5], 7, ETAS[5], 10),
               2: (ETAS[3], 9, ETAS[1], 11),

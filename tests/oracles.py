@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -107,6 +108,30 @@ def rational_points_on_reference(prim: Primitive, ts) -> list[FieldElement]:
         if s != 0:
             pts.append(FieldElement.from_xy(x0 + s, y0 + t * s))
     return pts
+
+
+def rational_base_point_reference(prim: Primitive) -> tuple[int, int, int]:
+    """`regions._rational_base_point` in Fraction arithmetic: the first
+    horizontal line y = cy + num/den meeting the circle at a rational point
+    (cx + root, y), else the point (cx, cy + sqrt(r^2 / 3))."""
+    cx, cy, r_sq = prim.circle_data()
+    for num in range(0, 200):
+        for den in (1, 2, 3, 4, 6, 12):
+            rem = r_sq - 3 * Fraction(num, den) ** 2
+            if rem >= 0 and math.isqrt(rem.numerator) ** 2 == rem.numerator and (
+                    math.isqrt(rem.denominator) ** 2 == rem.denominator):
+                x = cx + Fraction(math.isqrt(rem.numerator), math.isqrt(rem.denominator))
+                return _triple(x, cy + Fraction(num, den))
+    rem = r_sq / 3
+    if math.isqrt(rem.numerator) ** 2 != rem.numerator or (
+            math.isqrt(rem.denominator) ** 2 != rem.denominator):
+        raise ValueError(f"no rational point found on {prim}")
+    return _triple(cx, cy + Fraction(math.isqrt(rem.numerator), math.isqrt(rem.denominator)))
+
+
+def _triple(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * d // x.denominator, y.numerator * d // y.denominator, d
 
 
 def segment_points_reference(rep: CheckReport, cat: Catalog, j: int, rng, n: int
@@ -284,3 +309,143 @@ def density_integral(quad) -> tuple[float, float]:
         z, w = _sextant_rule(n)
         vals.append(float(np.sum(w * np.nan_to_num(quad.density(z), nan=0.0))))
     return vals[-1], abs(vals[-1] - vals[0])
+
+
+# -- the box tree: the reference for `Region.interior_points` ---------------
+# A dyadic branch and bound on exact row ranges, which `verify` ran before
+# its proofs were exact: it bounds the area where a claim could fail and
+# finds the box centres that fail it.
+
+DEPTH = 10  # levels of the reference trees
+U0_BOX = (-1, 1, Fraction(-1, 2), Fraction(1, 2))  # the bounding box of U0
+
+
+def _box_row(row: tuple[int, int, int, int], s: int) -> tuple[int, ...]:
+    """A row (qq, bx, by, dd) at the scale x = u/s, y = v/s, as `_box_range`
+    reads it: (0, BX, BY, DD) for a line, P s^2 = BX u + BY v + DD, and
+    (g, 2q, g BX, 6q, g BY, K) for a circle, q = |qq|, g = sign(qq), where
+    12 q g P s^2 = 3 (2q u + g BX)^2 + (6q v + g BY)^2 - K."""
+    qq, bx, by, dd = row
+    bx, by, dd = bx * s, by * s, dd * s * s
+    if not qq:
+        return (0, bx, by, dd)
+    g = 1 if qq > 0 else -1
+    return (g, 2 * g * qq, g * bx, 6 * g * qq, g * by, 3 * bx * bx + by * by - 12 * qq * dd)
+
+
+def _box_range(row: tuple[int, ...], u0: int, u1: int, v0: int, v1: int) -> tuple[int, int]:
+    """The exact (min, max) of a `_box_row` over [u0, u1] x [v0, v1], times its
+    positive weight (1 for a line, 12 |qq| for a circle): P is a quadratic in
+    u plus one in v, so each extreme lies at a corner coordinate or at the
+    vertex, where a square's base changes sign."""
+    if not row[0]:
+        _, bx, by, dd = row
+        lo, hi = (dd + bx * u0, dd + bx * u1) if bx > 0 else (dd + bx * u1, dd + bx * u0)
+        return (lo + by * v0, hi + by * v1) if by > 0 else (lo + by * v1, hi + by * v0)
+    g, q2, bx, q6, by, k = row
+    p0, p1, r0, r1 = q2 * u0 + bx, q2 * u1 + bx, q6 * v0 + by, q6 * v1 + by
+    a, b, c, d = p0 * p0, p1 * p1, r0 * r0, r1 * r1  # p0 <= p1 and r0 <= r1
+    lo = 3 * (a if p0 > 0 else b if p1 < 0 else 0) + (c if r0 > 0 else d if r1 < 0 else 0) - k
+    hi = 3 * (a if a > b else b) + (c if c > d else d) - k
+    return (lo, hi) if g > 0 else (-hi, -lo)
+
+
+def _sift(rows, u0: int, u1: int, v0: int, v1: int, hold: int) -> list | None:
+    """None when a row is positive on the box, else the rows not decided on
+    it: those whose maximum is >= hold."""
+    left = []
+    for r in rows:
+        lo, hi = _box_range(r, u0, u1, v0, v1)
+        if lo > 0:
+            return None
+        if hi >= hold:
+            left.append(r)
+    return left
+
+
+class Excess(NamedTuple):
+    """What `Region.excess` proved."""
+
+    residue: Fraction   # upper bound on the area of A \ cl(B), in (x, y)
+    fails: int          # final-depth box centres strictly in A, outside cl(B)
+    example: FieldElement | None   # the first of them
+
+
+# the verdicts of `Region.box_tree`: a box dropped as outside A, a box proved
+# strictly inside A whose parent was not, or neither
+OUTSIDE, INSIDE, UNDECIDED = -1, 1, 0
+
+
+def excess(a: Region, other: Region | None, box, depth: int) -> Excess:
+    """An exact dyadic bound on the area of A \\ cl(B), A = a and
+    B = other (None: the empty set), within box = (x0, x1, y0, y1), by
+    branch and bound on exact row ranges (R. E. Moore, Interval Analysis,
+    1966): the residue and the counterexamples of `box_tree`."""
+    den, unit, tree = box_tree(a, other, box, depth)
+    count = fails = 0
+    example = None
+    for _, u, v, weight, bad in tree:
+        count += weight
+        if bad and example is None:
+            example = FieldElement(u, v, den)
+        fails += bad
+    return Excess(count * unit, fails, example)
+
+
+def box_tree(a: Region, other: Region | None, box, depth: int
+             ) -> tuple[int, Fraction, Iterator[tuple[int, int, int, int, int]]]:
+    """The box tree of `excess`, as den, the area of one final-depth box
+    (the residue's unit), and a lazy breadth-first stream of (verdict, u,
+    v, weight, bad): the box centred at (u, v) / den gets a verdict
+    (OUTSIDE, INSIDE or UNDECIDED) and adds weight final-depth boxes to the
+    residue, bad of them counterexamples.  A box with no verdict and no
+    weight is not emitted.
+
+    The box is split in four, `depth` times.  A box is dropped when a row
+    of A is positive on it, or when every row of B left is <= 0 on it; a
+    row of A negative on a box, or of B <= 0, is not evaluated on its
+    children.  A row of B equal to a row of A holds on all of A and is
+    dropped up front; an A with two opposite rows lies on a curve, and
+    emits nothing.  A box strictly inside A where a row of B is positive
+    is all counterexample; any other box left at the final depth adds to
+    the residue, and its centre is a counterexample when strictly inside A
+    and outside cl(B).
+    """
+    box = [Fraction(v) for v in box]
+    den = math.lcm(*(v.denominator for v in box)) << (depth + 1)
+    corners = u0, u1, v0, v1 = tuple(v.numerator * (den // v.denominator) for v in box)
+    unit = Fraction((u1 - u0) * (v1 - v0), den * den << 2 * depth)
+    a_set = dict.fromkeys(r[:4] for r in a._ints)
+    if any((-qq, -bx, -by, -dd) in a_set for qq, bx, by, dd in a_set):
+        return den, unit, iter(())
+    root = (*corners, [_box_row(r, den) for r in a_set], None if other is None else
+            [_box_row(r[:4], den) for r in other._ints if r[:4] not in a_set])
+
+    def walk():
+        level = [root]
+        for d in range(depth + 1):
+            level, boxes = [], level
+            for u0, u1, v0, v1, a_rows, b_rows in boxes:
+                um, vm = (u0 + u1) >> 1, (v0 + v1) >> 1
+                keep_a = _sift(a_rows, u0, u1, v0, v1, 0)
+                if keep_a is None:
+                    yield OUTSIDE, um, vm, 0, 0
+                    continue
+                verdict = INSIDE if a_rows and not keep_a else UNDECIDED
+                keep_b = b_rows and _sift(b_rows, u0, u1, v0, v1, 1)
+                if keep_b == []:
+                    weight = bad = 0
+                elif keep_b is None and not keep_a:
+                    weight = bad = 4 ** (depth - d)
+                elif d < depth:
+                    level += [(x, xx, y, yy, keep_a, keep_b) for x, xx in ((u0, um), (um, u1))
+                              for y, yy in ((v0, vm), (vm, v1))]
+                    weight = bad = 0
+                else:  # the centre decides
+                    c = (um, um, vm, vm)
+                    weight, bad = 1, int(all(_box_range(r, *c)[0] < 0 for r in keep_a) and (
+                        keep_b is None or any(_box_range(r, *c)[0] > 0 for r in keep_b)))
+                if verdict or weight:
+                    yield verdict, um, vm, weight, bad
+
+    return den, unit, walk()

@@ -16,6 +16,7 @@ import pytest
 
 import eisencf
 from eisencf import ergodic, verifier
+from eisencf._util import canonical_json
 from eisencf.cli import RunConfig, _ratio, build_parser, main
 from eisencf.exact import BAND, EisensteinInt, embed
 from eisencf.verifier import CHECKS
@@ -50,6 +51,17 @@ EXPAND_PINS = {
     "87542a205c373569d79a80d2ba99243f326c12e1e9001726cbf09a5726902816",
     ("--z", "123456789012345678901/300000000000000000000+1/7r", "--digits", "60"):
     "f504f8aec3ee962da68e563eb89fdfdc2fcd72f3ae8f6ab289a5997d3fc167a7",
+}
+# the bytes of each check report of `verify all --seed 42 --samples 10000`:
+# the four sampled checks as they were when `frs` and `dual` were proved on
+# box trees, and those two since they are decided exactly
+VERIFY_PINS = {
+    "inversions": "a5707bdfb4599e3aedd8f715bece2c69d1c3e9991c33c453cad1aaa30b5af0ff",
+    "finite_range_structure": "485dbbf83019ac726217e637a2be3f648870318bc5186e9341d0e5b4b68e90df",
+    "dual_inclusions": "2bcc8315df268d8543622ad23b6e71fab1ccc8dc59c24ec81ffc23ae8157db8b",
+    "dual_orbit": "25adc8e2417b0aa34b60e5c65ea112e0aefca97de3a4c65474061846500f47c5",
+    "monotonicity": "1d4d9836e88660e30868f584e9979d3db2e30f10326f05870c77fbf8e485900f",
+    "special_points": "44cf1f8257c88d7ce1b7c9aba520479776948affd48bf60b66034b556597c715",
 }
 # the bytes of a 16 x 16 density grid
 DENSITY_16 = "dce9d885ffd6df63fbb331078a8f0a47ba7a6faec688346d5d8885ae101cfb3a"
@@ -282,7 +294,16 @@ class TestVerify:
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
-            "1126ec693ef369bbd22bab0444e87bbbc06da4ffcd3033be6163380364d886e8")
+            "f9015c00a46654a2215cd80e16a6f0762cadb2aa9d4f8056d7da411563e7aa85")
+
+    def test_verify_checks_are_pinned(self, capsys, tmp_path):
+        # each report of `verify all --seed 42 --samples 10000` on its own
+        out_file = tmp_path / "verify.json"
+        code, _, _ = run(capsys, "verify", "all", "--seed", "42", "--samples", "10000",
+                         "--out", str(out_file))
+        assert code == 0
+        checks = json.loads(out_file.read_text())["checks"]
+        assert {c["name"]: sha256(canonical_json(c)) for c in checks} == VERIFY_PINS
 
     def test_repeated_requests_have_the_bytes_of_a_fresh_process(self, capsys):
         # the first request in this process proves `frs` and `dual`, the
@@ -297,7 +318,7 @@ class TestVerify:
     def test_a_changed_report_leaves_the_next_artifact_as_it_was(self, capsys, name):
         _, before, _ = run(capsys, "verify", name)
         rep = CHECKS[name](10000, 20, 0)
-        rep.info["residues"].clear()
+        rep.info.clear()
         rep.failures.append({"kind": "planted"})
         rep.samples += 1
         rep.as_dict()["info"]["symmetries"] = 0

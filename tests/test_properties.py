@@ -22,13 +22,16 @@ from eisencf.hexdomain import (
     DomainError, _in_U, _nearest, floor_J, in_U, in_U0,
 )
 from eisencf.regions import (
-    BoundaryPoint, Primitive, _box_range, _box_row, _rational_base_point, build_catalog,
+    BoundaryPoint, Primitive, Region, _meets, _rational_base_point, build_catalog,
     cell_of, rational_point,
 )
 from eisencf.verifier import (
     _claim_table, _pullback, dual_inclusion_blocks, special_preimages,
 )
-from oracles import floor_J_candidates, rational_points_on, rational_points_on_reference
+from oracles import (
+    _box_range, _box_row, excess, floor_J_candidates, rational_base_point_reference,
+    rational_points_on, rational_points_on_reference,
+)
 from test_verifier import HAND_CLAIMS
 
 CAT = build_catalog()
@@ -357,6 +360,84 @@ def test_box_range_is_exact(row, k, data):
     vs = {v0, v1} | ({Fraction(-by * s, 6 * qq)} if qq else set())
     values = [value(u, v) for u in us if u0 <= u <= u1 for v in vs if v0 <= v <= v1]
     assert (lo, hi) == (min(values), max(values))
+
+
+@settings(exact, max_examples=300)
+@given(st.one_of(st.sampled_from([row for row in ROWS if row[0]]),
+                 st.builds(lambda *v: v, st.integers(1, 36), *[st.integers(-60, 60)] * 3)))
+def test_rational_base_point_matches_the_fraction_search(row):
+    # the catalogue's and the proofs' circles, and small integer ones, many
+    # with no rational point at all
+    prim = Primitive(*row, "==")
+    try:
+        want = rational_base_point_reference(prim)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _rational_base_point(prim)
+        return
+    assert _rational_base_point(prim) == want
+    assert prim.value_int(FieldElement(*want)) == 0
+
+
+# small integer circles and lines through one rational point z0, so that
+# every two of them meet at rational points: at z0 and at the other root of
+# a quadratic with a rational root
+small = st.integers(-4, 4)
+
+
+@st.composite
+def curves_through(draw, count):
+    """count rows (qq, bx, by, dd) whose curves pass through one point z0 of
+    small height, and z0 as (a, b, c)."""
+    a, b, c = draw(small), draw(small), draw(st.integers(1, 4))
+    n, rows = a * a + 3 * b * b, []
+    for _ in range(count):
+        qq, u, v = draw(st.integers(0, 2)), draw(small), draw(small)
+        assume(qq or u or v)
+        # c^2 P(z0) = 0 for P = qq (x^2 + 3 y^2) + u x + v y + dd / c^2
+        rows.append((qq * c * c, u * c * c, v * c * c, -(qq * n + (u * a + v * b) * c)))
+    return rows, (a, b, c)
+
+
+def _value(row, a, b, c):
+    qq, bx, by, dd = row
+    return qq * (a * a + 3 * b * b) + bx * a * c + by * b * c + dd * c * c
+
+
+@exact
+@given(curves_through(2))
+def test_meets_lie_on_both_curves(data):
+    (p, q), z0 = data
+    assume(Primitive(*p, "==") != Primitive(*q, "=="))  # distinct curves
+    pts = _meets(p, q)
+    assert all(_value(p, *z) == 0 == _value(q, *z) for z in pts)
+    # z0 is a meet, unless the curves are two parallel lines through it
+    a, b, c = z0
+    assert any(x * c == a * w and y * c == b * w for x, y, w in pts) or not (p[0] or q[0])
+
+
+def _region(rows, signs):
+    return Region("curves", tuple(Primitive(*row, "<" if g else ">")
+                                  for row, g in zip(rows, signs)))
+
+
+@exact
+@given(curves_through(4), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_interior_points_are_strictly_inside(data, signs):
+    region = _region(data[0], signs)
+    pts = list(region.interior_points())
+    assert all(region.contains(z) for z in pts)
+    assert len(pts) <= len(set(region.prims))
+
+
+@settings(exact, max_examples=100)
+@given(curves_through(3), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_a_tree_counterexample_is_never_declared_empty(data, signs):
+    # the box tree's counterexample centres are points of the open set, so
+    # the exact decision must find the set nonempty
+    region = _region(data[0], signs)
+    res = excess(region, None, (-8, 8, -8, 8), 6)
+    assert res.fails == 0 or next(region.interior_points(), None) is not None
 
 
 def step_T_reference(z):

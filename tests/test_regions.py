@@ -20,7 +20,6 @@ from eisencf.exact import (
 from eisencf.hexdomain import DomainError, in_U
 from eisencf.regions import (
     HEX_OPEN,
-    INSIDE,
     UNIT_CIRCLE_GT,
     BoundaryPoint,
     Primitive,
@@ -31,10 +30,11 @@ from eisencf.regions import (
     classify_cells_complex,
     half_plane,
     _disk,
+    _meets,
     _sextant_tables,
 )
-from eisencf.verifier import DEPTH, U0_BOX
-from oracles import rational_points_on, scale_float_reference
+from eisencf.verifier import _escapes
+from oracles import INSIDE, box_tree, excess, rational_points_on, scale_float_reference
 
 CAT = build_catalog()
 ZETA_F = FieldElement(1, 1, 2)
@@ -202,11 +202,11 @@ class TestMirrorBuilt:
                 assert set(got.prims) == set(hand.rotate(l - 1).prims), (fam, k, l)
 
     def test_v31_equals_the_listed_cell(self):
+        # each lies in the closure of the other: no point of one is outside
+        # a row of the other
         hand, built = Region("hand", self.HAND_V31), CAT.v_cells[(3, 1)]
         for a, b in ((hand, built), (built, hand)):
-            res = a.excess(b, U0_BOX, 12)
-            assert res.fails == 0 and res.example is None
-            assert res.residue <= Fraction(4, 10**7)
+            assert next(_escapes(a, b, {}), None) is None
 
     def test_edges_equal_the_listed_segments(self):
         rng = random.Random(44)
@@ -247,12 +247,55 @@ class TestExcess:
         strip = Region("strip", (half_plane(0, 1, Fraction(1, 32), ">"),
                                  half_plane(0, 1, Fraction(3, 32), "<")))
         below = Region("below", (half_plane(0, 1, 0, "<"),))
-        res = strip.excess(below, (0, 1, 0, 1), 3)
+        res = excess(strip, below, (0, 1, 0, 1), 3)
         assert (res.residue, res.fails) == (Fraction(1, 8), 8)
         assert res.example == FieldElement.from_xy(Fraction(1, 16), Fraction(1, 16))
-        *_, tree = strip.box_tree(below, (0, 1, 0, 1), 3)
+        *_, tree = box_tree(strip, below, (0, 1, 0, 1), 3)
         assert INSIDE not in (verdict for verdict, *_ in tree)
-        assert strip.excess(None, (0, 1, 0, 1), 3) == res
+        assert excess(strip, None, (0, 1, 0, 1), 3) == res
+        # the exact decision needs no depth: the strip's first point is
+        # above y = 0
+        z = next(_escapes(strip, below, {}))
+        assert strip.contains(z) and not below.contains(z, closed=True)
+
+
+class TestInteriorPoints:
+    """`Region.interior_points` on degenerate inputs."""
+
+    def test_opposite_rows_give_an_empty_set(self):
+        below = half_plane(0, 1, 0, "<")
+        assert list(Region("line", (below, half_plane(0, 1, 0, ">"))).interior_points()) == []
+        # a curve's trace, "==", is two opposite rows
+        assert list(CAT.segments[1].interior_points()) == []
+        z = next(Region("half", (below,)).interior_points())
+        assert z.b < 0
+
+    def test_two_tangent_circles_meet_in_one_point(self):
+        left, right = circle(0, 0, 1, "<"), circle(2, 0, 1, "<")
+        ((x, y, c),) = _meets(*((p.qq, p.bx, p.by, p.dd) for p in (left, right)))
+        assert (Fraction(x, c), Fraction(y, c)) == (1, 0)
+        # the open disks touch and do not overlap; a disk and the outside of
+        # the other do
+        assert list(Region("both", (left, right)).interior_points()) == []
+        lens = Region("one", (left, circle(2, 0, 1, ">")))
+        assert all(map(lens.contains, lens.interior_points()))
+        assert next(lens.interior_points(), None) is not None
+
+    def test_a_circle_with_r2_at_most_0_has_no_points(self):
+        for r2 in (0, -1):
+            row = (1, 0, 0, -r2)  # x^2 + 3 y^2 = r2
+            assert list(Region("disk", (Primitive(*row, "<"),)).interior_points()) == []
+            assert len(_meets(row, (0, 1, 0, 0))) == (1 if r2 == 0 else 0)
+            # the outside is the plane, but for the centre where r2 = 0
+            outside = Region("outside", (Primitive(*row, ">"),))
+            assert outside.contains(next(outside.interior_points()))
+
+    def test_an_irrational_meet_raises_naming_the_pair(self):
+        # x^2 + 3 y^2 = 4 and y = 1/2 meet where x^2 = 13/4
+        region = Region("irrational", (circle(0, 0, 4, "<"), half_plane(0, 2, 1, "<")))
+        with pytest.raises(ValueError, match="irrational") as err:
+            list(region.interior_points())
+        assert "(1, 0, 0, -4)" in str(err.value) and "(0, 0, 2, -1)" in str(err.value)
 
 
 class TestPartition:
@@ -276,13 +319,13 @@ class TestPartition:
 
     def test_cells_pairwise_disjoint_on_box_trees(self):
         # adjacent cells share a curve with opposite sides; every other pair
-        # is proved on a box tree over U0 that holds no point of both
+        # has an intersection that `interior_points` proves empty
         by_rows = 0
         for (ka, a), (kb, b) in itertools.combinations(CAT.v_cells.items(), 2):
             rows_b = {r[:4] for r in b._ints}
             by_rows += any((-q, -x, -y, -d) in rows_b for q, x, y, d, _ in a._ints)
-            res = Region("both", a.prims + b.prims).excess(None, U0_BOX, DEPTH)
-            assert res.fails == 0 and res.example is None, (ka, kb)
+            assert next(Region("both", a.prims + b.prims).interior_points(), None) is None, (
+                ka, kb)
         assert by_rows == 141
 
     def test_rotation_equivariance(self):
