@@ -840,6 +840,33 @@ class TestSharedProofs:
             assert verify_dual_inclusions().verdict == "PASS"
             assert counts == {"terms": 11, "overlaps": 45}
 
+    def test_shared_residues_equal_unshared_blocks(self):
+        # what a block's proof leaves in its memo, the full walk of each
+        # distinct row set and the meet points of each curve pair, is the
+        # same in the proof the blocks share as in the block's own; a pair's
+        # meets are a set, listed in the order of whichever of a row and its
+        # negation was cut first
+        shared = _dual_proofs()
+        rep = CheckReport("shared")
+        for tgt_k, terms in dual_inclusion_blocks().items():
+            _certify_block(rep, tgt_k, terms, shared)
+        assert rep.failures == verify_dual_inclusions().failures == []
+        memo = shared[1]
+        for tgt_k, terms in dual_inclusion_blocks().items():
+            alone, proofs = CheckReport("block"), _dual_proofs()
+            _certify_block(alone, tgt_k, terms, proofs)
+            assert alone.failures == [], tgt_k
+            walks = [k for k in proofs[1] if isinstance(k, frozenset)]
+            curves = [k for k in proofs[1] if not isinstance(k, frozenset)]
+            assert walks and curves, tgt_k
+            for k in walks:
+                assert memo[k] == proofs[1][k] == [], (tgt_k, k)
+            for k in curves:
+                own, both = proofs[1][k], memo[k]
+                assert own.point == both.point and own.pole == both.pole, (tgt_k, k)
+                assert own.meets and all(set(both.meets[o]) == set(m)
+                                         for o, m in own.meets.items()), (tgt_k, k)
+
     def test_wrong_digit_fails_in_every_block_it_appears_in(self, monkeypatch):
         # (2, 2) feeds blocks 2, 4 and 6, each time just before (2, 1) with
         # digit eta_6; with eta_6 in place of eta_5 the two overlap, and the
